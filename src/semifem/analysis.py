@@ -17,6 +17,7 @@ from .assembly import (apply_dirichlet, assemble_mass, assemble_stiffness,
 from .femfunction import FemFunction, prolongate
 from .mesh import Polygon, mesh_size, preset_polygon, refine_uniform, \
     triangulate_convex_polygon
+from .multigrid import VCycle
 from .quadrature import rule_of_degree
 from .solver import SolverConfig, SolverError, cg_solve, solve_semilinear
 
@@ -136,7 +137,7 @@ def ritz_project(mesh, grad_truth, quad=None, cg_tol=1e-12):
                                           + grads[:, :, 1] * gy[:, None])
     rhs = _scatter_vector(mesh, local)
     lhs, rhs = apply_dirichlet(assemble_stiffness(mesh), rhs, mesh)
-    coeffs, _ = cg_solve(lhs, rhs, cg_tol)
+    coeffs, _ = cg_solve(lhs, rhs, cg_tol, preconditioner=VCycle(mesh, lhs))
     return FemFunction(mesh, coeffs)
 
 

@@ -72,9 +72,9 @@ def prolongate(u, fine):
     """Express a coarse-mesh function exactly on a nested finer mesh.
 
     `fine` must be obtained from u's mesh by repeated uniform refinement.
-    Midpoint vertices receive the average of their edge endpoints, which
-    reproduces the same piecewise-linear function, so every norm is
-    preserved exactly.
+    Each level applies the mesh's cached `prolongation`: midpoint vertices
+    receive the average of their edge endpoints, which reproduces the same
+    piecewise-linear function, so every norm is preserved exactly.
     """
     chain = []
     m = fine
@@ -86,8 +86,7 @@ def prolongate(u, fine):
                         "function's mesh")
     coeffs = u.coeffs
     for child in reversed(chain):
-        edges = child.parent.edges()
-        coeffs = np.concatenate([coeffs, 0.5 * (coeffs[edges[:, 0]] + coeffs[edges[:, 1]])])
+        coeffs = child.prolongation() @ coeffs
     return FemFunction(fine, coeffs)
 
 

@@ -4,10 +4,12 @@ Meshes are immutable after construction: the vertex, triangle and flag
 arrays are locked, so instances can be shared freely between threads.
 Refinement returns a new mesh that keeps a reference to its parent; parent
 vertices keep their indices and coordinates, which makes transfer between
-nested levels exact.
+nested levels exact. The transfer matrix from the parent is built on first
+use and kept on the child, so it lives exactly as long as the mesh.
 """
 
 import numpy as np
+from scipy import sparse
 
 # Absolute tolerance for geometric predicates (convexity, point location).
 GEOM_TOL = 1e-12
@@ -141,7 +143,7 @@ class TriMesh:
     level : int
         Refinement depth, 0 for an initial triangulation.
     parent : TriMesh or None
-        The mesh this one refines.
+        The mesh this one refines by `refine_uniform`.
 
     The constructor validates positive triangle areas and conformity (every
     edge belongs to one or two triangles) and derives the boundary flags.
@@ -187,6 +189,8 @@ class TriMesh:
         self._edges = edges
         self._boundary_edge = boundary_edge
         self._signed_areas = areas
+        self._prolongation = None
+        self._interior_prolongation = None
 
     @property
     def num_vertices(self):
@@ -203,6 +207,48 @@ class TriMesh:
     def signed_areas(self):
         """Signed area of every triangle (positive by the class invariant)."""
         return self._signed_areas
+
+    def prolongation(self):
+        """Exact nodal transfer of P1 functions from the parent mesh.
+
+        Returns the (nv, nv_parent) CSR matrix whose rows are identity rows
+        for the parent vertices and rows with 1/2 at both endpoints of the
+        parent edge for the midpoint vertices, in `refine_uniform`'s
+        numbering; None for a mesh without parent. Built once per mesh.
+
+        Raises
+        ------
+        MeshError
+            If the vertex count does not match a uniform refinement of the
+            parent.
+        """
+        if self._prolongation is None and self.parent is not None:
+            edges = self.parent.edges()
+            nc = self.parent.num_vertices
+            if self.num_vertices != nc + edges.shape[0]:
+                raise MeshError(f"mesh with {self.num_vertices} vertices is not a "
+                                f"uniform refinement of its parent ({nc} vertices, "
+                                f"{edges.shape[0]} edges)")
+            indptr = np.concatenate([np.arange(nc + 1),
+                                     nc + 2 * np.arange(1, edges.shape[0] + 1)])
+            indices = np.concatenate([np.arange(nc), edges.ravel()])
+            data = np.concatenate([np.ones(nc), np.full(edges.size, 0.5)])
+            self._prolongation = sparse.csr_matrix(
+                (data, indices, indptr), shape=(self.num_vertices, nc))
+        return self._prolongation
+
+    def interior_prolongation(self):
+        """`prolongation` restricted to interior vertices on both meshes.
+
+        It is exact on the homogeneous Dirichlet spaces: a parent boundary
+        vertex carries a zero coefficient there, and every child boundary
+        vertex lies on a parent boundary edge. None without parent.
+        """
+        if self._interior_prolongation is None and self.parent is not None:
+            rows = np.flatnonzero(~self.boundary_vertex)
+            cols = np.flatnonzero(~self.parent.boundary_vertex)
+            self._interior_prolongation = self.prolongation()[rows][:, cols]
+        return self._interior_prolongation
 
     def __repr__(self):
         return (f"TriMesh(level={self.level}, vertices={self.num_vertices}, "

@@ -5,9 +5,11 @@ with homogeneous Dirichlet constraints) has a unique solution for monotone
 reaction terms. Each Newton step linearizes the reaction with a floored
 symmetric difference quotient, which stays finite and nonnegative across
 kinks of non-Lipschitz terms, and solves the symmetric positive definite
-correction system by Jacobi-preconditioned conjugate gradients. Steps are
-globalized by Armijo backtracking on the residual norm with a
-pseudo-transient mass regularization as fallback.
+correction system by conjugate gradients preconditioned with one multigrid
+V-cycle on the mesh's refinement hierarchy (`multigrid.VCycle`), so the CG
+iteration count stays bounded as the mesh is refined. Steps are globalized
+by Armijo backtracking on the residual norm with a pseudo-transient mass
+regularization as fallback.
 """
 
 from dataclasses import dataclass, field
@@ -18,6 +20,7 @@ from .assembly import (apply_dirichlet, assemble_load, assemble_mass,
                        assemble_nonlinear_residual, assemble_slope_matrix,
                        assemble_stiffness)
 from .femfunction import FemFunction
+from .multigrid import VCycle
 from .quadrature import edge_midpoint_rule, rule_of_degree
 
 
@@ -75,17 +78,22 @@ class SolverConfig:
 
 @dataclass
 class SolveStats:
-    """Iteration counts and the certified final residual of one solve."""
+    """Iteration counts and the certified final residual of one solve.
+
+    cg_residuals holds, per CG call in call order, the true relative
+    residual ||A x - b|| / ||b|| of the returned correction (0 for b = 0).
+    """
 
     newton_iterations: int = 0
     total_cg_iterations: int = 0
     final_residual_norm: float = np.inf
     damping_activations: int = 0
     residual_history: list = field(default_factory=list)
+    cg_residuals: list = field(default_factory=list)
 
 
-def cg_solve(matrix, rhs, tol=1e-12, maxit=None):
-    """Jacobi-preconditioned conjugate gradients for SPD systems.
+def cg_solve(matrix, rhs, tol=1e-12, maxit=None, preconditioner=None):
+    """Preconditioned conjugate gradients for SPD systems.
 
     Parameters
     ----------
@@ -94,21 +102,34 @@ def cg_solve(matrix, rhs, tol=1e-12, maxit=None):
     rhs : ndarray
     tol : float
         Relative tolerance: the returned x satisfies
-        ||matrix x - rhs|| <= tol * ||rhs||.
+        ||matrix x - rhs|| <= tol * ||rhs||, unless the true residual
+        stagnates first (see below).
     maxit : int or None
         Iteration cap; defaults to 10 times the system dimension.
+    preconditioner : callable or None
+        r -> M^-1 r for an SPD approximation M of matrix, such as a
+        `multigrid.VCycle`. None uses the diagonal (Jacobi), which is the
+        reference path.
 
     Returns
     -------
     (ndarray, int)
         Solution and the number of iterations used.
 
+    When the recursive residual meets the tolerance, the true residual is
+    recomputed; if it misses, CG restarts from it. If a recomputed true
+    residual is no smaller than the best one before it, the tolerance lies
+    below the accuracy the recursion can attain (Greenbaum 1997), and the
+    iterate with the smallest true residual is returned. Callers that need
+    the bound check ||matrix x - rhs|| themselves.
+
     Raises
     ------
     IndefiniteSystemError
         When a search direction has nonpositive curvature.
     CgError
-        On non-convergence within maxit; carries the residual history.
+        On non-convergence within maxit, or when the preconditioner is not
+        positive definite; carries the residual history.
     """
     n = matrix.shape[0]
     if maxit is None or maxit <= 0:
@@ -123,11 +144,23 @@ def cg_solve(matrix, rhs, tol=1e-12, maxit=None):
         k = int(np.argmin(diag))
         raise IndefiniteSystemError(
             f"nonpositive diagonal entry {diag[k]:.3e} at row {k}")
-    r = rhs.copy()
-    z = r / diag
-    p = z.copy()
-    rz = r @ z
+    if preconditioner is None:
+        preconditioner = lambda r: r / diag
     history = []
+
+    def direction(r):
+        z = preconditioner(r)
+        rz = r @ z
+        if not rz > 0.0:
+            raise CgError(f"preconditioner is not positive definite (r^T M^-1 r = "
+                          f"{rz:.3e} in CG iteration {len(history)})",
+                          residual_history=history)
+        return z, rz
+
+    r = rhs.copy()
+    z, rz = direction(r)
+    p = z.copy()
+    best_res, best_x = np.inf, x
     for it in range(1, maxit + 1):
         ap = matrix @ p
         pap = p @ ap
@@ -146,12 +179,13 @@ def cg_solve(matrix, rhs, tol=1e-12, maxit=None):
             res = np.linalg.norm(r)
             if res <= tol * rhs_norm:
                 return x, it
-            z = r / diag
+            if res >= best_res:
+                return best_x, it
+            best_res, best_x = res, x.copy()
+            z, rz = direction(r)
             p = z.copy()
-            rz = r @ z
             continue
-        z = r / diag
-        rz_next = r @ z
+        z, rz_next = direction(r)
         p = z + (rz_next / rz) * p
         rz = rz_next
     raise CgError(f"CG did not reach tolerance {tol:g} within {maxit} iterations "
@@ -201,6 +235,16 @@ def solve_semilinear(mesh, d, f, cfg=None, initial=None):
 
     stats = SolveStats()
 
+    def correction(matrix, rhs):
+        """CG on one constrained system, preconditioned by a V-cycle built for it."""
+        x, used = cg_solve(matrix, rhs, cfg.cg_tol, cg_maxit,
+                           preconditioner=VCycle(mesh, matrix))
+        stats.total_cg_iterations += used
+        rhs_norm = np.linalg.norm(rhs)
+        stats.cg_residuals.append(
+            float(np.linalg.norm(matrix @ x - rhs) / rhs_norm) if rhs_norm > 0.0 else 0.0)
+        return x
+
     def residual(coeffs):
         reaction = assemble_nonlinear_residual(mesh, d, FemFunction(mesh, coeffs), quad)
         return np.where(interior, stiffness @ coeffs + reaction - load, 0.0)
@@ -212,8 +256,7 @@ def solve_semilinear(mesh, d, f, cfg=None, initial=None):
     else:
         frozen = assemble_nonlinear_residual(mesh, d, FemFunction.zeros(mesh), quad)
         lhs, rhs = apply_dirichlet(stiffness, load - frozen, mesh)
-        u, used = cg_solve(lhs, rhs, cfg.cg_tol, cg_maxit)
-        stats.total_cg_iterations += used
+        u = correction(lhs, rhs)
 
     res = residual(u)
     res_norm = np.linalg.norm(res) * scale
@@ -227,8 +270,7 @@ def solve_semilinear(mesh, d, f, cfg=None, initial=None):
             mesh, d, FemFunction(mesh, u + tau), FemFunction(mesh, u - tau),
             cfg.slope_floor, quad)
         jacobian, _ = apply_dirichlet(stiffness + slope, zeros, mesh)
-        delta, used = cg_solve(jacobian, -res, cfg.cg_tol, cg_maxit)
-        stats.total_cg_iterations += used
+        delta = correction(jacobian, -res)
 
         step = 1.0
         accepted = False
@@ -254,8 +296,7 @@ def solve_semilinear(mesh, d, f, cfg=None, initial=None):
             while sigma <= 1e12:
                 regularized, _ = apply_dirichlet(stiffness + slope + sigma * mass,
                                                  zeros, mesh)
-                delta, used = cg_solve(regularized, -res, cfg.cg_tol, cg_maxit)
-                stats.total_cg_iterations += used
+                delta = correction(regularized, -res)
                 trial = u + delta
                 trial_res = residual(trial)
                 trial_norm = np.linalg.norm(trial_res) * scale

@@ -100,6 +100,28 @@ class TestRefine:
         assert fine.num_triangles == 8
         assert fine.level == 1 and fine.parent is mesh
 
+    def test_prolongation_rows(self):
+        mesh = two_triangle_square()
+        fine = refine_uniform(mesh)
+        assert mesh.prolongation() is None
+        p = fine.prolongation()
+        assert p is fine.prolongation()  # built once, kept on the mesh
+        dense = p.toarray()
+        np.testing.assert_array_equal(dense[:4], np.eye(4))
+        for row, (a, b) in zip(dense[4:], mesh.edges()):
+            expected = np.zeros(4)
+            expected[[a, b]] = 0.5
+            np.testing.assert_array_equal(row, expected)
+        # Interior restriction: the one interior child vertex is the
+        # midpoint of the diagonal, and the parent has no interior vertex.
+        assert fine.interior_prolongation().shape == (1, 0)
+
+    def test_prolongation_rejects_foreign_parent(self):
+        mesh = two_triangle_square()
+        child = TriMesh(mesh.vertices, mesh.triangles, level=1, parent=mesh)
+        with pytest.raises(MeshError, match="not a uniform refinement"):
+            child.prolongation()
+
     def test_mesh_size_halves(self):
         mesh = triangulate_convex_polygon(Polygon(PENTAGON))
         fine = refine_uniform(mesh)

@@ -76,6 +76,22 @@ class TestCg:
             cg_solve(lhs, rhs, tol=1e-14, maxit=3)
         assert len(err.value.residual_history) == 3
 
+    def test_stagnation_returns_best_iterate(self):
+        # A tolerance below the attainable accuracy of the 1D Laplacian
+        # (condition number about 1.6e4) once restarted CG until maxit.
+        n = 200
+        matrix = sparse.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)],
+                              [-1, 0, 1], format="csr")
+        rhs = np.random.default_rng(5).standard_normal(n)
+        x, iters = cg_solve(matrix, rhs, tol=1e-15)
+        assert iters < 5 * n
+        assert np.linalg.norm(matrix @ x - rhs) <= 1e-13 * np.linalg.norm(rhs)
+
+    def test_indefinite_preconditioner_raises(self):
+        matrix = sparse.csr_matrix(np.array([[4.0, 1.0], [1.0, 3.0]]))
+        with pytest.raises(CgError, match="preconditioner"):
+            cg_solve(matrix, np.array([1.0, 2.0]), preconditioner=lambda r: -r)
+
 
 class TestSolve:
     def test_trivial_problem_one_step(self):
@@ -176,6 +192,14 @@ class TestSolve:
         assert stats.total_cg_iterations > 0
         assert stats.final_residual_norm <= SolverConfig().residual_tol
         assert stats.residual_history[-1] == stats.final_residual_norm
+
+    def test_stats_record_cg_residuals(self):
+        # One CG call for the cold start plus one per Newton step.
+        mesh = pentagon_mesh(3)
+        cfg = SolverConfig()
+        _, stats = solve_semilinear(mesh, kink_term(), ONE, cfg)
+        assert len(stats.cg_residuals) == stats.newton_iterations + 1
+        assert max(stats.cg_residuals) <= 10 * cfg.cg_tol
 
     def test_random_convex_domains(self):
         # Robustness sweep over non-preset geometry: the certificate and
