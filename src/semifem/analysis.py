@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import (apply_dirichlet, assemble_mass, assemble_stiffness,
-                       _element_geometry, _quad_points_physical, _scatter_vector)
+from .assembly import (assemble_mass, assemble_stiffness, _element_geometry,
+                       _quad_points_physical, _scatter_vector)
 from .femfunction import FemFunction, prolongate
 from .mesh import Polygon, mesh_size, preset_polygon, refine_uniform, \
     triangulate_convex_polygon
@@ -114,10 +114,10 @@ def error_linf(u_h, truth, lattice_degree=4):
 def ritz_project(mesh, grad_truth, quad=None, cg_tol=1e-12):
     """Elliptic projection onto the Dirichlet P1 space.
 
-    Solves the constrained system A r = g with g_i the integrals of
+    Solves A r = g on the interior unknowns, with g_i the integrals of
     grad_truth against the hat gradients (quadrature degree at least 4),
     so the gradient of the result is L2-orthogonal to all discrete
-    gradients against the given field.
+    gradients against the given field; boundary values are zero.
 
     Parameters
     ----------
@@ -135,9 +135,11 @@ def ritz_project(mesh, grad_truth, quad=None, cg_tol=1e-12):
         gy = np.asarray(gy, dtype=float)
         local += (wq * areas)[:, None] * (grads[:, :, 0] * gx[:, None]
                                           + grads[:, :, 1] * gy[:, None])
-    rhs = _scatter_vector(mesh, local)
-    lhs, rhs = apply_dirichlet(assemble_stiffness(mesh), rhs, mesh)
-    coeffs, _ = cg_solve(lhs, rhs, cg_tol, preconditioner=VCycle(mesh, lhs))
+    interior = mesh.interior_vertices
+    lhs = assemble_stiffness(mesh)[interior][:, interior]
+    rhs = _scatter_vector(mesh, local)[interior]
+    coeffs = np.zeros(mesh.num_vertices)
+    coeffs[interior], _ = cg_solve(lhs, rhs, cg_tol, preconditioner=VCycle(mesh, lhs))
     return FemFunction(mesh, coeffs)
 
 
@@ -266,7 +268,7 @@ def run_convergence_study(domain, d, f, levels, exact=None, extra_refinements=2,
     f : callable
         Right-hand side f(x, y).
     levels : iterable of int
-        Consecutive refinement levels to measure, ascending.
+        Consecutive nonnegative refinement levels to measure, ascending.
     exact : ExactSolution, optional
         Closed-form reference. When absent, a discrete reference is
         computed `extra_refinements` levels beyond the finest study level.
@@ -291,6 +293,8 @@ def run_convergence_study(domain, d, f, levels, exact=None, extra_refinements=2,
         raise ValueError("levels must be nonempty")
     if any(b - a != 1 for a, b in zip(levels[:-1], levels[1:])):
         raise ValueError("levels must be consecutive ascending integers")
+    if levels[0] < 0:
+        raise ValueError(f"levels must be nonnegative, got {levels[0]}")
     if exact is None and extra_refinements < 2:
         raise ValueError("a discrete reference needs extra_refinements >= 2")
 
@@ -329,7 +333,7 @@ def run_convergence_study(domain, d, f, levels, exact=None, extra_refinements=2,
         previous = u
         record = StudyRecord(
             level=level, h=mesh_size(mesh),
-            ndof=int(np.sum(~mesh.boundary_vertex)),
+            ndof=mesh.interior_vertices.size,
             newton_iterations=stats.newton_iterations, wall_time=wall)
         if exact is not None:
             record.err_l2 = error_l2(u, exact.value)

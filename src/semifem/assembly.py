@@ -188,7 +188,8 @@ def apply_dirichlet(matrix, rhs, mesh):
     Rows and columns of boundary vertices are zeroed, their diagonal is
     set to one and the matching right-hand side entries to zero. Symmetry
     of the input is preserved, so a conjugate-gradient solver stays
-    applicable. Returns a new (csr_matrix, ndarray) pair.
+    applicable. Returns a new (csr_matrix, ndarray) pair. The solvers do
+    not use it: they restrict systems to `mesh.interior_vertices`.
     """
     interior = ~mesh.boundary_vertex
     coo = matrix.tocoo()

@@ -26,8 +26,8 @@ EXIT_USAGE = 2
 # key -> (default string or None when optional, help text)
 CONFIG_KEYS = {
     "domain": ("unit-square", "preset name or path to a polygon/mesh file"),
-    "level": ("3", "refinement level for `mesh` and `solve`"),
-    "levels": ("2..5", "study level range, e.g. 2..5"),
+    "level": ("3", "nonnegative refinement level for `mesh` and `solve`"),
+    "levels": ("2..5", "nonnegative study level range, e.g. 2..5"),
     "nonlinearity": ("power_law", "reaction family (only power_law is built in)"),
     "scale": ("1.0", "power-law scale, positive"),
     "exponent": ("1.0", "power-law exponent in (0, 1]"),
@@ -35,14 +35,14 @@ CONFIG_KEYS = {
     "weight": ("1.0", "constant nonnegative weight"),
     "cut_m": (None, "optional clamp bound M; absent means no clamping"),
     "rhs": ("constant 1", "`constant <c>` or `manufactured`"),
-    "reference": ("fine+2", "`exact` or `fine+<k>` with k >= 1"),
+    "reference": ("fine+2", "`exact` or `fine+<k>` with k >= 2"),
     "residual_tol": ("1e-10", "Newton residual tolerance (scaled norm)"),
     "max_newton": ("50", "Newton iteration cap"),
     "slope_floor": ("1e-6", "difference-quotient floor of the linearization"),
     "cg_tol": ("1e-12", "relative CG tolerance"),
-    "cg_maxit": ("0", "CG iteration cap, 0 means 10 * n"),
+    "cg_maxit": ("0", "CG iteration cap, 0 means 10 * interior unknowns"),
     "continuation_sigma0": ("0.0", "initial pseudo-transient regularization"),
-    "quad_degree": ("5", "quadrature degree for the nonlinear terms"),
+    "quad_degree": ("5", "quadrature degree for the nonlinear terms, 0 to 5"),
     "output": (None, "output path; also settable with --output"),
 }
 
@@ -198,6 +198,8 @@ def build_mesh(domain, level):
     For a mesh file, `level` counts additional uniform refinements of the
     stored mesh.
     """
+    if level < 0:
+        raise ConfigError(f"config key 'level': must be nonnegative, got {level}")
     if domain in PRESET_POLYGONS:
         mesh = triangulate_convex_polygon(preset_polygon(domain))
     elif _looks_like_mesh_file(domain):
@@ -219,6 +221,8 @@ def _parse_levels(text):
         raise ConfigError(f"config key 'levels': bad bounds in {text!r}") from None
     if lo > hi:
         raise ConfigError(f"config key 'levels': min {lo} exceeds max {hi}")
+    if lo < 0:
+        raise ConfigError(f"config key 'levels': levels must be nonnegative, got {lo}")
     return list(range(lo, hi + 1))
 
 
@@ -230,8 +234,8 @@ def _parse_reference(text):
             k = int(text[len("fine+"):])
         except ValueError:
             raise ConfigError(f"config key 'reference': bad value {text!r}") from None
-        if k < 1:
-            raise ConfigError("config key 'reference': fine+k requires k >= 1")
+        if k < 2:
+            raise ConfigError("config key 'reference': fine+k requires k >= 2")
         return "fine", k
     raise ConfigError(f"config key 'reference': expected 'exact' or 'fine+<k>', got {text!r}")
 
@@ -270,12 +274,12 @@ def cmd_solve(args):
     except NewtonError as exc:
         print(f"solve failed: {exc}", file=sys.stderr)
         if exc.residual_history:
-            print(f"ndof={int(np.sum(~mesh.boundary_vertex))} "
+            print(f"ndof={mesh.interior_vertices.size} "
                   f"residual={exc.residual_history[-1]:.9e}", file=sys.stderr)
         return EXIT_NUMERICAL
     out = cfg["output"] or "solution.txt"
     write_function(u, out)
-    print(f"ndof={int(np.sum(~mesh.boundary_vertex))} "
+    print(f"ndof={mesh.interior_vertices.size} "
           f"newton_iterations={stats.newton_iterations} "
           f"final_residual={stats.final_residual_norm:.9e}")
     print(f"wrote {out}")

@@ -140,6 +140,9 @@ class TriMesh:
         Vertex indices per triangle, counter-clockwise.
     boundary_vertex : ndarray of bool, shape (nv,)
         True exactly for vertices lying on an edge shared by one triangle.
+    interior_vertices : ndarray of int
+        Ascending indices of the other vertices: the unknowns of the
+        homogeneous Dirichlet problem.
     level : int
         Refinement depth, 0 for an initial triangulation.
     parent : TriMesh or None
@@ -175,15 +178,18 @@ class TriMesh:
         boundary_edge = counts == 1
         boundary_vertex = np.zeros(nv, dtype=bool)
         boundary_vertex[edges[boundary_edge].ravel()] = True
+        interior_vertices = np.flatnonzero(~boundary_vertex)
 
         vertices.setflags(write=False)
         triangles.setflags(write=False)
         boundary_vertex.setflags(write=False)
+        interior_vertices.setflags(write=False)
         edges.setflags(write=False)
 
         self.vertices = vertices
         self.triangles = triangles
         self.boundary_vertex = boundary_vertex
+        self.interior_vertices = interior_vertices
         self.level = int(level)
         self.parent = parent
         self._edges = edges
@@ -245,9 +251,8 @@ class TriMesh:
         vertex lies on a parent boundary edge. None without parent.
         """
         if self._interior_prolongation is None and self.parent is not None:
-            rows = np.flatnonzero(~self.boundary_vertex)
-            cols = np.flatnonzero(~self.parent.boundary_vertex)
-            self._interior_prolongation = self.prolongation()[rows][:, cols]
+            self._interior_prolongation = \
+                self.prolongation()[self.interior_vertices][:, self.parent.interior_vertices]
         return self._interior_prolongation
 
     def __repr__(self):

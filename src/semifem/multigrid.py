@@ -1,12 +1,13 @@
 """Symmetric multigrid V-cycle on a mesh's refinement hierarchy.
 
-The cycle preconditions conjugate gradients for the Dirichlet-constrained
-systems of `solver` and `analysis`. It runs on the chain mesh, mesh.parent,
-... with the exact nested prolongations `TriMesh.interior_prolongation`,
-Galerkin coarse operators P^T A P, damped Jacobi smoothing with equal sweep
-counts before and after the coarse correction, and an exact solve on the
-coarsest level. A mesh without parent gets a one-level hierarchy, where the
-cycle is that exact solve.
+The cycle preconditions conjugate gradients for the systems of `solver`
+and `analysis`, which act on the interior unknowns only (the homogeneous
+Dirichlet constraint is imposed by restriction). It runs on the chain
+mesh, mesh.parent, ... with the exact nested prolongations
+`TriMesh.interior_prolongation`, Galerkin coarse operators P^T A P, damped
+Jacobi smoothing with equal sweep counts before and after the coarse
+correction, and an exact solve on the coarsest level. A mesh without
+parent gets a one-level hierarchy, where the cycle is that exact solve.
 """
 
 from functools import partial
@@ -44,8 +45,8 @@ class VCycle:
         The mesh of the system; its ancestors form the coarse levels, down
         to the root or to the first ancestor without interior vertices.
     matrix : scipy.sparse matrix
-        SPD system as returned by `apply_dirichlet`: boundary rows and
-        columns hold only their diagonal entry.
+        SPD operator on the interior unknowns, `mesh.interior_vertices`
+        in that order.
 
     The coarse operators are built once here, so build one instance per
     system matrix. The instance holds matrices only, no reference to the
@@ -53,16 +54,11 @@ class VCycle:
     """
 
     def __init__(self, mesh, matrix):
-        matrix = matrix.tocsr()
-        interior = ~mesh.boundary_vertex
-        self._interior = np.flatnonzero(interior)
-        self._boundary = np.flatnonzero(~interior)
-        self._boundary_diag = matrix.diagonal()[self._boundary]
-        a = matrix[self._interior][:, self._interior]
+        a = matrix.tocsr()
         self._operators = []
         self._weights = []
         self._prolongations = []
-        while mesh.parent is not None and np.any(~mesh.parent.boundary_vertex):
+        while mesh.parent is not None and mesh.parent.interior_vertices.size:
             p = mesh.interior_prolongation()
             self._operators.append(a)
             self._weights.append(SMOOTHING_WEIGHT / a.diagonal())
@@ -72,12 +68,6 @@ class VCycle:
         self._coarse_solve = _exact_solver(a)
 
     def __call__(self, r):
-        z = np.empty_like(r)
-        z[self._boundary] = r[self._boundary] / self._boundary_diag
-        z[self._interior] = self._cycle(r[self._interior])
-        return z
-
-    def _cycle(self, r):
         """V-cycle from a zero guess, levels visited fine to coarse and back."""
         rhs, sols = [], []
         for a, w, p in zip(self._operators, self._weights, self._prolongations):

@@ -15,17 +15,8 @@ MONOTONE_TOL = 1e-12
 class Nonlinearity:
     """Base class for pointwise reaction terms.
 
-    Attributes
-    ----------
-    monotone : bool
-        Claim of monotonicity in u (validated by `check_monotone`).
-    lipschitz_band : tuple or None
-        Optional (rho, L) metadata: a Lipschitz constant L valid for
-        arguments in [-rho, rho]. Not inferred, supplied by constructors.
+    Monotonicity in u is not declared but sampled by `check_monotone`.
     """
-
-    monotone = True
-    lipschitz_band = None
 
     def __call__(self, x, y, u):
         raise NotImplementedError
@@ -57,12 +48,9 @@ class PowerLaw(Nonlinearity):
     exponent : float
     shift, weight : float or callable
         Constants or pointwise functions of (x, y).
-    lipschitz_band : tuple, optional
-        (rho, L) metadata when the term is known Lipschitz near zero.
     """
 
-    def __init__(self, scale=1.0, exponent=1.0, shift=0.0, weight=1.0,
-                 lipschitz_band=None):
+    def __init__(self, scale=1.0, exponent=1.0, shift=0.0, weight=1.0):
         if not scale > 0.0:
             raise ValueError(f"scale must be positive, got {scale!r}")
         if not 0.0 < exponent <= 1.0:
@@ -73,7 +61,6 @@ class PowerLaw(Nonlinearity):
         self._weight, self._weight_callable = _as_pointwise(weight)
         if not self._weight_callable and self._weight < 0.0:
             raise ValueError("constant weight must be nonnegative")
-        self.lipschitz_band = lipschitz_band
 
     def __call__(self, x, y, u):
         psi = self._shift(x, y) if self._shift_callable else self._shift
@@ -100,8 +87,6 @@ class CutNonlinearity(Nonlinearity):
             raise ValueError(f"cut bound must be positive, got {bound!r}")
         self.base = base
         self.bound = float(bound)
-        self.monotone = getattr(base, "monotone", True)
-        self.lipschitz_band = getattr(base, "lipschitz_band", None)
 
     def __call__(self, x, y, u):
         return self.base(x, y, np.clip(u, -self.bound, self.bound))

@@ -1,10 +1,14 @@
 """Damped Newton solution of the discrete semilinear system.
 
-The discrete problem A u + N(u) = F (stiffness, reaction integrals, load,
-with homogeneous Dirichlet constraints) has a unique solution for monotone
-reaction terms. Each Newton step linearizes the reaction with a floored
-symmetric difference quotient, which stays finite and nonnegative across
-kinks of non-Lipschitz terms, and solves the symmetric positive definite
+The discrete problem A u + N(u) = F (stiffness, reaction integrals, load)
+has a unique solution for monotone reaction terms. The homogeneous
+Dirichlet constraint is imposed by restriction: the unknowns are the
+values at `mesh.interior_vertices`, every system is the interior block
+matrix[i][:, i] of the assembled matrix, and its solution is embedded
+into the full coefficient vector with zero boundary values. Each Newton
+step linearizes the reaction with a floored symmetric difference
+quotient, which stays finite and nonnegative across kinks of
+non-Lipschitz terms, and solves the symmetric positive definite
 correction system by conjugate gradients preconditioned with one multigrid
 V-cycle on the mesh's refinement hierarchy (`multigrid.VCycle`), so the CG
 iteration count stays bounded as the mesh is refined. Steps are globalized
@@ -16,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# Unused here; kept importable because benchmarks/tracing.py wraps solver.apply_dirichlet.
 from .assembly import (apply_dirichlet, assemble_load, assemble_mass,
                        assemble_nonlinear_residual, assemble_slope_matrix,
                        assemble_stiffness)
@@ -50,9 +55,10 @@ class SolverConfig:
     """Tolerances and safeguards of the Newton solver.
 
     residual_tol is absolute on the Euclidean residual norm scaled by
-    1/sqrt(n); slope_floor is the denominator floor of the difference
-    quotient and also the half-width of the symmetric difference;
-    cg_maxit = 0 means 10 * n. continuation_sigma0 = 0 leaves the
+    1/sqrt(n), n the vertex count; slope_floor is the denominator floor of
+    the difference quotient and also the half-width of the symmetric
+    difference; cg_maxit = 0 means 10 times the number of interior
+    unknowns. continuation_sigma0 = 0 leaves the
     pseudo-transient fallback to start at 1e-3 when triggered.
     """
 
@@ -74,6 +80,13 @@ class SolverConfig:
             raise ValueError("max_newton must be at least 1")
         if not 0.0 < self.armijo_beta < 1.0:
             raise ValueError("armijo_beta must lie in (0, 1)")
+        if not 0.0 < self.armijo_c < 1.0:
+            raise ValueError("armijo_c must lie in (0, 1)")
+        if not 0.0 < self.min_step <= 1.0:
+            raise ValueError("min_step must lie in (0, 1]")
+        if self.quad_degree < 0:
+            raise ValueError("quad_degree must be nonnegative")
+        rule_of_degree(self.quad_degree)  # raises for a degree no shipped rule serves
 
 
 @dataclass
@@ -223,40 +236,42 @@ def solve_semilinear(mesh, d, f, cfg=None, initial=None):
     """
     cfg = cfg if cfg is not None else SolverConfig()
     nv = mesh.num_vertices
-    interior = ~mesh.boundary_vertex
+    interior = mesh.interior_vertices
     scale = 1.0 / np.sqrt(nv)
     quad = rule_of_degree(cfg.quad_degree)
-    cg_maxit = cfg.cg_maxit if cfg.cg_maxit > 0 else 10 * nv
 
     stiffness = assemble_stiffness(mesh)
     mass = assemble_mass(mesh)
     load = assemble_load(mesh, f, edge_midpoint_rule())
-    zeros = np.zeros(nv)
 
     stats = SolveStats()
 
     def correction(matrix, rhs):
-        """CG on one constrained system, preconditioned by a V-cycle built for it."""
-        x, used = cg_solve(matrix, rhs, cfg.cg_tol, cg_maxit,
-                           preconditioner=VCycle(mesh, matrix))
+        """Interior unknowns x of matrix[i][:, i] x = rhs, by V-cycle CG."""
+        block = matrix[interior][:, interior]
+        x, used = cg_solve(block, rhs, cfg.cg_tol, cfg.cg_maxit,
+                           preconditioner=VCycle(mesh, block))
         stats.total_cg_iterations += used
         rhs_norm = np.linalg.norm(rhs)
         stats.cg_residuals.append(
-            float(np.linalg.norm(matrix @ x - rhs) / rhs_norm) if rhs_norm > 0.0 else 0.0)
+            float(np.linalg.norm(block @ x - rhs) / rhs_norm) if rhs_norm > 0.0 else 0.0)
         return x
 
     def residual(coeffs):
+        """Interior entries of A u + N(u) - F."""
         reaction = assemble_nonlinear_residual(mesh, d, FemFunction(mesh, coeffs), quad)
-        return np.where(interior, stiffness @ coeffs + reaction - load, 0.0)
+        return (stiffness @ coeffs + reaction - load)[interior]
 
+    # Iterates and corrections are full coefficient vectors with zero boundary
+    # entries: only interior entries are assigned, and trials are their sums.
+    u, delta = np.zeros(nv), np.zeros(nv)
     if initial is not None:
         if initial.mesh is not mesh:
             raise ValueError("initial guess lives on a different mesh")
-        u = np.where(interior, initial.coeffs, 0.0)
+        u[interior] = initial.coeffs[interior]
     else:
         frozen = assemble_nonlinear_residual(mesh, d, FemFunction.zeros(mesh), quad)
-        lhs, rhs = apply_dirichlet(stiffness, load - frozen, mesh)
-        u = correction(lhs, rhs)
+        u[interior] = correction(stiffness, (load - frozen)[interior])
 
     res = residual(u)
     res_norm = np.linalg.norm(res) * scale
@@ -269,8 +284,7 @@ def solve_semilinear(mesh, d, f, cfg=None, initial=None):
         slope = assemble_slope_matrix(
             mesh, d, FemFunction(mesh, u + tau), FemFunction(mesh, u - tau),
             cfg.slope_floor, quad)
-        jacobian, _ = apply_dirichlet(stiffness + slope, zeros, mesh)
-        delta = correction(jacobian, -res)
+        delta[interior] = correction(stiffness + slope, -res)
 
         step = 1.0
         accepted = False
@@ -294,9 +308,7 @@ def solve_semilinear(mesh, d, f, cfg=None, initial=None):
             stats.damping_activations += 1
             sigma = max(cfg.continuation_sigma0, 1e-3)
             while sigma <= 1e12:
-                regularized, _ = apply_dirichlet(stiffness + slope + sigma * mass,
-                                                 zeros, mesh)
-                delta = correction(regularized, -res)
+                delta[interior] = correction(stiffness + slope + sigma * mass, -res)
                 trial = u + delta
                 trial_res = residual(trial)
                 trial_norm = np.linalg.norm(trial_res) * scale

@@ -254,6 +254,14 @@ class TestStudy:
             run_convergence_study("unit-square", PowerLaw(),
                                   lambda x, y: np.ones_like(x), [2, 4])
 
+    @pytest.mark.parametrize("levels", [[-1], [-3, -2]])
+    def test_negative_levels_rejected(self, levels):
+        zero = ExactSolution(lambda x, y: np.zeros_like(x),
+                             lambda x, y: (np.zeros_like(x), np.zeros_like(x)))
+        with pytest.raises(ValueError, match="nonnegative"):
+            run_convergence_study("unit-square", PowerLaw(weight=0.0),
+                                  lambda x, y: np.zeros_like(x), levels, exact=zero)
+
     def test_discrete_reference_needs_two_extra(self):
         with pytest.raises(ValueError, match="extra_refinements"):
             run_convergence_study("unit-square", PowerLaw(),

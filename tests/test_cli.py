@@ -119,6 +119,11 @@ class TestSolveCommand:
         assert main(["solve", "--config", cfg]) == 2
         assert "exponent" in capsys.readouterr().err
 
+    def test_unserved_quad_degree_rejected(self, tmp_path, capsys):
+        cfg = write(tmp_path, "bad.cfg", "quad_degree = 6\n")
+        assert main(["solve", "--config", cfg]) == 2
+        assert "degree >= 6" in capsys.readouterr().err
+
     def test_cut_m_applied(self, tmp_path, capsys):
         cfg = write(tmp_path, "cut.cfg", KINK_CONFIG + "cut_m = 2.5\nlevel = 2\n")
         out = str(tmp_path / "u.txt")
@@ -155,6 +160,12 @@ class TestStudyCommand:
         assert main(["study", "--config", cfg]) == 2
         assert "manufactured" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting", ["reference = fine+1", "levels = -1..2"])
+    def test_unservable_levels_rejected(self, tmp_path, capsys, setting):
+        cfg = write(tmp_path, "study.cfg", KINK_CONFIG + setting + "\n")
+        assert main(["study", "--config", cfg, "--output", str(tmp_path / "s.csv")]) == 2
+        assert setting.split()[0] in capsys.readouterr().err
+
     def test_deterministic_output(self, tmp_path, capsys):
         cfg = write(tmp_path, "study.cfg",
                     MANUFACTURED_CONFIG.replace("2..5", "2..4"))
@@ -185,3 +196,9 @@ class TestValidateCommand:
 
 def test_usage_error_exit_code(capsys):
     assert main([]) == 2
+
+
+@pytest.mark.parametrize("command", ["mesh", "solve"])
+def test_negative_level_rejected(tmp_path, capsys, command):
+    assert main([command, "--level", "-2", "--output", str(tmp_path / "out.txt")]) == 2
+    assert "level" in capsys.readouterr().err

@@ -86,6 +86,8 @@ class TestTriangulate:
         mesh = triangulate_convex_polygon(preset_polygon("unit-square"))
         np.testing.assert_array_equal(mesh.boundary_vertex,
                                       [True, True, True, True, False])
+        np.testing.assert_array_equal(mesh.interior_vertices, [4])
+        assert not mesh.interior_vertices.flags.writeable
 
     def test_rejects_concave_input(self):
         with pytest.raises(MeshError):

@@ -193,6 +193,15 @@ class TestSolve:
         assert stats.final_residual_norm <= SolverConfig().residual_tol
         assert stats.residual_history[-1] == stats.final_residual_norm
 
+    def test_mass_regularized_fallback(self):
+        # A strict Armijo constant with a high step floor rejects some
+        # backtracked steps, so the mass-regularized system is solved: more
+        # CG calls than the cold start plus one per Newton step.
+        cfg = SolverConfig(armijo_c=0.9, min_step=0.5)
+        _, stats = solve_semilinear(pentagon_mesh(2), kink_term(), ONE, cfg)
+        assert len(stats.cg_residuals) > stats.newton_iterations + 1
+        assert stats.final_residual_norm <= cfg.residual_tol
+
     def test_stats_record_cg_residuals(self):
         # One CG call for the cold start plus one per Newton step.
         mesh = pentagon_mesh(3)
@@ -248,3 +257,13 @@ def test_config_validation():
         SolverConfig(max_newton=0)
     with pytest.raises(ValueError):
         SolverConfig(armijo_beta=1.0)
+    for bad in (0.0, 1.0):
+        with pytest.raises(ValueError, match="armijo_c"):
+            SolverConfig(armijo_c=bad)
+    for bad in (0.0, -0.5, 1.5):
+        with pytest.raises(ValueError, match="min_step"):
+            SolverConfig(min_step=bad)
+    for bad in (-1, 6):
+        with pytest.raises(ValueError, match="degree"):
+            SolverConfig(quad_degree=bad)
+    SolverConfig(min_step=1.0, quad_degree=0)
