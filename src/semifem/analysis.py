@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import (assemble_mass, assemble_stiffness, _element_geometry,
-                       _quad_points_physical, _scatter_vector)
+from .assembly import (assemble_mass, assemble_stiffness, element_corners,
+                       element_geometry, quadrature_points, scatter_vector)
 from .femfunction import FemFunction, prolongate
 from .mesh import Polygon, mesh_size, preset_polygon, refine_uniform, \
     triangulate_convex_polygon
@@ -53,11 +53,12 @@ def error_l2(u_h, truth, quad=None):
         return float(np.sqrt(e @ (assemble_mass(truth.mesh) @ e)))
     rule = quad if quad is not None else rule_of_degree(4)
     mesh = u_h.mesh
-    areas, _ = _element_geometry(mesh)
+    areas = mesh.signed_areas()
+    corners = element_corners(mesh)
     uloc = u_h.coeffs[mesh.triangles]
     total = 0.0
     for bary, wq in zip(rule.points, rule.weights):
-        x, y = _quad_points_physical(mesh, bary)
+        x, y = quadrature_points(corners, bary)
         diff = uloc @ bary - np.asarray(truth(x, y), dtype=float)
         total += wq * np.sum(areas * diff * diff)
     return float(np.sqrt(total))
@@ -76,12 +77,13 @@ def error_h1semi(u_h, truth, quad=None):
         return float(np.sqrt(e @ (assemble_stiffness(truth.mesh) @ e)))
     rule = quad if quad is not None else rule_of_degree(4)
     mesh = u_h.mesh
-    areas, grads = _element_geometry(mesh)
+    corners = element_corners(mesh)
+    areas, grads = element_geometry(mesh, corners)
     uloc = u_h.coeffs[mesh.triangles]
     gu = np.einsum("kj,kjd->kd", uloc, grads)
     total = 0.0
     for bary, wq in zip(rule.points, rule.weights):
-        x, y = _quad_points_physical(mesh, bary)
+        x, y = quadrature_points(corners, bary)
         gx, gy = truth(x, y)
         dx = gu[:, 0] - np.asarray(gx, dtype=float)
         dy = gu[:, 1] - np.asarray(gy, dtype=float)
@@ -102,10 +104,11 @@ def error_linf(u_h, truth, lattice_degree=4):
     if lattice_degree < 1:
         raise ValueError("lattice degree must be at least 1")
     mesh = u_h.mesh
+    corners = element_corners(mesh)
     uloc = u_h.coeffs[mesh.triangles]
     worst = 0.0
     for bary in _bary_lattice(lattice_degree):
-        x, y = _quad_points_physical(mesh, bary)
+        x, y = quadrature_points(corners, bary)
         diff = uloc @ bary - np.asarray(truth(x, y), dtype=float)
         worst = max(worst, float(np.max(np.abs(diff))))
     return worst
@@ -126,10 +129,11 @@ def ritz_project(mesh, grad_truth, quad=None, cg_tol=1e-12):
         Evaluated as grad_truth(x, y) -> (gx, gy) on coordinate arrays.
     """
     rule = quad if quad is not None else rule_of_degree(4)
-    areas, grads = _element_geometry(mesh)
+    corners = element_corners(mesh)
+    areas, grads = element_geometry(mesh, corners)
     local = np.zeros((mesh.num_triangles, 3))
     for bary, wq in zip(rule.points, rule.weights):
-        x, y = _quad_points_physical(mesh, bary)
+        x, y = quadrature_points(corners, bary)
         gx, gy = grad_truth(x, y)
         gx = np.asarray(gx, dtype=float)
         gy = np.asarray(gy, dtype=float)
@@ -137,7 +141,7 @@ def ritz_project(mesh, grad_truth, quad=None, cg_tol=1e-12):
                                           + grads[:, :, 1] * gy[:, None])
     interior = mesh.interior_vertices
     lhs = assemble_stiffness(mesh)[interior][:, interior]
-    rhs = _scatter_vector(mesh, local)[interior]
+    rhs = scatter_vector(mesh, local)[interior]
     coeffs = np.zeros(mesh.num_vertices)
     coeffs[interior], _ = cg_solve(lhs, rhs, cg_tol, preconditioner=VCycle(mesh, lhs))
     return FemFunction(mesh, coeffs)

@@ -1,9 +1,14 @@
 """Galerkin assembly of the discrete operators for P1 elements.
 
-All matrices are returned as `scipy.sparse.csr_matrix` with summed
-duplicates and sorted column indices. Assembly is fully vectorized over
-elements and deterministic, so repeated runs produce bitwise identical
-operators.
+All matrices are returned as `scipy.sparse.csr_matrix` in canonical
+format (sorted column indices, no duplicates) on the mesh's fixed
+sparsity pattern, `TriMesh.matrix_pattern()`: element matrices are summed
+straight into the CSR data array through its scatter index, so every
+matrix of one mesh shares the pattern's `indptr` and `indices`. Assembly
+is vectorized over elements and deterministic, so repeated runs produce
+bitwise identical operators. The quadrature-based assemblers gather the
+corner coordinates and values once per call and loop over the quadrature
+points, which keeps their temporaries of the size of the element count.
 """
 
 import numpy as np
@@ -12,9 +17,30 @@ from scipy import sparse
 # Negative slope weights beyond this signal a non-monotone nonlinearity.
 SLOPE_WEIGHT_TOL = 1e-12
 
+# Entries (a, b) with a <= b of a symmetric 3 x 3 element matrix, and for
+# each of its nine entries in row-major order the index of its twin there.
+_UPPER = [(a, b) for a in range(3) for b in range(a, 3)]
+_FULL = [_UPPER.index((min(a, b), max(a, b))) for a in range(3) for b in range(3)]
+_MASS_UPPER = np.array([2.0 if a == b else 1.0 for a, b in _UPPER]) / 12.0
 
-def _element_geometry(mesh):
+
+def element_corners(mesh):
+    """Corner coordinates of every triangle, shape (2, nt, 3).
+
+    corners[0][k, j] and corners[1][k, j] are the x and y coordinates of
+    local vertex j of triangle k.
+    """
+    return np.take(np.ascontiguousarray(mesh.vertices.T), mesh.triangles, axis=1)
+
+
+def element_geometry(mesh, corners):
     """Areas and constant P1 basis gradients per element.
+
+    Parameters
+    ----------
+    mesh : TriMesh
+    corners : ndarray
+        The mesh's `element_corners`.
 
     Returns
     -------
@@ -23,48 +49,41 @@ def _element_geometry(mesh):
         grads[k, j] is the gradient of the hat function of local vertex j
         on triangle k.
     """
-    v = mesh.vertices
-    t = mesh.triangles
-    p0, p1, p2 = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
-    det = (p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1]) \
-        - (p1[:, 1] - p0[:, 1]) * (p2[:, 0] - p0[:, 0])
-    grads = np.empty((t.shape[0], 3, 2))
-    grads[:, 0, 0] = p1[:, 1] - p2[:, 1]
-    grads[:, 0, 1] = p2[:, 0] - p1[:, 0]
-    grads[:, 1, 0] = p2[:, 1] - p0[:, 1]
-    grads[:, 1, 1] = p0[:, 0] - p2[:, 0]
-    grads[:, 2, 0] = p0[:, 1] - p1[:, 1]
-    grads[:, 2, 1] = p1[:, 0] - p0[:, 0]
-    grads /= det[:, None, None]
-    return 0.5 * det, grads
-
-
-def _scatter_matrix(mesh, local):
-    """Sum (nt, 3, 3) element matrices into a global CSR matrix."""
-    t = mesh.triangles
-    rows = np.repeat(t, 3, axis=1).ravel()
-    cols = np.tile(t, (1, 3)).ravel()
-    nv = mesh.num_vertices
-    mat = sparse.coo_matrix((local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
-    mat.sort_indices()
-    return mat
-
-
-def _scatter_vector(mesh, local):
-    """Sum (nt, 3) element vectors into a global array."""
-    nv = mesh.num_vertices
-    out = np.zeros(nv)
+    areas = mesh.signed_areas()
+    cx, cy = corners
+    grads = np.empty((2, 3, mesh.num_triangles))
     for j in range(3):
-        out += np.bincount(mesh.triangles[:, j], weights=local[:, j], minlength=nv)
-    return out
+        a, b = (j + 1) % 3, (j + 2) % 3
+        grads[0, j] = cy[:, a] - cy[:, b]
+        grads[1, j] = cx[:, b] - cx[:, a]
+    grads /= 2.0 * areas
+    return areas, grads.transpose(2, 1, 0)
 
 
-def _quad_points_physical(mesh, bary):
-    """Physical coordinates of one barycentric point in every element."""
-    v = mesh.vertices
-    t = mesh.triangles
-    p = bary[0] * v[t[:, 0]] + bary[1] * v[t[:, 1]] + bary[2] * v[t[:, 2]]
-    return p[:, 0], p[:, 1]
+def quadrature_points(corners, bary):
+    """Physical coordinates (x, y) of one barycentric point in every element."""
+    return (corners.reshape(-1, 3) @ bary).reshape(2, -1)
+
+
+def scatter_vector(mesh, local):
+    """Sum (nt, 3) element vectors into a global array."""
+    return np.bincount(mesh.triangles.ravel(), weights=local.ravel(),
+                       minlength=mesh.num_vertices)
+
+
+def _pattern_matrix(mesh, upper):
+    """Sum symmetric element matrices into a CSR matrix on the mesh's pattern.
+
+    upper has shape (6, nt): row i holds entry `_UPPER[i]` of every
+    element matrix. The nine entries are laid out in the order of
+    `TriMesh.matrix_pattern`'s scatter index and summed into `data`.
+    """
+    indptr, indices, slot = mesh.matrix_pattern()
+    data = np.bincount(slot, weights=upper[_FULL].ravel(), minlength=indices.size)
+    nv = mesh.num_vertices
+    mat = sparse.csr_matrix((data, indices, indptr), shape=(nv, nv))
+    mat.has_canonical_format = True
+    return mat
 
 
 def _check_finite(values, x, y, what):
@@ -82,17 +101,15 @@ def assemble_stiffness(mesh):
     triangle; every row of the result sums to zero and the matrix is
     symmetric.
     """
-    areas, grads = _element_geometry(mesh)
-    local = np.einsum("kjd,kld->kjl", grads, grads) * areas[:, None, None]
-    return _scatter_matrix(mesh, local)
+    areas, grads = element_geometry(mesh, element_corners(mesh))
+    gx, gy = grads.transpose(2, 1, 0)
+    upper = np.array([(gx[a] * gx[b] + gy[a] * gy[b]) * areas for a, b in _UPPER])
+    return _pattern_matrix(mesh, upper)
 
 
 def assemble_mass(mesh):
     """Unconstrained P1 mass matrix, assembled in closed form per element."""
-    template = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
-    areas, _ = _element_geometry(mesh)
-    local = areas[:, None, None] * template[None, :, :]
-    return _scatter_matrix(mesh, local)
+    return _pattern_matrix(mesh, np.multiply.outer(_MASS_UPPER, mesh.signed_areas()))
 
 
 def assemble_load(mesh, f, quad):
@@ -111,14 +128,17 @@ def assemble_load(mesh, f, quad):
         If f is non-finite at any quadrature point; the message carries
         the physical location.
     """
-    areas, _ = _element_geometry(mesh)
-    local = np.zeros((mesh.num_triangles, 3))
+    areas = mesh.signed_areas()
+    corners = element_corners(mesh)
+    local = np.zeros((3, mesh.num_triangles))
     for bary, w in zip(quad.points, quad.weights):
-        x, y = _quad_points_physical(mesh, bary)
+        x, y = quadrature_points(corners, bary)
         fq = np.broadcast_to(np.asarray(f(x, y), dtype=float), x.shape)
         _check_finite(fq, x, y, "right-hand side")
-        local += (w * areas * fq)[:, None] * bary[None, :]
-    return _scatter_vector(mesh, local)
+        s = w * areas * fq
+        for row, weight in zip(local, bary):
+            row += weight * s
+    return scatter_vector(mesh, local.T)
 
 
 def assemble_nonlinear_residual(mesh, d, u, quad):
@@ -126,17 +146,26 @@ def assemble_nonlinear_residual(mesh, d, u, quad):
 
     u_h is interpolated barycentrically at the quadrature points of each
     element and the reaction term is evaluated at the physical point.
+
+    Raises
+    ------
+    ValueError
+        If d is non-finite at any quadrature point; the message carries
+        the physical location.
     """
-    areas, _ = _element_geometry(mesh)
+    areas = mesh.signed_areas()
+    corners = element_corners(mesh)
     uloc = u.coeffs[mesh.triangles]
-    local = np.zeros((mesh.num_triangles, 3))
+    local = np.zeros((3, mesh.num_triangles))
     for bary, w in zip(quad.points, quad.weights):
-        x, y = _quad_points_physical(mesh, bary)
+        x, y = quadrature_points(corners, bary)
         uq = uloc @ bary
         dq = np.broadcast_to(np.asarray(d(x, y, uq), dtype=float), x.shape)
         _check_finite(dq, x, y, "nonlinearity")
-        local += (w * areas * dq)[:, None] * bary[None, :]
-    return _scatter_vector(mesh, local)
+        s = w * areas * dq
+        for row, weight in zip(local, bary):
+            row += weight * s
+    return scatter_vector(mesh, local.T)
 
 
 def assemble_slope_matrix(mesh, d, u, v, floor, quad):
@@ -153,33 +182,36 @@ def assemble_slope_matrix(mesh, d, u, v, floor, quad):
     Raises
     ------
     ValueError
-        If a weight falls below the negative tolerance, signalling a
-        non-monotone nonlinearity, or if floor is not positive.
+        If a weight is non-finite or falls below the negative tolerance,
+        signalling a non-monotone nonlinearity, or if floor is not
+        positive.
     """
     if floor <= 0.0:
         raise ValueError(f"slope floor must be positive, got {floor!r}")
-    areas, _ = _element_geometry(mesh)
+    areas = mesh.signed_areas()
+    corners = element_corners(mesh)
     tri = mesh.triangles
     uloc = u.coeffs[tri]
     vloc = v.coeffs[tri]
-    local = np.zeros((mesh.num_triangles, 3, 3))
+    upper = np.zeros((len(_UPPER), mesh.num_triangles))
     for bary, w in zip(quad.points, quad.weights):
-        x, yq = _quad_points_physical(mesh, bary)
+        x, y = quadrature_points(corners, bary)
         uq = uloc @ bary
         vq = vloc @ bary
         e = uq - vq
-        num = np.asarray(d(x, yq, uq), dtype=float) - np.asarray(d(x, yq, vq), dtype=float)
+        num = np.asarray(d(x, y, uq), dtype=float) - np.asarray(d(x, y, vq), dtype=float)
         b = np.sign(e) * num / np.maximum(np.abs(e), floor)
-        _check_finite(b, x, yq, "slope weight")
+        _check_finite(b, x, y, "slope weight")
         worst = b.min() if b.size else 0.0
         if worst < -SLOPE_WEIGHT_TOL:
             k = int(np.argmin(b))
             raise ValueError(
-                f"negative slope weight {worst:.3e} at point ({x[k]:g}, {yq[k]:g}): "
+                f"negative slope weight {worst:.3e} at point ({x[k]:g}, {y[k]:g}): "
                 "nonlinearity is not monotone non-decreasing")
-        b = np.maximum(b, 0.0)
-        local += (w * areas * b)[:, None, None] * np.outer(bary, bary)[None, :, :]
-    return _scatter_matrix(mesh, local)
+        s = w * areas * np.maximum(b, 0.0)
+        for row, (a, c) in zip(upper, _UPPER):
+            row += (bary[a] * bary[c]) * s
+    return _pattern_matrix(mesh, upper)
 
 
 def apply_dirichlet(matrix, rhs, mesh):

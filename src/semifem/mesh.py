@@ -4,8 +4,9 @@ Meshes are immutable after construction: the vertex, triangle and flag
 arrays are locked, so instances can be shared freely between threads.
 Refinement returns a new mesh that keeps a reference to its parent; parent
 vertices keep their indices and coordinates, which makes transfer between
-nested levels exact. The transfer matrix from the parent is built on first
-use and kept on the child, so it lives exactly as long as the mesh.
+nested levels exact. The transfer matrix from the parent and the sparsity
+pattern of P1 matrices are built on first use and kept on the mesh, so they
+live exactly as long as it does.
 """
 
 import numpy as np
@@ -182,6 +183,7 @@ class TriMesh:
 
         vertices.setflags(write=False)
         triangles.setflags(write=False)
+        areas.setflags(write=False)
         boundary_vertex.setflags(write=False)
         interior_vertices.setflags(write=False)
         edges.setflags(write=False)
@@ -197,6 +199,7 @@ class TriMesh:
         self._signed_areas = areas
         self._prolongation = None
         self._interior_prolongation = None
+        self._matrix_pattern = None
 
     @property
     def num_vertices(self):
@@ -254,6 +257,30 @@ class TriMesh:
             self._interior_prolongation = \
                 self.prolongation()[self.interior_vertices][:, self.parent.interior_vertices]
         return self._interior_prolongation
+
+    def matrix_pattern(self):
+        """Sparsity pattern of P1 matrices and the scatter index into it.
+
+        Returns (indptr, indices, slot): the canonical CSR pattern (sorted
+        column indices, no duplicates) with an entry for every pair of
+        vertices that share a triangle, and the index of shape (9 * nt,)
+        that sends entry (a, b) of the element matrix of triangle k, stored
+        at position (3 * a + b) * nt + k, to its place in the CSR data
+        array. All three are read-only int32 arrays, built once per mesh.
+        """
+        if self._matrix_pattern is None:
+            t = self.triangles
+            nv = self.num_vertices
+            keys = (t[:, :, None] * nv + t[:, None, :]).transpose(1, 2, 0).ravel()
+            keys, slot = np.unique(keys, return_inverse=True)
+            rows = keys // nv
+            indices = (keys - rows * nv).astype(np.int32)
+            indptr = np.searchsorted(rows, np.arange(nv + 1)).astype(np.int32)
+            slot = slot.astype(np.int32)
+            for array in (indptr, indices, slot):
+                array.setflags(write=False)
+            self._matrix_pattern = (indptr, indices, slot)
+        return self._matrix_pattern
 
     def __repr__(self):
         return (f"TriMesh(level={self.level}, vertices={self.num_vertices}, "

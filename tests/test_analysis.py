@@ -7,7 +7,7 @@ from semifem.analysis import (ExactSolution, StudyError, eoc, eoc_log_corrected,
                               error_h1semi, error_l2, error_linf, ritz_project,
                               run_convergence_study)
 from semifem.assembly import apply_dirichlet, assemble_stiffness, \
-    _element_geometry, _quad_points_physical, _scatter_vector
+    element_corners, element_geometry, quadrature_points, scatter_vector
 from semifem.femfunction import FemFunction, interpolate, prolongate
 from semifem.mesh import preset_polygon, refine_uniform, triangulate_convex_polygon
 from semifem.nonlinearity import PowerLaw
@@ -120,7 +120,7 @@ class TestRitz:
         hat = np.zeros(mesh.num_vertices)
         hat[v] = 1.0
         u = FemFunction(mesh, hat)
-        areas, grads = _element_geometry(mesh)
+        areas, grads = element_geometry(mesh, element_corners(mesh))
         cell_grad = np.einsum("kj,kjd->kd", hat[mesh.triangles], grads)
 
         def hat_grad(x, y):
@@ -145,14 +145,15 @@ class TestRitz:
         tol = 1e-12
         r = ritz_project(mesh, sine_grad, cg_tol=tol)
         rule = rule_of_degree(4)
-        areas, grads = _element_geometry(mesh)
+        corners = element_corners(mesh)
+        areas, grads = element_geometry(mesh, corners)
         local = np.zeros((mesh.num_triangles, 3))
         for bary, wq in zip(rule.points, rule.weights):
-            x, y = _quad_points_physical(mesh, bary)
+            x, y = quadrature_points(corners, bary)
             gx, gy = sine_grad(x, y)
             local += (wq * areas)[:, None] * (grads[:, :, 0] * gx[:, None]
                                               + grads[:, :, 1] * gy[:, None])
-        rhs = _scatter_vector(mesh, local)
+        rhs = scatter_vector(mesh, local)
         lhs, crhs = apply_dirichlet(assemble_stiffness(mesh), rhs, mesh)
         defect = crhs - lhs @ r.coeffs
         assert np.linalg.norm(defect[~mesh.boundary_vertex]) <= \

@@ -1,11 +1,16 @@
+import gc
+import re
+import weakref
+
 import numpy as np
 import pytest
+from scipy import sparse
 
 from semifem.assembly import (apply_dirichlet, assemble_load, assemble_mass,
                               assemble_nonlinear_residual, assemble_slope_matrix,
                               assemble_stiffness)
 from semifem.femfunction import FemFunction, interpolate
-from semifem.mesh import (TriMesh, preset_polygon, refine_uniform,
+from semifem.mesh import (TriMesh, locate_point, preset_polygon, refine_uniform,
                           triangulate_convex_polygon)
 from semifem.nonlinearity import PowerLaw
 from semifem.quadrature import edge_midpoint_rule, seven_point_rule
@@ -206,19 +211,169 @@ class TestApplyDirichlet:
         np.testing.assert_array_equal(dense, dense.T)
 
 
+def shuffled(mesh):
+    """The mesh with its triangles in a fixed random order."""
+    perm = np.random.default_rng(11).permutation(mesh.num_triangles)
+    return TriMesh(mesh.vertices, mesh.triangles[perm])
+
+
 def test_assembly_order_independent(square2):
     # Permuting the element loop must not change any entry beyond roundoff.
-    rng = np.random.default_rng(11)
-    perm = rng.permutation(square2.num_triangles)
-    shuffled = TriMesh(square2.vertices, square2.triangles[perm])
+    permuted = shuffled(square2)
     for assemble in (assemble_stiffness, assemble_mass):
         a = assemble(square2).toarray()
-        b = assemble(shuffled).toarray()
+        b = assemble(permuted).toarray()
         scale = np.max(np.abs(a))
         assert np.max(np.abs(a - b)) <= 1e-13 * scale
     u_vals = np.sin(np.arange(square2.num_vertices))
     f = assemble_nonlinear_residual(square2, PowerLaw(exponent=0.5),
                                     FemFunction(square2, u_vals), seven_point_rule())
-    g = assemble_nonlinear_residual(shuffled, PowerLaw(exponent=0.5),
-                                    FemFunction(shuffled, u_vals), seven_point_rule())
+    g = assemble_nonlinear_residual(permuted, PowerLaw(exponent=0.5),
+                                    FemFunction(permuted, u_vals), seven_point_rule())
     assert np.max(np.abs(f - g)) <= 1e-13 * max(1.0, np.max(np.abs(f)))
+
+
+def coo_reference(mesh, local):
+    """Sum of (nt, 3, 3) element matrices built through COO, in canonical CSR."""
+    t = mesh.triangles
+    rows = np.repeat(t, 3, axis=1).ravel()
+    cols = np.tile(t, (1, 3)).ravel()
+    nv = mesh.num_vertices
+    mat = sparse.coo_matrix((local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
+    mat.sort_indices()
+    return mat
+
+
+def reference_locals(mesh, d, u, v, floor, quad):
+    """Stiffness, mass and slope element matrices from first principles."""
+    p = mesh.vertices[mesh.triangles]
+    areas = mesh.signed_areas()
+    # Edge opposite vertex a; the hat gradient is that edge turned by 90
+    # degrees over twice the area.
+    edge = np.roll(p, -2, axis=1) - np.roll(p, -1, axis=1)
+    stiffness = np.einsum("kad,kbd->kab", edge, edge) / (4.0 * areas)[:, None, None]
+    template = (np.ones((3, 3)) + np.eye(3)) / 12.0
+    mass = areas[:, None, None] * template
+    slope = np.zeros_like(mass)
+    for bary, w in zip(quad.points, quad.weights):
+        x, y = np.einsum("j,kjd->dk", bary, p)
+        uq = u.coeffs[mesh.triangles] @ bary
+        vq = v.coeffs[mesh.triangles] @ bary
+        e = uq - vq
+        b = np.sign(e) * (d(x, y, uq) - d(x, y, vq)) / np.maximum(np.abs(e), floor)
+        slope += (w * areas * np.maximum(b, 0.0))[:, None, None] * np.outer(bary, bary)
+    return stiffness, mass, slope
+
+
+@pytest.mark.parametrize("make", ["square2", "shuffled", "skewed"])
+def test_pattern_matches_coo_reference(square2, make):
+    mesh = {"square2": square2, "shuffled": shuffled(square2),
+            "skewed": skewed_triangle()}[make]
+    d = PowerLaw(scale=50.0, exponent=1 / 3, shift=-1.0)
+    u = interpolate(mesh, lambda x, y: np.sin(3 * x) - 1.0 + 0.01 * y)
+    v = interpolate(mesh, lambda x, y: -1.0 + 0.0 * x)
+    tau = 1e-6
+    quad = seven_point_rule()
+    stiffness = assemble_stiffness(mesh)
+    slope = assemble_slope_matrix(mesh, d, u, v, tau, quad)
+    assembled = (stiffness, assemble_mass(mesh), slope)
+    for matrix, local in zip(assembled, reference_locals(mesh, d, u, v, tau, quad)):
+        ref = coo_reference(mesh, local)
+        assert matrix.format == "csr"
+        np.testing.assert_array_equal(matrix.indptr, ref.indptr)
+        np.testing.assert_array_equal(matrix.indices, ref.indices)
+        assert matrix.has_canonical_format
+        # The flag is set by assembly; scipy's own check must agree.
+        fresh = sparse.csr_matrix((matrix.data, matrix.indices, matrix.indptr),
+                                  shape=matrix.shape)
+        assert fresh.has_canonical_format
+        np.testing.assert_allclose(matrix.data, ref.data, rtol=1e-14, atol=0.0)
+    assert (stiffness + slope).nnz == stiffness.nnz
+
+
+class TestPatternCache:
+    def test_built_once_and_shared(self, square2):
+        first = assemble_stiffness(square2)
+        pattern = square2.matrix_pattern()
+        assert square2.matrix_pattern() is pattern
+        indptr, indices, slot = pattern
+        assert slot.dtype == np.int32 and slot.shape == (9 * square2.num_triangles,)
+        u = interpolate(square2, lambda x, y: x * y)
+        for matrix in (first, assemble_mass(square2),
+                       assemble_slope_matrix(square2, PowerLaw(), u, u.copy(), 1e-6,
+                                             seven_point_rule())):
+            # scipy may wrap the arrays in views; no copy is made.
+            assert np.shares_memory(matrix.indptr, indptr)
+            assert np.shares_memory(matrix.indices, indices)
+
+    def test_read_only(self, square2):
+        # Assemblers share the mesh's areas and pattern arrays.
+        assert not square2.signed_areas().flags.writeable
+        for array in square2.matrix_pattern():
+            assert not array.flags.writeable
+        matrix = assemble_mass(square2)
+        with pytest.raises(ValueError):
+            matrix.indices[0] = 1
+        matrix.data[0] = 7.0  # the values are the caller's own
+        assert assemble_mass(square2).data[0] != 7.0
+
+    def test_not_built_without_assembly(self, square2):
+        child = refine_uniform(square2)
+        assert child._matrix_pattern is None
+        assemble_stiffness(child)
+        assert child._matrix_pattern is not None
+        assert square2._matrix_pattern is None
+
+    def test_freed_with_mesh(self):
+        mesh = refine_uniform(triangulate_convex_polygon(preset_polygon("pentagon")))
+        matrix = assemble_mass(mesh)
+        refs = [weakref.ref(mesh)] + [weakref.ref(a) for a in mesh.matrix_pattern()]
+        gc.disable()
+        try:
+            del mesh, matrix
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
+
+
+def poisoned(value, call=3, k=5):
+    """PowerLaw() that returns value at entry k of its call-th evaluation."""
+    seen = {"calls": 0}
+
+    def d(x, y, u):
+        out = np.array(PowerLaw()(x, y, u), dtype=float)
+        seen["calls"] += 1
+        if seen["calls"] == call:
+            out[k] = value
+            seen["point"] = (x[k], y[k])
+        return out
+
+    return d, seen
+
+
+def reported_point(message):
+    x, y = re.search(r"at point \(([^,]+), ([^)]+)\)", message).groups()
+    return float(x), float(y)
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_nonfinite_nonlinearity_rejected(square2, value):
+    d, seen = poisoned(value)
+    u = interpolate(square2, lambda x, y: x - y)
+    with pytest.raises(ValueError, match="nonlinearity") as info:
+        assemble_nonlinear_residual(square2, d, u, seven_point_rule())
+    point = reported_point(str(info.value))
+    np.testing.assert_allclose(point, seen["point"], rtol=1e-5)
+    locate_point(square2, point)
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_nonfinite_slope_weight_rejected(square2, value):
+    d, seen = poisoned(value)
+    u = interpolate(square2, lambda x, y: x - y)
+    v = interpolate(square2, lambda x, y: x - y - 0.5)
+    with pytest.raises(ValueError, match="slope weight") as info:
+        assemble_slope_matrix(square2, d, u, v, 1e-6, seven_point_rule())
+    point = reported_point(str(info.value))
+    np.testing.assert_allclose(point, seen["point"], rtol=1e-5)
+    locate_point(square2, point)

@@ -267,3 +267,20 @@ def test_config_validation():
         with pytest.raises(ValueError, match="degree"):
             SolverConfig(quad_degree=bad)
     SolverConfig(min_step=1.0, quad_degree=0)
+
+
+@pytest.mark.slow
+def test_cold_level8_kink_solve_bounded_work():
+    # Bounded work, not wall time: the step and CG iteration counts are
+    # machine independent (16 Newton steps and 214 CG iterations when
+    # this check was written).
+    mesh = pentagon_mesh(8)
+    d = kink_term()
+    cfg = SolverConfig()
+    u, stats = solve_semilinear(mesh, d, ONE, cfg)
+    fresh = (assemble_stiffness(mesh) @ u.coeffs
+             + assemble_nonlinear_residual(mesh, d, u, rule_of_degree(cfg.quad_degree))
+             - assemble_load(mesh, ONE, edge_midpoint_rule()))[mesh.interior_vertices]
+    assert np.linalg.norm(fresh) / np.sqrt(mesh.num_vertices) <= cfg.residual_tol
+    assert stats.newton_iterations <= 20
+    assert stats.total_cg_iterations <= 300
