@@ -101,10 +101,17 @@ def assemble_stiffness(mesh):
     triangle; every row of the result sums to zero and the matrix is
     symmetric.
     """
+    # The pattern is built before the element arrays exist, and those die
+    # before the scatter, so neither adds to the peak of the other.
+    mesh.matrix_pattern()
+    return _pattern_matrix(mesh, _stiffness_upper(mesh))
+
+
+def _stiffness_upper(mesh):
+    """Element stiffness entries in the layout of `_pattern_matrix`."""
     areas, grads = element_geometry(mesh, element_corners(mesh))
     gx, gy = grads.transpose(2, 1, 0)
-    upper = np.array([(gx[a] * gx[b] + gy[a] * gy[b]) * areas for a, b in _UPPER])
-    return _pattern_matrix(mesh, upper)
+    return np.array([(gx[a] * gx[b] + gy[a] * gy[b]) * areas for a, b in _UPPER])
 
 
 def assemble_mass(mesh):
@@ -188,6 +195,15 @@ def assemble_slope_matrix(mesh, d, u, v, floor, quad):
     """
     if floor <= 0.0:
         raise ValueError(f"slope floor must be positive, got {floor!r}")
+    return _pattern_matrix(mesh, _slope_upper(mesh, d, u, v, floor, quad))
+
+
+def _slope_upper(mesh, d, u, v, floor, quad):
+    """Element slope-matrix entries in the layout of `_pattern_matrix`.
+
+    A helper of its own, so the gathered corners and nodal values are
+    freed before the scatter.
+    """
     areas = mesh.signed_areas()
     corners = element_corners(mesh)
     tri = mesh.triangles
@@ -211,7 +227,7 @@ def assemble_slope_matrix(mesh, d, u, v, floor, quad):
         s = w * areas * np.maximum(b, 0.0)
         for row, (a, c) in zip(upper, _UPPER):
             row += (bary[a] * bary[c]) * s
-    return _pattern_matrix(mesh, upper)
+    return upper
 
 
 def apply_dirichlet(matrix, rhs, mesh):

@@ -13,7 +13,9 @@ correction system by conjugate gradients preconditioned with one multigrid
 V-cycle on the mesh's refinement hierarchy (`multigrid.VCycle`), so the CG
 iteration count stays bounded as the mesh is refined. Steps are globalized
 by Armijo backtracking on the residual norm with a pseudo-transient mass
-regularization as fallback.
+regularization as fallback. A solve without an initial iterate starts by
+nested iteration: it solves on the mesh's ancestors first, coarse to fine,
+and starts each finer mesh from the prolongated solution of the coarser one.
 """
 
 from dataclasses import dataclass, field
@@ -90,11 +92,28 @@ class SolverConfig:
 
 
 @dataclass
+class LevelStats:
+    """Work of one mesh of a solve: its refinement level, Newton steps and CG iterations."""
+
+    level: int
+    newton_iterations: int
+    cg_iterations: int
+
+
+@dataclass
 class SolveStats:
     """Iteration counts and the certified final residual of one solve.
 
-    cg_residuals holds, per CG call in call order, the true relative
-    residual ||A x - b|| / ||b|| of the returned correction (0 for b = 0).
+    A cold solve also works on the mesh's ancestors (see
+    `solve_semilinear`). newton_iterations, total_cg_iterations,
+    damping_activations, residual_history and cg_residuals count the whole
+    call, every mesh included; levels holds one `LevelStats` per mesh
+    solved, coarse to fine, ending with the requested mesh, and its counts
+    sum to the totals. Each mesh adds its starting residual and one entry
+    per Newton step to residual_history. final_residual_norm is that of
+    the requested mesh. cg_residuals holds, per CG call in call order, the
+    true relative residual ||A x - b|| / ||b|| of the returned correction
+    (0 for b = 0).
     """
 
     newton_iterations: int = 0
@@ -103,6 +122,7 @@ class SolveStats:
     damping_activations: int = 0
     residual_history: list = field(default_factory=list)
     cg_residuals: list = field(default_factory=list)
+    levels: list = field(default_factory=list)
 
 
 def cg_solve(matrix, rhs, tol=1e-12, maxit=None, preconditioner=None):
@@ -217,24 +237,67 @@ def solve_semilinear(mesh, d, f, cfg=None, initial=None):
     f : callable
         Right-hand side, evaluated as f(x, y).
     cfg : SolverConfig, optional
+        Its max_newton caps the Newton steps on each mesh solved.
     initial : FemFunction, optional
         Starting iterate on the same mesh; boundary values are zeroed.
-        Defaults to the solution of the linear problem with the reaction
-        frozen at d(x, 0).
+        Without it the solve starts by nested iteration: it first solves
+        on the ancestors mesh.parent, ... down to the root or to the first
+        ancestor without interior vertices (the levels of
+        `multigrid.VCycle`), coarse to fine, and starts each mesh from the
+        prolongated solution of the one below. The coarsest of them, and a
+        mesh without parent, starts from the solution of the linear
+        problem with the reaction frozen at d(x, 0). An ancestor whose
+        start already meets residual_tol takes no Newton step, and one
+        that raises NewtonError hands its best iterate on.
 
     Returns
     -------
     (FemFunction, SolveStats)
         The discrete solution, zero at boundary vertices, whose scaled
-        residual norm is at most cfg.residual_tol, plus iteration counts.
+        residual norm is at most cfg.residual_tol, plus iteration counts
+        of the whole call and per mesh solved.
 
     Raises
     ------
     NewtonError
-        If max_newton iterations do not reach the tolerance; carries the
-        best iterate and the residual history.
+        If max_newton iterations on the requested mesh do not reach the
+        tolerance; carries the best iterate on it and the residual history.
     """
     cfg = cfg if cfg is not None else SolverConfig()
+    if initial is not None and initial.mesh is not mesh:
+        raise ValueError("initial guess lives on a different mesh")
+    levels = [mesh]
+    while initial is None and levels[0].parent is not None \
+            and levels[0].parent.interior_vertices.size:
+        levels.insert(0, levels[0].parent)
+
+    stats = SolveStats()
+    coeffs = None if initial is None else initial.coeffs
+    for k, level in enumerate(levels):
+        if k:
+            coeffs = level.prolongation() @ coeffs
+        newton, cg = stats.newton_iterations, stats.total_cg_iterations
+        try:
+            coeffs = _newton(level, d, f, cfg, coeffs, stats, requested=level is mesh)
+        except NewtonError as exc:
+            if level is mesh:
+                raise
+            coeffs = exc.best.coeffs
+        finally:
+            stats.levels.append(LevelStats(level.level, stats.newton_iterations - newton,
+                                           stats.total_cg_iterations - cg))
+    return FemFunction(mesh, coeffs), stats
+
+
+def _newton(mesh, d, f, cfg, start, stats, requested):
+    """Damped Newton iteration on one mesh; returns the solution's coefficients.
+
+    start holds coefficients on the mesh, of which the interior entries
+    are used, or is None for the frozen-reaction start. Counts are added
+    to stats, and final_residual_norm is set on success. The requested
+    mesh takes at least one step; another mesh takes none when its start
+    already meets the tolerance. Raises NewtonError with the best iterate.
+    """
     nv = mesh.num_vertices
     interior = mesh.interior_vertices
     scale = 1.0 / np.sqrt(nv)
@@ -243,8 +306,6 @@ def solve_semilinear(mesh, d, f, cfg=None, initial=None):
     stiffness = assemble_stiffness(mesh)
     mass = assemble_mass(mesh)
     load = assemble_load(mesh, f, edge_midpoint_rule())
-
-    stats = SolveStats()
 
     def correction(matrix, rhs):
         """Interior unknowns x of matrix[i][:, i] x = rhs, by V-cycle CG."""
@@ -265,10 +326,8 @@ def solve_semilinear(mesh, d, f, cfg=None, initial=None):
     # Iterates and corrections are full coefficient vectors with zero boundary
     # entries: only interior entries are assigned, and trials are their sums.
     u, delta = np.zeros(nv), np.zeros(nv)
-    if initial is not None:
-        if initial.mesh is not mesh:
-            raise ValueError("initial guess lives on a different mesh")
-        u[interior] = initial.coeffs[interior]
+    if start is not None:
+        u[interior] = start[interior]
     else:
         frozen = assemble_nonlinear_residual(mesh, d, FemFunction.zeros(mesh), quad)
         u[interior] = correction(stiffness, (load - frozen)[interior])
@@ -280,7 +339,9 @@ def solve_semilinear(mesh, d, f, cfg=None, initial=None):
     tau = cfg.slope_floor
 
     for iteration in range(1, cfg.max_newton + 1):
-        stats.newton_iterations = iteration
+        if res_norm <= cfg.residual_tol and (iteration > 1 or not requested):
+            break
+        stats.newton_iterations += 1
         slope = assemble_slope_matrix(
             mesh, d, FemFunction(mesh, u + tau), FemFunction(mesh, u - tau),
             cfg.slope_floor, quad)
@@ -327,8 +388,6 @@ def solve_semilinear(mesh, d, f, cfg=None, initial=None):
         stats.residual_history.append(res_norm)
         if res_norm < best_norm:
             best_norm, best_u = res_norm, u.copy()
-        if res_norm <= cfg.residual_tol:
-            break
 
     if res_norm > cfg.residual_tol:
         raise NewtonError(
@@ -338,7 +397,7 @@ def solve_semilinear(mesh, d, f, cfg=None, initial=None):
             best=FemFunction(mesh, best_u))
 
     stats.final_residual_norm = res_norm
-    return FemFunction(mesh, u), stats
+    return u
 
 
 def verify_uniform_bound(u, reference, slack=1e-10):
