@@ -41,7 +41,6 @@ CONFIG_KEYS = {
     "slope_floor": ("1e-6", "difference-quotient floor of the linearization"),
     "cg_tol": ("1e-12", "relative CG tolerance"),
     "cg_maxit": ("0", "CG iteration cap, 0 means 10 * interior unknowns"),
-    "continuation_sigma0": ("0.0", "initial pseudo-transient regularization"),
     "quad_degree": ("5", "quadrature degree for the nonlinear terms, 0 to 5"),
     "output": (None, "output path; also settable with --output"),
 }
@@ -166,7 +165,6 @@ def build_solver_config(cfg):
             slope_floor=_float_key(cfg, "slope_floor"),
             cg_tol=_float_key(cfg, "cg_tol"),
             cg_maxit=_int_key(cfg, "cg_maxit"),
-            continuation_sigma0=_float_key(cfg, "continuation_sigma0"),
             quad_degree=_int_key(cfg, "quad_degree"),
         )
     except ValueError as exc:

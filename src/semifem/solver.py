@@ -12,23 +12,29 @@ non-Lipschitz terms, and solves the symmetric positive definite
 correction system by conjugate gradients preconditioned with one multigrid
 V-cycle on the mesh's refinement hierarchy (`multigrid.VCycle`), so the CG
 iteration count stays bounded as the mesh is refined. Steps are globalized
-by Armijo backtracking on the residual norm with a pseudo-transient mass
-regularization as fallback. A solve without an initial iterate starts by
-nested iteration: it solves on the mesh's ancestors first, coarse to fine,
-and starts each finer mesh from the prolongated solution of the coarser one.
+by a regula falsi search on the directional derivative of the convex energy
+whose gradient is the residual (`_line_search`). A solve without an initial
+iterate starts by nested iteration: it solves on the mesh's ancestors first,
+coarse to fine, and starts each finer mesh from the prolongated solution of
+the coarser one.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-# Unused here; kept importable because benchmarks/tracing.py wraps solver.apply_dirichlet.
+# apply_dirichlet and assemble_mass are unused here; they stay importable
+# because benchmarks/tracing.py wraps solver.apply_dirichlet and
+# solver.assemble_mass by name.
 from .assembly import (apply_dirichlet, assemble_load, assemble_mass,
                        assemble_nonlinear_residual, assemble_slope_matrix,
                        assemble_stiffness)
 from .femfunction import FemFunction
 from .multigrid import VCycle
 from .quadrature import edge_midpoint_rule, rule_of_degree
+
+LINE_SEARCH_RESIDUALS = 5
+LINE_SEARCH_REDUCTION = 0.25
 
 
 class SolverError(RuntimeError):
@@ -60,19 +66,14 @@ class SolverConfig:
     1/sqrt(n), n the vertex count; slope_floor is the denominator floor of
     the difference quotient and also the half-width of the symmetric
     difference; cg_maxit = 0 means 10 times the number of interior
-    unknowns. continuation_sigma0 = 0 leaves the
-    pseudo-transient fallback to start at 1e-3 when triggered.
+    unknowns.
     """
 
     residual_tol: float = 1e-10
     max_newton: int = 50
     slope_floor: float = 1e-6
-    armijo_beta: float = 0.5
-    armijo_c: float = 1e-4
-    min_step: float = 2.0 ** -20
     cg_tol: float = 1e-12
     cg_maxit: int = 0
-    continuation_sigma0: float = 0.0
     quad_degree: int = 5
 
     def __post_init__(self):
@@ -80,12 +81,8 @@ class SolverConfig:
             raise ValueError("tolerances and the slope floor must be positive")
         if self.max_newton < 1:
             raise ValueError("max_newton must be at least 1")
-        if not 0.0 < self.armijo_beta < 1.0:
-            raise ValueError("armijo_beta must lie in (0, 1)")
-        if not 0.0 < self.armijo_c < 1.0:
-            raise ValueError("armijo_c must lie in (0, 1)")
-        if not 0.0 < self.min_step <= 1.0:
-            raise ValueError("min_step must lie in (0, 1]")
+        if self.cg_maxit < 0:
+            raise ValueError("cg_maxit must be nonnegative")
         if self.quad_degree < 0:
             raise ValueError("quad_degree must be nonnegative")
         rule_of_degree(self.quad_degree)  # raises for a degree no shipped rule serves
@@ -109,11 +106,12 @@ class SolveStats:
     damping_activations, residual_history and cg_residuals count the whole
     call, every mesh included; levels holds one `LevelStats` per mesh
     solved, coarse to fine, ending with the requested mesh, and its counts
-    sum to the totals. Each mesh adds its starting residual and one entry
-    per Newton step to residual_history. final_residual_norm is that of
-    the requested mesh. cg_residuals holds, per CG call in call order, the
-    true relative residual ||A x - b|| / ||b|| of the returned correction
-    (0 for b = 0).
+    sum to the totals. damping_activations counts the Newton steps whose
+    line search took a step below 1. Each mesh adds its starting residual
+    and one entry per Newton step to residual_history. final_residual_norm
+    is that of the requested mesh. cg_residuals holds, per CG call in call
+    order, the true relative residual ||A x - b|| / ||b|| of the returned
+    correction (0 for b = 0).
     """
 
     newton_iterations: int = 0
@@ -304,7 +302,6 @@ def _newton(mesh, d, f, cfg, start, stats, requested):
     quad = rule_of_degree(cfg.quad_degree)
 
     stiffness = assemble_stiffness(mesh)
-    mass = assemble_mass(mesh)
     load = assemble_load(mesh, f, edge_midpoint_rule())
 
     def correction(matrix, rhs):
@@ -319,11 +316,13 @@ def _newton(mesh, d, f, cfg, start, stats, requested):
         return x
 
     def residual(coeffs):
-        """Interior entries of A u + N(u) - F."""
+        """A u + N(u) - F with its boundary entries set to zero."""
         reaction = assemble_nonlinear_residual(mesh, d, FemFunction(mesh, coeffs), quad)
-        return (stiffness @ coeffs + reaction - load)[interior]
+        res = stiffness @ coeffs + reaction - load
+        res[mesh.boundary_vertex] = 0.0
+        return res
 
-    # Iterates and corrections are full coefficient vectors with zero boundary
+    # Iterates, corrections and residuals are full vectors with zero boundary
     # entries: only interior entries are assigned, and trials are their sums.
     u, delta = np.zeros(nv), np.zeros(nv)
     if start is not None:
@@ -335,7 +334,7 @@ def _newton(mesh, d, f, cfg, start, stats, requested):
     res = residual(u)
     res_norm = np.linalg.norm(res) * scale
     stats.residual_history.append(res_norm)
-    best_norm, best_u = res_norm, u.copy()
+    best_norm, best_u = res_norm, u
     tau = cfg.slope_floor
 
     for iteration in range(1, cfg.max_newton + 1):
@@ -345,49 +344,18 @@ def _newton(mesh, d, f, cfg, start, stats, requested):
         slope = assemble_slope_matrix(
             mesh, d, FemFunction(mesh, u + tau), FemFunction(mesh, u - tau),
             cfg.slope_floor, quad)
-        delta[interior] = correction(stiffness + slope, -res)
-
-        step = 1.0
-        accepted = False
-        while step >= cfg.min_step:
-            trial = u + step * delta
-            trial_res = residual(trial)
-            trial_norm = np.linalg.norm(trial_res) * scale
-            # A trial below the global tolerance is always good enough,
-            # even when the decrease test stalls at the roundoff floor.
-            if trial_norm <= (1.0 - cfg.armijo_c * step) * res_norm \
-                    or trial_norm <= cfg.residual_tol:
-                accepted = True
-                break
-            step *= cfg.armijo_beta
-        if accepted and step < 1.0:
+        delta[interior] = correction(stiffness + slope, -res[interior])
+        try:
+            step, u, res = _line_search(residual, u, delta, res, cfg.residual_tol / scale)
+        except NewtonError as exc:
+            raise NewtonError(f"{exc} at Newton iteration {iteration}", stats.residual_history,
+                              FemFunction(mesh, best_u)) from None
+        if step < 1.0:
             stats.damping_activations += 1
-
-        if not accepted:
-            # Step floor hit: restart the step from a mass-regularized
-            # system, doubling sigma until the residual drops.
-            stats.damping_activations += 1
-            sigma = max(cfg.continuation_sigma0, 1e-3)
-            while sigma <= 1e12:
-                delta[interior] = correction(stiffness + slope + sigma * mass, -res)
-                trial = u + delta
-                trial_res = residual(trial)
-                trial_norm = np.linalg.norm(trial_res) * scale
-                if trial_norm < res_norm or trial_norm <= cfg.residual_tol:
-                    accepted = True
-                    break
-                sigma *= 2.0
-            if not accepted:
-                raise NewtonError(
-                    f"Newton step stalled at iteration {iteration}: no residual "
-                    f"decrease even with mass regularization (residual {res_norm:.3e})",
-                    residual_history=stats.residual_history,
-                    best=FemFunction(mesh, best_u))
-
-        u, res, res_norm = trial, trial_res, trial_norm
+        res_norm = np.linalg.norm(res) * scale
         stats.residual_history.append(res_norm)
         if res_norm < best_norm:
-            best_norm, best_u = res_norm, u.copy()
+            best_norm, best_u = res_norm, u
 
     if res_norm > cfg.residual_tol:
         raise NewtonError(
@@ -398,6 +366,52 @@ def _newton(mesh, d, f, cfg, start, stats, requested):
 
     stats.final_residual_norm = res_norm
     return u
+
+
+def _line_search(residual, u, delta, res, tol):
+    """Step s along the Newton direction delta from u, where res = residual(u).
+
+    For monotone d the residual is the gradient of a convex energy, so
+    phi'(s) = residual(u + s delta) . delta is non-decreasing (Deuflhard
+    2004; Nocedal & Wright 2006, ch. 3). With eta = LINE_SEARCH_REDUCTION,
+    s = 1 is taken when its residual norm is at most tol or phi'(1) <= eta
+    |phi'(0)|; else regula falsi (Illinois) on [0, 1] stops at |phi'(s)| <=
+    eta |phi'(0)| or at tol. After LINE_SEARCH_RESIDUALS residuals it takes
+    the bracket's lower end if positive, else the last trial. Returns
+    (s, u + s delta, its residual). Raises NewtonError, without iterate, if
+    s = 1 misses tol and phi'(0) >= 0: delta is no descent direction.
+    """
+    trial = u + delta
+    trial_res = residual(trial)
+    if np.linalg.norm(trial_res) <= tol:
+        return 1.0, trial, trial_res
+    slope0 = res @ delta
+    if not slope0 < 0.0:
+        raise NewtonError(f"no descent direction (phi'(0) = {slope0:.3e})")
+    target = -LINE_SEARCH_REDUCTION * slope0
+    a, fa, lower = 0.0, slope0, (u, res)
+    b, fb, side = 1.0, trial_res @ delta, 0
+    if fb <= target:
+        return 1.0, trial, trial_res
+    for _ in range(LINE_SEARCH_RESIDUALS - 1):
+        s = a - fa * (b - a) / (fb - fa)
+        trial = u + s * delta
+        trial_res = residual(trial)
+        fs = trial_res @ delta
+        if abs(fs) <= target or np.linalg.norm(trial_res) <= tol:
+            return s, trial, trial_res
+        # Illinois: an end kept twice in a row has its value halved.
+        if fs < 0.0:
+            a, fa, lower = s, fs, (trial, trial_res)
+            if side < 0:
+                fb *= 0.5
+            side = -1
+        else:
+            b, fb = s, fs
+            if side > 0:
+                fa *= 0.5
+            side = 1
+    return (a, *lower) if a > 0.0 else (b, trial, trial_res)
 
 
 def verify_uniform_bound(u, reference, slack=1e-10):

@@ -7,12 +7,14 @@ import weakref
 import numpy as np
 import pytest
 
-from semifem.assembly import assemble_load, assemble_mass, assemble_stiffness
+from semifem.assembly import (assemble_load, assemble_mass, assemble_slope_matrix,
+                              assemble_stiffness)
+from semifem.femfunction import FemFunction
 from semifem.mesh import (preset_polygon, read_mesh, refine_uniform,
                           triangulate_convex_polygon, write_mesh)
 from semifem.multigrid import VCycle
 from semifem.nonlinearity import PowerLaw
-from semifem.quadrature import edge_midpoint_rule
+from semifem.quadrature import edge_midpoint_rule, rule_of_degree
 from semifem.solver import cg_solve, solve_semilinear
 
 ONE = lambda x, y: np.ones_like(x)
@@ -51,6 +53,28 @@ def test_vcycle_symmetric_positive():
     left, right = s @ cycle(r), r @ cycle(s)
     assert abs(left - right) <= 1e-12 * abs(left)
     assert r @ cycle(r) > 0.0
+
+
+def test_vcycle_positive_definite_on_steep_jacobian():
+    # Newton Jacobian of a steep term at an iterate whose values straddle
+    # the kink u = -1 at distances 1e-6.5 to 1e-4. Its slope-weighted
+    # element matrices push lambda_max(D^-1 J) above 2 / 0.8, and a fixed
+    # smoothing weight 0.8 made this cycle indefinite (smallest eigenvalue
+    # -1.2e-2 times the largest).
+    mesh = pentagon_mesh(3)
+    i = mesh.interior_vertices
+    rng = np.random.default_rng(24)
+    u = np.zeros(mesh.num_vertices)
+    u[i] = -1.0 + rng.choice([-1.0, 1.0], i.size) * 10.0 ** -rng.uniform(4.0, 6.5, i.size)
+    tau = 1e-6
+    slope = assemble_slope_matrix(mesh, PowerLaw(scale=500.0, exponent=0.1, shift=-1.0),
+                                  FemFunction(mesh, u + tau), FemFunction(mesh, u - tau),
+                                  tau, rule_of_degree(5))
+    cycle = VCycle(mesh, (assemble_stiffness(mesh) + slope)[i][:, i])
+    dense = np.column_stack([cycle(e) for e in np.eye(i.size)])
+    assert np.max(np.abs(dense - dense.T)) <= 1e-12 * np.max(np.abs(dense))
+    eigenvalues = np.linalg.eigvalsh(0.5 * (dense + dense.T))
+    assert eigenvalues[0] > 1e-4 * eigenvalues[-1]
 
 
 @pytest.mark.parametrize("level", [3, 4])

@@ -9,9 +9,9 @@ from semifem.mesh import (TriMesh, preset_polygon, refine_uniform,
                           triangulate_convex_polygon)
 from semifem.nonlinearity import PowerLaw, cut
 from semifem.quadrature import edge_midpoint_rule, rule_of_degree
-from semifem.solver import (CgError, IndefiniteSystemError, LevelStats, NewtonError,
-                            SolverConfig, cg_solve, solve_semilinear,
-                            verify_uniform_bound)
+from semifem.solver import (LINE_SEARCH_REDUCTION, LINE_SEARCH_RESIDUALS, CgError,
+                            IndefiniteSystemError, LevelStats, NewtonError, SolverConfig,
+                            _line_search, cg_solve, solve_semilinear, verify_uniform_bound)
 
 
 def square_mesh(level):
@@ -201,17 +201,6 @@ class TestSolve:
         assert stats.final_residual_norm <= SolverConfig().residual_tol
         assert stats.residual_history[-1] == stats.final_residual_norm
 
-    def test_mass_regularized_fallback(self):
-        # A strict Armijo constant with a high step floor rejects some
-        # backtracked steps, so the mass-regularized system is solved: more
-        # CG calls than the cold start plus one per Newton step. The mesh
-        # has no parent, so the solve starts from the frozen reaction; from
-        # a nested start no step reaches the fallback.
-        cfg = SolverConfig(armijo_c=0.9, min_step=0.5)
-        _, stats = solve_semilinear(parentless(pentagon_mesh(2)), kink_term(), ONE, cfg)
-        assert len(stats.cg_residuals) > stats.newton_iterations + 1
-        assert stats.final_residual_norm <= cfg.residual_tol
-
     def test_stats_record_cg_residuals(self):
         # One CG call for the cold start plus one per Newton step.
         mesh = pentagon_mesh(3)
@@ -239,6 +228,68 @@ class TestSolve:
             assert stats.final_residual_norm <= cfg.residual_tol
 
 
+class TestLineSearch:
+    """The search on phi'(s) = r(u + s delta) . delta, driven by synthetic gradients."""
+
+    @staticmethod
+    def counted(gradient):
+        calls = []
+
+        def residual(x):
+            calls.append(x)
+            return gradient(x)
+        return residual, calls
+
+    def test_bracket_converges_within_cap(self):
+        # r = x^3 + x - 2 per entry is the gradient of a convex energy; from
+        # u = 0 the Newton direction 2 overshoots the root x = 1.
+        residual, calls = self.counted(lambda x: x ** 3 + x - 2.0)
+        u, delta = np.zeros(3), np.full(3, 2.0)
+        res = residual(u)
+        calls.clear()
+        s, trial, trial_res = _line_search(residual, u, delta, res, 1e-12)
+        assert 0.0 < s < 1.0
+        assert len(calls) <= LINE_SEARCH_RESIDUALS
+        np.testing.assert_array_equal(trial, u + s * delta)
+        np.testing.assert_array_equal(trial_res, residual(trial))
+        assert abs(trial_res @ delta) <= LINE_SEARCH_REDUCTION * abs(res @ delta)
+
+    def test_full_step_when_derivative_stays_negative(self):
+        residual, calls = self.counted(lambda x: x - 1.0)
+        u, delta = np.zeros(2), np.full(2, 0.5)
+        res = residual(u)
+        calls.clear()
+        s, trial, _ = _line_search(residual, u, delta, res, 1e-12)
+        assert s == 1.0 and len(calls) == 1
+        np.testing.assert_array_equal(trial, delta)
+
+    def test_cap_takes_lower_end(self):
+        # A near jump of phi' defeats the stopping test: after the cap the
+        # last point with phi' < 0 is taken.
+        residual, calls = self.counted(lambda x: np.tanh(1000.0 * (x - 0.3)))
+        u, delta = np.zeros(1), np.ones(1)
+        res = residual(u)
+        calls.clear()
+        s, trial, trial_res = _line_search(residual, u, delta, res, 1e-12)
+        assert len(calls) == LINE_SEARCH_RESIDUALS
+        assert 0.0 < s < 0.3 and trial_res @ delta < 0.0
+
+    def test_ascent_direction_raises(self):
+        residual = lambda x: x - 1.0
+        u = np.zeros(2)
+        with pytest.raises(NewtonError, match="descent") as info:
+            _line_search(residual, u, -np.ones(2), residual(u), 1e-12)
+        assert info.value.best is None
+
+    def test_tolerance_checked_before_descent(self):
+        # The forced step from a converged start has delta = 0, so phi'(0) = 0.
+        residual = lambda x: x - 1.0
+        u = np.ones(2)
+        s, trial, _ = _line_search(residual, u, np.zeros(2), residual(u), 1e-12)
+        assert s == 1.0
+        np.testing.assert_array_equal(trial, u)
+
+
 class TestNestedStart:
     def test_matches_solve_on_parentless_copy(self):
         cfg = SolverConfig()
@@ -258,13 +309,13 @@ class TestNestedStart:
         assert len(stats.residual_history) == stats.newton_iterations + len(stats.levels)
 
     def test_parentless_mesh_solves_one_level(self):
-        # A root mesh keeps the frozen-reaction start, and the counts are
-        # those the solver gave before nested iteration.
+        # A root mesh keeps the frozen-reaction start: one CG call for it and
+        # one per Newton step.
         _, stats = solve_semilinear(parentless(pentagon_mesh(3)), kink_term(), ONE)
-        assert stats.levels == [LevelStats(0, 24, 25)]
+        assert stats.levels == [LevelStats(0, 15, 16)]
         assert (stats.newton_iterations, stats.total_cg_iterations,
-                stats.damping_activations) == (24, 25, 5)
-        assert len(stats.residual_history) == 25
+                stats.damping_activations) == (15, 16, 8)
+        assert len(stats.residual_history) == 16
 
     def test_solved_ancestors_take_no_step(self):
         # f = 0 without reaction: every frozen start is already the solution.
@@ -283,7 +334,7 @@ class TestNestedStart:
 
     def test_failed_ancestor_hands_on_best_iterate(self):
         # Levels 3 and 4 need more than 10 steps from their nested starts
-        # (13 and 20); the level-5 solve still converges from their best.
+        # (11 and 19); the level-5 solve still converges from their best.
         cfg = SolverConfig(max_newton=10)
         mesh = pentagon_mesh(5)
         u, stats = solve_semilinear(mesh, kink_term(), ONE, cfg)
@@ -319,18 +370,12 @@ def test_config_validation():
         SolverConfig(residual_tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_newton=0)
-    with pytest.raises(ValueError):
-        SolverConfig(armijo_beta=1.0)
-    for bad in (0.0, 1.0):
-        with pytest.raises(ValueError, match="armijo_c"):
-            SolverConfig(armijo_c=bad)
-    for bad in (0.0, -0.5, 1.5):
-        with pytest.raises(ValueError, match="min_step"):
-            SolverConfig(min_step=bad)
+    with pytest.raises(ValueError, match="cg_maxit"):
+        SolverConfig(cg_maxit=-5)
     for bad in (-1, 6):
         with pytest.raises(ValueError, match="degree"):
             SolverConfig(quad_degree=bad)
-    SolverConfig(min_step=1.0, quad_degree=0)
+    SolverConfig(cg_maxit=0, quad_degree=0)
 
 
 @pytest.mark.slow
@@ -360,3 +405,34 @@ def test_cold_level8_kink_solve_bounded_work():
         m = m.parent
     assert sum(s.newton_iterations * sizes[s.level] for s in stats.levels) <= 20
     assert sum(s.cg_iterations * sizes[s.level] for s in stats.levels) <= 300
+
+
+@pytest.mark.slow
+def test_steep_level5_solve_fails_in_bounded_work(monkeypatch):
+    # A steep term stalls Newton far above the tolerance. The solve must
+    # end in NewtonError, not in a CgError from an indefinite V-cycle, and
+    # each Newton step (one slope matrix) may add at most
+    # LINE_SEARCH_RESIDUALS residuals to the starting one of each mesh and
+    # the frozen-reaction one.
+    import semifem.solver as solver
+    counts = {"residual": 0, "slope": 0}
+
+    def counting(name, assemble):
+        def wrapped(*args):
+            counts[name] += 1
+            return assemble(*args)
+        return wrapped
+
+    monkeypatch.setattr(solver, "assemble_nonlinear_residual",
+                        counting("residual", solver.assemble_nonlinear_residual))
+    monkeypatch.setattr(solver, "assemble_slope_matrix",
+                        counting("slope", solver.assemble_slope_matrix))
+    mesh = pentagon_mesh(5)
+    cfg = SolverConfig()
+    with pytest.raises(NewtonError) as info:
+        solve_semilinear(mesh, PowerLaw(scale=500.0, exponent=0.1, shift=-1.0), ONE, cfg)
+    meshes = mesh.level + 1
+    assert counts["slope"] <= meshes * cfg.max_newton
+    assert counts["residual"] <= LINE_SEARCH_RESIDUALS * counts["slope"] + meshes + 1
+    assert len(info.value.residual_history) == counts["slope"] + meshes
+    assert info.value.best.mesh is mesh
