@@ -29,10 +29,10 @@ CONFIG_KEYS = {
     "level": ("3", "nonnegative refinement level for `mesh` and `solve`"),
     "levels": ("2..5", "nonnegative study level range, e.g. 2..5"),
     "nonlinearity": ("power_law", "reaction family (only power_law is built in)"),
-    "scale": ("1.0", "power-law scale, positive"),
+    "scale": ("1.0", "power-law scale, finite and positive"),
     "exponent": ("1.0", "power-law exponent in (0, 1]"),
-    "shift": ("0.0", "constant shift of the power-law kink"),
-    "weight": ("1.0", "constant nonnegative weight"),
+    "shift": ("0.0", "finite constant shift of the power-law kink"),
+    "weight": ("1.0", "finite nonnegative constant weight"),
     "cut_m": (None, "optional clamp bound M; absent means no clamping"),
     "rhs": ("constant 1", "`constant <c>` or `manufactured`"),
     "reference": ("fine+2", "`exact` or `fine+<k>` with k >= 2"),
@@ -40,7 +40,6 @@ CONFIG_KEYS = {
     "max_newton": ("50", "Newton iteration cap"),
     "slope_floor": ("1e-6", "difference-quotient floor of the linearization"),
     "cg_tol": ("1e-12", "relative CG tolerance"),
-    "cg_maxit": ("0", "CG iteration cap, 0 means 10 * interior unknowns"),
     "quad_degree": ("5", "quadrature degree for the nonlinear terms, 0 to 5"),
     "output": (None, "output path; also settable with --output"),
 }
@@ -139,6 +138,8 @@ def build_rhs(cfg, d):
             c = float(parts[1])
         except ValueError:
             raise ConfigError(f"config key 'rhs': bad constant {parts[1]!r}") from None
+        if not np.isfinite(c):
+            raise ConfigError(f"config key 'rhs': constant must be finite, got {parts[1]!r}")
         return (lambda x, y: np.full_like(np.asarray(x, dtype=float), c)), None
     if parts[0] == "manufactured":
         if len(parts) != 1:
@@ -164,7 +165,6 @@ def build_solver_config(cfg):
             max_newton=_int_key(cfg, "max_newton"),
             slope_floor=_float_key(cfg, "slope_floor"),
             cg_tol=_float_key(cfg, "cg_tol"),
-            cg_maxit=_int_key(cfg, "cg_maxit"),
             quad_degree=_int_key(cfg, "quad_degree"),
         )
     except ValueError as exc:

@@ -116,17 +116,26 @@ def preset_polygon(name):
         raise MeshError(f"unknown domain preset '{name}' (available: {options})") from None
 
 
-def _unique_edges(triangles):
-    """Sorted unique vertex pairs of all triangle edges plus their multiplicities.
+def _unique_edges(triangles, nv):
+    """Edges of a triangulation, each triangle's edge ids and edge multiplicities.
 
-    The lexicographic ordering of the returned (ne, 2) array is the canonical
-    edge numbering used both by refinement and by nodal transfer between
-    nested meshes, so the two always agree.
+    One 1-D `np.unique` over the int64 keys lo * nv + hi of the local
+    edges (0, 1), (1, 2), (2, 0) of every triangle. Returns the sorted
+    unique vertex pairs as an (ne, 2) array in lexicographic order, the
+    (nt, 3) ids of local edge j = (j, j + 1) of each triangle into that
+    array (int32, since every mesh of a hierarchy keeps them), and how
+    many triangles share each edge. The lexicographic order is the
+    canonical edge numbering: `refine_uniform` appends the midpoint of
+    edge e as vertex nv + e, and `TriMesh.prolongation` interpolates it
+    from the same pair, so the two always agree.
     """
-    half = np.vstack([triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]])
-    half = np.sort(half, axis=1)
-    edges, counts = np.unique(half, axis=0, return_counts=True)
-    return edges, counts
+    keys = np.empty(triangles.shape, dtype=np.int64)
+    for j in range(3):
+        a, b = triangles[:, j], triangles[:, (j + 1) % 3]
+        keys[:, j] = np.minimum(a, b) * nv + np.maximum(a, b)
+    keys, ids, counts = np.unique(keys.ravel(), return_inverse=True, return_counts=True)
+    edges = np.column_stack(np.divmod(keys, nv))
+    return edges, ids.reshape(-1, 3).astype(np.int32), counts
 
 
 class TriMesh:
@@ -151,6 +160,9 @@ class TriMesh:
 
     The constructor validates positive triangle areas and conformity (every
     edge belongs to one or two triangles) and derives the boundary flags.
+    Its one pass over the edges, `_unique_edges`, also numbers them: that
+    numbering is `edges()`, and each triangle's three edge ids are kept
+    for `refine_uniform`.
     """
 
     def __init__(self, vertices, triangles, level=0, parent=None):
@@ -172,13 +184,12 @@ class TriMesh:
             k = int(np.argmin(areas))
             raise MeshError(f"triangle {k} has non-positive signed area {areas[k]:.3e}")
 
-        edges, counts = _unique_edges(triangles)
+        edges, triangle_edges, counts = _unique_edges(triangles, nv)
         if counts.size and counts.max() > 2:
             k = int(np.argmax(counts))
             raise MeshError(f"edge {tuple(edges[k])} is shared by {counts[k]} triangles")
-        boundary_edge = counts == 1
         boundary_vertex = np.zeros(nv, dtype=bool)
-        boundary_vertex[edges[boundary_edge].ravel()] = True
+        boundary_vertex[edges[counts == 1].ravel()] = True
         interior_vertices = np.flatnonzero(~boundary_vertex)
 
         vertices.setflags(write=False)
@@ -187,6 +198,7 @@ class TriMesh:
         boundary_vertex.setflags(write=False)
         interior_vertices.setflags(write=False)
         edges.setflags(write=False)
+        triangle_edges.setflags(write=False)
 
         self.vertices = vertices
         self.triangles = triangles
@@ -195,7 +207,7 @@ class TriMesh:
         self.level = int(level)
         self.parent = parent
         self._edges = edges
-        self._boundary_edge = boundary_edge
+        self._triangle_edges = triangle_edges
         self._signed_areas = areas
         self._prolongation = None
         self._interior_prolongation = None
@@ -313,32 +325,20 @@ def refine_uniform(mesh):
     """Red refinement: split every triangle into 4 congruent children.
 
     New vertices are the edge midpoints, appended after the parent
-    vertices in the canonical edge order, so the child mesh nests the
-    parent exactly and all angles are preserved.
+    vertices in the canonical edge order: the midpoint of edge e is
+    vertex nv + e, so a triangle's midpoints are read off its edge ids
+    without another search. The child mesh nests the parent exactly and
+    all angles are preserved. Children 4k..4k+2 of triangle k keep its
+    vertex j with the midpoints of the edges at j; child 4k + 3 is the
+    middle triangle.
     """
     edges = mesh.edges()
-    nv = mesh.num_vertices
-    tri = mesh.triangles
     midpoints = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
     vertices = np.vstack([mesh.vertices, midpoints])
-
-    keys = edges[:, 0] * np.int64(nv) + edges[:, 1]
-
-    def midpoint_index(a, b):
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        return nv + np.searchsorted(keys, lo * np.int64(nv) + hi)
-
-    m01 = midpoint_index(tri[:, 0], tri[:, 1])
-    m12 = midpoint_index(tri[:, 1], tri[:, 2])
-    m20 = midpoint_index(tri[:, 2], tri[:, 0])
-
-    nt = mesh.num_triangles
-    children = np.empty((4 * nt, 3), dtype=np.int64)
-    children[0::4] = np.column_stack([tri[:, 0], m01, m20])
-    children[1::4] = np.column_stack([tri[:, 1], m12, m01])
-    children[2::4] = np.column_stack([tri[:, 2], m20, m12])
-    children[3::4] = np.column_stack([m01, m12, m20])
+    # Columns: vertices 0, 1, 2, then the midpoints of edges 01, 12, 20.
+    corners = np.hstack([mesh.triangles, mesh.num_vertices + mesh._triangle_edges])
+    children = corners[:, [0, 3, 5, 1, 4, 3, 2, 5, 4, 3, 4, 5]].reshape(-1, 3)
+    del corners  # the child's edge pass sets the peak memory of a refinement
     return TriMesh(vertices, children, level=mesh.level + 1, parent=mesh)
 
 

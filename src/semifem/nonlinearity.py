@@ -25,11 +25,14 @@ class Nonlinearity:
         return type(self).__name__
 
 
-def _as_pointwise(value):
-    """Wrap constants so that weight/shift fields act as callables."""
+def _as_pointwise(name, value):
+    """Wrap constants so that weight/shift fields act as callables; constants must be finite."""
     if callable(value):
         return value, True
-    return float(value), False
+    value = float(value)
+    if not np.isfinite(value):
+        raise ValueError(f"constant {name} must be finite, got {value!r}")
+    return value, False
 
 
 class PowerLaw(Nonlinearity):
@@ -37,7 +40,7 @@ class PowerLaw(Nonlinearity):
 
         d(x, u) = weight(x) * scale * sgn(u - shift(x)) * |u - shift(x)|**exponent
 
-    with exponent in (0, 1], scale > 0 and weight >= 0. The exponent 1
+    with exponent in (0, 1], finite scale > 0 and weight >= 0. The exponent 1
     gives a globally Lipschitz (linear) term; smaller exponents have an
     unbounded difference quotient at the kink u = shift(x). sgn(0) = 0
     keeps evaluation exactly zero at the kink.
@@ -47,18 +50,18 @@ class PowerLaw(Nonlinearity):
     scale : float
     exponent : float
     shift, weight : float or callable
-        Constants or pointwise functions of (x, y).
+        Finite constants or pointwise functions of (x, y).
     """
 
     def __init__(self, scale=1.0, exponent=1.0, shift=0.0, weight=1.0):
-        if not scale > 0.0:
-            raise ValueError(f"scale must be positive, got {scale!r}")
+        if not 0.0 < scale < np.inf:
+            raise ValueError(f"scale must be finite and positive, got {scale!r}")
         if not 0.0 < exponent <= 1.0:
             raise ValueError(f"exponent must lie in (0, 1], got {exponent!r}")
         self.scale = float(scale)
         self.exponent = float(exponent)
-        self._shift, self._shift_callable = _as_pointwise(shift)
-        self._weight, self._weight_callable = _as_pointwise(weight)
+        self._shift, self._shift_callable = _as_pointwise("shift", shift)
+        self._weight, self._weight_callable = _as_pointwise("weight", weight)
         if not self._weight_callable and self._weight < 0.0:
             raise ValueError("constant weight must be nonnegative")
 

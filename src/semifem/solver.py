@@ -65,24 +65,22 @@ class SolverConfig:
     residual_tol is absolute on the Euclidean residual norm scaled by
     1/sqrt(n), n the vertex count; slope_floor is the denominator floor of
     the difference quotient and also the half-width of the symmetric
-    difference; cg_maxit = 0 means 10 times the number of interior
-    unknowns.
+    difference. The tolerances and the floor must be finite and positive.
     """
 
     residual_tol: float = 1e-10
     max_newton: int = 50
     slope_floor: float = 1e-6
     cg_tol: float = 1e-12
-    cg_maxit: int = 0
     quad_degree: int = 5
 
     def __post_init__(self):
-        if self.residual_tol <= 0 or self.cg_tol <= 0 or self.slope_floor <= 0:
-            raise ValueError("tolerances and the slope floor must be positive")
+        for name in ("residual_tol", "slope_floor", "cg_tol"):
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if self.max_newton < 1:
             raise ValueError("max_newton must be at least 1")
-        if self.cg_maxit < 0:
-            raise ValueError("cg_maxit must be nonnegative")
         if self.quad_degree < 0:
             raise ValueError("quad_degree must be nonnegative")
         rule_of_degree(self.quad_degree)  # raises for a degree no shipped rule serves
@@ -307,8 +305,7 @@ def _newton(mesh, d, f, cfg, start, stats, requested):
     def correction(matrix, rhs):
         """Interior unknowns x of matrix[i][:, i] x = rhs, by V-cycle CG."""
         block = matrix[interior][:, interior]
-        x, used = cg_solve(block, rhs, cfg.cg_tol, cfg.cg_maxit,
-                           preconditioner=VCycle(mesh, block))
+        x, used = cg_solve(block, rhs, cfg.cg_tol, preconditioner=VCycle(mesh, block))
         stats.total_cg_iterations += used
         rhs_norm = np.linalg.norm(rhs)
         stats.cg_residuals.append(

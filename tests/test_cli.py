@@ -111,7 +111,7 @@ class TestSolveCommand:
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         # A key the solver no longer has is rejected like any unknown one.
-        for key in ("viscosity", "continuation_sigma0"):
+        for key in ("viscosity", "continuation_sigma0", "cg_maxit"):
             cfg = write(tmp_path, "bad.cfg", f"{key} = 7\n")
             assert main(["solve", "--config", cfg]) == 2
             assert key in capsys.readouterr().err
@@ -120,6 +120,17 @@ class TestSolveCommand:
         cfg = write(tmp_path, "bad.cfg", "exponent = 1.5\n")
         assert main(["solve", "--config", cfg]) == 2
         assert "exponent" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting", ["residual_tol = nan", "slope_floor = nan",
+                                         "cg_tol = inf", "scale = inf", "shift = nan",
+                                         "weight = nan", "rhs = constant nan"])
+    def test_non_finite_value_rejected(self, tmp_path, capsys, setting):
+        # A NaN passes a `<= 0` test: as a tolerance it never stops Newton,
+        # and as problem data it fails only in assembly, with a traceback.
+        cfg = write(tmp_path, "bad.cfg", KINK_CONFIG + setting + "\n")
+        assert main(["solve", "--config", cfg, "--output", str(tmp_path / "u.txt")]) == 2
+        err = capsys.readouterr().err
+        assert setting.split()[0] in err and "finite" in err
 
     def test_unserved_quad_degree_rejected(self, tmp_path, capsys):
         cfg = write(tmp_path, "bad.cfg", "quad_degree = 6\n")

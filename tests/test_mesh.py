@@ -150,22 +150,55 @@ class TestRefine:
                 poly.area(), rel=1e-12)
             mesh = refine_uniform(mesh)
 
-    def test_conformity_of_random_meshes(self):
+    def test_conformity_of_random_meshes(self, tmp_path):
         rng = np.random.default_rng(7)
-        for n in (3, 5, 8):
-            mesh = triangulate_convex_polygon(random_convex_polygon(rng, n))
-            # The constructor itself enforces edge counts in {1, 2}; check
-            # the flag derivation against a direct edge enumeration.
-            refined = refine_uniform(mesh)
-            half = np.vstack([refined.triangles[:, [0, 1]],
-                              refined.triangles[:, [1, 2]],
-                              refined.triangles[:, [2, 0]]])
-            half.sort(axis=1)
-            edges, counts = np.unique(half, axis=0, return_counts=True)
-            assert set(counts.tolist()) <= {1, 2}
-            on_boundary = np.zeros(refined.num_vertices, dtype=bool)
-            on_boundary[edges[counts == 1].ravel()] = True
-            np.testing.assert_array_equal(refined.boundary_vertex, on_boundary)
+        meshes = [refine_uniform(triangulate_convex_polygon(random_convex_polygon(rng, n)))
+                  for n in (3, 5, 8)]
+        meshes.append(triangulate_convex_polygon(Polygon(PENTAGON)))
+        for _ in range(5):
+            meshes.append(refine_uniform(meshes[-1]))
+        # Relabel the vertices of pentagon level 2, reorder its triangles
+        # and rotate each triangle's corners.
+        mesh = meshes[5]
+        perm = rng.permutation(mesh.num_vertices)
+        label = np.argsort(perm)
+        corners = label[mesh.triangles[rng.permutation(mesh.num_triangles)]]
+        turns = rng.integers(3, size=(mesh.num_triangles, 1))
+        meshes.append(TriMesh(mesh.vertices[perm],
+                              np.take_along_axis(corners, (np.arange(3) + turns) % 3, axis=1)))
+        path = tmp_path / "mesh.txt"
+        write_mesh(meshes[-1], path)
+        meshes.append(read_mesh(path))
+        for mesh in meshes:
+            check_topology(mesh)
+
+
+def check_topology(mesh):
+    """Edges, triangle edge ids, boundary flags and children against a direct enumeration."""
+    t = mesh.triangles
+    nv, nt = mesh.num_vertices, mesh.num_triangles
+    # half[k, j] is the sorted pair of local vertices j and j + 1 of triangle k.
+    half = np.sort(np.stack([t, np.roll(t, -1, axis=1)], axis=2), axis=2)
+    edges, counts = np.unique(half.reshape(-1, 2), axis=0, return_counts=True)
+    # The constructor itself enforces edge counts in {1, 2}; check the
+    # flag derivation against the enumeration.
+    assert set(counts.tolist()) <= {1, 2}
+    on_boundary = np.zeros(nv, dtype=bool)
+    on_boundary[edges[counts == 1].ravel()] = True
+    np.testing.assert_array_equal(mesh.boundary_vertex, on_boundary)
+    assert mesh.edges().dtype == edges.dtype
+    np.testing.assert_array_equal(mesh.edges(), edges)
+    np.testing.assert_array_equal(mesh.edges()[mesh._triangle_edges], half)
+    assert not mesh._triangle_edges.flags.writeable
+    # Children by locating each midpoint with a search over the edge keys.
+    keys = edges[:, 0] * nv + edges[:, 1]
+    m01, m12, m20 = (nv + np.searchsorted(keys, half[:, :, 0] * nv + half[:, :, 1])).T
+    expected = np.empty((4 * nt, 3), dtype=np.int64)
+    expected[0::4] = np.column_stack([t[:, 0], m01, m20])
+    expected[1::4] = np.column_stack([t[:, 1], m12, m01])
+    expected[2::4] = np.column_stack([t[:, 2], m20, m12])
+    expected[3::4] = np.column_stack([m01, m12, m20])
+    np.testing.assert_array_equal(refine_uniform(mesh).triangles, expected)
 
 
 class TestMeshSize:

@@ -69,6 +69,10 @@ class TestPowerLaw:
             PowerLaw(exponent=0.0)
         with pytest.raises(ValueError):
             PowerLaw(weight=-1.0)
+        for bad in ({"scale": np.inf}, {"shift": np.nan}, {"weight": np.nan},
+                    {"weight": np.inf}):
+            with pytest.raises(ValueError, match="finite"):
+                PowerLaw(**bad)
 
     def test_describe_mentions_parameters(self):
         text = kink_term().describe()
