@@ -2,13 +2,14 @@
 
 All matrices are returned as `scipy.sparse.csr_matrix` in canonical
 format (sorted column indices, no duplicates) on the mesh's fixed
-sparsity pattern, `TriMesh.matrix_pattern()`: element matrices are summed
-straight into the CSR data array through its scatter index, so every
-matrix of one mesh shares the pattern's `indptr` and `indices`. Assembly
-is vectorized over elements and deterministic, so repeated runs produce
-bitwise identical operators. The quadrature-based assemblers gather the
-corner coordinates and values once per call and loop over the quadrature
-points, which keeps their temporaries of the size of the element count.
+sparsity pattern, `TriMesh.matrix_pattern()`: the diagonal element entries
+are summed per vertex and the off-diagonal ones per edge, straight into
+the CSR data array, so every matrix of one mesh shares the pattern's
+`indptr` and `indices`. Assembly is vectorized over elements and
+deterministic, so repeated runs produce bitwise identical operators. The
+quadrature-based assemblers gather the corner coordinates and values once
+per call and loop over the quadrature points, which keeps their
+temporaries of the size of the element count.
 """
 
 import numpy as np
@@ -17,10 +18,10 @@ from scipy import sparse
 # Negative slope weights beyond this signal a non-monotone nonlinearity.
 SLOPE_WEIGHT_TOL = 1e-12
 
-# Entries (a, b) with a <= b of a symmetric 3 x 3 element matrix, and for
-# each of its nine entries in row-major order the index of its twin there.
-_UPPER = [(a, b) for a in range(3) for b in range(a, 3)]
-_FULL = [_UPPER.index((min(a, b), max(a, b))) for a in range(3) for b in range(3)]
+# The six distinct entries (a, b) of a symmetric 3 x 3 element matrix: the
+# diagonal ones (j, j), then those of the local edges (j, j + 1) in the
+# order of `TriMesh.triangle_edges`, smaller index first.
+_UPPER = [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)]
 _MASS_UPPER = np.array([2.0 if a == b else 1.0 for a, b in _UPPER]) / 12.0
 
 
@@ -75,12 +76,19 @@ def _pattern_matrix(mesh, upper):
     """Sum symmetric element matrices into a CSR matrix on the mesh's pattern.
 
     upper has shape (6, nt): row i holds entry `_UPPER[i]` of every
-    element matrix. The nine entries are laid out in the order of
-    `TriMesh.matrix_pattern`'s scatter index and summed into `data`.
+    element matrix. The diagonal entries are summed per vertex in the
+    order local vertex 0, 1, 2 of triangles 0, 1, ..., and the
+    off-diagonal ones per edge, whose at most two terms give the same sum
+    in either order; each edge sum fills both of its CSR entries.
     """
-    indptr, indices, slot = mesh.matrix_pattern()
-    data = np.bincount(slot, weights=upper[_FULL].ravel(), minlength=indices.size)
+    indptr, indices, diagonal, off_diagonal = mesh.matrix_pattern()
     nv = mesh.num_vertices
+    data = np.empty(indices.size)
+    data[diagonal] = np.bincount(mesh.triangles.T.ravel(), weights=upper[:3].ravel(),
+                                 minlength=nv)
+    data[off_diagonal] = np.bincount(mesh.triangle_edges().T.ravel(),
+                                     weights=upper[3:].ravel(),
+                                     minlength=off_diagonal.shape[1])
     mat = sparse.csr_matrix((data, indices, indptr), shape=(nv, nv))
     mat.has_canonical_format = True
     return mat

@@ -161,8 +161,8 @@ class TriMesh:
     The constructor validates positive triangle areas and conformity (every
     edge belongs to one or two triangles) and derives the boundary flags.
     Its one pass over the edges, `_unique_edges`, also numbers them: that
-    numbering is `edges()`, and each triangle's three edge ids are kept
-    for `refine_uniform`.
+    numbering is `edges()`, and each triangle's three edge ids,
+    `triangle_edges()`, serve `refine_uniform` and the assemblers.
     """
 
     def __init__(self, vertices, triangles, level=0, parent=None):
@@ -225,6 +225,13 @@ class TriMesh:
         """Unique edges as a lexicographically sorted (ne, 2) index array."""
         return self._edges
 
+    def triangle_edges(self):
+        """Ids into `edges()` of every triangle's local edges (0, 1), (1, 2), (2, 0).
+
+        A read-only int32 array of shape (nt, 3).
+        """
+        return self._triangle_edges
+
     def signed_areas(self):
         """Signed area of every triangle (positive by the class invariant)."""
         return self._signed_areas
@@ -271,27 +278,31 @@ class TriMesh:
         return self._interior_prolongation
 
     def matrix_pattern(self):
-        """Sparsity pattern of P1 matrices and the scatter index into it.
+        """Sparsity pattern of P1 matrices and where vertices and edges sit in it.
 
-        Returns (indptr, indices, slot): the canonical CSR pattern (sorted
-        column indices, no duplicates) with an entry for every pair of
-        vertices that share a triangle, and the index of shape (9 * nt,)
-        that sends entry (a, b) of the element matrix of triangle k, stored
-        at position (3 * a + b) * nt + k, to its place in the CSR data
-        array. All three are read-only int32 arrays, built once per mesh.
+        Returns (indptr, indices, diagonal, off_diagonal): the canonical
+        CSR pattern (sorted column indices, no duplicates) with an entry
+        for every pair of vertices that share a triangle; the position in
+        the CSR data array of each vertex's diagonal entry, shape (nv,);
+        and the positions of the entries (lo, hi) and (hi, lo) of every
+        edge (lo, hi) of `edges()`, shape (2, ne). All four are read-only
+        int32 arrays, built once per mesh from the edge numbering by one
+        sort of the nv + 2 ne keys row * nv + col.
         """
         if self._matrix_pattern is None:
-            t = self.triangles
             nv = self.num_vertices
-            keys = (t[:, :, None] * nv + t[:, None, :]).transpose(1, 2, 0).ravel()
-            keys, slot = np.unique(keys, return_inverse=True)
-            rows = keys // nv
-            indices = (keys - rows * nv).astype(np.int32)
-            indptr = np.searchsorted(rows, np.arange(nv + 1)).astype(np.int32)
-            slot = slot.astype(np.int32)
-            for array in (indptr, indices, slot):
+            lo, hi = self._edges.T
+            keys = np.concatenate([np.arange(nv) * (nv + 1), lo * nv + hi, hi * nv + lo])
+            order = np.argsort(keys)
+            position = np.empty(keys.size, dtype=np.int32)
+            position[order] = np.arange(keys.size, dtype=np.int32)
+            indices = (keys[order] % nv).astype(np.int32)
+            indptr = np.zeros(nv + 1, dtype=np.int32)
+            np.cumsum(np.bincount(self._edges.ravel(), minlength=nv) + 1, out=indptr[1:])
+            pattern = (indptr, indices, position[:nv], position[nv:].reshape(2, -1))
+            for array in pattern:
                 array.setflags(write=False)
-            self._matrix_pattern = (indptr, indices, slot)
+            self._matrix_pattern = pattern
         return self._matrix_pattern
 
     def __repr__(self):
@@ -336,7 +347,7 @@ def refine_uniform(mesh):
     midpoints = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
     vertices = np.vstack([mesh.vertices, midpoints])
     # Columns: vertices 0, 1, 2, then the midpoints of edges 01, 12, 20.
-    corners = np.hstack([mesh.triangles, mesh.num_vertices + mesh._triangle_edges])
+    corners = np.hstack([mesh.triangles, mesh.num_vertices + mesh.triangle_edges()])
     children = corners[:, [0, 3, 5, 1, 4, 3, 2, 5, 4, 3, 4, 5]].reshape(-1, 3)
     del corners  # the child's edge pass sets the peak memory of a refinement
     return TriMesh(vertices, children, level=mesh.level + 1, parent=mesh)

@@ -55,7 +55,11 @@ class CgError(SolverError):
 
 
 class NewtonError(SolverError):
-    """Newton iteration failed; `best` holds the best iterate found."""
+    """Newton iteration failed; `best` holds the best iterate found.
+
+    `best` is None when the residual norm is not finite: the data overflow
+    double precision, and a nested solve stops there.
+    """
 
 
 @dataclass
@@ -121,6 +125,15 @@ class SolveStats:
     levels: list = field(default_factory=list)
 
 
+def _norm(x):
+    """Euclidean norm of x; inf without a warning when it overflows.
+
+    For the norms whose callers raise a SolverError when they are not finite.
+    """
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(x)
+
+
 def cg_solve(matrix, rhs, tol=1e-12, maxit=None, preconditioner=None):
     """Preconditioned conjugate gradients for SPD systems.
 
@@ -157,17 +170,21 @@ def cg_solve(matrix, rhs, tol=1e-12, maxit=None, preconditioner=None):
     IndefiniteSystemError
         When a search direction has nonpositive curvature.
     CgError
-        On non-convergence within maxit, or when the preconditioner is not
-        positive definite; carries the residual history.
+        When the norm of rhs is not finite, on non-convergence within maxit,
+        or when the preconditioner is not positive definite; carries the
+        residual history.
     """
     n = matrix.shape[0]
     if maxit is None or maxit <= 0:
         maxit = 10 * n
     rhs = np.asarray(rhs, dtype=float)
-    rhs_norm = np.linalg.norm(rhs)
+    rhs_norm = _norm(rhs)
     x = np.zeros(n)
     if rhs_norm == 0.0:
         return x, 0
+    if not np.isfinite(rhs_norm):
+        raise CgError(f"right-hand side norm is not finite ({rhs_norm}): "
+                      "the data overflow double precision")
     diag = matrix.diagonal()
     if np.any(diag <= 0.0):
         k = int(np.argmin(diag))
@@ -244,7 +261,7 @@ def solve_semilinear(mesh, d, f, cfg=None, initial=None):
         mesh without parent, starts from the solution of the linear
         problem with the reaction frozen at d(x, 0). An ancestor whose
         start already meets residual_tol takes no Newton step, and one
-        that raises NewtonError hands its best iterate on.
+        that raises NewtonError with a best iterate hands it on.
 
     Returns
     -------
@@ -276,7 +293,7 @@ def solve_semilinear(mesh, d, f, cfg=None, initial=None):
         try:
             coeffs = _newton(level, d, f, cfg, coeffs, stats, requested=level is mesh)
         except NewtonError as exc:
-            if level is mesh:
+            if level is mesh or exc.best is None:
                 raise
             coeffs = exc.best.coeffs
         finally:
@@ -328,9 +345,16 @@ def _newton(mesh, d, f, cfg, start, stats, requested):
         frozen = assemble_nonlinear_residual(mesh, d, FemFunction.zeros(mesh), quad)
         u[interior] = correction(stiffness, (load - frozen)[interior])
 
+    def scaled_norm(res):
+        norm = _norm(res) * scale
+        stats.residual_history.append(norm)
+        if not np.isfinite(norm):
+            raise NewtonError(f"residual norm is not finite ({norm}): the data overflow "
+                              "double precision", stats.residual_history)
+        return norm
+
     res = residual(u)
-    res_norm = np.linalg.norm(res) * scale
-    stats.residual_history.append(res_norm)
+    res_norm = scaled_norm(res)
     best_norm, best_u = res_norm, u
     tau = cfg.slope_floor
 
@@ -343,14 +367,13 @@ def _newton(mesh, d, f, cfg, start, stats, requested):
             cfg.slope_floor, quad)
         delta[interior] = correction(stiffness + slope, -res[interior])
         try:
-            step, u, res = _line_search(residual, u, delta, res, cfg.residual_tol / scale)
+            step, u, res = _line_search(residual, u, delta, res, cfg.residual_tol, scale)
         except NewtonError as exc:
             raise NewtonError(f"{exc} at Newton iteration {iteration}", stats.residual_history,
                               FemFunction(mesh, best_u)) from None
         if step < 1.0:
             stats.damping_activations += 1
-        res_norm = np.linalg.norm(res) * scale
-        stats.residual_history.append(res_norm)
+        res_norm = scaled_norm(res)
         if res_norm < best_norm:
             best_norm, best_u = res_norm, u
 
@@ -365,22 +388,23 @@ def _newton(mesh, d, f, cfg, start, stats, requested):
     return u
 
 
-def _line_search(residual, u, delta, res, tol):
+def _line_search(residual, u, delta, res, tol, scale):
     """Step s along the Newton direction delta from u, where res = residual(u).
 
     For monotone d the residual is the gradient of a convex energy, so
     phi'(s) = residual(u + s delta) . delta is non-decreasing (Deuflhard
     2004; Nocedal & Wright 2006, ch. 3). With eta = LINE_SEARCH_REDUCTION,
-    s = 1 is taken when its residual norm is at most tol or phi'(1) <= eta
-    |phi'(0)|; else regula falsi (Illinois) on [0, 1] stops at |phi'(s)| <=
-    eta |phi'(0)| or at tol. After LINE_SEARCH_RESIDUALS residuals it takes
-    the bracket's lower end if positive, else the last trial. Returns
-    (s, u + s delta, its residual). Raises NewtonError, without iterate, if
-    s = 1 misses tol and phi'(0) >= 0: delta is no descent direction.
+    s = 1 is taken when its residual norm times scale is at most tol or
+    phi'(1) <= eta |phi'(0)|; else regula falsi (Illinois) on [0, 1] stops
+    at |phi'(s)| <= eta |phi'(0)| or at tol. After LINE_SEARCH_RESIDUALS
+    residuals it takes the bracket's lower end if positive, else the last
+    trial. Returns (s, u + s delta, its residual). Raises NewtonError,
+    without iterate, if s = 1 misses tol and phi'(0) >= 0: delta is no
+    descent direction.
     """
     trial = u + delta
     trial_res = residual(trial)
-    if np.linalg.norm(trial_res) <= tol:
+    if np.linalg.norm(trial_res) * scale <= tol:
         return 1.0, trial, trial_res
     slope0 = res @ delta
     if not slope0 < 0.0:
@@ -395,7 +419,7 @@ def _line_search(residual, u, delta, res, tol):
         trial = u + s * delta
         trial_res = residual(trial)
         fs = trial_res @ delta
-        if abs(fs) <= target or np.linalg.norm(trial_res) <= tol:
+        if abs(fs) <= target or np.linalg.norm(trial_res) * scale <= tol:
             return s, trial, trial_res
         # Illinois: an end kept twice in a row has its value halved.
         if fs < 0.0:

@@ -250,6 +250,20 @@ class TestStudy:
         for h0, h1 in zip(hs[:-1], hs[1:]):
             assert h1 == pytest.approx(h0 / 2, rel=1e-14)
 
+    def test_discrete_reference_errors_match_public_norms(self):
+        # The study assembles the reference operators once and transfers
+        # each level once; its errors are those of the public functions.
+        d = PowerLaw(scale=50.0, exponent=1 / 3, shift=-1.0)
+        report = run_convergence_study("pentagon", d, lambda x, y: np.ones_like(x),
+                                       range(1, 4))
+        reference = report.reference_solution
+        assert reference.mesh.level == 5
+        for record in report.records:
+            u = report.solutions[record.level]
+            assert record.err_l2 == error_l2(u, reference)
+            assert record.err_h1 == error_h1semi(u, reference)
+            assert record.err_linf == error_linf(u, reference)
+
     def test_levels_must_be_consecutive(self):
         with pytest.raises(ValueError, match="consecutive"):
             run_convergence_study("unit-square", PowerLaw(),

@@ -10,8 +10,8 @@ from semifem.assembly import (apply_dirichlet, assemble_load, assemble_mass,
                               assemble_nonlinear_residual, assemble_slope_matrix,
                               assemble_stiffness)
 from semifem.femfunction import FemFunction, interpolate
-from semifem.mesh import (TriMesh, locate_point, preset_polygon, refine_uniform,
-                          triangulate_convex_polygon)
+from semifem.mesh import (TriMesh, locate_point, preset_polygon, read_mesh,
+                          refine_uniform, triangulate_convex_polygon, write_mesh)
 from semifem.nonlinearity import PowerLaw
 from semifem.quadrature import edge_midpoint_rule, seven_point_rule
 
@@ -291,13 +291,64 @@ def test_pattern_matches_coo_reference(square2, make):
     assert (stiffness + slope).nnz == stiffness.nnz
 
 
+def unique_pattern(mesh):
+    """CSR indptr and indices by one np.unique over all 9 nt element-entry keys."""
+    t = mesh.triangles
+    nv = mesh.num_vertices
+    keys = np.unique((t[:, :, None] * nv + t[:, None, :]).ravel())
+    rows = keys // nv
+    indices = (keys - rows * nv).astype(np.int32)
+    indptr = np.searchsorted(rows, np.arange(nv + 1)).astype(np.int32)
+    return indptr, indices
+
+
+def pentagon(level):
+    mesh = triangulate_convex_polygon(preset_polygon("pentagon"))
+    for _ in range(level):
+        mesh = refine_uniform(mesh)
+    return mesh
+
+
+def reread(mesh, tmp_path):
+    path = str(tmp_path / "mesh.txt")
+    write_mesh(mesh, path)
+    return read_mesh(path)
+
+
+@pytest.mark.parametrize("make", [f"pentagon{level}" for level in range(6)]
+                         + ["unit-triangle", "shuffled", "reread"])
+def test_pattern_matches_unique_reference(square2, tmp_path, make):
+    if make.startswith("pentagon"):
+        mesh = pentagon(int(make[-1]))
+    else:
+        mesh = {"unit-triangle": unit_right_triangle,
+                "shuffled": lambda: shuffled(square2),
+                "reread": lambda: reread(pentagon(3), tmp_path)}[make]()
+    indptr, indices, diagonal, off_diagonal = mesh.matrix_pattern()
+    ref_indptr, ref_indices = unique_pattern(mesh)
+    for array, ref in ((indptr, ref_indptr), (indices, ref_indices)):
+        assert array.dtype == ref.dtype
+        np.testing.assert_array_equal(array, ref)
+    rows = np.repeat(np.arange(mesh.num_vertices), np.diff(indptr))
+    vertices = np.arange(mesh.num_vertices)
+    lo, hi = mesh.edges().T
+    assert diagonal.dtype == off_diagonal.dtype == np.int32
+    assert off_diagonal.shape == (2, lo.size)
+    for position, row, col in ((diagonal, vertices, vertices),
+                               (off_diagonal[0], lo, hi), (off_diagonal[1], hi, lo)):
+        np.testing.assert_array_equal(rows[position], row)
+        np.testing.assert_array_equal(indices[position], col)
+
+
 class TestPatternCache:
     def test_built_once_and_shared(self, square2):
         first = assemble_stiffness(square2)
         pattern = square2.matrix_pattern()
         assert square2.matrix_pattern() is pattern
-        indptr, indices, slot = pattern
-        assert slot.dtype == np.int32 and slot.shape == (9 * square2.num_triangles,)
+        indptr, indices, diagonal, off_diagonal = pattern
+        assert diagonal.dtype == np.int32 and diagonal.shape == (square2.num_vertices,)
+        assert off_diagonal.dtype == np.int32
+        assert off_diagonal.shape == (2, square2.edges().shape[0])
         u = interpolate(square2, lambda x, y: x * y)
         for matrix in (first, assemble_mass(square2),
                        assemble_slope_matrix(square2, PowerLaw(), u, u.copy(), 1e-6,

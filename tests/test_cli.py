@@ -132,6 +132,24 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert setting.split()[0] in err and "finite" in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("setting", ["scale = 1e308", "rhs = constant 1e308"])
+    def test_overflowing_data_fail_as_named_error(self, tmp_path, capsys, setting):
+        # Finite but huge data overflow the norm of the first CG right-hand
+        # side; that is a numerical failure named as such, with no warning.
+        cfg = write(tmp_path, "huge.cfg", KINK_CONFIG + setting + "\n")
+        assert main(["solve", "--config", cfg, "--output", str(tmp_path / "u.txt")]) == 1
+        err = capsys.readouterr().err
+        assert "norm is not finite" in err and "overflow" in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_residual_tol_does_not_overflow(self, tmp_path, capsys):
+        # The tolerance is compared with scaled norms, never divided by the
+        # 1/sqrt(n) scale, so 1e308 stays finite and one step meets it.
+        cfg = write(tmp_path, "loose.cfg", KINK_CONFIG + "residual_tol = 1e308\n")
+        assert main(["solve", "--config", cfg, "--output", str(tmp_path / "u.txt")]) == 0
+        assert "newton_iterations=1 " in capsys.readouterr().out
+
     def test_unserved_quad_degree_rejected(self, tmp_path, capsys):
         cfg = write(tmp_path, "bad.cfg", "quad_degree = 6\n")
         assert main(["solve", "--config", cfg]) == 2
