@@ -15,7 +15,7 @@ import numpy as np
 from .assembly import (assemble_mass, assemble_stiffness, element_corners,
                        element_geometry, quadrature_points, scatter_vector)
 from .femfunction import FemFunction, prolongate
-from .mesh import Polygon, mesh_size, preset_polygon, refine_uniform, \
+from .mesh import TriMesh, mesh_size, preset_polygon, refine_uniform, \
     triangulate_convex_polygon
 from .multigrid import VCycle
 from .quadrature import rule_of_degree
@@ -271,8 +271,9 @@ def run_convergence_study(domain, d, f, levels, exact=None, extra_refinements=2,
 
     Parameters
     ----------
-    domain : str or Polygon
-        Preset name or an explicit polygon.
+    domain : str, Polygon or TriMesh
+        Preset name, an explicit polygon, or the level-0 mesh of the
+        refinement sequence, such as a mesh read from a file.
     d : Nonlinearity
     f : callable
         Right-hand side f(x, y).
@@ -309,14 +310,14 @@ def run_convergence_study(domain, d, f, levels, exact=None, extra_refinements=2,
 
     cfg = cfg if cfg is not None else SolverConfig()
     if isinstance(domain, str):
-        domain_name = domain
-        polygon = preset_polygon(domain)
+        domain_name, root = domain, triangulate_convex_polygon(preset_polygon(domain))
+    elif isinstance(domain, TriMesh):
+        domain_name, root = "custom-mesh", domain
     else:
-        domain_name = "custom-polygon"
-        polygon = domain if isinstance(domain, Polygon) else Polygon(domain)
+        domain_name, root = "custom-polygon", triangulate_convex_polygon(domain)
 
     top = max(levels) + (0 if exact is not None else extra_refinements)
-    meshes = [triangulate_convex_polygon(polygon)]
+    meshes = [root]
     for _ in range(top):
         meshes.append(refine_uniform(meshes[-1]))
 

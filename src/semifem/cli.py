@@ -173,11 +173,8 @@ def build_solver_config(cfg):
 
 def _looks_like_mesh_file(path):
     """A mesh file starts with `nv nt` and has exactly 1 + nv + nt data lines."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-    except OSError:
-        return False
+    with open(path, encoding="utf-8") as fh:
+        lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
         return False
     head = lines[0].split()
@@ -294,10 +291,11 @@ def cmd_study(args):
         raise ConfigError("config key 'reference': 'exact' requires "
                           "'rhs = manufactured'")
     solver_cfg = build_solver_config(cfg)
+    domain = build_mesh(cfg["domain"], 0)
     out = cfg["output"] or "study.csv"
     try:
         report = run_convergence_study(
-            cfg["domain"], d, f, levels,
+            domain, d, f, levels,
             exact=exact if kind == "exact" else None,
             extra_refinements=extra if kind == "fine" else 2,
             cfg=solver_cfg)
@@ -358,7 +356,7 @@ def main(argv=None):
 
     try:
         return args.func(args)
-    except (ConfigError, MeshError) as exc:
+    except (ConfigError, MeshError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SolverError as exc:

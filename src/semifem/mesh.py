@@ -211,6 +211,7 @@ class TriMesh:
         self._signed_areas = areas
         self._prolongation = None
         self._interior_prolongation = None
+        self._interior_restriction = None
         self._matrix_pattern = None
 
     @property
@@ -276,6 +277,12 @@ class TriMesh:
             self._interior_prolongation = \
                 self.prolongation()[self.interior_vertices][:, self.parent.interior_vertices]
         return self._interior_prolongation
+
+    def interior_restriction(self):
+        """Transpose of `interior_prolongation` in CSR format. None without parent."""
+        if self._interior_restriction is None and self.parent is not None:
+            self._interior_restriction = self.interior_prolongation().T.tocsr()
+        return self._interior_restriction
 
     def matrix_pattern(self):
         """Sparsity pattern of P1 matrices and where vertices and edges sit in it.

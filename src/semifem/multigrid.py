@@ -6,8 +6,11 @@ Dirichlet constraint is imposed by restriction). It runs on the chain
 mesh, mesh.parent, ... with the exact nested prolongations
 `TriMesh.interior_prolongation`, Galerkin coarse operators P^T A P, damped
 Jacobi smoothing with equal sweep counts before and after the coarse
-correction, and an exact solve on the coarsest level. A mesh without
-parent gets a one-level hierarchy, where the cycle is that exact solve.
+correction, and an exact solve on the coarsest level. One rule ends the
+chain: it descends while the system has more than DENSE_COARSE_SIZE
+unknowns and a coarser space exists, that is, the mesh has a parent with
+interior vertices. A system of at most that size, on a refined mesh or
+not, gets a one-level hierarchy, where the cycle is the exact solve.
 """
 
 from functools import partial
@@ -23,10 +26,12 @@ import numpy as np
 SMOOTHING_WEIGHT = 0.8
 SMOOTHING_SWEEPS = 2
 
-# Coarsest systems up to this size are inverted densely. The root of a
-# refinement hierarchy has a handful of interior vertices, so solves on
-# refined meshes never load scipy.sparse.linalg (about 90 ms and 9 MiB).
-DENSE_COARSE_SIZE = 500
+# The coarsest level is the first system of at most this size; it is
+# inverted densely, and each cycle applies the inverse as one dense matvec
+# (141 unknowns on pentagon level 3, 113 on the unit square). Larger ones,
+# met only where no coarser space exists, get sparse LU, so a refined
+# preset mesh never loads scipy.sparse.linalg (about 90 ms and 9 MiB).
+DENSE_COARSE_SIZE = 200
 
 
 def _exact_solver(matrix):
@@ -46,46 +51,46 @@ class VCycle:
     ----------
     mesh : TriMesh
         The mesh of the system; its ancestors form the coarse levels, down
-        to the root or to the first ancestor without interior vertices.
+        to the first system of at most DENSE_COARSE_SIZE unknowns, to the
+        root, or to the last mesh above an ancestor without interior
+        vertices.
     matrix : scipy.sparse matrix
         SPD operator on the interior unknowns, `mesh.interior_vertices`
         in that order.
 
     The coarse operators are built once here, so build one instance per
-    system matrix. The instance holds matrices only, no reference to the
-    mesh, and forms no reference cycle.
+    system matrix. Each smoothed level keeps one record (operator, Jacobi
+    weights, prolongation P, restriction P^T as CSR); P and P^T are the
+    ones each mesh builds once and caches. The instance holds
+    matrices only, no reference to the mesh, and forms no reference cycle.
     """
 
     def __init__(self, mesh, matrix):
         a = matrix.tocsr()
-        self._operators = []
-        self._weights = []
-        self._prolongations = []
-        while mesh.parent is not None and mesh.parent.interior_vertices.size:
-            p = mesh.interior_prolongation()
-            self._operators.append(a)
+        self._levels = []
+        while mesh.parent is not None and a.shape[0] > DENSE_COARSE_SIZE:
+            p, restriction = mesh.interior_prolongation(), mesh.interior_restriction()
+            if p.shape[1] == 0:
+                break
             diag = a.diagonal()
             gershgorin = np.max(abs(a) @ np.ones(a.shape[0]) / diag)
-            self._weights.append(min(SMOOTHING_WEIGHT, 1.9 / gershgorin) / diag)
-            self._prolongations.append(p)
-            a = (p.T @ (a @ p)).tocsr()
+            weight = min(SMOOTHING_WEIGHT, 1.9 / gershgorin) / diag
+            self._levels.append((a, weight, p, restriction))
+            a = restriction @ (a @ p)
             mesh = mesh.parent
         self._coarse_solve = _exact_solver(a)
 
     def __call__(self, r):
         """V-cycle from a zero guess, levels visited fine to coarse and back."""
-        rhs, sols = [], []
-        for a, w, p in zip(self._operators, self._weights, self._prolongations):
+        smoothed = []
+        for a, w, _, restriction in self._levels:
             x = w * r
             for _ in range(SMOOTHING_SWEEPS - 1):
                 x += w * (r - a @ x)
-            rhs.append(r)
-            sols.append(x)
-            r = p.T @ (r - a @ x)
+            smoothed.append((r, x))
+            r = restriction @ (r - a @ x)
         x = self._coarse_solve(r)
-        for a, w, p, r, fine in zip(reversed(self._operators), reversed(self._weights),
-                                    reversed(self._prolongations), reversed(rhs),
-                                    reversed(sols)):
+        for (a, w, p, _), (r, fine) in zip(reversed(self._levels), reversed(smoothed)):
             fine += p @ x
             for _ in range(SMOOTHING_SWEEPS):
                 fine += w * (r - a @ fine)

@@ -15,8 +15,8 @@ iteration count stays bounded as the mesh is refined. Steps are globalized
 by a regula falsi search on the directional derivative of the convex energy
 whose gradient is the residual (`_line_search`). A solve without an initial
 iterate starts by nested iteration: it solves on the mesh's ancestors first,
-coarse to fine, and starts each finer mesh from the prolongated solution of
-the coarser one.
+from the root, coarse to fine, and starts each finer mesh from the
+prolongated solution of the coarser one.
 """
 
 from dataclasses import dataclass, field
@@ -254,14 +254,14 @@ def solve_semilinear(mesh, d, f, cfg=None, initial=None):
     initial : FemFunction, optional
         Starting iterate on the same mesh; boundary values are zeroed.
         Without it the solve starts by nested iteration: it first solves
-        on the ancestors mesh.parent, ... down to the root or to the first
-        ancestor without interior vertices (the levels of
-        `multigrid.VCycle`), coarse to fine, and starts each mesh from the
-        prolongated solution of the one below. The coarsest of them, and a
-        mesh without parent, starts from the solution of the linear
-        problem with the reaction frozen at d(x, 0). An ancestor whose
-        start already meets residual_tol takes no Newton step, and one
-        that raises NewtonError with a best iterate hands it on.
+        on the ancestors mesh.parent, ... down to the root, coarse to fine,
+        and starts each mesh from the prolongated solution of the one
+        below. The root, and a mesh without parent, starts from the
+        solution of the linear problem with the reaction frozen at
+        d(x, 0); a root without interior vertices has the zero solution
+        and takes no step. An ancestor whose start already meets
+        residual_tol takes no Newton step, and one that raises NewtonError
+        with a best iterate hands it on.
 
     Returns
     -------
@@ -280,8 +280,7 @@ def solve_semilinear(mesh, d, f, cfg=None, initial=None):
     if initial is not None and initial.mesh is not mesh:
         raise ValueError("initial guess lives on a different mesh")
     levels = [mesh]
-    while initial is None and levels[0].parent is not None \
-            and levels[0].parent.interior_vertices.size:
+    while initial is None and levels[0].parent is not None:
         levels.insert(0, levels[0].parent)
 
     stats = SolveStats()

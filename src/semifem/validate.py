@@ -19,10 +19,6 @@ HAND_STIFFNESS = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]
 HAND_MASS = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 24.0
 
 
-def _unit_triangle_mesh():
-    return triangulate_convex_polygon(preset_polygon("unit-triangle"))
-
-
 def _single_triangle_mesh():
     # The reference right triangle as a one-element mesh.
     from .mesh import TriMesh

@@ -264,6 +264,19 @@ class TestStudy:
             assert record.err_h1 == error_h1semi(u, reference)
             assert record.err_linf == error_linf(u, reference)
 
+    @pytest.mark.parametrize("root", [
+        preset_polygon("pentagon"),
+        triangulate_convex_polygon(preset_polygon("pentagon"))])
+    def test_custom_domain_matches_preset(self, root):
+        d = PowerLaw(scale=50.0, exponent=1 / 3, shift=-1.0)
+        one = lambda x, y: np.ones_like(x)
+        custom = run_convergence_study(root, d, one, range(1, 3))
+        preset = run_convergence_study("pentagon", d, one, range(1, 3))
+        assert custom.domain.startswith("custom-")
+        for record in custom.records + preset.records:
+            record.wall_time = 0.0
+        assert custom.csv_text() == preset.csv_text()
+
     def test_levels_must_be_consecutive(self):
         with pytest.raises(ValueError, match="consecutive"):
             run_convergence_study("unit-square", PowerLaw(),

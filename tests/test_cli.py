@@ -104,6 +104,13 @@ class TestSolveCommand:
         u = read_function(reread, out)
         assert u.coeffs.size == reread.num_vertices
 
+    def test_newton_failure_reports_residual(self, tmp_path, capsys):
+        cfg = write(tmp_path, "kink.cfg", KINK_CONFIG + "max_newton = 1\n")
+        assert main(["solve", "--config", cfg, "--output", str(tmp_path / "u.txt")]) == 1
+        err = capsys.readouterr().err
+        assert "solve failed: no convergence within 1 Newton iterations" in err
+        assert "ndof=141 residual=" in err
+
     def test_missing_value_names_key(self, tmp_path, capsys):
         cfg = write(tmp_path, "bad.cfg", "rhs = constant\n")
         assert main(["solve", "--config", cfg]) == 2
@@ -216,6 +223,24 @@ class TestStudyCommand:
         lines = open(out, encoding="utf-8").read().strip().splitlines()
         assert len(lines) == 1  # header only: the first level already fails
 
+    def test_polygon_file_matches_preset(self, tmp_path, capsys):
+        poly = write(tmp_path, "sq.txt", "0 0\n1 0\n1 1\n0 1\n")
+        assert strip_wall_time(self.study(tmp_path, poly)) == \
+            strip_wall_time(self.study(tmp_path, "unit-square"))
+
+    def test_mesh_file_matches_preset(self, tmp_path, capsys):
+        mesh_file = str(tmp_path / "mesh.txt")
+        assert main(["mesh", "--domain", "unit-square", "--level", "0",
+                     "--output", mesh_file]) == 0
+        assert strip_wall_time(self.study(tmp_path, mesh_file)) == \
+            strip_wall_time(self.study(tmp_path, "unit-square"))
+
+    @staticmethod
+    def study(tmp_path, domain):
+        out = str(tmp_path / "study.csv")
+        assert main(["study", "--domain", domain, "--levels", "1..2", "--output", out]) == 0
+        return open(out, encoding="utf-8").read()
+
 
 class TestValidateCommand:
     def test_all_checks_pass(self, capsys):
@@ -227,6 +252,13 @@ class TestValidateCommand:
 
 def test_usage_error_exit_code(capsys):
     assert main([]) == 2
+
+
+@pytest.mark.parametrize("command", ["mesh", "solve", "study"])
+def test_unreadable_domain_rejected(tmp_path, capsys, command):
+    missing = str(tmp_path / "missing.txt")
+    assert main([command, "--domain", missing, "--output", str(tmp_path / "out.txt")]) == 2
+    assert "No such file or directory" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["mesh", "solve"])

@@ -118,6 +118,14 @@ class TestRefine:
         # midpoint of the diagonal, and the parent has no interior vertex.
         assert fine.interior_prolongation().shape == (1, 0)
 
+    def test_interior_restriction_is_cached_transpose(self):
+        mesh = two_triangle_square()
+        assert mesh.interior_restriction() is None
+        fine = refine_uniform(refine_uniform(mesh))
+        r = fine.interior_restriction()
+        assert r is fine.interior_restriction() and r.format == "csr"
+        np.testing.assert_array_equal(r.toarray(), fine.interior_prolongation().toarray().T)
+
     def test_prolongation_rejects_foreign_parent(self):
         mesh = two_triangle_square()
         child = TriMesh(mesh.vertices, mesh.triangles, level=1, parent=mesh)

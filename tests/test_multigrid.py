@@ -10,9 +10,9 @@ import pytest
 from semifem.assembly import (assemble_load, assemble_mass, assemble_slope_matrix,
                               assemble_stiffness)
 from semifem.femfunction import FemFunction
-from semifem.mesh import (preset_polygon, read_mesh, refine_uniform,
+from semifem.mesh import (TriMesh, preset_polygon, read_mesh, refine_uniform,
                           triangulate_convex_polygon, write_mesh)
-from semifem.multigrid import VCycle
+from semifem.multigrid import DENSE_COARSE_SIZE, VCycle
 from semifem.nonlinearity import PowerLaw
 from semifem.quadrature import edge_midpoint_rule, rule_of_degree
 from semifem.solver import cg_solve, solve_semilinear
@@ -58,10 +58,10 @@ def test_vcycle_symmetric_positive():
 def test_vcycle_positive_definite_on_steep_jacobian():
     # Newton Jacobian of a steep term at an iterate whose values straddle
     # the kink u = -1 at distances 1e-6.5 to 1e-4. Its slope-weighted
-    # element matrices push lambda_max(D^-1 J) above 2 / 0.8, and a fixed
-    # smoothing weight 0.8 made this cycle indefinite (smallest eigenvalue
-    # -1.2e-2 times the largest).
-    mesh = pentagon_mesh(3)
+    # element matrices push lambda_max(D^-1 J) to 2.62 on level 4, the one
+    # smoothed level of this cycle, above 2 / 0.8: with a fixed smoothing
+    # weight 0.8, Jacobi expands the error there (omega lambda_max = 2.10).
+    mesh = pentagon_mesh(4)
     i = mesh.interior_vertices
     rng = np.random.default_rng(24)
     u = np.zeros(mesh.num_vertices)
@@ -70,11 +70,51 @@ def test_vcycle_positive_definite_on_steep_jacobian():
     slope = assemble_slope_matrix(mesh, PowerLaw(scale=500.0, exponent=0.1, shift=-1.0),
                                   FemFunction(mesh, u + tau), FemFunction(mesh, u - tau),
                                   tau, rule_of_degree(5))
-    cycle = VCycle(mesh, (assemble_stiffness(mesh) + slope)[i][:, i])
+    jacobian = (assemble_stiffness(mesh) + slope)[i][:, i]
+    cycle = VCycle(mesh, jacobian)
+    (_, weight, _, _), = cycle._levels
+    # omega lambda_max(D^-1 J) = lambda_max(W^1/2 J W^1/2) with W = omega D^-1.
+    root = np.sqrt(weight)
+    assert np.linalg.eigvalsh(root[:, None] * jacobian.toarray() * root)[-1] < 2.0
     dense = np.column_stack([cycle(e) for e in np.eye(i.size)])
     assert np.max(np.abs(dense - dense.T)) <= 1e-12 * np.max(np.abs(dense))
     eigenvalues = np.linalg.eigvalsh(0.5 * (dense + dense.T))
     assert eigenvalues[0] > 1e-4 * eigenvalues[-1]
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_small_system_gets_exact_cycle(tmp_path, level):
+    # Up to DENSE_COARSE_SIZE unknowns (141 at level 3) the cycle is the
+    # dense inverse, on a refined mesh as on its parentless copy.
+    refined = pentagon_mesh(level)
+    path = tmp_path / "mesh.txt"
+    write_mesh(refined, path)
+    for mesh in (refined, read_mesh(path)):
+        lhs, rhs = poisson(mesh)
+        assert lhs.shape[0] <= DENSE_COARSE_SIZE
+        x, iters = cg_solve(lhs, rhs, 1e-10, preconditioner=VCycle(mesh, lhs))
+        assert iters == 1
+        assert np.linalg.norm(lhs @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
+
+
+def test_chain_ends_above_ancestor_without_interior():
+    # A one-cell-high strip of 110 squares has no interior vertex; its first
+    # refinement has 219, one per inner edge. No coarser space exists, so
+    # the cycle is the exact (sparse LU) solve, not Jacobi smoothing over
+    # an empty coarse level.
+    n = 110
+    x = np.arange(n + 1.0)
+    vertices = np.column_stack([np.concatenate([x, x]), np.repeat([0.0, 1.0], n + 1)])
+    lo, hi = np.arange(n), np.arange(n) + n + 1
+    root = TriMesh(vertices, np.concatenate([np.column_stack([lo, lo + 1, hi + 1]),
+                                             np.column_stack([lo, hi + 1, hi])]))
+    assert root.interior_vertices.size == 0
+    mesh = refine_uniform(root)
+    lhs, rhs = poisson(mesh)
+    assert lhs.shape[0] == 2 * n - 1 > DENSE_COARSE_SIZE
+    x, iters = cg_solve(lhs, rhs, 1e-10, preconditioner=VCycle(mesh, lhs))
+    assert iters == 1
+    assert np.linalg.norm(lhs @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 
 @pytest.mark.parametrize("level", [3, 4])
@@ -111,7 +151,7 @@ def test_solved_mesh_is_freed():
 
 def test_sparse_linalg_stays_unloaded():
     # Importing the package and solving on a refined mesh, whose coarsest
-    # level is tiny, must not load scipy.sparse.linalg.
+    # level is inverted densely, must not load scipy.sparse.linalg.
     code = ("import sys, numpy as np, semifem\n"
             "from semifem.mesh import preset_polygon, refine_uniform, "
             "triangulate_convex_polygon\n"

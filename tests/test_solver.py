@@ -73,6 +73,12 @@ class TestCg:
         with pytest.raises(IndefiniteSystemError):
             cg_solve(matrix, np.array([1.0, 1.0]))
 
+    def test_negative_curvature_detected(self):
+        # Positive diagonal, but p^T A p = -2 along the first direction (1, -1).
+        matrix = sparse.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(IndefiniteSystemError, match="curvature"):
+            cg_solve(matrix, np.array([1.0, -1.0]))
+
     def test_nonconvergence_raises_with_history(self):
         mesh = square_mesh(3)
         lhs, rhs = apply_dirichlet(assemble_stiffness(mesh),
@@ -242,6 +248,21 @@ class TestSolve:
             assert u.in_dirichlet_space()
             assert stats.final_residual_norm <= cfg.residual_tol
 
+    def test_ascent_correction_raises_with_best_iterate(self, monkeypatch):
+        # Negated CG corrections point uphill: the solve names the Newton
+        # iteration and carries its best iterate, here the start.
+        def ascent(*args, **kwargs):
+            x, used = cg_solve(*args, **kwargs)
+            return -x, used
+        monkeypatch.setattr("semifem.solver.cg_solve", ascent)
+        mesh = pentagon_mesh(2)
+        start = FemFunction.zeros(mesh)
+        with pytest.raises(NewtonError, match="descent.* at Newton iteration 1$") as info:
+            solve_semilinear(mesh, kink_term(), ONE, initial=start)
+        assert info.value.best.mesh is mesh
+        np.testing.assert_array_equal(info.value.best.coeffs, start.coeffs)
+        assert len(info.value.residual_history) == 1
+
 
 class TestLineSearch:
     """The search on phi'(s) = r(u + s delta) . delta, driven by synthetic gradients."""
@@ -338,14 +359,17 @@ class TestNestedStart:
                                     lambda x, y: np.zeros_like(x))
         assert stats.levels == [LevelStats(0, 0, 0), LevelStats(1, 0, 0), LevelStats(2, 1, 0)]
 
-    def test_walk_stops_above_ancestor_without_interior(self):
-        # Two triangles have no interior vertex; their first refinement
-        # has one, at the centre, and is the coarsest mesh solved.
+    def test_walk_reaches_root_without_interior(self):
+        # Two triangles have no interior vertex: the root's solution is
+        # zero without a step, and its first refinement, with one interior
+        # vertex at the centre, starts from it.
         root = TriMesh([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]],
                        [[0, 1, 2], [0, 2, 3]])
         mesh = refine_uniform(refine_uniform(root))
         _, stats = solve_semilinear(mesh, kink_term(), ONE)
-        assert [s.level for s in stats.levels] == [1, 2]
+        assert [s.level for s in stats.levels] == [0, 1, 2]
+        assert stats.levels[0] == LevelStats(0, 0, 0)
+        assert stats.final_residual_norm <= SolverConfig().residual_tol
 
     def test_failed_ancestor_hands_on_best_iterate(self):
         # Levels 3 and 4 need more than 10 steps from their nested starts
