@@ -1,11 +1,13 @@
 import gc
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 from scipy import sparse
 
+from semifem import assembly
 from semifem.assembly import (apply_dirichlet, assemble_load, assemble_mass,
                               assemble_nonlinear_residual, assemble_slope_matrix,
                               assemble_stiffness)
@@ -387,19 +389,20 @@ class TestPatternCache:
             gc.enable()
 
 
-def poisoned(value, call=3, k=5):
-    """PowerLaw() that returns value at entry k of its call-th evaluation."""
+def poisoned(value, call=3, k=5, base=PowerLaw()):
+    """base (a nonlinearity or right-hand side) that returns value at entry k
+    of its call-th evaluation."""
     seen = {"calls": 0}
 
-    def d(x, y, u):
-        out = np.array(PowerLaw()(x, y, u), dtype=float)
+    def poisoned_base(x, y, *u):
+        out = np.array(base(x, y, *u), dtype=float)
         seen["calls"] += 1
         if seen["calls"] == call:
             out[k] = value
             seen["point"] = (x[k], y[k])
         return out
 
-    return d, seen
+    return poisoned_base, seen
 
 
 def reported_point(message):
@@ -428,3 +431,107 @@ def test_nonfinite_slope_weight_rejected(square2, value):
     point = reported_point(str(info.value))
     np.testing.assert_allclose(point, seen["point"], rtol=1e-5)
     locate_point(square2, point)
+
+
+# A block size that splits pentagon level 4 (1280 triangles) into 12 full
+# blocks and a tail of 92.
+SMALL_BLOCK = 99
+
+
+def block_outputs(mesh):
+    """Stiffness, load, reaction residual and slope arrays of one mesh."""
+    d = PowerLaw(scale=50.0, exponent=1 / 3, shift=-1.0)
+    u = interpolate(mesh, lambda x, y: np.sin(3 * x) - 1.0 + 0.01 * y)
+    v = interpolate(mesh, lambda x, y: -1.0 + 0.3 * x * y)
+    quad = seven_point_rule()
+    return (assemble_stiffness(mesh).data,
+            assemble_load(mesh, lambda x, y: np.sin(3 * x) * np.cos(y), quad),
+            assemble_nonlinear_residual(mesh, d, u, quad),
+            assemble_slope_matrix(mesh, d, u, v, 1e-6, quad).data)
+
+
+@pytest.mark.parametrize("make", ["pentagon4", "shuffled"])
+def test_blocks_bitwise_equal_to_one_block(monkeypatch, make):
+    mesh = pentagon(4)
+    if make == "shuffled":
+        mesh = shuffled(mesh)
+    assert mesh.num_triangles % SMALL_BLOCK > 0
+    monkeypatch.setattr(assembly, "BLOCK", mesh.num_triangles)
+    whole = block_outputs(mesh)
+    monkeypatch.setattr(assembly, "BLOCK", SMALL_BLOCK)
+    for blocked, ref in zip(block_outputs(mesh), whole):
+        np.testing.assert_array_equal(blocked, ref)
+
+
+@pytest.mark.parametrize("what", ["right-hand side", "nonlinearity", "slope weight"])
+def test_nonfinite_in_later_block_reported_at_its_point(monkeypatch, what):
+    monkeypatch.setattr(assembly, "BLOCK", SMALL_BLOCK)
+    mesh = pentagon(4)
+    quad = seven_point_rule()
+    u = interpolate(mesh, lambda x, y: x - y)
+    v = interpolate(mesh, lambda x, y: x - y - 0.5)
+    # The slope weight evaluates d twice per quadrature point, at u and v.
+    per_block = len(quad.weights) * (2 if what == "slope weight" else 1)
+    call = 2 * per_block + 5  # an evaluation of block 2
+    if what == "right-hand side":
+        f, seen = poisoned(np.nan, call, base=lambda x, y: np.ones_like(x))
+        run = lambda: assemble_load(mesh, f, quad)
+    else:
+        d, seen = poisoned(np.nan, call)
+        run = {"nonlinearity": lambda: assemble_nonlinear_residual(mesh, d, u, quad),
+               "slope weight": lambda: assemble_slope_matrix(mesh, d, u, v, 1e-6,
+                                                             quad)}[what]
+    with pytest.raises(ValueError, match=f"{what} returned non-finite") as info:
+        run()
+    point = reported_point(str(info.value))
+    np.testing.assert_allclose(point, seen["point"], rtol=1e-5)
+    triangle, _ = locate_point(mesh, point)
+    assert triangle // SMALL_BLOCK == 2
+
+
+def test_negative_slope_weight_in_tail_block_rejected(monkeypatch):
+    monkeypatch.setattr(assembly, "BLOCK", SMALL_BLOCK)
+    mesh = pentagon(4)
+    # d decreases only near the centroid of the last triangle, so the only
+    # negative weight is at that quadrature point of the tail block.
+    centroid = mesh.vertices[mesh.triangles[-1]].mean(axis=0)
+    d = lambda x, y, u: np.where(np.hypot(x - centroid[0], y - centroid[1]) < 1e-3,
+                                 -u, u)
+    up = interpolate(mesh, lambda x, y: np.full_like(x, 1.0))
+    down = interpolate(mesh, lambda x, y: np.full_like(x, 0.0))
+    with pytest.raises(ValueError, match="not monotone") as info:
+        assemble_slope_matrix(mesh, d, up, down, 1e-6, seven_point_rule())
+    np.testing.assert_allclose(reported_point(str(info.value)), centroid,
+                               rtol=1e-5, atol=1e-6)
+
+
+def test_peak_allocation_per_triangle():
+    # Traced peak bytes per triangle at pentagon level 7 (81 920 triangles,
+    # ten blocks), pattern and states built beforehand. One pass over all
+    # triangles at once peaked at 144/156/188/248 B (stiffness/load/
+    # residual/slope); the blocked kernels measured 124/84/87/124 B, the
+    # rest being the output rows and the scatter.
+    mesh = pentagon(7)
+    mesh.matrix_pattern()
+    d = PowerLaw(scale=50.0, exponent=1 / 3, shift=-1.0)
+    u = interpolate(mesh, lambda x, y: np.sin(3 * x) - 1.0 + 0.01 * y)
+    v = interpolate(mesh, lambda x, y: -1.0 + 0.3 * x * y)
+    quad = seven_point_rule()
+    assemblers = {
+        "stiffness": lambda: assemble_stiffness(mesh),
+        "load": lambda: assemble_load(mesh, lambda x, y: np.ones_like(x), quad),
+        "residual": lambda: assemble_nonlinear_residual(mesh, d, u, quad),
+        "slope": lambda: assemble_slope_matrix(mesh, d, u, v, 1e-6, quad),
+    }
+    bounds = {"stiffness": 134, "load": 110, "residual": 110, "slope": 150}
+    peaks = {}
+    for name, assemble in assemblers.items():
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assemble()
+            peaks[name] = (tracemalloc.get_traced_memory()[1] - before) / mesh.num_triangles
+        finally:
+            tracemalloc.stop()
+    over = [name for name, bound in bounds.items() if peaks[name] > bound]
+    assert not over, peaks

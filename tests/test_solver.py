@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy import sparse
+
+import semifem
 
 from semifem.assembly import (apply_dirichlet, assemble_load, assemble_mass,
                               assemble_nonlinear_residual, assemble_stiffness)
@@ -456,8 +462,21 @@ def test_cold_level8_kink_solve_bounded_work():
 
 @pytest.mark.slow
 def test_cold_level9_kink_solve_bounded_work():
-    # 2.6 M triangles; about 7 s and a 690 MiB peak on a 2-CPU VM.
-    check_cold_kink_solve_bounded_work(9)
+    # 2.6 M triangles, about 7 s on a 2-CPU VM, in a fresh process so that
+    # its peak RSS is the check's own. Refinement alone peaks at 492 MiB;
+    # the whole check peaked at 600-620 MiB with blocked element kernels
+    # (64 Newton steps and 340 CG iterations over the ten meshes) and at
+    # 690-700 MiB when they made one pass over all triangles.
+    script = ("import resource, test_solver\n"
+              "test_solver.check_cold_kink_solve_bounded_work(9)\n"
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    path = [os.path.dirname(__file__), os.path.dirname(os.path.dirname(semifem.__file__))]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    child = subprocess.run([sys.executable, "-c", script], env=env,
+                           capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    peak_mib = int(child.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB
+    assert peak_mib <= 650
 
 
 @pytest.mark.slow
