@@ -3,7 +3,10 @@
 Errors can be measured against a closed-form solution (value plus
 gradient) or against a discrete reference on a nested finer mesh; in the
 discrete case the coarse function is transferred exactly, so the computed
-norms are exact for P1 functions.
+norms are exact for P1 functions. The closed-form norms and the load of
+the Ritz projection walk the elements in the blocks of
+`assembly.element_blocks`, quadrature or lattice points inside each
+block, so their temporaries are of the block's size.
 """
 
 import math
@@ -12,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import (assemble_mass, assemble_stiffness, element_corners,
-                       element_geometry, quadrature_points, scatter_vector)
+from .assembly import (assemble_mass, assemble_stiffness, basis_gradients,
+                       element_blocks, quadrature_points, scatter_vector)
 from .femfunction import FemFunction, prolongate
 from .mesh import TriMesh, mesh_size, preset_polygon, refine_uniform, \
     triangulate_convex_polygon
@@ -61,14 +64,13 @@ def error_l2(u_h, truth, quad=None):
         return _matrix_norm(_nested_difference(u_h, truth), assemble_mass(truth.mesh))
     rule = quad if quad is not None else rule_of_degree(4)
     mesh = u_h.mesh
-    areas = mesh.signed_areas()
-    corners = element_corners(mesh)
-    uloc = u_h.coeffs[mesh.triangles]
     total = 0.0
-    for bary, wq in zip(rule.points, rule.weights):
-        x, y = quadrature_points(corners, bary)
-        diff = uloc @ bary - np.asarray(truth(x, y), dtype=float)
-        total += wq * np.sum(areas * diff * diff)
+    for block, corners, areas in element_blocks(mesh):
+        uloc = u_h.coeffs[mesh.triangles[block]]
+        for bary, wq in zip(rule.points, rule.weights):
+            x, y = quadrature_points(corners, bary)
+            diff = uloc @ bary - np.asarray(truth(x, y), dtype=float)
+            total += wq * np.sum(areas * diff * diff)
     return float(np.sqrt(total))
 
 
@@ -83,17 +85,16 @@ def error_h1semi(u_h, truth, quad=None):
         return _matrix_norm(_nested_difference(u_h, truth), assemble_stiffness(truth.mesh))
     rule = quad if quad is not None else rule_of_degree(4)
     mesh = u_h.mesh
-    corners = element_corners(mesh)
-    areas, grads = element_geometry(mesh, corners)
-    uloc = u_h.coeffs[mesh.triangles]
-    gu = np.einsum("kj,kjd->kd", uloc, grads)
     total = 0.0
-    for bary, wq in zip(rule.points, rule.weights):
-        x, y = quadrature_points(corners, bary)
-        gx, gy = truth(x, y)
-        dx = gu[:, 0] - np.asarray(gx, dtype=float)
-        dy = gu[:, 1] - np.asarray(gy, dtype=float)
-        total += wq * np.sum(areas * (dx * dx + dy * dy))
+    for block, corners, areas in element_blocks(mesh):
+        uloc = u_h.coeffs[mesh.triangles[block]]
+        gux, guy = np.einsum("kj,djk->dk", uloc, basis_gradients(corners, areas))
+        for bary, wq in zip(rule.points, rule.weights):
+            x, y = quadrature_points(corners, bary)
+            gx, gy = truth(x, y)
+            dx = gux - np.asarray(gx, dtype=float)
+            dy = guy - np.asarray(gy, dtype=float)
+            total += wq * np.sum(areas * (dx * dx + dy * dy))
     return float(np.sqrt(total))
 
 
@@ -109,13 +110,14 @@ def error_linf(u_h, truth, lattice_degree=4):
     if lattice_degree < 1:
         raise ValueError("lattice degree must be at least 1")
     mesh = u_h.mesh
-    corners = element_corners(mesh)
-    uloc = u_h.coeffs[mesh.triangles]
+    lattice = _bary_lattice(lattice_degree)
     worst = 0.0
-    for bary in _bary_lattice(lattice_degree):
-        x, y = quadrature_points(corners, bary)
-        diff = uloc @ bary - np.asarray(truth(x, y), dtype=float)
-        worst = max(worst, float(np.max(np.abs(diff))))
+    for block, corners, _ in element_blocks(mesh):
+        uloc = u_h.coeffs[mesh.triangles[block]]
+        for bary in lattice:
+            x, y = quadrature_points(corners, bary)
+            diff = uloc @ bary - np.asarray(truth(x, y), dtype=float)
+            worst = max(worst, float(np.max(np.abs(diff))))
     return worst
 
 
@@ -134,19 +136,18 @@ def ritz_project(mesh, grad_truth, quad=None, cg_tol=1e-12):
         Evaluated as grad_truth(x, y) -> (gx, gy) on coordinate arrays.
     """
     rule = quad if quad is not None else rule_of_degree(4)
-    corners = element_corners(mesh)
-    areas, grads = element_geometry(mesh, corners)
-    local = np.zeros((mesh.num_triangles, 3))
-    for bary, wq in zip(rule.points, rule.weights):
-        x, y = quadrature_points(corners, bary)
-        gx, gy = grad_truth(x, y)
-        gx = np.asarray(gx, dtype=float)
-        gy = np.asarray(gy, dtype=float)
-        local += (wq * areas)[:, None] * (grads[:, :, 0] * gx[:, None]
-                                          + grads[:, :, 1] * gy[:, None])
+    local = np.zeros((3, mesh.num_triangles))
+    for block, corners, areas in element_blocks(mesh):
+        hx, hy = basis_gradients(corners, areas)
+        for bary, wq in zip(rule.points, rule.weights):
+            x, y = quadrature_points(corners, bary)
+            gx, gy = grad_truth(x, y)
+            s = wq * areas
+            for row, hxj, hyj in zip(local[:, block], hx, hy):
+                row += s * (hxj * gx + hyj * gy)
     interior = mesh.interior_vertices
     lhs = assemble_stiffness(mesh)[interior][:, interior]
-    rhs = scatter_vector(mesh, local)[interior]
+    rhs = scatter_vector(mesh, local.T)[interior]
     coeffs = np.zeros(mesh.num_vertices)
     coeffs[interior], _ = cg_solve(lhs, rhs, cg_tol, preconditioner=VCycle(mesh, lhs))
     return FemFunction(mesh, coeffs)

@@ -8,15 +8,18 @@ the CSR data array, so every matrix of one mesh shares the pattern's
 `indptr` and `indices`. Assembly is vectorized over elements and
 deterministic, so repeated runs produce bitwise identical operators.
 
+`element_blocks` is the one walk over the elements: it yields runs of
+`BLOCK` consecutive triangles with their corner coordinates and areas.
 The element kernels (stiffness, load, reaction residual and slope matrix)
-walk the triangles in blocks of `BLOCK` consecutive elements. Per block
-they gather its corner coordinates and nodal values and loop over the
-quadrature points, writing into one preallocated row per element-matrix
-or element-vector entry. Their temporaries are therefore of the block's
+and the closed-form norms and Ritz load of `semifem.analysis` loop over
+it. Per block they gather the nodal values and loop over the quadrature
+points, writing into one preallocated row per element-matrix or
+element-vector entry. Their temporaries are therefore of the block's
 size, not the element count's, and stay in cache; only the output rows
 and the final scatter are of the element count's size. Every element's
 arithmetic is the same as in a single pass over all triangles, so the
-result does not depend on `BLOCK`.
+assembled result does not depend on `BLOCK`. The load and the reaction
+residual are one kernel, `_hat_integrals`.
 """
 
 import numpy as np
@@ -39,37 +42,12 @@ _UPPER = [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)]
 _MASS_UPPER = np.array([2.0 if a == b else 1.0 for a, b in _UPPER]) / 12.0
 
 
-def element_corners(mesh):
-    """Corner coordinates of every triangle, shape (2, nt, 3).
+def basis_gradients(corners, areas):
+    """P1 basis gradients of shape (2, 3, n) of n elements' corners and areas.
 
-    corners[0][k, j] and corners[1][k, j] are the x and y coordinates of
-    local vertex j of triangle k.
+    grads[d, j, k] is component d (x, then y) of the gradient of the hat
+    function of local vertex j on element k.
     """
-    return np.take(np.ascontiguousarray(mesh.vertices.T), mesh.triangles, axis=1)
-
-
-def element_geometry(mesh, corners):
-    """Areas and constant P1 basis gradients per element.
-
-    Parameters
-    ----------
-    mesh : TriMesh
-    corners : ndarray
-        The mesh's `element_corners`.
-
-    Returns
-    -------
-    (ndarray, ndarray)
-        Areas of shape (nt,) and gradients of shape (nt, 3, 2) where
-        grads[k, j] is the gradient of the hat function of local vertex j
-        on triangle k.
-    """
-    areas = mesh.signed_areas()
-    return areas, _gradients(corners, areas).transpose(2, 1, 0)
-
-
-def _gradients(corners, areas):
-    """P1 basis gradients of shape (2, 3, n) of n elements' corners and areas."""
     cx, cy = corners
     grads = np.empty((2, 3, areas.size))
     for j in range(3):
@@ -91,11 +69,13 @@ def scatter_vector(mesh, local):
                        minlength=mesh.num_vertices)
 
 
-def _blocks(mesh):
+def element_blocks(mesh):
     """Yield (block, corners, areas) for each run of `BLOCK` triangles.
 
     block is the slice of the run's triangles, corners their coordinates
-    in the layout of `element_corners` and areas their signed areas.
+    of shape (2, n, 3), corners[0][k, j] and corners[1][k, j] being the x
+    and y coordinates of local vertex j of the run's triangle k, and areas
+    their signed areas.
     """
     vertices = np.ascontiguousarray(mesh.vertices.T)
     areas = mesh.signed_areas()
@@ -150,8 +130,8 @@ def assemble_stiffness(mesh):
 def _stiffness_upper(mesh):
     """Element stiffness entries in the layout of `_pattern_matrix`."""
     upper = np.empty((len(_UPPER), mesh.num_triangles))
-    for block, corners, areas in _blocks(mesh):
-        gx, gy = _gradients(corners, areas)
+    for block, corners, areas in element_blocks(mesh):
+        gx, gy = basis_gradients(corners, areas)
         for row, (a, b) in zip(upper[:, block], _UPPER):
             row[:] = (gx[a] * gx[b] + gy[a] * gy[b]) * areas
     return upper
@@ -178,16 +158,8 @@ def assemble_load(mesh, f, quad):
         If f is non-finite at any quadrature point; the message carries
         the physical location.
     """
-    local = np.zeros((3, mesh.num_triangles))
-    for block, corners, areas in _blocks(mesh):
-        for bary, w in zip(quad.points, quad.weights):
-            x, y = quadrature_points(corners, bary)
-            fq = np.broadcast_to(np.asarray(f(x, y), dtype=float), x.shape)
-            _check_finite(fq, x, y, "right-hand side")
-            s = w * areas * fq
-            for row, weight in zip(local[:, block], bary):
-                row += weight * s
-    return scatter_vector(mesh, local.T)
+    return _hat_integrals(mesh, lambda x, y, u: f(x, y), np.zeros(mesh.num_vertices),
+                          quad, "right-hand side")
 
 
 def assemble_nonlinear_residual(mesh, d, u, quad):
@@ -202,15 +174,22 @@ def assemble_nonlinear_residual(mesh, d, u, quad):
         If d is non-finite at any quadrature point; the message carries
         the physical location.
     """
+    return _hat_integrals(mesh, d, u.coeffs, quad, "nonlinearity")
+
+
+def _hat_integrals(mesh, g, coeffs, quad, what):
+    """Integrals of g(x, y, u_h) against every hat, u_h with nodal values coeffs.
+
+    A non-finite value of g raises ValueError naming `what` and the point.
+    """
     local = np.zeros((3, mesh.num_triangles))
-    for block, corners, areas in _blocks(mesh):
-        uloc = u.coeffs[mesh.triangles[block]]
+    for block, corners, areas in element_blocks(mesh):
+        uloc = coeffs[mesh.triangles[block]]
         for bary, w in zip(quad.points, quad.weights):
             x, y = quadrature_points(corners, bary)
-            uq = uloc @ bary
-            dq = np.broadcast_to(np.asarray(d(x, y, uq), dtype=float), x.shape)
-            _check_finite(dq, x, y, "nonlinearity")
-            s = w * areas * dq
+            gq = np.broadcast_to(np.asarray(g(x, y, uloc @ bary), dtype=float), x.shape)
+            _check_finite(gq, x, y, what)
+            s = w * areas * gq
             for row, weight in zip(local[:, block], bary):
                 row += weight * s
     return scatter_vector(mesh, local.T)
@@ -242,7 +221,7 @@ def assemble_slope_matrix(mesh, d, u, v, floor, quad):
 def _slope_upper(mesh, d, u, v, floor, quad):
     """Element slope-matrix entries in the layout of `_pattern_matrix`."""
     upper = np.zeros((len(_UPPER), mesh.num_triangles))
-    for block, corners, areas in _blocks(mesh):
+    for block, corners, areas in element_blocks(mesh):
         tri = mesh.triangles[block]
         uloc = u.coeffs[tri]
         vloc = v.coeffs[tri]

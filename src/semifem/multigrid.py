@@ -77,6 +77,8 @@ class VCycle:
             weight = min(SMOOTHING_WEIGHT, 1.9 / gershgorin) / diag
             self._levels.append((a, weight, p, restriction))
             a = restriction @ (a @ p)
+            # The product's rows are unsorted, and the matvecs sum in index order.
+            a.sort_indices()
             mesh = mesh.parent
         self._coarse_solve = _exact_solver(a)
 

@@ -7,7 +7,7 @@ from semifem.analysis import (ExactSolution, StudyError, eoc, eoc_log_corrected,
                               error_h1semi, error_l2, error_linf, ritz_project,
                               run_convergence_study)
 from semifem.assembly import apply_dirichlet, assemble_stiffness, \
-    element_corners, element_geometry, quadrature_points, scatter_vector
+    basis_gradients, quadrature_points, scatter_vector
 from semifem.femfunction import FemFunction, interpolate, prolongate
 from semifem.mesh import preset_polygon, refine_uniform, triangulate_convex_polygon
 from semifem.nonlinearity import PowerLaw
@@ -24,6 +24,13 @@ def sine(x, y):
 def sine_grad(x, y):
     return (PI * np.cos(PI * x) * np.sin(PI * y),
             PI * np.sin(PI * x) * np.cos(PI * y))
+
+
+def whole_mesh_geometry(mesh):
+    """Corners, areas and basis gradients of all triangles at once, unblocked."""
+    corners = np.take(mesh.vertices.T, mesh.triangles, axis=1)
+    areas = mesh.signed_areas()
+    return corners, areas, basis_gradients(corners, areas)
 
 
 def square_mesh(level):
@@ -120,8 +127,8 @@ class TestRitz:
         hat = np.zeros(mesh.num_vertices)
         hat[v] = 1.0
         u = FemFunction(mesh, hat)
-        areas, grads = element_geometry(mesh, element_corners(mesh))
-        cell_grad = np.einsum("kj,kjd->kd", hat[mesh.triangles], grads)
+        _, _, grads = whole_mesh_geometry(mesh)
+        cell_grad = np.einsum("kj,djk->kd", hat[mesh.triangles], grads)
 
         def hat_grad(x, y):
             from semifem.mesh import locate_point
@@ -145,15 +152,13 @@ class TestRitz:
         tol = 1e-12
         r = ritz_project(mesh, sine_grad, cg_tol=tol)
         rule = rule_of_degree(4)
-        corners = element_corners(mesh)
-        areas, grads = element_geometry(mesh, corners)
-        local = np.zeros((mesh.num_triangles, 3))
+        corners, areas, (hx, hy) = whole_mesh_geometry(mesh)
+        local = np.zeros((3, mesh.num_triangles))
         for bary, wq in zip(rule.points, rule.weights):
             x, y = quadrature_points(corners, bary)
             gx, gy = sine_grad(x, y)
-            local += (wq * areas)[:, None] * (grads[:, :, 0] * gx[:, None]
-                                              + grads[:, :, 1] * gy[:, None])
-        rhs = scatter_vector(mesh, local)
+            local += wq * areas * (hx * gx + hy * gy)
+        rhs = scatter_vector(mesh, local.T)
         lhs, crhs = apply_dirichlet(assemble_stiffness(mesh), rhs, mesh)
         defect = crhs - lhs @ r.coeffs
         assert np.linalg.norm(defect[~mesh.boundary_vertex]) <= \

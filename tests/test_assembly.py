@@ -8,6 +8,7 @@ import pytest
 from scipy import sparse
 
 from semifem import assembly
+from semifem.analysis import error_h1semi, error_l2, error_linf, ritz_project
 from semifem.assembly import (apply_dirichlet, assemble_load, assemble_mass,
                               assemble_nonlinear_residual, assemble_slope_matrix,
                               assemble_stiffness)
@@ -438,16 +439,28 @@ def test_nonfinite_slope_weight_rejected(square2, value):
 SMALL_BLOCK = 99
 
 
+def smooth_value(x, y):
+    return np.sin(3 * x) * np.cos(y)
+
+
+def smooth_grad(x, y):
+    return 3 * np.cos(3 * x) * np.cos(y), -np.sin(3 * x) * np.sin(y)
+
+
 def block_outputs(mesh):
-    """Stiffness, load, reaction residual and slope arrays of one mesh."""
+    """Assembled arrays, closed-form errors and Ritz projection of one mesh."""
     d = PowerLaw(scale=50.0, exponent=1 / 3, shift=-1.0)
     u = interpolate(mesh, lambda x, y: np.sin(3 * x) - 1.0 + 0.01 * y)
     v = interpolate(mesh, lambda x, y: -1.0 + 0.3 * x * y)
     quad = seven_point_rule()
-    return (assemble_stiffness(mesh).data,
-            assemble_load(mesh, lambda x, y: np.sin(3 * x) * np.cos(y), quad),
-            assemble_nonlinear_residual(mesh, d, u, quad),
-            assemble_slope_matrix(mesh, d, u, v, 1e-6, quad).data)
+    return {"stiffness": assemble_stiffness(mesh).data,
+            "load": assemble_load(mesh, smooth_value, quad),
+            "residual": assemble_nonlinear_residual(mesh, d, u, quad),
+            "slope": assemble_slope_matrix(mesh, d, u, v, 1e-6, quad).data,
+            "linf": error_linf(u, smooth_value),
+            "ritz": ritz_project(mesh, smooth_grad).coeffs,
+            "l2": error_l2(u, smooth_value),
+            "h1": error_h1semi(u, smooth_grad)}
 
 
 @pytest.mark.parametrize("make", ["pentagon4", "shuffled"])
@@ -459,8 +472,13 @@ def test_blocks_bitwise_equal_to_one_block(monkeypatch, make):
     monkeypatch.setattr(assembly, "BLOCK", mesh.num_triangles)
     whole = block_outputs(mesh)
     monkeypatch.setattr(assembly, "BLOCK", SMALL_BLOCK)
-    for blocked, ref in zip(block_outputs(mesh), whole):
-        np.testing.assert_array_equal(blocked, ref)
+    blocked = block_outputs(mesh)
+    for name, ref in whole.items():
+        if name in ("l2", "h1"):
+            # Their sums are grouped per block, which moves the last bits.
+            np.testing.assert_allclose(blocked[name], ref, rtol=1e-14, atol=0.0)
+        else:
+            np.testing.assert_array_equal(blocked[name], ref)
 
 
 @pytest.mark.parametrize("what", ["right-hand side", "nonlinearity", "slope weight"])
@@ -507,12 +525,15 @@ def test_negative_slope_weight_in_tail_block_rejected(monkeypatch):
 
 def test_peak_allocation_per_triangle():
     # Traced peak bytes per triangle at pentagon level 7 (81 920 triangles,
-    # ten blocks), pattern and states built beforehand. One pass over all
-    # triangles at once peaked at 144/156/188/248 B (stiffness/load/
-    # residual/slope); the blocked kernels measured 124/84/87/124 B, the
-    # rest being the output rows and the scatter.
+    # ten blocks), pattern, prolongations and states built beforehand. One
+    # pass over all triangles at once peaked at 144/156/188/248 B
+    # (stiffness/load/residual/slope) and 120/208/120/276 B (L2/H1/max
+    # errors against a callable truth, Ritz projection); the blocked walk
+    # measures 124/91/87/124 B and 25/29/25/162 B, the rest being the
+    # output rows, the scatter and, for the projection, its solve.
     mesh = pentagon(7)
     mesh.matrix_pattern()
+    ritz_project(mesh, smooth_grad)
     d = PowerLaw(scale=50.0, exponent=1 / 3, shift=-1.0)
     u = interpolate(mesh, lambda x, y: np.sin(3 * x) - 1.0 + 0.01 * y)
     v = interpolate(mesh, lambda x, y: -1.0 + 0.3 * x * y)
@@ -522,8 +543,13 @@ def test_peak_allocation_per_triangle():
         "load": lambda: assemble_load(mesh, lambda x, y: np.ones_like(x), quad),
         "residual": lambda: assemble_nonlinear_residual(mesh, d, u, quad),
         "slope": lambda: assemble_slope_matrix(mesh, d, u, v, 1e-6, quad),
+        "l2": lambda: error_l2(u, smooth_value),
+        "h1": lambda: error_h1semi(u, smooth_grad),
+        "linf": lambda: error_linf(u, smooth_value),
+        "ritz": lambda: ritz_project(mesh, smooth_grad),
     }
-    bounds = {"stiffness": 134, "load": 110, "residual": 110, "slope": 150}
+    bounds = {"stiffness": 134, "load": 110, "residual": 110, "slope": 150,
+              "l2": 48, "h1": 56, "linf": 48, "ritz": 200}
     peaks = {}
     for name, assemble in assemblers.items():
         tracemalloc.start()

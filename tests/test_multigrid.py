@@ -55,6 +55,19 @@ def test_vcycle_symmetric_positive():
     assert r @ cycle(r) > 0.0
 
 
+def test_smoothed_operators_have_sorted_indices():
+    # restriction @ (a @ p) returns rows with unsorted column indices. The
+    # cycle sorts them itself, not as a side effect of abs(a), which sorts
+    # a in place while taking the Gershgorin bound.
+    mesh = pentagon_mesh(6)
+    lhs, _ = poisson(mesh)
+    levels = VCycle(mesh, lhs)._levels
+    assert len(levels) == 3
+    for a, _, _, _ in levels:
+        rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+        assert np.all(np.diff(rows * a.shape[1] + a.indices) > 0)
+
+
 def test_vcycle_positive_definite_on_steep_jacobian():
     # Newton Jacobian of a steep term at an iterate whose values straddle
     # the kink u = -1 at distances 1e-6.5 to 1e-4. Its slope-weighted
