@@ -158,8 +158,7 @@ def assemble_load(mesh, f, quad):
         If f is non-finite at any quadrature point; the message carries
         the physical location.
     """
-    return _hat_integrals(mesh, lambda x, y, u: f(x, y), np.zeros(mesh.num_vertices),
-                          quad, "right-hand side")
+    return _hat_integrals(mesh, f, None, quad, "right-hand side")
 
 
 def assemble_nonlinear_residual(mesh, d, u, quad):
@@ -180,14 +179,17 @@ def assemble_nonlinear_residual(mesh, d, u, quad):
 def _hat_integrals(mesh, g, coeffs, quad, what):
     """Integrals of g(x, y, u_h) against every hat, u_h with nodal values coeffs.
 
-    A non-finite value of g raises ValueError naming `what` and the point.
+    With coeffs None, g is called as g(x, y), and no nodal values are
+    gathered or interpolated. A non-finite value of g raises ValueError
+    naming `what` and the point.
     """
     local = np.zeros((3, mesh.num_triangles))
     for block, corners, areas in element_blocks(mesh):
-        uloc = coeffs[mesh.triangles[block]]
+        uloc = None if coeffs is None else coeffs[mesh.triangles[block]]
         for bary, w in zip(quad.points, quad.weights):
             x, y = quadrature_points(corners, bary)
-            gq = np.broadcast_to(np.asarray(g(x, y, uloc @ bary), dtype=float), x.shape)
+            gq = g(x, y) if uloc is None else g(x, y, uloc @ bary)
+            gq = np.broadcast_to(np.asarray(gq, dtype=float), x.shape)
             _check_finite(gq, x, y, what)
             s = w * areas * gq
             for row, weight in zip(local[:, block], bary):

@@ -16,6 +16,7 @@ not, gets a one-level hierarchy, where the cycle is the exact solve.
 from functools import partial
 
 import numpy as np
+from scipy import sparse
 
 # Damped Jacobi with weight omega: each sweep contracts in the energy norm,
 # and the symmetric cycle is positive definite, when omega * lambda_max(D^-1 A)
@@ -73,7 +74,8 @@ class VCycle:
             if p.shape[1] == 0:
                 break
             diag = a.diagonal()
-            gershgorin = np.max(abs(a) @ np.ones(a.shape[0]) / diag)
+            magnitudes = sparse.csr_matrix((np.abs(a.data), a.indices, a.indptr), shape=a.shape)
+            gershgorin = np.max(magnitudes @ np.ones(a.shape[0]) / diag)
             weight = min(SMOOTHING_WEIGHT, 1.9 / gershgorin) / diag
             self._levels.append((a, weight, p, restriction))
             a = restriction @ (a @ p)

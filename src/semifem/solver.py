@@ -15,13 +15,15 @@ iteration count stays bounded as the mesh is refined. Steps are globalized
 by a regula falsi search on the directional derivative of the convex energy
 whose gradient is the residual (`_line_search`). A solve without an initial
 iterate starts by nested iteration: it solves on the mesh's ancestors first,
-from the root, coarse to fine, and starts each finer mesh from the
-prolongated solution of the coarser one.
+from the root, coarse to fine, each only to a fixed fraction of its starting
+residual, and starts each finer mesh from the prolongated solution of the
+coarser one.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 # apply_dirichlet and assemble_mass are unused here; they stay importable
 # because benchmarks/tracing.py wraps solver.apply_dirichlet and
@@ -35,6 +37,17 @@ from .quadrature import edge_midpoint_rule, rule_of_degree
 
 LINE_SEARCH_RESIDUALS = 5
 LINE_SEARCH_REDUCTION = 0.25
+
+# An ancestor of a cold solve only supplies the next mesh's start, so its
+# Newton loop stops once its scaled residual has fallen to this fraction of
+# its own starting one (or to residual_tol, if that is larger). Each mesh of
+# the pentagon kink problem starts about 4 times above the next one's start,
+# so an ancestor left 1e4 below its start adds nothing visible to the next.
+# On a cold level-7 kink solve any value from 1e-5 to 1e-3 gave about the
+# same time; at 1e-2 level 7 needed 5 steps instead of 2 and the solve got
+# slower than with every ancestor solved to residual_tol. 1e-4 keeps a
+# factor 100 from that cliff.
+ANCESTOR_REDUCTION = 1e-4
 
 
 class SolverError(RuntimeError):
@@ -259,8 +272,10 @@ def solve_semilinear(mesh, d, f, cfg=None, initial=None):
         below. The root, and a mesh without parent, starts from the
         solution of the linear problem with the reaction frozen at
         d(x, 0); a root without interior vertices has the zero solution
-        and takes no step. An ancestor whose start already meets
-        residual_tol takes no Newton step, and one that raises NewtonError
+        and takes no step. An ancestor only supplies the next mesh's start:
+        its target is max(residual_tol, ANCESTOR_REDUCTION * r0), r0 its
+        own starting scaled residual, so one whose start already meets
+        residual_tol takes no Newton step. One that raises NewtonError
         with a best iterate hands it on.
 
     Returns
@@ -305,10 +320,14 @@ def _newton(mesh, d, f, cfg, start, stats, requested):
     """Damped Newton iteration on one mesh; returns the solution's coefficients.
 
     start holds coefficients on the mesh, of which the interior entries
-    are used, or is None for the frozen-reaction start. Counts are added
-    to stats, and final_residual_norm is set on success. The requested
-    mesh takes at least one step; another mesh takes none when its start
-    already meets the tolerance. Raises NewtonError with the best iterate.
+    are used, or is None for the frozen-reaction start. The loop stops at
+    cfg.residual_tol on the requested mesh, and on any other mesh at
+    max(cfg.residual_tol, ANCESTOR_REDUCTION * r0), r0 the scaled residual
+    of its start. Counts are added to stats, and final_residual_norm is set
+    on success. The requested mesh takes at least one step; another mesh
+    takes none when its start already meets its target. Raises NewtonError
+    with the best iterate when max_newton steps miss the target. The line
+    search is given cfg.residual_tol on every mesh.
     """
     nv = mesh.num_vertices
     interior = mesh.interior_vertices
@@ -356,15 +375,21 @@ def _newton(mesh, d, f, cfg, start, stats, requested):
     res_norm = scaled_norm(res)
     best_norm, best_u = res_norm, u
     tau = cfg.slope_floor
+    target = cfg.residual_tol if requested else max(cfg.residual_tol,
+                                                    ANCESTOR_REDUCTION * res_norm)
 
     for iteration in range(1, cfg.max_newton + 1):
-        if res_norm <= cfg.residual_tol and (iteration > 1 or not requested):
+        if res_norm <= target and (iteration > 1 or not requested):
             break
         stats.newton_iterations += 1
         slope = assemble_slope_matrix(
             mesh, d, FemFunction(mesh, u + tau), FemFunction(mesh, u - tau),
             cfg.slope_floor, quad)
-        delta[interior] = correction(stiffness + slope, -res[interior])
+        # Both matrices lie on the mesh's pattern, so their sum is one data
+        # add; unlike scipy's `+` it keeps entries that sum to exactly zero.
+        jacobian = sparse.csr_matrix((stiffness.data + slope.data, stiffness.indices,
+                                      stiffness.indptr), shape=stiffness.shape)
+        delta[interior] = correction(jacobian, -res[interior])
         try:
             step, u, res = _line_search(residual, u, delta, res, cfg.residual_tol, scale)
         except NewtonError as exc:
@@ -376,10 +401,10 @@ def _newton(mesh, d, f, cfg, start, stats, requested):
         if res_norm < best_norm:
             best_norm, best_u = res_norm, u
 
-    if res_norm > cfg.residual_tol:
+    if res_norm > target:
         raise NewtonError(
             f"no convergence within {cfg.max_newton} Newton iterations "
-            f"(residual {res_norm:.3e}, target {cfg.residual_tol:g})",
+            f"(residual {res_norm:.3e}, target {target:g})",
             residual_history=stats.residual_history,
             best=FemFunction(mesh, best_u))
 

@@ -529,8 +529,9 @@ def test_peak_allocation_per_triangle():
     # pass over all triangles at once peaked at 144/156/188/248 B
     # (stiffness/load/residual/slope) and 120/208/120/276 B (L2/H1/max
     # errors against a callable truth, Ritz projection); the blocked walk
-    # measures 124/91/87/124 B and 25/29/25/162 B, the rest being the
-    # output rows, the scatter and, for the projection, its solve.
+    # measures 124/84/87/124 B and 25/29/25/162 B, the rest being the
+    # output rows, the scatter and, for the projection, its solve. The
+    # load gathers no nodal values (91 B when it interpolated zeros).
     mesh = pentagon(7)
     mesh.matrix_pattern()
     ritz_project(mesh, smooth_grad)

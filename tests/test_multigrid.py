@@ -57,8 +57,8 @@ def test_vcycle_symmetric_positive():
 
 def test_smoothed_operators_have_sorted_indices():
     # restriction @ (a @ p) returns rows with unsorted column indices. The
-    # cycle sorts them itself, not as a side effect of abs(a), which sorts
-    # a in place while taking the Gershgorin bound.
+    # cycle must sort them itself: its Gershgorin bound reads only a's data
+    # and leaves the index order alone.
     mesh = pentagon_mesh(6)
     lhs, _ = poisson(mesh)
     levels = VCycle(mesh, lhs)._levels

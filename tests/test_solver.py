@@ -15,9 +15,10 @@ from semifem.mesh import (TriMesh, preset_polygon, refine_uniform,
                           triangulate_convex_polygon)
 from semifem.nonlinearity import PowerLaw, cut
 from semifem.quadrature import edge_midpoint_rule, rule_of_degree
-from semifem.solver import (LINE_SEARCH_REDUCTION, LINE_SEARCH_RESIDUALS, CgError,
-                            IndefiniteSystemError, LevelStats, NewtonError, SolverConfig,
-                            _line_search, cg_solve, solve_semilinear, verify_uniform_bound)
+from semifem.solver import (ANCESTOR_REDUCTION, LINE_SEARCH_REDUCTION, LINE_SEARCH_RESIDUALS,
+                            CgError, IndefiniteSystemError, LevelStats, NewtonError,
+                            SolverConfig, _line_search, cg_solve, solve_semilinear,
+                            verify_uniform_bound)
 
 
 def square_mesh(level):
@@ -37,6 +38,12 @@ def pentagon_mesh(level):
 def parentless(mesh):
     """The same triangulation as a root mesh, as `read_mesh` returns it."""
     return TriMesh(mesh.vertices, mesh.triangles)
+
+
+def level_histories(stats):
+    """stats.residual_history split per mesh: its start, then one per step."""
+    ends = np.cumsum([s.newton_iterations + 1 for s in stats.levels])
+    return np.split(np.asarray(stats.residual_history), ends[:-1])
 
 
 def kink_term():
@@ -378,15 +385,42 @@ class TestNestedStart:
         assert stats.final_residual_norm <= SolverConfig().residual_tol
 
     def test_failed_ancestor_hands_on_best_iterate(self):
-        # Levels 3 and 4 need more than 10 steps from their nested starts
-        # (11 and 19); the level-5 solve still converges from their best.
-        cfg = SolverConfig(max_newton=10)
+        # Without a cap levels 3 and 4 take 7 and 5 steps to their targets.
+        # With 5, level 3 misses its target and hands on its best iterate,
+        # level 4 meets its target on the last step allowed, and the
+        # level-5 solve still converges in 5 steps. With 4 the level-5
+        # solve itself ends at 4.1e-10.
+        cfg = SolverConfig(max_newton=5)
         mesh = pentagon_mesh(5)
         u, stats = solve_semilinear(mesh, kink_term(), ONE, cfg)
-        assert [s.newton_iterations for s in stats.levels[3:5]] == [10, 10]
+        assert [s.newton_iterations for s in stats.levels[3:5]] == [5, 5]
+        level3 = level_histories(stats)[3]
+        assert level3[-1] > ANCESTOR_REDUCTION * level3[0]
         assert stats.levels[-1].level == 5
         assert stats.final_residual_norm <= cfg.residual_tol
         assert u.mesh is mesh
+
+    def test_ancestors_stop_at_their_relative_target(self):
+        # Each ancestor stops at the first residual at or below
+        # max(residual_tol, ANCESTOR_REDUCTION * its starting residual);
+        # the requested mesh goes on to residual_tol.
+        cfg = SolverConfig()
+        _, stats = solve_semilinear(pentagon_mesh(5), kink_term(), ONE, cfg)
+        *ancestors, requested = level_histories(stats)
+        assert len(ancestors) == 5
+        for history in ancestors:
+            target = max(cfg.residual_tol, ANCESTOR_REDUCTION * history[0])
+            assert history[-1] <= target
+            assert all(norm > target for norm in history[:-1])
+        assert requested[-1] <= cfg.residual_tol
+
+    def test_cold_level7_solve_bounded_work(self):
+        # 33 Newton steps in all and 2 on level 7 (62 and 2 when every
+        # ancestor was solved to residual_tol).
+        _, stats = solve_semilinear(pentagon_mesh(7), kink_term(), ONE)
+        assert stats.newton_iterations <= 40
+        assert stats.levels[-1].level == 7
+        assert stats.levels[-1].newton_iterations <= 2
 
 
 class TestUniformBound:
