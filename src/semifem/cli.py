@@ -39,7 +39,7 @@ CONFIG_KEYS = {
     "residual_tol": ("1e-10", "Newton residual tolerance (scaled norm)"),
     "max_newton": ("50", "Newton iteration cap"),
     "slope_floor": ("1e-6", "difference-quotient floor of the linearization"),
-    "cg_tol": ("1e-12", "relative CG tolerance"),
+    "cg_tol": ("1e-12", "floor of each Newton correction's relative CG tolerance"),
     "quad_degree": ("5", "quadrature degree for the nonlinear terms, 0 to 5"),
     "output": (None, "output path; also settable with --output"),
 }
@@ -276,6 +276,7 @@ def cmd_solve(args):
     write_function(u, out)
     print(f"ndof={mesh.interior_vertices.size} "
           f"newton_iterations={stats.newton_iterations} "
+          f"cg_iterations={stats.total_cg_iterations} "
           f"final_residual={stats.final_residual_norm:.9e}")
     print(f"wrote {out}")
     return EXIT_OK

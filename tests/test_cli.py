@@ -4,6 +4,7 @@ import pytest
 from semifem.cli import main
 from semifem.femfunction import read_function
 from semifem.mesh import preset_polygon, read_mesh, triangulate_convex_polygon
+from semifem.solver import solve_semilinear
 
 KINK_CONFIG = """
 # kink problem on the worst-angle pentagon
@@ -91,6 +92,20 @@ class TestSolveCommand:
         printed = capsys.readouterr().out
         residual = float(printed.split("final_residual=")[1].split()[0])
         assert residual <= 1e-10
+
+    def test_prints_cg_iterations_of_the_solve(self, tmp_path, capsys, monkeypatch):
+        solves = []
+
+        def recorded(*args, **kwargs):
+            solves.append(solve_semilinear(*args, **kwargs))
+            return solves[-1]
+        monkeypatch.setattr("semifem.cli.solve_semilinear", recorded)
+        cfg = write(tmp_path, "kink.cfg", KINK_CONFIG)
+        assert main(["solve", "--config", cfg, "--output", str(tmp_path / "u.txt")]) == 0
+        printed = capsys.readouterr().out
+        (_, stats), = solves
+        assert f" cg_iterations={stats.total_cg_iterations} final_residual=" in printed
+        assert stats.total_cg_iterations > 0
 
     def test_solve_on_mesh_file(self, tmp_path, capsys):
         mesh_file = str(tmp_path / "mesh.txt")

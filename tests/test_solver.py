@@ -10,14 +10,14 @@ import semifem
 
 from semifem.assembly import (apply_dirichlet, assemble_load, assemble_mass,
                               assemble_nonlinear_residual, assemble_stiffness)
-from semifem.femfunction import FemFunction, interpolate
+from semifem.femfunction import FemFunction, interpolate, prolongate
 from semifem.mesh import (TriMesh, preset_polygon, refine_uniform,
                           triangulate_convex_polygon)
 from semifem.nonlinearity import PowerLaw, cut
 from semifem.quadrature import edge_midpoint_rule, rule_of_degree
-from semifem.solver import (ANCESTOR_REDUCTION, LINE_SEARCH_REDUCTION, LINE_SEARCH_RESIDUALS,
-                            CgError, IndefiniteSystemError, LevelStats, NewtonError,
-                            SolverConfig, _line_search, cg_solve, solve_semilinear,
+from semifem.solver import (ANCESTOR_REDUCTION, FORCING, LINE_SEARCH_REDUCTION,
+                            LINE_SEARCH_RESIDUALS, CgError, IndefiniteSystemError, LevelStats,
+                            NewtonError, SolverConfig, _line_search, cg_solve, solve_semilinear,
                             verify_uniform_bound)
 
 
@@ -241,6 +241,7 @@ class TestSolve:
         cfg = SolverConfig()
         _, stats = solve_semilinear(mesh, kink_term(), ONE, cfg)
         assert len(stats.cg_residuals) == stats.newton_iterations + 1
+        # Forcing allows looser steps, but on level 3 the cycle is the exact dense inverse.
         assert max(stats.cg_residuals) <= 10 * cfg.cg_tol
 
     def test_random_convex_domains(self):
@@ -421,6 +422,74 @@ class TestNestedStart:
         assert stats.newton_iterations <= 40
         assert stats.levels[-1].level == 7
         assert stats.levels[-1].newton_iterations <= 2
+
+
+def forcing_rules(stats, cfg):
+    """Per Newton step, in call order, FORCING * min(target, r_k) / r_k.
+
+    r_k is the step's starting scaled residual and target its mesh's own
+    Newton target; a step at r_k = 0 gets 0. The step's CG tolerance is
+    the larger of this rule and cg_tol.
+    """
+    *ancestors, requested = level_histories(stats)
+    targets = [max(cfg.residual_tol, ANCESTOR_REDUCTION * h[0]) for h in ancestors]
+    return [FORCING * min(target, r) / r if r > 0.0 else 0.0
+            for history, target in zip([*ancestors, requested], [*targets, cfg.residual_tol])
+            for r in history[:-1]]
+
+
+def within_tolerance(residual, tol):
+    """residual <= tol up to rounding in the division ||A x - b|| / ||b||."""
+    return residual <= tol * (1.0 + 1e-12)
+
+
+class TestForcing:
+    def warm_level6(self, cfg):
+        """Pentagon level-6 kink solve from the prolongated level-5 solution."""
+        coarse, _ = solve_semilinear(pentagon_mesh(5), kink_term(), ONE, cfg)
+        mesh = refine_uniform(coarse.mesh)
+        return solve_semilinear(mesh, kink_term(), ONE, cfg, initial=prolongate(coarse, mesh))
+
+    def test_warm_corrections_stop_at_the_forcing_tolerance(self):
+        cfg = SolverConfig()
+        _, stats = self.warm_level6(cfg)
+        rules = forcing_rules(stats, cfg)
+        assert len(stats.cg_residuals) == len(rules) == stats.newton_iterations
+        assert all(within_tolerance(res, max(cfg.cg_tol, rule))
+                   for res, rule in zip(stats.cg_residuals, rules))
+        # The first step starts far above residual_tol: its correction is
+        # solved only to about 3e-10, not to cg_tol.
+        assert stats.cg_residuals[0] > cfg.cg_tol
+        assert stats.final_residual_norm <= cfg.residual_tol
+
+    def test_cold_level6_keeps_newton_steps_with_fewer_cg_iterations(self):
+        # With every correction solved to cg_tol the same steps took 134 CG
+        # iterations; with forcing they take 55.
+        _, stats = solve_semilinear(pentagon_mesh(6), kink_term(), ONE)
+        assert [s.newton_iterations for s in stats.levels] == [4, 6, 5, 7, 5, 3, 3]
+        assert stats.total_cg_iterations < 134
+
+    def test_floor_wins_over_a_tighter_rule(self):
+        cfg = SolverConfig(cg_tol=1e-3)
+        _, stats = solve_semilinear(pentagon_mesh(5), kink_term(), ONE, cfg)
+        assert stats.final_residual_norm <= cfg.residual_tol
+        # The frozen-reaction start is solved to cg_tol, each step to the
+        # larger of cg_tol and its rule; some stop above their rule.
+        frozen, *steps = stats.cg_residuals
+        rules = forcing_rules(stats, cfg)
+        assert len(steps) == len(rules)
+        assert within_tolerance(frozen, cfg.cg_tol)
+        assert all(within_tolerance(res, max(cfg.cg_tol, rule))
+                   for res, rule in zip(steps, rules))
+        assert any(res > rule for res, rule in zip(steps, rules))
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_residual_takes_the_floor_without_dividing(self):
+        # The zero problem's requested mesh takes its one step at residual 0.
+        _, stats = solve_semilinear(square_mesh(2), PowerLaw(weight=0.0),
+                                    lambda x, y: np.zeros_like(x))
+        assert stats.residual_history[-2:] == [0.0, 0.0]
+        assert stats.newton_iterations == 1
 
 
 class TestUniformBound:
