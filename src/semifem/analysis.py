@@ -146,10 +146,10 @@ def ritz_project(mesh, grad_truth, quad=None, cg_tol=1e-12):
             for row, hxj, hyj in zip(local[:, block], hx, hy):
                 row += s * (hxj * gx + hyj * gy)
     interior = mesh.interior_vertices
-    lhs = assemble_stiffness(mesh)[interior][:, interior]
     rhs = scatter_vector(mesh, local.T)[interior]
+    cycle = VCycle(mesh, assemble_stiffness(mesh))
     coeffs = np.zeros(mesh.num_vertices)
-    coeffs[interior], _ = cg_solve(lhs, rhs, cg_tol, preconditioner=VCycle(mesh, lhs))
+    coeffs[interior], _ = cg_solve(cycle.matrix, rhs, cg_tol, preconditioner=cycle)
     return FemFunction(mesh, coeffs)
 
 

@@ -8,6 +8,14 @@ the CSR data array, so every matrix of one mesh shares the pattern's
 `indptr` and `indices`. Assembly is vectorized over elements and
 deterministic, so repeated runs produce bitwise identical operators.
 
+The element matrices themselves are data too: `stiffness_upper`,
+`mass_upper` and `assemble_slope_matrix(..., rows=True)` return their six
+distinct entries per triangle as (6, nt) rows, and `pattern_matrix`
+scatters such rows. `coarsen_upper` maps the rows of a refined mesh to
+those of the Galerkin product P^T A P on its parent, and `interior_block`
+copies a matrix's block on the interior vertices out of its data by one
+mask; `semifem.multigrid` builds its hierarchy from these.
+
 `element_blocks` is the one walk over the elements: it yields runs of
 `BLOCK` consecutive triangles with their corner coordinates and areas.
 The element kernels (stiffness, load, reaction residual and slope matrix)
@@ -25,6 +33,8 @@ residual are one kernel, `_hat_integrals`.
 import numpy as np
 from scipy import sparse
 
+from .mesh import CHILD_CORNERS
+
 # Negative slope weights beyond this signal a non-monotone nonlinearity.
 SLOPE_WEIGHT_TOL = 1e-12
 
@@ -40,6 +50,33 @@ BLOCK = 8192
 # order of `TriMesh.triangle_edges`, smaller index first.
 _UPPER = [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)]
 _MASS_UPPER = np.array([2.0 if a == b else 1.0 for a, b in _UPPER]) / 12.0
+
+
+def _galerkin_map():
+    """The (6, 24) map from four children's element rows to their parent's.
+
+    Column 4 s + c holds the weights of entry `_UPPER[s]` of child c (of
+    `CHILD_CORNERS`) in the parent's six entries of P^T A P, P the local
+    nodal prolongation from the parent's vertices to its vertices and edge
+    midpoints. Its entries are 0, 1/4, 1/2 and 1.
+    """
+    prolongation = np.zeros((6, 3))
+    for j in range(3):
+        prolongation[j, j] = 1.0
+        prolongation[3 + j, [j, (j + 1) % 3]] = 0.5
+    galerkin = np.zeros((len(_UPPER), len(_UPPER), 4))
+    for c, corners in enumerate(CHILD_CORNERS):
+        p = prolongation[list(corners)]
+        for s, (i, j) in enumerate(_UPPER):
+            # Entry (i, j) of the child's matrix, and (j, i) off the diagonal.
+            weight = np.outer(p[i], p[j])
+            if i != j:
+                weight += weight.T
+            galerkin[:, s, c] = [weight[a, b] for a, b in _UPPER]
+    return galerkin.reshape(len(_UPPER), -1)
+
+
+_GALERKIN = _galerkin_map()
 
 
 def basis_gradients(corners, areas):
@@ -84,23 +121,29 @@ def element_blocks(mesh):
         yield block, np.take(vertices, mesh.triangles[block], axis=1), areas[block]
 
 
-def _pattern_matrix(mesh, upper):
+def pattern_matrix(mesh, upper):
     """Sum symmetric element matrices into a CSR matrix on the mesh's pattern.
 
-    upper has shape (6, nt): row i holds entry `_UPPER[i]` of every
-    element matrix. The diagonal entries are summed per vertex in the
-    order local vertex 0, 1, 2 of triangles 0, 1, ..., and the
+    upper has shape (6, nt): row i holds entry i of every element matrix,
+    in the order (0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2) of its
+    triangle's local vertices. The diagonal entries are summed per vertex
+    in the order local vertex 0, 1, 2 of triangles 0, 1, ..., and the
     off-diagonal ones per edge, whose at most two terms give the same sum
     in either order; each edge sum fills both of its CSR entries.
     """
     indptr, indices, diagonal, off_diagonal = mesh.matrix_pattern()
     nv = mesh.num_vertices
+    vertex_sums = np.zeros(nv)
+    edge_sums = np.zeros(off_diagonal.shape[1])
+    # np.add.at adds in index order, as one bincount over the stacked columns
+    # would, but reads the index columns in place: a bincount needs them
+    # flattened and cast to intp, up to 36 bytes per triangle of temporaries.
+    for j in range(3):
+        np.add.at(vertex_sums, mesh.triangles[:, j], upper[j])
+        np.add.at(edge_sums, mesh.triangle_edges()[:, j], upper[3 + j])
     data = np.empty(indices.size)
-    data[diagonal] = np.bincount(mesh.triangles.T.ravel(), weights=upper[:3].ravel(),
-                                 minlength=nv)
-    data[off_diagonal] = np.bincount(mesh.triangle_edges().T.ravel(),
-                                     weights=upper[3:].ravel(),
-                                     minlength=off_diagonal.shape[1])
+    data[diagonal] = vertex_sums
+    data[off_diagonal] = edge_sums
     mat = sparse.csr_matrix((data, indices, indptr), shape=(nv, nv))
     mat.has_canonical_format = True
     return mat
@@ -124,11 +167,11 @@ def assemble_stiffness(mesh):
     # The pattern is built before the element arrays exist, and those die
     # before the scatter, so neither adds to the peak of the other.
     mesh.matrix_pattern()
-    return _pattern_matrix(mesh, _stiffness_upper(mesh))
+    return pattern_matrix(mesh, stiffness_upper(mesh))
 
 
-def _stiffness_upper(mesh):
-    """Element stiffness entries in the layout of `_pattern_matrix`."""
+def stiffness_upper(mesh):
+    """Element stiffness entries in the layout of `pattern_matrix`."""
     upper = np.empty((len(_UPPER), mesh.num_triangles))
     for block, corners, areas in element_blocks(mesh):
         gx, gy = basis_gradients(corners, areas)
@@ -139,7 +182,12 @@ def _stiffness_upper(mesh):
 
 def assemble_mass(mesh):
     """Unconstrained P1 mass matrix, assembled in closed form per element."""
-    return _pattern_matrix(mesh, np.multiply.outer(_MASS_UPPER, mesh.signed_areas()))
+    return pattern_matrix(mesh, mass_upper(mesh))
+
+
+def mass_upper(mesh):
+    """Element mass entries in the layout of `pattern_matrix`."""
+    return np.multiply.outer(_MASS_UPPER, mesh.signed_areas())
 
 
 def assemble_load(mesh, f, quad):
@@ -197,7 +245,7 @@ def _hat_integrals(mesh, g, coeffs, quad, what):
     return scatter_vector(mesh, local.T)
 
 
-def assemble_slope_matrix(mesh, d, u, v, floor, quad):
+def assemble_slope_matrix(mesh, d, u, v, floor, quad, rows=False):
     """Weighted mass matrix with the floored difference-quotient weight.
 
     At every quadrature point the weight is
@@ -206,7 +254,9 @@ def assemble_slope_matrix(mesh, d, u, v, floor, quad):
 
     which is nonnegative for monotone d and bounded by the floor at the
     kinks of a non-Lipschitz nonlinearity. The result is symmetric
-    positive semidefinite.
+    positive semidefinite. With rows True, the element matrices are
+    returned unassembled, as (6, nt) rows in the layout of
+    `pattern_matrix`, for `multigrid.VCycle` to scatter and coarsen.
 
     Raises
     ------
@@ -217,11 +267,12 @@ def assemble_slope_matrix(mesh, d, u, v, floor, quad):
     """
     if floor <= 0.0:
         raise ValueError(f"slope floor must be positive, got {floor!r}")
-    return _pattern_matrix(mesh, _slope_upper(mesh, d, u, v, floor, quad))
+    upper = _slope_upper(mesh, d, u, v, floor, quad)
+    return upper if rows else pattern_matrix(mesh, upper)
 
 
 def _slope_upper(mesh, d, u, v, floor, quad):
-    """Element slope-matrix entries in the layout of `_pattern_matrix`."""
+    """Element slope-matrix entries in the layout of `pattern_matrix`."""
     upper = np.zeros((len(_UPPER), mesh.num_triangles))
     for block, corners, areas in element_blocks(mesh):
         tri = mesh.triangles[block]
@@ -245,6 +296,44 @@ def _slope_upper(mesh, d, u, v, floor, quad):
             for row, (a, c) in zip(upper[:, block], _UPPER):
                 row += (bary[a] * bary[c]) * s
     return upper
+
+
+def coarsen_upper(upper):
+    """Element rows of the Galerkin product P^T A P on the parent of a refined mesh.
+
+    upper holds the element rows of A, in the layout of `pattern_matrix`,
+    on a mesh made by `refine_uniform`, whose triangles 4k..4k+3 are the
+    children of parent triangle k (`TriMesh.prolongation` checks this).
+    P being the nodal prolongation, each parent element matrix of P^T A P
+    is a fixed linear map of its four children's element matrices, so the
+    returned (6, nt / 4) rows, scattered by `pattern_matrix` on the parent,
+    give P^T A P. The children are read in blocks of `BLOCK`, so no copy of
+    the whole input is made.
+    """
+    n = upper.shape[1] // 4
+    coarse = np.empty((len(_UPPER), n))
+    for start in range(0, n, BLOCK // 4):
+        stop = min(start + BLOCK // 4, n)
+        children = upper[:, 4 * start:4 * stop].reshape(len(_UPPER), stop - start, 4)
+        np.matmul(_GALERKIN, children.transpose(0, 2, 1).reshape(_GALERKIN.shape[1], -1),
+                  out=coarse[:, start:stop])
+    return coarse
+
+
+def interior_block(mesh, matrix):
+    """The block matrix[i][:, i] on the interior vertices i, by one masked copy.
+
+    matrix lies on the mesh's pattern, as every matrix assembled here
+    does. The result is the same canonical CSR matrix as scipy's indexing
+    gives, and shares the index arrays of `mesh.interior_pattern()`.
+    """
+    indptr, indices, kept = mesh.interior_pattern()
+    if matrix.nnz != kept.size:
+        raise ValueError("matrix does not lie on the mesh's sparsity pattern")
+    n = indptr.size - 1
+    block = sparse.csr_matrix((matrix.data[kept], indices, indptr), shape=(n, n))
+    block.has_canonical_format = True
+    return block
 
 
 def apply_dirichlet(matrix, rhs, mesh):

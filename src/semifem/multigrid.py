@@ -2,21 +2,36 @@
 
 The cycle preconditions conjugate gradients for the systems of `solver`
 and `analysis`, which act on the interior unknowns only (the homogeneous
-Dirichlet constraint is imposed by restriction). It runs on the chain
-mesh, mesh.parent, ... with the exact nested prolongations
-`TriMesh.interior_prolongation`, Galerkin coarse operators P^T A P, damped
-Jacobi smoothing with equal sweep counts before and after the coarse
-correction, and an exact solve on the coarsest level. One rule ends the
-chain: it descends while the system has more than DENSE_COARSE_SIZE
-unknowns and a coarser space exists, that is, the mesh has a parent with
-interior vertices. A system of at most that size, on a refined mesh or
-not, gets a one-level hierarchy, where the cycle is the exact solve.
+Dirichlet constraint is imposed by restriction). Their operator is the
+stiffness matrix plus a reaction given by its element rows (a slope or
+mass weight, or none). The cycle runs on the chain mesh, mesh.parent, ...
+with the exact nested prolongations `TriMesh.interior_prolongation`,
+Galerkin coarse operators P^T A P, damped Jacobi smoothing with equal
+sweep counts before and after the coarse correction, and an exact solve
+on the coarsest level.
+
+The coarse operators are built as data on each mesh's fixed patterns,
+with no sparse product: nested P1 stiffness is Galerkin-exact, P^T K P =
+K_H, so a coarse level is its own mesh's stiffness rows plus the reaction
+rows mapped element by element to the parent (`assembly.coarsen_upper`),
+scattered once on the parent's pattern, and its interior block is one
+masked copy of that data (`assembly.interior_block`). A fine boundary
+vertex never prolongates from an interior coarse one, so the interior
+block of the full product is the product of the interior blocks.
+
+One rule ends the chain: it descends while the system has more than
+DENSE_COARSE_SIZE unknowns and a coarser space exists, that is, the mesh
+has a parent with interior vertices. A system of at most that size, on a
+refined mesh or not, gets a one-level hierarchy, where the cycle is the
+exact solve.
 """
 
 from functools import partial
 
 import numpy as np
 from scipy import sparse
+
+from .assembly import coarsen_upper, interior_block, pattern_matrix, stiffness_upper
 
 # Damped Jacobi with weight omega: each sweep contracts in the energy norm,
 # and the symmetric cycle is positive definite, when omega * lambda_max(D^-1 A)
@@ -27,22 +42,36 @@ from scipy import sparse
 SMOOTHING_WEIGHT = 0.8
 SMOOTHING_SWEEPS = 2
 
-# The coarsest level is the first system of at most this size; it is
-# inverted densely, and each cycle applies the inverse as one dense matvec
-# (141 unknowns on pentagon level 3, 113 on the unit square). Larger ones,
-# met only where no coarser space exists, get sparse LU, so a refined
-# preset mesh never loads scipy.sparse.linalg (about 90 ms and 9 MiB).
+# The coarsest level is the first system of at most this size (141 unknowns
+# on pentagon level 3, 113 on the unit square). It is kept dense and solved
+# by `np.linalg.solve` at each application: 0.2-0.3 ms at 141 unknowns,
+# against about 1 ms to invert it once per operator, and a Newton correction
+# applies the cycle about three times. LU leaves the cycle symmetric only to
+# about 1e-14 relative. Larger ones, met only where no coarser space exists,
+# get sparse LU, so a refined preset mesh never loads scipy.sparse.linalg
+# (about 90 ms and 9 MiB); the dense case uses numpy alone, as scipy.linalg
+# would add about 100 ms and 7 MiB to the import.
 DENSE_COARSE_SIZE = 200
 
 
 def _exact_solver(matrix):
     """r -> matrix^-1 r for the SPD coarsest operator."""
     if matrix.shape[0] <= DENSE_COARSE_SIZE:
-        inverse = np.linalg.inv(matrix.toarray())
-        # Symmetrized, so the whole cycle stays symmetric to rounding.
-        return partial(np.matmul, 0.5 * (inverse + inverse.T))
+        return partial(np.linalg.solve, matrix.toarray())
     from scipy.sparse.linalg import splu
     return splu(matrix.tocsc()).solve
+
+
+def _jacobi_weights(a):
+    """omega / diag(a), omega from the Gershgorin bound (see SMOOTHING_WEIGHT).
+
+    A function of its own, so that its copy of a's data is freed before
+    the next level is built.
+    """
+    diag = a.diagonal()
+    magnitudes = sparse.csr_matrix((np.abs(a.data), a.indices, a.indptr), shape=a.shape)
+    gershgorin = np.max(magnitudes @ np.ones(a.shape[0]) / diag)
+    return min(SMOOTHING_WEIGHT, 1.9 / gershgorin) / diag
 
 
 class VCycle:
@@ -55,33 +84,48 @@ class VCycle:
         to the first system of at most DENSE_COARSE_SIZE unknowns, to the
         root, or to the last mesh above an ancestor without interior
         vertices.
-    matrix : scipy.sparse matrix
-        SPD operator on the interior unknowns, `mesh.interior_vertices`
-        in that order.
+    stiffness : scipy.sparse.csr_matrix
+        The mesh's assembled stiffness matrix, `assembly.assemble_stiffness`.
+    reaction : ndarray of shape (6, nt), optional
+        Element rows, in the layout of `assembly.pattern_matrix`, of a
+        symmetric positive semidefinite matrix added to the stiffness, such
+        as `assembly.assemble_slope_matrix(..., rows=True)` or
+        `assembly.mass_upper`; None for the Poisson operator.
 
-    The coarse operators are built once here, so build one instance per
-    system matrix. Each smoothed level keeps one record (operator, Jacobi
-    weights, prolongation P, restriction P^T as CSR); P and P^T are the
-    ones each mesh builds once and caches. The instance holds
-    matrices only, no reference to the mesh, and forms no reference cycle.
+    The operator A is the block of stiffness + reaction on the interior
+    unknowns, `mesh.interior_vertices` in that order; it is kept as the
+    CSR matrix `matrix`, which the caller's CG can use. The coarse
+    operators are built once here, so build one instance per operator.
+    Each smoothed level keeps one record (operator, Jacobi weights,
+    prolongation P, restriction P^T as CSR); P and P^T are the ones each
+    mesh builds once and caches. The instance holds matrices only, no
+    reference to the mesh or to the reaction rows, and forms no reference
+    cycle.
     """
 
-    def __init__(self, mesh, matrix):
-        a = matrix.tocsr()
+    def __init__(self, mesh, stiffness, reaction=None):
+        if reaction is None:
+            a = interior_block(mesh, stiffness)
+        else:
+            full = pattern_matrix(mesh, reaction)
+            full.data += stiffness.data
+            a = interior_block(mesh, full)
+            del full
+        self.matrix = a
         self._levels = []
         while mesh.parent is not None and a.shape[0] > DENSE_COARSE_SIZE:
             p, restriction = mesh.interior_prolongation(), mesh.interior_restriction()
             if p.shape[1] == 0:
                 break
-            diag = a.diagonal()
-            magnitudes = sparse.csr_matrix((np.abs(a.data), a.indices, a.indptr), shape=a.shape)
-            gershgorin = np.max(magnitudes @ np.ones(a.shape[0]) / diag)
-            weight = min(SMOOTHING_WEIGHT, 1.9 / gershgorin) / diag
-            self._levels.append((a, weight, p, restriction))
-            a = restriction @ (a @ p)
-            # The product's rows are unsorted, and the matvecs sum in index order.
-            a.sort_indices()
+            self._levels.append((a, _jacobi_weights(a), p, restriction))
             mesh = mesh.parent
+            # P^T K P = K_H: the parent's own stiffness, plus the reaction's
+            # rows carried one level down. Rows come out sorted by construction.
+            upper = stiffness_upper(mesh)
+            if reaction is not None:
+                reaction = coarsen_upper(reaction)
+                upper += reaction
+            a = interior_block(mesh, pattern_matrix(mesh, upper))
         self._coarse_solve = _exact_solver(a)
 
     def __call__(self, r):

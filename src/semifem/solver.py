@@ -11,7 +11,10 @@ quotient, which stays finite and nonnegative across kinks of
 non-Lipschitz terms, and solves the symmetric positive definite
 correction system by conjugate gradients preconditioned with one multigrid
 V-cycle on the mesh's refinement hierarchy (`multigrid.VCycle`), so the CG
-iteration count stays bounded as the mesh is refined. Steps are globalized
+iteration count stays bounded as the mesh is refined. The Jacobian is
+handed to the cycle as the mesh's stiffness matrix plus the slope weight's
+element rows, from which it builds the interior block and every coarse
+operator. Steps are globalized
 by a regula falsi search on the directional derivative of the convex energy
 whose gradient is the residual (`_line_search`). Each correction is solved
 only as far as the mesh's Newton target needs: its relative CG tolerance is
@@ -26,11 +29,11 @@ coarser one.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 # apply_dirichlet and assemble_mass are unused here; they stay importable
 # because benchmarks/tracing.py wraps solver.apply_dirichlet and
-# solver.assemble_mass by name.
+# solver.assemble_mass by name. It wraps the other assemblers here too, so
+# the Newton step takes its slope rows from assemble_slope_matrix.
 from .assembly import (apply_dirichlet, assemble_load, assemble_mass,
                        assemble_nonlinear_residual, assemble_slope_matrix,
                        assemble_stiffness)
@@ -359,10 +362,15 @@ def _newton(mesh, d, f, cfg, start, stats, requested):
     stiffness = assemble_stiffness(mesh)
     load = assemble_load(mesh, f, edge_midpoint_rule())
 
-    def correction(matrix, rhs, tol):
-        """Interior unknowns x of matrix[i][:, i] x = rhs, by V-cycle CG to tol."""
-        block = matrix[interior][:, interior]
-        x, used = cg_solve(block, rhs, tol, preconditioner=VCycle(mesh, block))
+    def correction(reaction, rhs, tol):
+        """Interior unknowns x of J x = rhs by V-cycle CG to tol.
+
+        J is the interior block of the stiffness plus the matrix of the
+        element rows reaction (None: the stiffness alone).
+        """
+        cycle = VCycle(mesh, stiffness, reaction)
+        block = cycle.matrix
+        x, used = cg_solve(block, rhs, tol, preconditioner=cycle)
         stats.total_cg_iterations += used
         rhs_norm = np.linalg.norm(rhs)
         stats.cg_residuals.append(
@@ -383,7 +391,7 @@ def _newton(mesh, d, f, cfg, start, stats, requested):
         u[interior] = start[interior]
     else:
         frozen = assemble_nonlinear_residual(mesh, d, FemFunction.zeros(mesh), quad)
-        u[interior] = correction(stiffness, (load - frozen)[interior], cfg.cg_tol)
+        u[interior] = correction(None, (load - frozen)[interior], cfg.cg_tol)
 
     def scaled_norm(res):
         norm = _norm(res) * scale
@@ -404,16 +412,13 @@ def _newton(mesh, d, f, cfg, start, stats, requested):
         if res_norm <= target and (iteration > 1 or not requested):
             break
         stats.newton_iterations += 1
-        slope = assemble_slope_matrix(
-            mesh, d, FemFunction(mesh, u + tau), FemFunction(mesh, u - tau),
-            cfg.slope_floor, quad)
-        # Both matrices lie on the mesh's pattern, so their sum is one data
-        # add; unlike scipy's `+` it keeps entries that sum to exactly zero.
-        jacobian = sparse.csr_matrix((stiffness.data + slope.data, stiffness.indices,
-                                      stiffness.indptr), shape=stiffness.shape)
         forcing_tol = cfg.cg_tol if res_norm == 0.0 else max(
             cfg.cg_tol, FORCING * min(target, res_norm) / res_norm)
-        delta[interior] = correction(jacobian, -res[interior], forcing_tol)
+        slope = assemble_slope_matrix(mesh, d, FemFunction(mesh, u + tau),
+                                      FemFunction(mesh, u - tau), cfg.slope_floor, quad,
+                                      rows=True)
+        delta[interior] = correction(slope, -res[interior], forcing_tol)
+        del slope  # not held through the line search
         try:
             step, u, res = _line_search(residual, u, delta, res, cfg.residual_tol, scale)
         except NewtonError as exc:

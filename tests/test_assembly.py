@@ -294,6 +294,28 @@ def test_pattern_matches_coo_reference(square2, make):
     assert (stiffness + slope).nnz == stiffness.nnz
 
 
+@pytest.mark.parametrize("make", ["square2", "shuffled", "pentagon5"])
+def test_pattern_sums_equal_one_bincount(square2, make):
+    # The scatter adds each vertex's and each edge's element entries in the
+    # order of one bincount over the stacked index columns, bit for bit.
+    mesh = {"square2": square2, "shuffled": shuffled(square2),
+            "pentagon5": pentagon(5)}[make]
+    u = interpolate(mesh, lambda x, y: np.sin(3 * x) - 1.0 + 0.01 * y)
+    v = interpolate(mesh, lambda x, y: -1.0 + 0.3 * x * y)
+    for upper in (assembly.stiffness_upper(mesh), assembly.mass_upper(mesh),
+                  assemble_slope_matrix(mesh, PowerLaw(scale=50.0, exponent=1 / 3, shift=-1.0),
+                                        u, v, 1e-6, seven_point_rule(), rows=True)):
+        _, _, diagonal, off_diagonal = mesh.matrix_pattern()
+        data = assembly.pattern_matrix(mesh, upper).data
+        np.testing.assert_array_equal(
+            data[diagonal], np.bincount(mesh.triangles.T.ravel(), weights=upper[:3].ravel(),
+                                        minlength=mesh.num_vertices))
+        edge_sums = np.bincount(mesh.triangle_edges().T.ravel(), weights=upper[3:].ravel(),
+                                minlength=off_diagonal.shape[1])
+        for positions in off_diagonal:
+            np.testing.assert_array_equal(data[positions], edge_sums)
+
+
 def unique_pattern(mesh):
     """CSR indptr and indices by one np.unique over all 9 nt element-entry keys."""
     t = mesh.triangles
@@ -529,9 +551,11 @@ def test_peak_allocation_per_triangle():
     # pass over all triangles at once peaked at 144/156/188/248 B
     # (stiffness/load/residual/slope) and 120/208/120/276 B (L2/H1/max
     # errors against a callable truth, Ritz projection); the blocked walk
-    # measures 124/84/87/124 B and 25/29/25/162 B, the rest being the
+    # measures 93/84/87/93 B and 25/29/25/137 B, the rest being the
     # output rows, the scatter and, for the projection, its solve. The
-    # load gathers no nodal values (91 B when it interpolated zeros).
+    # load gathers no nodal values (91 B when it interpolated zeros), and
+    # the scatter reads its index columns in place (124 B for stiffness
+    # and slope when it flattened them for one bincount).
     mesh = pentagon(7)
     mesh.matrix_pattern()
     ritz_project(mesh, smooth_grad)

@@ -132,6 +132,27 @@ class TestRefine:
         with pytest.raises(MeshError, match="not a uniform refinement"):
             child.prolongation()
 
+    @pytest.mark.parametrize("order", [[1, 0, 2, 3], [3, 1, 2, 0], [0, 1, 2, 3]])
+    def test_prolongation_rejects_foreign_child_layout(self, order):
+        # The same children as refine_uniform's, with the four children of
+        # each triangle permuted, or with one child's corners rotated: a
+        # conforming nested mesh, but not the layout the element-wise coarse
+        # operators read.
+        mesh = refine_uniform(triangulate_convex_polygon(Polygon(PENTAGON)))
+        fine = refine_uniform(mesh)
+        children = fine.triangles.reshape(-1, 4, 3)[:, order].copy()
+        children[-1, 3] = np.roll(children[-1, 3], 1)
+        child = TriMesh(fine.vertices, children.reshape(-1, 3), level=2, parent=mesh)
+        with pytest.raises(MeshError, match="not a uniform refinement"):
+            child.prolongation()
+
+    def test_prolongation_accepts_refine_uniform_layout(self):
+        mesh = refine_uniform(triangulate_convex_polygon(Polygon(PENTAGON)))
+        fine = refine_uniform(mesh)
+        copy = TriMesh(fine.vertices, fine.triangles, level=2, parent=mesh)
+        np.testing.assert_array_equal(copy.prolongation().toarray(),
+                                      fine.prolongation().toarray())
+
     def test_mesh_size_halves(self):
         mesh = triangulate_convex_polygon(Polygon(PENTAGON))
         fine = refine_uniform(mesh)

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from semifem.assembly import (assemble_load, assemble_mass, assemble_slope_matrix,
-                              assemble_stiffness)
+                              assemble_stiffness, coarsen_upper, interior_block, mass_upper,
+                              pattern_matrix, stiffness_upper)
 from semifem.femfunction import FemFunction
-from semifem.mesh import (TriMesh, preset_polygon, read_mesh, refine_uniform,
-                          triangulate_convex_polygon, write_mesh)
+from semifem.mesh import (MeshError, Polygon, TriMesh, preset_polygon, read_mesh,
+                          refine_uniform, triangulate_convex_polygon, write_mesh)
 from semifem.multigrid import DENSE_COARSE_SIZE, VCycle
 from semifem.nonlinearity import PowerLaw
 from semifem.quadrature import edge_midpoint_rule, rule_of_degree
@@ -20,26 +21,53 @@ from semifem.solver import cg_solve, solve_semilinear
 ONE = lambda x, y: np.ones_like(x)
 
 
-def pentagon_mesh(level):
-    mesh = triangulate_convex_polygon(preset_polygon("pentagon"))
+# A convex polygon of no preset, with no symmetry.
+CUSTOM_POLYGON = ((0.0, 0.0), (2.0, 0.3), (2.5, 1.5), (1.2, 2.2), (-0.3, 1.1))
+
+
+def refined(domain, level):
+    mesh = triangulate_convex_polygon(domain)
     for _ in range(level):
         mesh = refine_uniform(mesh)
     return mesh
 
 
+def pentagon_mesh(level):
+    return refined(preset_polygon("pentagon"), level)
+
+
 def poisson(mesh):
-    """Poisson system with f = 1 on the interior unknowns."""
+    """V-cycle of the Poisson operator and the load of f = 1 on the interior unknowns.
+
+    The cycle's `matrix` is the system's interior block.
+    """
+    return (VCycle(mesh, assemble_stiffness(mesh)),
+            assemble_load(mesh, ONE, edge_midpoint_rule())[mesh.interior_vertices])
+
+
+def steep_slope_rows(mesh, seed=24):
+    """Slope rows of a steep term at an iterate straddling its kink u = -1.
+
+    The iterate's interior values lie at distances 1e-6.5 to 1e-4 from the
+    kink, on both sides; boundary values are 0.
+    """
     i = mesh.interior_vertices
-    return (assemble_stiffness(mesh)[i][:, i],
-            assemble_load(mesh, ONE, edge_midpoint_rule())[i])
+    rng = np.random.default_rng(seed)
+    u = np.zeros(mesh.num_vertices)
+    u[i] = -1.0 + rng.choice([-1.0, 1.0], i.size) * 10.0 ** -rng.uniform(4.0, 6.5, i.size)
+    tau = 1e-6
+    return assemble_slope_matrix(mesh, PowerLaw(scale=500.0, exponent=0.1, shift=-1.0),
+                                 FemFunction(mesh, u + tau), FemFunction(mesh, u - tau),
+                                 tau, rule_of_degree(5), rows=True)
 
 
 @pytest.mark.parametrize("level", [3, 4, 5, 6])
 def test_iterations_bounded_across_levels(level):
     mesh = pentagon_mesh(level)
-    lhs, rhs = poisson(mesh)
+    cycle, rhs = poisson(mesh)
+    lhs = cycle.matrix
     tol = 1e-10
-    x, iters = cg_solve(lhs, rhs, tol, preconditioner=VCycle(mesh, lhs))
+    x, iters = cg_solve(lhs, rhs, tol, preconditioner=cycle)
     assert iters <= 20
     assert np.linalg.norm(lhs @ x - rhs) <= tol * np.linalg.norm(rhs)
 
@@ -47,7 +75,7 @@ def test_iterations_bounded_across_levels(level):
 def test_vcycle_symmetric_positive():
     mesh = pentagon_mesh(4)
     i = mesh.interior_vertices
-    cycle = VCycle(mesh, (assemble_stiffness(mesh) + assemble_mass(mesh))[i][:, i])
+    cycle = VCycle(mesh, assemble_stiffness(mesh), mass_upper(mesh))
     rng = np.random.default_rng(3)
     r, s = rng.standard_normal((2, i.size))
     left, right = s @ cycle(r), r @ cycle(s)
@@ -56,12 +84,12 @@ def test_vcycle_symmetric_positive():
 
 
 def test_smoothed_operators_have_sorted_indices():
-    # restriction @ (a @ p) returns rows with unsorted column indices. The
-    # cycle must sort them itself: its Gershgorin bound reads only a's data
-    # and leaves the index order alone.
+    # The matvecs sum each row in index order, so every level's rows must be
+    # sorted. The coarse operators are scattered on each mesh's canonical
+    # pattern and cut to the interior block by a mask, which keeps the order;
+    # the Gershgorin bound reads only a's data and leaves the order alone.
     mesh = pentagon_mesh(6)
-    lhs, _ = poisson(mesh)
-    levels = VCycle(mesh, lhs)._levels
+    levels = poisson(mesh)[0]._levels
     assert len(levels) == 3
     for a, _, _, _ in levels:
         rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
@@ -76,15 +104,9 @@ def test_vcycle_positive_definite_on_steep_jacobian():
     # weight 0.8, Jacobi expands the error there (omega lambda_max = 2.10).
     mesh = pentagon_mesh(4)
     i = mesh.interior_vertices
-    rng = np.random.default_rng(24)
-    u = np.zeros(mesh.num_vertices)
-    u[i] = -1.0 + rng.choice([-1.0, 1.0], i.size) * 10.0 ** -rng.uniform(4.0, 6.5, i.size)
-    tau = 1e-6
-    slope = assemble_slope_matrix(mesh, PowerLaw(scale=500.0, exponent=0.1, shift=-1.0),
-                                  FemFunction(mesh, u + tau), FemFunction(mesh, u - tau),
-                                  tau, rule_of_degree(5))
-    jacobian = (assemble_stiffness(mesh) + slope)[i][:, i]
-    cycle = VCycle(mesh, jacobian)
+    slope = steep_slope_rows(mesh)
+    jacobian = (assemble_stiffness(mesh) + pattern_matrix(mesh, slope))[i][:, i]
+    cycle = VCycle(mesh, assemble_stiffness(mesh), slope)
     (_, weight, _, _), = cycle._levels
     # omega lambda_max(D^-1 J) = lambda_max(W^1/2 J W^1/2) with W = omega D^-1.
     root = np.sqrt(weight)
@@ -103,9 +125,10 @@ def test_small_system_gets_exact_cycle(tmp_path, level):
     path = tmp_path / "mesh.txt"
     write_mesh(refined, path)
     for mesh in (refined, read_mesh(path)):
-        lhs, rhs = poisson(mesh)
+        cycle, rhs = poisson(mesh)
+        lhs = cycle.matrix
         assert lhs.shape[0] <= DENSE_COARSE_SIZE
-        x, iters = cg_solve(lhs, rhs, 1e-10, preconditioner=VCycle(mesh, lhs))
+        x, iters = cg_solve(lhs, rhs, 1e-10, preconditioner=cycle)
         assert iters == 1
         assert np.linalg.norm(lhs @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
@@ -123,9 +146,10 @@ def test_chain_ends_above_ancestor_without_interior():
                                              np.column_stack([lo, hi + 1, hi])]))
     assert root.interior_vertices.size == 0
     mesh = refine_uniform(root)
-    lhs, rhs = poisson(mesh)
+    cycle, rhs = poisson(mesh)
+    lhs = cycle.matrix
     assert lhs.shape[0] == 2 * n - 1 > DENSE_COARSE_SIZE
-    x, iters = cg_solve(lhs, rhs, 1e-10, preconditioner=VCycle(mesh, lhs))
+    x, iters = cg_solve(lhs, rhs, 1e-10, preconditioner=cycle)
     assert iters == 1
     assert np.linalg.norm(lhs @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
@@ -138,9 +162,10 @@ def test_parentless_mesh_solves(tmp_path, level):
     write_mesh(pentagon_mesh(level), path)
     mesh = read_mesh(path)
     assert mesh.parent is None and mesh.prolongation() is None
-    lhs, rhs = poisson(mesh)
+    cycle, rhs = poisson(mesh)
+    lhs = cycle.matrix
     tol = 1e-10
-    x, iters = cg_solve(lhs, rhs, tol, preconditioner=VCycle(mesh, lhs))
+    x, iters = cg_solve(lhs, rhs, tol, preconditioner=cycle)
     assert iters <= 2
     assert np.linalg.norm(lhs @ x - rhs) <= tol * np.linalg.norm(rhs)
 
@@ -164,13 +189,107 @@ def test_solved_mesh_is_freed():
 
 def test_sparse_linalg_stays_unloaded():
     # Importing the package and solving on a refined mesh, whose coarsest
-    # level is inverted densely, must not load scipy.sparse.linalg.
+    # level is solved densely by numpy, must load neither scipy.sparse.linalg
+    # nor scipy.linalg. Level 5 has smoothed levels above the dense one.
     code = ("import sys, numpy as np, semifem\n"
             "from semifem.mesh import preset_polygon, refine_uniform, "
             "triangulate_convex_polygon\n"
-            "mesh = refine_uniform(triangulate_convex_polygon(preset_polygon('pentagon')))\n"
+            "print('scipy.sparse.linalg' in sys.modules, 'scipy.linalg' in sys.modules)\n"
+            "mesh = triangulate_convex_polygon(preset_polygon('pentagon'))\n"
+            "for _ in range(5):\n"
+            "    mesh = refine_uniform(mesh)\n"
             "semifem.solve_semilinear(mesh, semifem.PowerLaw(), lambda x, y: np.ones_like(x))\n"
-            "print('scipy.sparse.linalg' in sys.modules)")
+            "print('scipy.sparse.linalg' in sys.modules, 'scipy.linalg' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False"] * 4
+
+
+def product_chain(mesh, matrix, depth):
+    """Interior blocks of P^T A P by sparse products, fine to coarse, depth levels down."""
+    i = mesh.interior_vertices
+    a = matrix[i][:, i]
+    chain = [a]
+    for _ in range(depth):
+        a = mesh.interior_restriction() @ (a @ mesh.interior_prolongation())
+        a.sort_indices()
+        chain.append(a)
+        mesh = mesh.parent
+    return chain
+
+
+def element_chain(mesh, stiffness, reaction, depth):
+    """The same blocks from element rows: each mesh's stiffness plus the coarsened reaction."""
+    full = stiffness + pattern_matrix(mesh, reaction)
+    chain = [interior_block(mesh, full)]
+    for _ in range(depth):
+        mesh = mesh.parent
+        reaction = coarsen_upper(reaction)
+        chain.append(interior_block(mesh, pattern_matrix(mesh, stiffness_upper(mesh) + reaction)))
+    return chain
+
+
+GALERKIN_MESHES = [("pentagon", preset_polygon("pentagon"), level) for level in (4, 5, 6, 7)] + [
+    ("unit-square", preset_polygon("unit-square"), 5),
+    ("custom", Polygon(CUSTOM_POLYGON), 5),
+]
+
+
+@pytest.mark.parametrize("reaction", ["mass", "steep-slope"])
+@pytest.mark.parametrize("name, domain, level", GALERKIN_MESHES,
+                         ids=[f"{name}-{level}" for name, _, level in GALERKIN_MESHES])
+def test_coarse_operators_match_sparse_products(name, domain, level, reaction):
+    # Every operator of the cycle's chain, down to its dense coarsest level
+    # (level 3 on these domains), has the pattern of the interior block of
+    # P^T A P formed by sparse products, and its values to rounding; the
+    # cycle's smoothed levels are the element-row chain's, bit for bit.
+    mesh = refined(domain, level)
+    stiffness = assemble_stiffness(mesh)
+    rows = mass_upper(mesh) if reaction == "mass" else steep_slope_rows(mesh)
+    levels = VCycle(mesh, stiffness, rows)._levels
+    assert len(levels) == level - 3
+    reference = product_chain(mesh, stiffness + pattern_matrix(mesh, rows), len(levels))
+    chain = element_chain(mesh, stiffness, rows, len(levels))
+    for ref, a in zip(reference, chain):
+        np.testing.assert_array_equal(a.indptr, ref.indptr)
+        np.testing.assert_array_equal(a.indices, ref.indices)
+        assert np.max(np.abs(a.data - ref.data)) <= 1e-13 * np.max(np.abs(ref.data))
+    for (a, _, _, _), expected in zip(levels, chain):
+        np.testing.assert_array_equal(a.indptr, expected.indptr)
+        np.testing.assert_array_equal(a.indices, expected.indices)
+        np.testing.assert_array_equal(a.data, expected.data)
+
+
+@pytest.mark.parametrize("level", [2, 5])
+def test_interior_block_equals_fancy_indexing(level):
+    # One masked copy of the data gives scipy's matrix[i][:, i], bit for bit.
+    mesh = pentagon_mesh(level)
+    i = mesh.interior_vertices
+    for matrix in (assemble_stiffness(mesh), assemble_mass(mesh),
+                   assemble_stiffness(mesh) + pattern_matrix(mesh, steep_slope_rows(mesh))):
+        block, ref = interior_block(mesh, matrix), matrix[i][:, i]
+        assert block.shape == ref.shape
+        for attr in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(block, attr), getattr(ref, attr))
+    indptr, indices, kept = mesh.interior_pattern()
+    assert mesh.interior_pattern()[2] is kept
+    assert indptr.dtype == indices.dtype == np.int32 and kept.dtype == bool
+    assert not any(array.flags.writeable for array in (indptr, indices, kept))
+
+
+def test_interior_block_rejects_foreign_pattern():
+    mesh = pentagon_mesh(2)
+    i = mesh.interior_vertices
+    with pytest.raises(ValueError, match="sparsity pattern"):
+        interior_block(mesh, assemble_stiffness(mesh)[i][:, i])
+
+
+def test_cycle_on_foreign_child_layout_raises():
+    # The element-wise coarse operators need refine_uniform's child layout:
+    # a mesh whose children are permuted is refused, not coarsened wrongly.
+    parent = pentagon_mesh(3)
+    fine = refine_uniform(parent)
+    children = fine.triangles.reshape(-1, 4, 3)[:, [1, 0, 2, 3]].reshape(-1, 3)
+    mesh = TriMesh(fine.vertices, children, level=fine.level, parent=parent)
+    with pytest.raises(MeshError, match="not a uniform refinement"):
+        VCycle(mesh, assemble_stiffness(mesh))

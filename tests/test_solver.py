@@ -593,9 +593,9 @@ def test_steep_level5_solve_fails_in_bounded_work(monkeypatch):
     counts = {"residual": 0, "slope": 0}
 
     def counting(name, assemble):
-        def wrapped(*args):
+        def wrapped(*args, **kwargs):
             counts[name] += 1
-            return assemble(*args)
+            return assemble(*args, **kwargs)
         return wrapped
 
     monkeypatch.setattr(solver, "assemble_nonlinear_residual",
