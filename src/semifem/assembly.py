@@ -20,14 +20,20 @@ mask; `semifem.multigrid` builds its hierarchy from these.
 `BLOCK` consecutive triangles with their corner coordinates and areas.
 The element kernels (stiffness, load, reaction residual and slope matrix)
 and the closed-form norms and Ritz load of `semifem.analysis` loop over
-it. Per block they gather the nodal values and loop over the quadrature
-points, writing into one preallocated row per element-matrix or
-element-vector entry. Their temporaries are therefore of the block's
-size, not the element count's, and stay in cache; only the output rows
-and the final scatter are of the element count's size. Every element's
-arithmetic is the same as in a single pass over all triangles, so the
-assembled result does not depend on `BLOCK`. The load and the reaction
-residual are one kernel, `_hat_integrals`.
+it. The quadrature kernels handle a block in one pass over all q points
+of the rule: `quadrature_points` gives the coordinates of every point of
+every element, point-major, the nodal values are interpolated by the
+same product, and the reaction term or right-hand side is called once on
+the flat arrays of all q·n points (the slope matrix calls d twice, at u
+and at v). One matrix product with a per-rule table of weight times hat
+values, (3, q) for the hat integrals and (6, q) for the slope matrix,
+then writes the block's columns of the preallocated element rows, which
+are scaled by the areas. Their temporaries are therefore of the block's
+size, not the element count's; only the output rows and the final
+scatter are of the element count's size. Every element's arithmetic is
+the same as in a single pass over all triangles, so the assembled result
+does not depend on `BLOCK`. The load and the reaction residual are one
+kernel, `_hat_integrals`.
 """
 
 import numpy as np
@@ -38,12 +44,15 @@ from .mesh import CHILD_CORNERS
 # Negative slope weights beyond this signal a non-monotone nonlinearity.
 SLOPE_WEIGHT_TOL = 1e-12
 
-# Triangles per block of the element kernels. A block's temporaries are a
-# few dozen arrays of this length, small enough to stay in cache, and the
-# Python work per block is small next to its arithmetic: at level 8 blocks
-# of 4096 to 32768 triangles were equally fast on a 2-CPU VM, and blocks
-# of 1024 about 40 % slower. The results do not depend on it.
-BLOCK = 8192
+# Triangles per block of the element kernels. A quadrature kernel's
+# temporaries are a dozen arrays of q times this length, and the Python
+# work per block is small next to its arithmetic. At pentagon level 7 with
+# the 7-point rule (median of 30, one BLAS thread, 2-CPU VM) blocks of
+# 1024/2048/4096/8192/16384 triangles took 20/19/17/21/37 ms for the slope
+# rows and 17/12/12/11/16 ms for the residual; at 4096 their traced peaks
+# are 92 and 87 B per triangle, at 8192 128 and 98. The results do not
+# depend on it.
+BLOCK = 4096
 
 # The six distinct entries (a, b) of a symmetric 3 x 3 element matrix: the
 # diagonal ones (j, j), then those of the local edges (j, j + 1) in the
@@ -95,9 +104,13 @@ def basis_gradients(corners, areas):
     return grads
 
 
-def quadrature_points(corners, bary):
-    """Physical coordinates (x, y) of one barycentric point in every element."""
-    return (corners.reshape(-1, 3) @ bary).reshape(2, -1)
+def quadrature_points(corners, points):
+    """Physical coordinates (x, y) of barycentric points in every element.
+
+    points is one point of shape (3,), giving x and y of shape (n,), or a
+    rule's (q, 3) points, giving them of shape (q, n), point-major.
+    """
+    return points @ corners.transpose(0, 2, 1)
 
 
 def scatter_vector(mesh, local):
@@ -197,7 +210,10 @@ def assemble_load(mesh, f, quad):
     ----------
     mesh : TriMesh
     f : callable
-        Evaluated as f(x, y) on coordinate arrays; scalars broadcast.
+        Evaluated as f(x, y) on flat 1-D coordinate arrays holding all
+        quadrature points of a block of elements, point-major; it must
+        act elementwise. Scalars broadcast. How many calls one assembly
+        makes is not part of the API.
     quad : QuadRule
 
     Raises
@@ -213,7 +229,10 @@ def assemble_nonlinear_residual(mesh, d, u, quad):
     """Vector of integrals of d(x, u_h(x)) against every hat function.
 
     u_h is interpolated barycentrically at the quadrature points of each
-    element and the reaction term is evaluated at the physical point.
+    element and the reaction term is evaluated at the physical point. d is
+    called as d(x, y, u) on flat 1-D arrays holding all quadrature points
+    of a block of elements, point-major, and must act elementwise; how
+    many calls one assembly makes is not part of the API.
 
     Raises
     ------
@@ -231,17 +250,20 @@ def _hat_integrals(mesh, g, coeffs, quad, what):
     gathered or interpolated. A non-finite value of g raises ValueError
     naming `what` and the point.
     """
-    local = np.zeros((3, mesh.num_triangles))
+    # Entry (j, i) is weight i times hat j at point i of the rule.
+    table = quad.weights * quad.points.T
+    local = np.empty((3, mesh.num_triangles))
     for block, corners, areas in element_blocks(mesh):
-        uloc = None if coeffs is None else coeffs[mesh.triangles[block]]
-        for bary, w in zip(quad.points, quad.weights):
-            x, y = quadrature_points(corners, bary)
-            gq = g(x, y) if uloc is None else g(x, y, uloc @ bary)
-            gq = np.broadcast_to(np.asarray(gq, dtype=float), x.shape)
-            _check_finite(gq, x, y, what)
-            s = w * areas * gq
-            for row, weight in zip(local[:, block], bary):
-                row += weight * s
+        x, y = (xy.ravel() for xy in quadrature_points(corners, quad.points))
+        if coeffs is None:
+            gq = g(x, y)
+        else:
+            gq = g(x, y, (quad.points @ coeffs[mesh.triangles[block]].T).ravel())
+        gq = np.broadcast_to(np.asarray(gq, dtype=float), x.shape)
+        _check_finite(gq, x, y, what)
+        rows = local[:, block]
+        np.matmul(table, gq.reshape(len(quad), -1), out=rows)
+        rows *= areas
     return scatter_vector(mesh, local.T)
 
 
@@ -253,9 +275,12 @@ def assemble_slope_matrix(mesh, d, u, v, floor, quad, rows=False):
         b(x) = sgn(e) * (d(x, u) - d(x, v)) / max(|e|, floor),  e = u - v,
 
     which is nonnegative for monotone d and bounded by the floor at the
-    kinks of a non-Lipschitz nonlinearity. The result is symmetric
-    positive semidefinite. With rows True, the element matrices are
-    returned unassembled, as (6, nt) rows in the layout of
+    kinks of a non-Lipschitz nonlinearity. d is called as d(x, y, u) on
+    flat 1-D arrays holding all quadrature points of a block of elements,
+    point-major, once at u and once at v, and must act elementwise; how
+    many calls one assembly makes is not part of the API. The result is
+    symmetric positive semidefinite. With rows True, the element matrices
+    are returned unassembled, as (6, nt) rows in the layout of
     `pattern_matrix`, for `multigrid.VCycle` to scatter and coarsen.
 
     Raises
@@ -273,28 +298,28 @@ def assemble_slope_matrix(mesh, d, u, v, floor, quad, rows=False):
 
 def _slope_upper(mesh, d, u, v, floor, quad):
     """Element slope-matrix entries in the layout of `pattern_matrix`."""
-    upper = np.zeros((len(_UPPER), mesh.num_triangles))
+    # Row s is weight i times the hat product of entry _UPPER[s] at point i.
+    table = np.array([quad.weights * quad.points[:, a] * quad.points[:, c]
+                      for a, c in _UPPER])
+    upper = np.empty((len(_UPPER), mesh.num_triangles))
     for block, corners, areas in element_blocks(mesh):
         tri = mesh.triangles[block]
-        uloc = u.coeffs[tri]
-        vloc = v.coeffs[tri]
-        for bary, w in zip(quad.points, quad.weights):
-            x, y = quadrature_points(corners, bary)
-            uq = uloc @ bary
-            vq = vloc @ bary
-            e = uq - vq
-            num = (np.asarray(d(x, y, uq), dtype=float)
-                   - np.asarray(d(x, y, vq), dtype=float))
-            b = np.sign(e) * num / np.maximum(np.abs(e), floor)
-            _check_finite(b, x, y, "slope weight")
-            k = int(np.argmin(b))
-            if b[k] < -SLOPE_WEIGHT_TOL:
-                raise ValueError(
-                    f"negative slope weight {b[k]:.3e} at point ({x[k]:g}, {y[k]:g}): "
-                    "nonlinearity is not monotone non-decreasing")
-            s = w * areas * np.maximum(b, 0.0)
-            for row, (a, c) in zip(upper[:, block], _UPPER):
-                row += (bary[a] * bary[c]) * s
+        x, y = (xy.ravel() for xy in quadrature_points(corners, quad.points))
+        uq = (quad.points @ u.coeffs[tri].T).ravel()
+        vq = (quad.points @ v.coeffs[tri].T).ravel()
+        e = uq - vq
+        num = (np.asarray(d(x, y, uq), dtype=float)
+               - np.asarray(d(x, y, vq), dtype=float))
+        b = np.sign(e) * num / np.maximum(np.abs(e), floor)
+        _check_finite(b, x, y, "slope weight")
+        k = int(np.argmin(b))
+        if b[k] < -SLOPE_WEIGHT_TOL:
+            raise ValueError(
+                f"negative slope weight {b[k]:.3e} at point ({x[k]:g}, {y[k]:g}): "
+                "nonlinearity is not monotone non-decreasing")
+        rows = upper[:, block]
+        np.matmul(table, np.maximum(b, 0.0).reshape(len(quad), -1), out=rows)
+        rows *= areas
     return upper
 
 

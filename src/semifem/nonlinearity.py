@@ -3,6 +3,13 @@
 A nonlinearity is any callable evaluated as d(x, y, u) on coordinate and
 value arrays that is monotone non-decreasing in u for every fixed point.
 Evaluation must be reentrant; the classes here are immutable.
+
+The assemblers call a reaction term, like a right-hand side f(x, y), on
+flat 1-D arrays that hold all quadrature points of a block of elements,
+point-major (entry i·n + k is point i of the block's element k). It must
+therefore act elementwise: entry j of the result may depend only on
+entry j of each argument. How many calls one assembly makes is not part
+of the API.
 """
 
 from dataclasses import dataclass

@@ -1,5 +1,8 @@
 import gc
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import weakref
 
@@ -15,8 +18,8 @@ from semifem.assembly import (apply_dirichlet, assemble_load, assemble_mass,
 from semifem.femfunction import FemFunction, interpolate
 from semifem.mesh import (TriMesh, locate_point, preset_polygon, read_mesh,
                           refine_uniform, triangulate_convex_polygon, write_mesh)
-from semifem.nonlinearity import PowerLaw
-from semifem.quadrature import edge_midpoint_rule, seven_point_rule
+from semifem.nonlinearity import PowerLaw, cut
+from semifem.quadrature import edge_midpoint_rule, seven_point_rule, shipped_rules
 
 HAND_STIFFNESS = np.array([[1.0, -0.5, -0.5],
                            [-0.5, 0.5, 0.0],
@@ -412,9 +415,14 @@ class TestPatternCache:
             gc.enable()
 
 
-def poisoned(value, call=3, k=5, base=PowerLaw()):
+def poisoned(value, call=1, k=5, base=PowerLaw()):
     """base (a nonlinearity or right-hand side) that returns value at entry k
-    of its call-th evaluation."""
+    of its call-th evaluation.
+
+    The kernels call it once per block (twice for the slope weight, at u
+    and then at v) on flat arrays of the block's quadrature points,
+    point-major: entry i·n + t is point i of the block's triangle t.
+    """
     seen = {"calls": 0}
 
     def poisoned_base(x, y, *u):
@@ -435,7 +443,8 @@ def reported_point(message):
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])
 def test_nonfinite_nonlinearity_rejected(square2, value):
-    d, seen = poisoned(value)
+    # Point 3 of triangle 5 in the one block.
+    d, seen = poisoned(value, k=3 * square2.num_triangles + 5)
     u = interpolate(square2, lambda x, y: x - y)
     with pytest.raises(ValueError, match="nonlinearity") as info:
         assemble_nonlinear_residual(square2, d, u, seven_point_rule())
@@ -446,7 +455,8 @@ def test_nonfinite_nonlinearity_rejected(square2, value):
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])
 def test_nonfinite_slope_weight_rejected(square2, value):
-    d, seen = poisoned(value)
+    # Point 3 of triangle 5 in the evaluation at v.
+    d, seen = poisoned(value, call=2, k=3 * square2.num_triangles + 5)
     u = interpolate(square2, lambda x, y: x - y)
     v = interpolate(square2, lambda x, y: x - y - 0.5)
     with pytest.raises(ValueError, match="slope weight") as info:
@@ -510,14 +520,15 @@ def test_nonfinite_in_later_block_reported_at_its_point(monkeypatch, what):
     quad = seven_point_rule()
     u = interpolate(mesh, lambda x, y: x - y)
     v = interpolate(mesh, lambda x, y: x - y - 0.5)
-    # The slope weight evaluates d twice per quadrature point, at u and v.
-    per_block = len(quad.weights) * (2 if what == "slope weight" else 1)
-    call = 2 * per_block + 5  # an evaluation of block 2
+    # The slope weight evaluates d twice per block, at u and then at v.
+    per_block = 2 if what == "slope weight" else 1
+    call = 3 * per_block  # the last evaluation of block 2
+    k = 5 * SMALL_BLOCK + 5  # point 5 of the block's triangle 5
     if what == "right-hand side":
-        f, seen = poisoned(np.nan, call, base=lambda x, y: np.ones_like(x))
+        f, seen = poisoned(np.nan, call, k, base=lambda x, y: np.ones_like(x))
         run = lambda: assemble_load(mesh, f, quad)
     else:
-        d, seen = poisoned(np.nan, call)
+        d, seen = poisoned(np.nan, call, k)
         run = {"nonlinearity": lambda: assemble_nonlinear_residual(mesh, d, u, quad),
                "slope weight": lambda: assemble_slope_matrix(mesh, d, u, v, 1e-6,
                                                              quad)}[what]
@@ -527,6 +538,125 @@ def test_nonfinite_in_later_block_reported_at_its_point(monkeypatch, what):
     np.testing.assert_allclose(point, seen["point"], rtol=1e-5)
     triangle, _ = locate_point(mesh, point)
     assert triangle // SMALL_BLOCK == 2
+
+
+@pytest.mark.parametrize("quad", shipped_rules(), ids=lambda quad: quad.name)
+def test_one_evaluation_per_block(monkeypatch, quad):
+    # Each kernel evaluates its callable once per block (the slope weight
+    # twice, at u and at v) on flat arrays of all the block's points.
+    monkeypatch.setattr(assembly, "BLOCK", SMALL_BLOCK)
+    mesh = pentagon(4)
+    nt = mesh.num_triangles
+    sizes = []
+
+    def recorded(base):
+        def evaluate(x, y, *u):
+            assert all(a.ndim == 1 and a.shape == x.shape for a in (y, *u))
+            sizes.append(x.size)
+            return base(x, y, *u)
+        return evaluate
+
+    u = interpolate(mesh, lambda x, y: x - y)
+    v = interpolate(mesh, lambda x, y: x - y - 0.5)
+    kernels = [(lambda: assemble_load(mesh, recorded(smooth_value), quad), 1),
+               (lambda: assemble_nonlinear_residual(mesh, recorded(PowerLaw()), u, quad), 1),
+               (lambda: assemble_slope_matrix(mesh, recorded(PowerLaw()), u, v, 1e-6, quad), 2)]
+    blocks = [min(SMALL_BLOCK, nt - start) for start in range(0, nt, SMALL_BLOCK)]
+    for run, per_block in kernels:
+        sizes.clear()
+        run()
+        assert sizes == [len(quad) * n for n in blocks for _ in range(per_block)]
+        assert sum(sizes) == per_block * len(quad) * nt
+
+
+def per_point_reference(mesh, f, d, u, v, floor, quad):
+    """Load, reaction residual and slope rows by one loop over the rule's points."""
+    p = mesh.vertices[mesh.triangles]
+    areas = mesh.signed_areas()
+    uloc = u.coeffs[mesh.triangles]
+    vloc = v.coeffs[mesh.triangles]
+    load = np.zeros((mesh.num_triangles, 3))
+    residual = np.zeros_like(load)
+    slope = np.zeros((6, mesh.num_triangles))
+    for bary, w in zip(quad.points, quad.weights):
+        x, y = np.einsum("j,kjd->dk", bary, p)
+        uq = uloc @ bary
+        vq = vloc @ bary
+        load += np.outer(w * areas * np.broadcast_to(f(x, y), x.shape), bary)
+        residual += np.outer(w * areas * d(x, y, uq), bary)
+        e = uq - vq
+        b = np.sign(e) * (d(x, y, uq) - d(x, y, vq)) / np.maximum(np.abs(e), floor)
+        for row, (a, c) in zip(slope, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)]):
+            row += w * areas * np.maximum(b, 0.0) * bary[a] * bary[c]
+    return (assembly.scatter_vector(mesh, load), assembly.scatter_vector(mesh, residual),
+            slope)
+
+
+@pytest.mark.parametrize("quad", shipped_rules(), ids=lambda quad: quad.name)
+@pytest.mark.parametrize("make", ["pentagon4", "square2"])
+def test_tabulated_kernels_match_per_point_loop(square2, make, quad):
+    mesh = pentagon(4) if make == "pentagon4" else square2
+    d = cut(PowerLaw(scale=50.0, exponent=1 / 3, shift=lambda x, y: -1.0 + 0.1 * x,
+                     weight=lambda x, y: 1.0 + x * x), 1.5)
+    # The states of a Newton step's slope matrix, u_h + tau and u_h - tau,
+    # with u_h crossing both the kink and the cut.
+    tau = 1e-6
+    w = interpolate(mesh, lambda x, y: 2.0 * np.sin(3 * x) - 1.0 + 0.01 * y)
+    u = FemFunction(mesh, w.coeffs + tau)
+    v = FemFunction(mesh, w.coeffs - tau)
+    rhs = lambda x, y: 2.5
+    got = (assemble_load(mesh, rhs, quad), assemble_nonlinear_residual(mesh, d, u, quad),
+           assemble_slope_matrix(mesh, d, u, v, tau, quad, rows=True))
+    ref = per_point_reference(mesh, rhs, d, u, v, tau, quad)
+    # Measured gaps, relative to the largest entry: at most 4e-16 for the
+    # load, 6e-16 for the residual and 1.3e-10 for the slope. The kernels
+    # interpolate u_h by another BLAS product than the loop, which moves
+    # u and v by an ulp of |u| <= 3; the difference quotient over e = 2 tau
+    # amplifies that to about eps |u| / tau = 7e-10 relative.
+    for name, a, b, rtol in zip(("load", "residual", "slope"), got, ref,
+                                (1e-14, 1e-14, 2e-9)):
+        assert np.max(np.abs(a - b)) <= rtol * np.max(np.abs(b)), name
+
+
+# Assembles load, residual and slope rows at pentagon level 5 and saves them.
+THREADS_SCRIPT = """
+import sys
+import numpy as np
+from semifem.assembly import assemble_load, assemble_nonlinear_residual, assemble_slope_matrix
+from semifem.femfunction import interpolate
+from semifem.mesh import preset_polygon, refine_uniform, triangulate_convex_polygon
+from semifem.nonlinearity import PowerLaw
+from semifem.quadrature import seven_point_rule
+
+mesh = triangulate_convex_polygon(preset_polygon("pentagon"))
+for _ in range(5):
+    mesh = refine_uniform(mesh)
+d = PowerLaw(scale=50.0, exponent=1 / 3, shift=-1.0)
+u = interpolate(mesh, lambda x, y: np.sin(3 * x) - 1.0 + 0.01 * y)
+v = interpolate(mesh, lambda x, y: -1.0 + 0.3 * x * y)
+quad = seven_point_rule()
+np.savez(sys.argv[1],
+         load=assemble_load(mesh, lambda x, y: np.sin(3 * x) * np.cos(y), quad),
+         residual=assemble_nonlinear_residual(mesh, d, u, quad),
+         slope=assemble_slope_matrix(mesh, d, u, v, 1e-6, quad, rows=True))
+"""
+
+
+def test_kernels_bitwise_equal_at_one_and_two_blas_threads(tmp_path):
+    # The kernels contract with BLAS products; the study CSVs rely on their
+    # results not depending on the BLAS thread count.
+    outputs = []
+    for threads in ("1", "2"):
+        path = tmp_path / f"threads{threads}.npz"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run([sys.executable, "-c", THREADS_SCRIPT, str(path)], env=env,
+                       check=True, timeout=300)
+        with np.load(path) as saved:
+            outputs.append(dict(saved))
+    one, two = outputs
+    for name in ("load", "residual", "slope"):
+        np.testing.assert_array_equal(two[name], one[name], err_msg=name)
 
 
 def test_negative_slope_weight_in_tail_block_rejected(monkeypatch):
@@ -547,13 +677,16 @@ def test_negative_slope_weight_in_tail_block_rejected(monkeypatch):
 
 def test_peak_allocation_per_triangle():
     # Traced peak bytes per triangle at pentagon level 7 (81 920 triangles,
-    # ten blocks), pattern, prolongations and states built beforehand. One
-    # pass over all triangles at once peaked at 144/156/188/248 B
+    # twenty blocks), pattern, prolongations and states built beforehand.
+    # One pass over all triangles at once peaked at 144/156/188/248 B
     # (stiffness/load/residual/slope) and 120/208/120/276 B (L2/H1/max
     # errors against a callable truth, Ritz projection); the blocked walk
-    # measures 93/84/87/93 B and 25/29/25/137 B, the rest being the
+    # measures 93/87/87/93 B and 16/19/17/130 B, the rest being the
     # output rows, the scatter and, for the projection, its solve. The
-    # load gathers no nodal values (91 B when it interpolated zeros), and
+    # load, residual and slope kernels hold q times a block's length per
+    # temporary, evaluating all quadrature points at once; with blocks of
+    # 8192 triangles they measured 98/98/128 B. The load gathers no nodal
+    # values (91 B when it interpolated zeros, one point at a time), and
     # the scatter reads its index columns in place (124 B for stiffness
     # and slope when it flattened them for one bincount).
     mesh = pentagon(7)
