@@ -25,6 +25,11 @@ from .quadrature import rule_of_degree
 from .solver import SolverConfig, SolverError, cg_solve, solve_semilinear
 
 
+# The quadrature of the closed-form norms and of the Ritz load: degree 4,
+# which the 7-point rule serves.
+NORM_RULE = rule_of_degree(4)
+
+
 @dataclass(frozen=True)
 class ExactSolution:
     """Closed-form reference: value(x, y) and grad(x, y) -> (gx, gy)."""
@@ -52,44 +57,43 @@ def _matrix_norm(e, matrix):
     return float(np.sqrt(e @ (matrix @ e)))
 
 
-def error_l2(u_h, truth, quad=None):
+def error_l2(u_h, truth):
     """L2 norm of u_h - truth over the meshed domain.
 
     For a FemFunction truth on a nested finer mesh, u_h is transferred
     there and the norm of the coefficient difference is computed with the
     exact mass matrix. For a callable truth (evaluated as truth(x, y)),
-    per-element quadrature of degree at least 4 is used.
+    the degree-4 rule is used on every element.
     """
     if isinstance(truth, FemFunction):
         return _matrix_norm(_nested_difference(u_h, truth), assemble_mass(truth.mesh))
-    rule = quad if quad is not None else rule_of_degree(4)
     mesh = u_h.mesh
     total = 0.0
     for block, corners, areas in element_blocks(mesh):
         uloc = u_h.coeffs[mesh.triangles[block]]
-        for bary, wq in zip(rule.points, rule.weights):
+        for bary, wq in zip(NORM_RULE.points, NORM_RULE.weights):
             x, y = quadrature_points(corners, bary)
             diff = uloc @ bary - np.asarray(truth(x, y), dtype=float)
             total += wq * np.sum(areas * diff * diff)
     return float(np.sqrt(total))
 
 
-def error_h1semi(u_h, truth, quad=None):
+def error_h1semi(u_h, truth):
     """L2 norm of the gradient of u_h - truth.
 
     Discrete gradients are constant per triangle, so against a nested
     FemFunction the result is exact (a stiffness-weighted norm). A
-    callable truth must return the gradient pair: truth(x, y) -> (gx, gy).
+    callable truth must return the gradient pair: truth(x, y) -> (gx, gy),
+    and is integrated by the degree-4 rule on every element.
     """
     if isinstance(truth, FemFunction):
         return _matrix_norm(_nested_difference(u_h, truth), assemble_stiffness(truth.mesh))
-    rule = quad if quad is not None else rule_of_degree(4)
     mesh = u_h.mesh
     total = 0.0
     for block, corners, areas in element_blocks(mesh):
         uloc = u_h.coeffs[mesh.triangles[block]]
         gux, guy = np.einsum("kj,djk->dk", uloc, basis_gradients(corners, areas))
-        for bary, wq in zip(rule.points, rule.weights):
+        for bary, wq in zip(NORM_RULE.points, NORM_RULE.weights):
             x, y = quadrature_points(corners, bary)
             gx, gy = truth(x, y)
             dx = gux - np.asarray(gx, dtype=float)
@@ -121,11 +125,11 @@ def error_linf(u_h, truth, lattice_degree=4):
     return worst
 
 
-def ritz_project(mesh, grad_truth, quad=None, cg_tol=1e-12):
+def ritz_project(mesh, grad_truth, cg_tol=1e-12):
     """Elliptic projection onto the Dirichlet P1 space.
 
     Solves A r = g on the interior unknowns, with g_i the integrals of
-    grad_truth against the hat gradients (quadrature degree at least 4),
+    grad_truth against the hat gradients (by the degree-4 rule),
     so the gradient of the result is L2-orthogonal to all discrete
     gradients against the given field; boundary values are zero.
 
@@ -135,11 +139,10 @@ def ritz_project(mesh, grad_truth, quad=None, cg_tol=1e-12):
     grad_truth : callable
         Evaluated as grad_truth(x, y) -> (gx, gy) on coordinate arrays.
     """
-    rule = quad if quad is not None else rule_of_degree(4)
     local = np.zeros((3, mesh.num_triangles))
     for block, corners, areas in element_blocks(mesh):
         hx, hy = basis_gradients(corners, areas)
-        for bary, wq in zip(rule.points, rule.weights):
+        for bary, wq in zip(NORM_RULE.points, NORM_RULE.weights):
             x, y = quadrature_points(corners, bary)
             gx, gy = grad_truth(x, y)
             s = wq * areas
@@ -147,7 +150,7 @@ def ritz_project(mesh, grad_truth, quad=None, cg_tol=1e-12):
                 row += s * (hxj * gx + hyj * gy)
     interior = mesh.interior_vertices
     rhs = scatter_vector(mesh, local.T)[interior]
-    cycle = VCycle(mesh, assemble_stiffness(mesh))
+    cycle = VCycle(mesh)
     coeffs = np.zeros(mesh.num_vertices)
     coeffs[interior], _ = cg_solve(cycle.matrix, rhs, cg_tol, preconditioner=cycle)
     return FemFunction(mesh, coeffs)
@@ -266,8 +269,7 @@ def _fill_eoc(records):
             cur.eoc_l2_logcorr = math.nan
 
 
-def run_convergence_study(domain, d, f, levels, exact=None, extra_refinements=2,
-                          cfg=None, lattice_degree=4):
+def run_convergence_study(domain, d, f, levels, exact=None, extra_refinements=2, cfg=None):
     """Solve a refinement sequence and tabulate errors and their orders.
 
     Parameters
@@ -286,8 +288,6 @@ def run_convergence_study(domain, d, f, levels, exact=None, extra_refinements=2,
     extra_refinements : int
         Depth of the discrete reference, at least 2.
     cfg : SolverConfig, optional
-    lattice_degree : int
-        Sampling density of the max-norm error against a callable truth.
 
     Returns
     -------
@@ -349,7 +349,7 @@ def run_convergence_study(domain, d, f, levels, exact=None, extra_refinements=2,
         if exact is not None:
             record.err_l2 = error_l2(u, exact.value)
             record.err_h1 = error_h1semi(u, exact.grad)
-            record.err_linf = error_linf(u, exact.value, lattice_degree)
+            record.err_linf = error_linf(u, exact.value)
         report.records.append(record)
 
     if exact is None:
@@ -361,7 +361,8 @@ def run_convergence_study(domain, d, f, levels, exact=None, extra_refinements=2,
         except SolverError as exc:
             raise StudyError(f"reference level {top} failed: {exc}", report) from exc
         # The norms of error_l2, error_h1semi and error_linf, with the
-        # reference operators assembled once and each level transferred once.
+        # reference mass matrix assembled once, its stiffness the mesh's own,
+        # and each level transferred once.
         mass = assemble_mass(ref_mesh)
         stiffness = assemble_stiffness(ref_mesh)
         for record in report.records:

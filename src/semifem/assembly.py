@@ -7,6 +7,10 @@ are summed per vertex and the off-diagonal ones per edge, straight into
 the CSR data array, so every matrix of one mesh shares the pattern's
 `indptr` and `indices`. Assembly is vectorized over elements and
 deterministic, so repeated runs produce bitwise identical operators.
+Every matrix's values are the caller's own except the stiffness's: a
+mesh's stiffness values are built by the first `assemble_stiffness` on
+it and kept, read-only, as long as the mesh lives, so the solver, the
+V-cycle's levels and the studies share one copy.
 
 The element matrices themselves are data too: `stiffness_upper`,
 `mass_upper` and `assemble_slope_matrix(..., rows=True)` return their six
@@ -35,6 +39,8 @@ the same as in a single pass over all triangles, so the assembled result
 does not depend on `BLOCK`. The load and the reaction residual are one
 kernel, `_hat_integrals`.
 """
+
+import weakref
 
 import numpy as np
 from scipy import sparse
@@ -86,6 +92,10 @@ def _galerkin_map():
 
 
 _GALERKIN = _galerkin_map()
+
+# Each mesh's stiffness values, keyed weakly: they are freed with the mesh,
+# which holds no reference to them.
+_STIFFNESS = weakref.WeakKeyDictionary()
 
 
 def basis_gradients(corners, areas):
@@ -145,8 +155,7 @@ def pattern_matrix(mesh, upper):
     in either order; each edge sum fills both of its CSR entries.
     """
     indptr, indices, diagonal, off_diagonal = mesh.matrix_pattern()
-    nv = mesh.num_vertices
-    vertex_sums = np.zeros(nv)
+    vertex_sums = np.zeros(mesh.num_vertices)
     edge_sums = np.zeros(off_diagonal.shape[1])
     # np.add.at adds in index order, as one bincount over the stacked columns
     # would, but reads the index columns in place: a bincount needs them
@@ -157,7 +166,13 @@ def pattern_matrix(mesh, upper):
     data = np.empty(indices.size)
     data[diagonal] = vertex_sums
     data[off_diagonal] = edge_sums
-    mat = sparse.csr_matrix((data, indices, indptr), shape=(nv, nv))
+    return _canonical(data, indptr, indices)
+
+
+def _canonical(data, indptr, indices):
+    """Square CSR matrix over arrays of a canonical pattern, sharing all three."""
+    n = indptr.size - 1
+    mat = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
     mat.has_canonical_format = True
     return mat
 
@@ -171,16 +186,21 @@ def _check_finite(values, x, y, what):
 
 
 def assemble_stiffness(mesh):
-    """Unconstrained stiffness matrix of the Laplacian.
+    """The mesh's unconstrained stiffness matrix of the Laplacian, read-only.
 
     Exact for P1 elements since the basis gradients are constant per
     triangle; every row of the result sums to zero and the matrix is
-    symmetric.
+    symmetric. Its values are built on the first call on a mesh and kept,
+    read-only, as long as the mesh lives; every call returns a CSR matrix
+    over them and the pattern's index arrays.
     """
-    # The pattern is built before the element arrays exist, and those die
-    # before the scatter, so neither adds to the peak of the other.
-    mesh.matrix_pattern()
-    return pattern_matrix(mesh, stiffness_upper(mesh))
+    if mesh not in _STIFFNESS:
+        # The pattern is built before the element arrays exist, and those die
+        # before the scatter, so neither adds to the peak of the other.
+        mesh.matrix_pattern()
+        _STIFFNESS[mesh] = pattern_matrix(mesh, stiffness_upper(mesh)).data
+        _STIFFNESS[mesh].setflags(write=False)
+    return _canonical(_STIFFNESS[mesh], *mesh.matrix_pattern()[:2])
 
 
 def stiffness_upper(mesh):
@@ -355,10 +375,7 @@ def interior_block(mesh, matrix):
     indptr, indices, kept = mesh.interior_pattern()
     if matrix.nnz != kept.size:
         raise ValueError("matrix does not lie on the mesh's sparsity pattern")
-    n = indptr.size - 1
-    block = sparse.csr_matrix((matrix.data[kept], indices, indptr), shape=(n, n))
-    block.has_canonical_format = True
-    return block
+    return _canonical(matrix.data[kept], indptr, indices)
 
 
 def apply_dirichlet(matrix, rhs, mesh):

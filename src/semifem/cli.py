@@ -172,19 +172,23 @@ def build_solver_config(cfg):
 
 
 def _looks_like_mesh_file(path):
-    """A mesh file starts with `nv nt` and has exactly 1 + nv + nt data lines."""
+    """Whether the file reads as a mesh file rather than a polygon file.
+
+    A mesh file starts with `nv nt`, has exactly 1 + nv + nt data lines,
+    and its first vertex line holds the three fields `x y b`. The field
+    count tells apart a polygon file whose lines read as `nv nt` and nv
+    vertices, such as the triangle `2 0 / 0 2 / 0 0`.
+    """
     with open(path, encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        return False
-    head = lines[0].split()
+    head = lines[0].split() if lines else []
     if len(head) != 2:
         return False
     try:
         nv, nt = int(head[0]), int(head[1])
     except ValueError:
         return False
-    return len(lines) == 1 + nv + nt
+    return len(lines) == 1 + nv + nt and nv > 0 and len(lines[1].split()) == 3
 
 
 def build_mesh(domain, level):

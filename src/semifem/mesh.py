@@ -535,6 +535,8 @@ def read_mesh(path):
         triangles = np.empty((nt, 3), dtype=np.int64)
         for k in range(nt):
             triangles[k] = [int(s) for s in lines[1 + nv + k].split()]
+    except MeshError:
+        raise
     except ValueError as exc:
         raise MeshError(f"{path}: malformed mesh file: {exc}") from exc
     mesh = TriMesh(vertices, triangles)

@@ -12,12 +12,15 @@ on the coarsest level.
 
 The coarse operators are built as data on each mesh's fixed patterns,
 with no sparse product: nested P1 stiffness is Galerkin-exact, P^T K P =
-K_H, so a coarse level is its own mesh's stiffness rows plus the reaction
-rows mapped element by element to the parent (`assembly.coarsen_upper`),
-scattered once on the parent's pattern, and its interior block is one
-masked copy of that data (`assembly.interior_block`). A fine boundary
-vertex never prolongates from an interior coarse one, so the interior
-block of the full product is the product of the interior blocks.
+K_H, so a coarse level is its own mesh's stiffness plus the reaction rows
+mapped element by element to the parent (`assembly.coarsen_upper`). One
+rule builds every level, fine or coarse: the reaction rows are scattered
+once on the level's pattern, the mesh's read-only stiffness values
+(`assembly.assemble_stiffness`, built once per mesh) are added to that
+data, and the interior block is one masked copy of the sum
+(`assembly.interior_block`). A fine boundary vertex never prolongates
+from an interior coarse one, so the interior block of the full product
+is the product of the interior blocks.
 
 One rule ends the chain: it descends while the system has more than
 DENSE_COARSE_SIZE unknowns and a coarser space exists, that is, the mesh
@@ -31,7 +34,7 @@ from functools import partial
 import numpy as np
 from scipy import sparse
 
-from .assembly import coarsen_upper, interior_block, pattern_matrix, stiffness_upper
+from .assembly import assemble_stiffness, coarsen_upper, interior_block, pattern_matrix
 
 # Damped Jacobi with weight omega: each sweep contracts in the energy norm,
 # and the symmetric cycle is positive definite, when omega * lambda_max(D^-1 A)
@@ -74,6 +77,20 @@ def _jacobi_weights(a):
     return min(SMOOTHING_WEIGHT, 1.9 / gershgorin) / diag
 
 
+def _interior_operator(mesh, reaction):
+    """Interior block of the mesh's stiffness plus the matrix of the element rows reaction.
+
+    The sum is taken on the data arrays: scipy's sparse + drops entries
+    that sum to exactly zero and would leave the mesh's pattern.
+    """
+    stiffness = assemble_stiffness(mesh)
+    if reaction is None:
+        return interior_block(mesh, stiffness)
+    full = pattern_matrix(mesh, reaction)
+    full.data += stiffness.data
+    return interior_block(mesh, full)
+
+
 class VCycle:
     """One symmetric V-cycle as a preconditioner: r -> approximately A^-1 r.
 
@@ -84,17 +101,15 @@ class VCycle:
         to the first system of at most DENSE_COARSE_SIZE unknowns, to the
         root, or to the last mesh above an ancestor without interior
         vertices.
-    stiffness : scipy.sparse.csr_matrix
-        The mesh's assembled stiffness matrix, `assembly.assemble_stiffness`.
     reaction : ndarray of shape (6, nt), optional
         Element rows, in the layout of `assembly.pattern_matrix`, of a
         symmetric positive semidefinite matrix added to the stiffness, such
         as `assembly.assemble_slope_matrix(..., rows=True)` or
         `assembly.mass_upper`; None for the Poisson operator.
 
-    The operator A is the block of stiffness + reaction on the interior
-    unknowns, `mesh.interior_vertices` in that order; it is kept as the
-    CSR matrix `matrix`, which the caller's CG can use. The coarse
+    The operator A is the block of the mesh's stiffness + reaction on the
+    interior unknowns, `mesh.interior_vertices` in that order; it is kept
+    as the CSR matrix `matrix`, which the caller's CG can use. The coarse
     operators are built once here, so build one instance per operator.
     Each smoothed level keeps one record (operator, Jacobi weights,
     prolongation P, restriction P^T as CSR); P and P^T are the ones each
@@ -103,15 +118,8 @@ class VCycle:
     cycle.
     """
 
-    def __init__(self, mesh, stiffness, reaction=None):
-        if reaction is None:
-            a = interior_block(mesh, stiffness)
-        else:
-            full = pattern_matrix(mesh, reaction)
-            full.data += stiffness.data
-            a = interior_block(mesh, full)
-            del full
-        self.matrix = a
+    def __init__(self, mesh, reaction=None):
+        a = self.matrix = _interior_operator(mesh, reaction)
         self._levels = []
         while mesh.parent is not None and a.shape[0] > DENSE_COARSE_SIZE:
             p, restriction = mesh.interior_prolongation(), mesh.interior_restriction()
@@ -121,11 +129,9 @@ class VCycle:
             mesh = mesh.parent
             # P^T K P = K_H: the parent's own stiffness, plus the reaction's
             # rows carried one level down. Rows come out sorted by construction.
-            upper = stiffness_upper(mesh)
             if reaction is not None:
                 reaction = coarsen_upper(reaction)
-                upper += reaction
-            a = interior_block(mesh, pattern_matrix(mesh, upper))
+            a = _interior_operator(mesh, reaction)
         self._coarse_solve = _exact_solver(a)
 
     def __call__(self, r):

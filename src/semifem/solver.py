@@ -8,22 +8,21 @@ matrix[i][:, i] of the assembled matrix, and its solution is embedded
 into the full coefficient vector with zero boundary values. Each Newton
 step linearizes the reaction with a floored symmetric difference
 quotient, which stays finite and nonnegative across kinks of
-non-Lipschitz terms, and solves the symmetric positive definite
-correction system by conjugate gradients preconditioned with one multigrid
-V-cycle on the mesh's refinement hierarchy (`multigrid.VCycle`), so the CG
-iteration count stays bounded as the mesh is refined. The Jacobian is
-handed to the cycle as the mesh's stiffness matrix plus the slope weight's
-element rows, from which it builds the interior block and every coarse
-operator. Steps are globalized
-by a regula falsi search on the directional derivative of the convex energy
-whose gradient is the residual (`_line_search`). Each correction is solved
-only as far as the mesh's Newton target needs: its relative CG tolerance is
-FORCING times the target's share of the current residual, floored at
-cfg.cg_tol (inexact Newton forcing). A solve without an initial
-iterate starts by nested iteration: it solves on the mesh's ancestors first,
-from the root, coarse to fine, each only to a fixed fraction of its starting
-residual, and starts each finer mesh from the prolongated solution of the
-coarser one.
+non-Lipschitz terms, and solves the symmetric positive definite correction
+system by conjugate gradients preconditioned with one multigrid V-cycle on
+the mesh's refinement hierarchy (`multigrid.VCycle`), so the CG iteration
+count stays bounded as the mesh is refined. The Jacobian is handed to the
+cycle as the slope weight's element rows, which it adds to the mesh's
+stiffness matrix to build the interior block and every coarse operator.
+Steps are globalized by a regula falsi search on the directional derivative
+of the convex energy whose gradient is the residual (`_line_search`). Each
+correction is solved only as far as the mesh's Newton target needs: its
+relative CG tolerance is FORCING times the target's share of the current
+residual, floored at cfg.cg_tol (inexact Newton forcing). A solve without
+an initial iterate starts by nested iteration: it solves on the mesh's
+ancestors first, from the root, coarse to fine, each only to a fixed
+fraction of its starting residual, and starts each finer mesh from the
+prolongated solution of the coarser one.
 """
 
 from dataclasses import dataclass, field
@@ -138,26 +137,33 @@ class SolveStats:
     """Iteration counts and the certified final residual of one solve.
 
     A cold solve also works on the mesh's ancestors (see
-    `solve_semilinear`). newton_iterations, total_cg_iterations,
+    `solve_semilinear`). levels holds one `LevelStats` per mesh solved,
+    coarse to fine, ending with the requested mesh; newton_iterations and
+    total_cg_iterations are read-only sums of its counts.
     damping_activations, residual_history and cg_residuals count the whole
-    call, every mesh included; levels holds one `LevelStats` per mesh
-    solved, coarse to fine, ending with the requested mesh, and its counts
-    sum to the totals. damping_activations counts the Newton steps whose
-    line search took a step below 1. Each mesh adds its starting residual
-    and one entry per Newton step to residual_history. final_residual_norm
-    is that of the requested mesh. cg_residuals holds, per CG call in call
-    order, the true relative residual ||A x - b|| / ||b|| of the returned
-    correction (0 for b = 0); a Newton correction's entry lies at its
-    forcing tolerance, which can reach FORCING, not at cg_tol.
+    call, every mesh included. damping_activations counts the Newton steps
+    whose line search took a step below 1. Each mesh adds its starting
+    residual and one entry per Newton step to residual_history.
+    final_residual_norm is that of the requested mesh. cg_residuals holds,
+    per CG call in call order, the true relative residual
+    ||A x - b|| / ||b|| of the returned correction (0 for b = 0); a Newton
+    correction's entry lies at its forcing tolerance, which can reach
+    FORCING, not at cg_tol.
     """
 
-    newton_iterations: int = 0
-    total_cg_iterations: int = 0
     final_residual_norm: float = np.inf
     damping_activations: int = 0
     residual_history: list = field(default_factory=list)
     cg_residuals: list = field(default_factory=list)
     levels: list = field(default_factory=list)
+
+    @property
+    def newton_iterations(self):
+        return sum(level.newton_iterations for level in self.levels)
+
+    @property
+    def total_cg_iterations(self):
+        return sum(level.cg_iterations for level in self.levels)
 
 
 def _norm(x):
@@ -325,32 +331,31 @@ def solve_semilinear(mesh, d, f, cfg=None, initial=None):
     for k, level in enumerate(levels):
         if k:
             coeffs = level.prolongation() @ coeffs
-        newton, cg = stats.newton_iterations, stats.total_cg_iterations
+        stats.levels.append(LevelStats(level.level, 0, 0))
         try:
             coeffs = _newton(level, d, f, cfg, coeffs, stats, requested=level is mesh)
         except NewtonError as exc:
             if level is mesh or exc.best is None:
                 raise
             coeffs = exc.best.coeffs
-        finally:
-            stats.levels.append(LevelStats(level.level, stats.newton_iterations - newton,
-                                           stats.total_cg_iterations - cg))
     return FemFunction(mesh, coeffs), stats
 
 
 def _newton(mesh, d, f, cfg, start, stats, requested):
     """Damped Newton iteration on one mesh; returns the solution's coefficients.
 
-    start holds coefficients on the mesh, of which the interior entries
-    are used, or is None for the frozen-reaction start. The loop stops at
+    start holds coefficients on the mesh, of which the interior entries are
+    used, or is None for the frozen-reaction start. The loop stops at
     cfg.residual_tol on the requested mesh, and on any other mesh at
     max(cfg.residual_tol, ANCESTOR_REDUCTION * r0), r0 the scaled residual
-    of its start. Counts are added to stats, and final_residual_norm is set
-    on success. The requested mesh takes at least one step; another mesh
-    takes none when its start already meets its target. Raises NewtonError
-    with the best iterate when max_newton steps miss the target. The line
-    search is given cfg.residual_tol on every mesh. A step at scaled
-    residual r_k > 0 solves its correction to the relative CG tolerance
+    of its start. Counts are added to stats, the Newton steps and CG
+    iterations to its last `LevelStats`, which is this mesh's, and
+    final_residual_norm is set on success. The requested mesh takes at
+    least one step; another mesh takes none when its start already meets
+    its target. Raises NewtonError with the best iterate when max_newton
+    steps miss the target. The line search is given cfg.residual_tol on
+    every mesh. A step at scaled residual r_k > 0 solves its correction to
+    the relative CG tolerance
     max(cfg.cg_tol, FORCING * min(target, r_k) / r_k), and one at r_k = 0
     to cfg.cg_tol; the frozen-reaction start is solved to cfg.cg_tol.
     """
@@ -368,10 +373,10 @@ def _newton(mesh, d, f, cfg, start, stats, requested):
         J is the interior block of the stiffness plus the matrix of the
         element rows reaction (None: the stiffness alone).
         """
-        cycle = VCycle(mesh, stiffness, reaction)
+        cycle = VCycle(mesh, reaction)
         block = cycle.matrix
         x, used = cg_solve(block, rhs, tol, preconditioner=cycle)
-        stats.total_cg_iterations += used
+        stats.levels[-1].cg_iterations += used
         rhs_norm = np.linalg.norm(rhs)
         stats.cg_residuals.append(
             float(np.linalg.norm(block @ x - rhs) / rhs_norm) if rhs_norm > 0.0 else 0.0)
@@ -411,7 +416,7 @@ def _newton(mesh, d, f, cfg, start, stats, requested):
     for iteration in range(1, cfg.max_newton + 1):
         if res_norm <= target and (iteration > 1 or not requested):
             break
-        stats.newton_iterations += 1
+        stats.levels[-1].newton_iterations += 1
         forcing_tol = cfg.cg_tol if res_norm == 0.0 else max(
             cfg.cg_tol, FORCING * min(target, res_norm) / res_norm)
         slope = assemble_slope_matrix(mesh, d, FemFunction(mesh, u + tau),

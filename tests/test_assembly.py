@@ -405,14 +405,39 @@ class TestPatternCache:
 
     def test_freed_with_mesh(self):
         mesh = refine_uniform(triangulate_convex_polygon(preset_polygon("pentagon")))
-        matrix = assemble_mass(mesh)
-        refs = [weakref.ref(mesh)] + [weakref.ref(a) for a in mesh.matrix_pattern()]
+        matrix, stiffness = assemble_mass(mesh), assemble_stiffness(mesh)
+        values = assembly._STIFFNESS[mesh]
+        assert np.shares_memory(stiffness.data, values)
+        refs = [weakref.ref(a) for a in (mesh, values, *mesh.matrix_pattern())]
         gc.disable()
         try:
-            del mesh, matrix
+            del mesh, matrix, stiffness, values
             assert all(ref() is None for ref in refs)
         finally:
             gc.enable()
+
+
+class TestStiffnessCache:
+    def test_values_built_once_and_shared(self, square2, monkeypatch):
+        calls = []
+        build = assembly.stiffness_upper
+        monkeypatch.setattr(assembly, "stiffness_upper",
+                            lambda mesh: calls.append(mesh) or build(mesh))
+        first, second = assemble_stiffness(square2), assemble_stiffness(square2)
+        assert calls == [square2]
+        assert first is not second
+        assert np.shares_memory(first.data, second.data)
+        np.testing.assert_array_equal(
+            first.data, assembly.pattern_matrix(square2, build(square2)).data)
+
+    def test_values_read_only(self, square2):
+        matrix = assemble_stiffness(square2)
+        assert not matrix.data.flags.writeable
+        with pytest.raises(ValueError):
+            matrix.data[0] = 7.0
+        copy = matrix.copy()
+        copy.data[0] = 7.0  # a copy's values are the caller's own
+        assert assemble_stiffness(square2).data[0] != 7.0
 
 
 def poisoned(value, call=1, k=5, base=PowerLaw()):
@@ -497,14 +522,19 @@ def block_outputs(mesh):
 
 @pytest.mark.parametrize("make", ["pentagon4", "shuffled"])
 def test_blocks_bitwise_equal_to_one_block(monkeypatch, make):
-    mesh = pentagon(4)
-    if make == "shuffled":
-        mesh = shuffled(mesh)
-    assert mesh.num_triangles % SMALL_BLOCK > 0
-    monkeypatch.setattr(assembly, "BLOCK", mesh.num_triangles)
-    whole = block_outputs(mesh)
+    # Each pass gets a fresh copy of the mesh, so that both build its
+    # stiffness, and the projection's coarse ones, instead of reading the
+    # first pass's kept values.
+    def fresh():
+        mesh = pentagon(4)
+        return shuffled(mesh) if make == "shuffled" else mesh
+
+    nt = fresh().num_triangles
+    assert nt % SMALL_BLOCK > 0
+    monkeypatch.setattr(assembly, "BLOCK", nt)
+    whole = block_outputs(fresh())
     monkeypatch.setattr(assembly, "BLOCK", SMALL_BLOCK)
-    blocked = block_outputs(mesh)
+    blocked = block_outputs(fresh())
     for name, ref in whole.items():
         if name in ("l2", "h1"):
             # Their sums are grouped per block, which moves the last bits.
@@ -681,8 +711,10 @@ def test_peak_allocation_per_triangle():
     # One pass over all triangles at once peaked at 144/156/188/248 B
     # (stiffness/load/residual/slope) and 120/208/120/276 B (L2/H1/max
     # errors against a callable truth, Ritz projection); the blocked walk
-    # measures 93/87/87/93 B and 16/19/17/130 B, the rest being the
-    # output rows, the scatter and, for the projection, its solve. The
+    # measures 93/87/87/93 B and 16/19/17/125 B, the rest being the
+    # output rows, the scatter and, for the projection, its solve (130 B
+    # when it rebuilt its chain's stiffness values, which the warm-up now
+    # leaves on the meshes). The
     # load, residual and slope kernels hold q times a block's length per
     # temporary, evaluating all quadrature points at once; with blocks of
     # 8192 triangles they measured 98/98/128 B. The load gathers no nodal
@@ -692,12 +724,15 @@ def test_peak_allocation_per_triangle():
     mesh = pentagon(7)
     mesh.matrix_pattern()
     ritz_project(mesh, smooth_grad)
+    # The warm-up keeps the mesh's stiffness; a copy measures a first build.
+    copy = TriMesh(mesh.vertices, mesh.triangles)
+    copy.matrix_pattern()
     d = PowerLaw(scale=50.0, exponent=1 / 3, shift=-1.0)
     u = interpolate(mesh, lambda x, y: np.sin(3 * x) - 1.0 + 0.01 * y)
     v = interpolate(mesh, lambda x, y: -1.0 + 0.3 * x * y)
     quad = seven_point_rule()
     assemblers = {
-        "stiffness": lambda: assemble_stiffness(mesh),
+        "stiffness": lambda: assemble_stiffness(copy),
         "load": lambda: assemble_load(mesh, lambda x, y: np.ones_like(x), quad),
         "residual": lambda: assemble_nonlinear_residual(mesh, d, u, quad),
         "slope": lambda: assemble_slope_matrix(mesh, d, u, v, 1e-6, quad),

@@ -61,6 +61,14 @@ class TestMeshCommand:
         assert code == 2
         assert "vertex 2" in capsys.readouterr().err
 
+    def test_polygon_file_read_as_polygon(self, tmp_path, capsys):
+        # Its first two lines would read as the header `nv nt` = `2 0` and one
+        # vertex of a mesh file with the right line count.
+        poly = write(tmp_path, "tri.txt", "2 0\n0 2\n0 0\n")
+        assert main(["mesh", "--domain", poly, "--level", "1",
+                     "--output", str(tmp_path / "m.txt")]) == 0
+        assert "nv=10 nt=12" in capsys.readouterr().out
+
     def test_round_trip_bit_for_bit(self, tmp_path, capsys):
         out = str(tmp_path / "mesh.txt")
         assert main(["mesh", "--domain", "pentagon", "--level", "2",

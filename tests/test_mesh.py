@@ -310,6 +310,14 @@ class TestMeshIO:
         with pytest.raises(MeshError, match="boundary flag"):
             read_mesh(path)
 
+    def test_error_names_path_once(self, tmp_path):
+        path = tmp_path / "mesh.txt"
+        path.write_text("1 0\n0 0\n")
+        with pytest.raises(MeshError, match="vertex line 0 must be 'x y b'") as info:
+            read_mesh(path)
+        assert str(info.value).count(str(path)) == 1
+        assert "malformed" not in str(info.value)
+
 
 class TestTriMeshValidation:
     def test_rejects_inverted_triangle(self):

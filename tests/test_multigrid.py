@@ -41,7 +41,7 @@ def poisson(mesh):
 
     The cycle's `matrix` is the system's interior block.
     """
-    return (VCycle(mesh, assemble_stiffness(mesh)),
+    return (VCycle(mesh),
             assemble_load(mesh, ONE, edge_midpoint_rule())[mesh.interior_vertices])
 
 
@@ -75,7 +75,7 @@ def test_iterations_bounded_across_levels(level):
 def test_vcycle_symmetric_positive():
     mesh = pentagon_mesh(4)
     i = mesh.interior_vertices
-    cycle = VCycle(mesh, assemble_stiffness(mesh), mass_upper(mesh))
+    cycle = VCycle(mesh, mass_upper(mesh))
     rng = np.random.default_rng(3)
     r, s = rng.standard_normal((2, i.size))
     left, right = s @ cycle(r), r @ cycle(s)
@@ -106,7 +106,7 @@ def test_vcycle_positive_definite_on_steep_jacobian():
     i = mesh.interior_vertices
     slope = steep_slope_rows(mesh)
     jacobian = (assemble_stiffness(mesh) + pattern_matrix(mesh, slope))[i][:, i]
-    cycle = VCycle(mesh, assemble_stiffness(mesh), slope)
+    cycle = VCycle(mesh, slope)
     (_, weight, _, _), = cycle._levels
     # omega lambda_max(D^-1 J) = lambda_max(W^1/2 J W^1/2) with W = omega D^-1.
     root = np.sqrt(weight)
@@ -218,14 +218,20 @@ def product_chain(mesh, matrix, depth):
     return chain
 
 
-def element_chain(mesh, stiffness, reaction, depth):
-    """The same blocks from element rows: each mesh's stiffness plus the coarsened reaction."""
-    full = stiffness + pattern_matrix(mesh, reaction)
-    chain = [interior_block(mesh, full)]
-    for _ in range(depth):
-        mesh = mesh.parent
-        reaction = coarsen_upper(reaction)
-        chain.append(interior_block(mesh, pattern_matrix(mesh, stiffness_upper(mesh) + reaction)))
+def element_chain(mesh, reaction, depth):
+    """The same blocks from element rows, summed as the cycle sums them.
+
+    Each level is the scattered reaction rows, coarsened once per level
+    down, plus the mesh's stiffness values, both on the mesh's pattern.
+    """
+    chain = []
+    for k in range(depth + 1):
+        if k:
+            mesh = mesh.parent
+            reaction = coarsen_upper(reaction)
+        full = pattern_matrix(mesh, reaction)
+        full.data += pattern_matrix(mesh, stiffness_upper(mesh)).data
+        chain.append(interior_block(mesh, full))
     return chain
 
 
@@ -244,12 +250,12 @@ def test_coarse_operators_match_sparse_products(name, domain, level, reaction):
     # P^T A P formed by sparse products, and its values to rounding; the
     # cycle's smoothed levels are the element-row chain's, bit for bit.
     mesh = refined(domain, level)
-    stiffness = assemble_stiffness(mesh)
     rows = mass_upper(mesh) if reaction == "mass" else steep_slope_rows(mesh)
-    levels = VCycle(mesh, stiffness, rows)._levels
+    levels = VCycle(mesh, rows)._levels
     assert len(levels) == level - 3
-    reference = product_chain(mesh, stiffness + pattern_matrix(mesh, rows), len(levels))
-    chain = element_chain(mesh, stiffness, rows, len(levels))
+    reference = product_chain(mesh, assemble_stiffness(mesh) + pattern_matrix(mesh, rows),
+                              len(levels))
+    chain = element_chain(mesh, rows, len(levels))
     for ref, a in zip(reference, chain):
         np.testing.assert_array_equal(a.indptr, ref.indptr)
         np.testing.assert_array_equal(a.indices, ref.indices)
@@ -292,4 +298,4 @@ def test_cycle_on_foreign_child_layout_raises():
     children = fine.triangles.reshape(-1, 4, 3)[:, [1, 0, 2, 3]].reshape(-1, 3)
     mesh = TriMesh(fine.vertices, children, level=fine.level, parent=parent)
     with pytest.raises(MeshError, match="not a uniform refinement"):
-        VCycle(mesh, assemble_stiffness(mesh))
+        VCycle(mesh)

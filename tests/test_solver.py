@@ -8,6 +8,7 @@ from scipy import sparse
 
 import semifem
 
+from semifem import assembly
 from semifem.assembly import (apply_dirichlet, assemble_load, assemble_mass,
                               assemble_nonlinear_residual, assemble_stiffness)
 from semifem.femfunction import FemFunction, interpolate, prolongate
@@ -422,6 +423,26 @@ class TestNestedStart:
         assert stats.newton_iterations <= 40
         assert stats.levels[-1].level == 7
         assert stats.levels[-1].newton_iterations <= 2
+
+    def test_cold_level7_builds_each_stiffness_once(self, monkeypatch):
+        # Each mesh keeps the stiffness its first solve or V-cycle level
+        # builds: a fresh chain of 8 meshes builds 8, a repeated solve none
+        # (30 and 30 when the cycle rebuilt its coarse levels' on every step).
+        calls = []
+        build = assembly.stiffness_upper
+        # Every semifem namespace that holds the builder, whatever imports it.
+        for module in [m for name, m in sys.modules.items() if name.startswith("semifem")]:
+            if getattr(module, "stiffness_upper", None) is build:
+                monkeypatch.setattr(module, "stiffness_upper",
+                                    lambda mesh: calls.append(mesh.level) or build(mesh))
+        mesh = pentagon_mesh(7)
+        _, stats = solve_semilinear(mesh, kink_term(), ONE)
+        assert sorted(calls) == list(range(8))
+        assert [s.newton_iterations for s in stats.levels] == [4, 6, 5, 7, 5, 3, 1, 2]
+        assert (stats.newton_iterations, stats.total_cg_iterations) == (33, 54)
+        _, again = solve_semilinear(mesh, kink_term(), ONE)
+        assert len(calls) == 8
+        assert again.levels == stats.levels
 
 
 def forcing_rules(stats, cfg):
