@@ -22,12 +22,17 @@ from .mesh import TriMesh, mesh_size, preset_polygon, refine_uniform, \
     triangulate_convex_polygon
 from .multigrid import VCycle
 from .quadrature import rule_of_degree
-from .solver import SolverConfig, SolverError, cg_solve, solve_semilinear
+from .solver import CG_TOL, SolverConfig, SolverError, cg_solve, solve_semilinear
 
 
 # The quadrature of the closed-form norms and of the Ritz load: degree 4,
 # which the 7-point rule serves.
 NORM_RULE = rule_of_degree(4)
+
+# The sample points of `error_linf` in every triangle: the barycentric
+# lattice {(i, j, k) / 4 : i + j + k = 4}, vertices included (15 points).
+LINF_LATTICE = np.array([(i, j, 4 - i - j) for i in range(4, -1, -1)
+                         for j in range(4 - i, -1, -1)]) / 4.0
 
 
 @dataclass(frozen=True)
@@ -36,15 +41,6 @@ class ExactSolution:
 
     value: object
     grad: object
-
-
-def _bary_lattice(degree):
-    """Barycentric lattice {(i, j, k)/degree : i+j+k = degree}, vertices included."""
-    pts = []
-    for i in range(degree, -1, -1):
-        for j in range(degree - i, -1, -1):
-            pts.append((i / degree, j / degree, (degree - i - j) / degree))
-    return np.array(pts)
 
 
 def _nested_difference(u_h, truth):
@@ -102,36 +98,34 @@ def error_h1semi(u_h, truth):
     return float(np.sqrt(total))
 
 
-def error_linf(u_h, truth, lattice_degree=4):
+def error_linf(u_h, truth):
     """Maximum absolute difference sampled densely on every triangle.
 
-    Samples all vertices plus a barycentric lattice of the given degree
-    (degree 4 gives 15 points per triangle). Against a nested FemFunction
-    the difference is piecewise linear and the vertex maximum is exact.
+    Samples the 15 points of `LINF_LATTICE` in every triangle, its
+    vertices included. Against a nested FemFunction the difference is
+    piecewise linear and the vertex maximum is exact.
     """
     if isinstance(truth, FemFunction):
         return float(np.max(np.abs(_nested_difference(u_h, truth))))
-    if lattice_degree < 1:
-        raise ValueError("lattice degree must be at least 1")
     mesh = u_h.mesh
-    lattice = _bary_lattice(lattice_degree)
     worst = 0.0
     for block, corners, _ in element_blocks(mesh):
         uloc = u_h.coeffs[mesh.triangles[block]]
-        for bary in lattice:
+        for bary in LINF_LATTICE:
             x, y = quadrature_points(corners, bary)
             diff = uloc @ bary - np.asarray(truth(x, y), dtype=float)
             worst = max(worst, float(np.max(np.abs(diff))))
     return worst
 
 
-def ritz_project(mesh, grad_truth, cg_tol=1e-12):
+def ritz_project(mesh, grad_truth):
     """Elliptic projection onto the Dirichlet P1 space.
 
     Solves A r = g on the interior unknowns, with g_i the integrals of
     grad_truth against the hat gradients (by the degree-4 rule),
     so the gradient of the result is L2-orthogonal to all discrete
-    gradients against the given field; boundary values are zero.
+    gradients against the given field; boundary values are zero. CG solves
+    to the relative tolerance `solver.CG_TOL`.
 
     Parameters
     ----------
@@ -152,7 +146,7 @@ def ritz_project(mesh, grad_truth, cg_tol=1e-12):
     rhs = scatter_vector(mesh, local.T)[interior]
     cycle = VCycle(mesh)
     coeffs = np.zeros(mesh.num_vertices)
-    coeffs[interior], _ = cg_solve(cycle.matrix, rhs, cg_tol, preconditioner=cycle)
+    coeffs[interior], _ = cg_solve(cycle.matrix, rhs, CG_TOL, preconditioner=cycle)
     return FemFunction(mesh, coeffs)
 
 

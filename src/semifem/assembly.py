@@ -348,7 +348,8 @@ def coarsen_upper(upper):
 
     upper holds the element rows of A, in the layout of `pattern_matrix`,
     on a mesh made by `refine_uniform`, whose triangles 4k..4k+3 are the
-    children of parent triangle k (`TriMesh.prolongation` checks this).
+    children of parent triangle k. Only `refine_uniform` makes a mesh with
+    a parent, so every refined mesh has this layout.
     P being the nodal prolongation, each parent element matrix of P^T A P
     is a fixed linear map of its four children's element matrices, so the
     returned (6, nt / 4) rows, scattered by `pattern_matrix` on the parent,

@@ -39,7 +39,6 @@ CONFIG_KEYS = {
     "residual_tol": ("1e-10", "Newton residual tolerance (scaled norm)"),
     "max_newton": ("50", "Newton iteration cap"),
     "slope_floor": ("1e-6", "difference-quotient floor of the linearization"),
-    "cg_tol": ("1e-12", "floor of each Newton correction's relative CG tolerance"),
     "quad_degree": ("5", "quadrature degree for the nonlinear terms, 0 to 5"),
     "output": (None, "output path; also settable with --output"),
 }
@@ -164,7 +163,6 @@ def build_solver_config(cfg):
             residual_tol=_float_key(cfg, "residual_tol"),
             max_newton=_int_key(cfg, "max_newton"),
             slope_floor=_float_key(cfg, "slope_floor"),
-            cg_tol=_float_key(cfg, "cg_tol"),
             quad_degree=_int_key(cfg, "quad_degree"),
         )
     except ValueError as exc:
@@ -177,12 +175,13 @@ def _looks_like_mesh_file(path):
     A mesh file starts with `nv nt`, has exactly 1 + nv + nt data lines,
     and its first vertex line holds the three fields `x y b`. The field
     count tells apart a polygon file whose lines read as `nv nt` and nv
-    vertices, such as the triangle `2 0 / 0 2 / 0 0`.
+    vertices, such as the triangle `2 0 / 0 2 / 0 0`. Mesh files carry no
+    comments, so a file with a `#` line is a polygon file.
     """
     with open(path, encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     head = lines[0].split() if lines else []
-    if len(head) != 2:
+    if len(head) != 2 or any(ln.startswith("#") for ln in lines):
         return False
     try:
         nv, nt = int(head[0]), int(head[1])

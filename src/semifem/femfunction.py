@@ -104,10 +104,14 @@ def read_function(mesh, path):
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty function file")
-    nv = int(lines[0])
+    try:
+        nv = int(lines[0])
+        values = np.array([float(s) for s in lines[1:]])
+    except ValueError as exc:
+        raise ValueError(f"{path}: malformed function file: {exc}") from None
     if nv != mesh.num_vertices:
         raise ValueError(f"{path}: file holds {nv} values, mesh has "
                          f"{mesh.num_vertices} vertices")
     if len(lines) != 1 + nv:
         raise ValueError(f"{path}: expected {1 + nv} lines, found {len(lines)}")
-    return FemFunction(mesh, np.array([float(s) for s in lines[1:]]))
+    return FemFunction(mesh, values)

@@ -161,18 +161,20 @@ class TriMesh:
         Ascending indices of the other vertices: the unknowns of the
         homogeneous Dirichlet problem.
     level : int
-        Refinement depth, 0 for an initial triangulation.
+        Refinement depth: 0 for a mesh built by the constructor.
     parent : TriMesh or None
-        The mesh this one refines by `refine_uniform`.
+        The mesh this one refines: None for a mesh built by the
+        constructor. Only `refine_uniform` sets it, with `level`, so every
+        child has its parent's red refinement layout.
 
-    The constructor validates positive triangle areas and conformity (every
-    edge belongs to one or two triangles) and derives the boundary flags.
-    Its one pass over the edges, `_unique_edges`, also numbers them: that
+    The constructor builds root meshes only. It validates positive
+    triangle areas and conformity (every edge belongs to one or two
+    triangles) and derives the boundary flags. Its one pass over the edges, `_unique_edges`, also numbers them: that
     numbering is `edges()`, and each triangle's three edge ids,
     `triangle_edges()`, serve `refine_uniform` and the assemblers.
     """
 
-    def __init__(self, vertices, triangles, level=0, parent=None):
+    def __init__(self, vertices, triangles):
         vertices = np.array(vertices, dtype=float)
         triangles = np.array(triangles, dtype=np.int64)
         if vertices.ndim != 2 or vertices.shape[1] != 2:
@@ -211,8 +213,8 @@ class TriMesh:
         self.triangles = triangles
         self.boundary_vertex = boundary_vertex
         self.interior_vertices = interior_vertices
-        self.level = int(level)
-        self.parent = parent
+        self.level = 0
+        self.parent = None
         self._edges = edges
         self._triangle_edges = triangle_edges
         self._signed_areas = areas
@@ -251,41 +253,11 @@ class TriMesh:
         Returns the (nv, nv_parent) CSR matrix whose rows are identity rows
         for the parent vertices and rows with 1/2 at both endpoints of the
         parent edge for the midpoint vertices, in `refine_uniform`'s
-        numbering; None for a mesh without parent. Built once per mesh,
-        after checking once that the mesh is its parent's `refine_uniform`:
-        the vertex count, and that triangles 4k..4k+3 have the corners
-        `CHILD_CORNERS` of parent triangle k, on which the element-wise
-        coarse operators of `assembly.coarsen_upper` rely.
-
-        Raises
-        ------
-        MeshError
-            If the vertex count or the triangle layout does not match a
-            uniform refinement of the parent.
+        numbering; None for a mesh without parent. Built once per mesh.
         """
         if self._prolongation is None and self.parent is not None:
-            parent = self.parent
-            edges = parent.edges()
-            nc = parent.num_vertices
-            if self.num_vertices != nc + edges.shape[0]:
-                raise MeshError(f"mesh with {self.num_vertices} vertices is not a "
-                                f"uniform refinement of its parent ({nc} vertices, "
-                                f"{edges.shape[0]} edges)")
-            if self.num_triangles != 4 * parent.num_triangles:
-                raise MeshError(f"mesh with {self.num_triangles} triangles is not a "
-                                f"uniform refinement of its parent "
-                                f"({parent.num_triangles} triangles)")
-            # One column of one child at a time: O(nt) compares, no (nt, 12) copy.
-            for c, corners in enumerate(CHILD_CORNERS):
-                for j, column in enumerate(corners):
-                    expected = (parent.triangles[:, column] if column < 3
-                                else nc + parent.triangle_edges()[:, column - 3])
-                    mismatch = self.triangles[c::4, j] != expected
-                    if mismatch.any():
-                        k = int(np.argmax(mismatch))
-                        raise MeshError(f"triangle {4 * k + c} is not child {c} of parent "
-                                        f"triangle {k} in the layout of refine_uniform: "
-                                        "not a uniform refinement of its parent")
+            edges = self.parent.edges()
+            nc = self.parent.num_vertices
             indptr = np.concatenate([np.arange(nc + 1),
                                      nc + 2 * np.arange(1, edges.shape[0] + 1)])
             indices = np.concatenate([np.arange(nc), edges.ravel()])
@@ -391,7 +363,7 @@ def triangulate_convex_polygon(poly):
     n = poly.num_vertices
     vertices = np.vstack([poly.vertices, poly.centroid()])
     triangles = np.array([[i, (i + 1) % n, n] for i in range(n)], dtype=np.int64)
-    return TriMesh(vertices, triangles, level=0, parent=None)
+    return TriMesh(vertices, triangles)
 
 
 def refine_uniform(mesh):
@@ -403,7 +375,8 @@ def refine_uniform(mesh):
     without another search. The child mesh nests the parent exactly and
     all angles are preserved. Children 4k..4k+2 of triangle k keep its
     vertex j with the midpoints of the edges at j; child 4k + 3 is the
-    middle triangle (`CHILD_CORNERS`).
+    middle triangle (`CHILD_CORNERS`). This is the only function that
+    sets a mesh's `parent` and `level`.
     """
     edges = mesh.edges()
     midpoints = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
@@ -412,7 +385,10 @@ def refine_uniform(mesh):
     corners = np.hstack([mesh.triangles, mesh.num_vertices + mesh.triangle_edges()])
     children = corners[:, np.ravel(CHILD_CORNERS)].reshape(-1, 3)
     del corners  # the child's edge pass sets the peak memory of a refinement
-    return TriMesh(vertices, children, level=mesh.level + 1, parent=mesh)
+    child = TriMesh(vertices, children)
+    child.level = mesh.level + 1
+    child.parent = mesh
+    return child
 
 
 def mesh_size(mesh):
@@ -436,7 +412,7 @@ def min_angle(mesh):
     return float(np.min(angles))
 
 
-def locate_point(mesh, p, tol=GEOM_TOL):
+def locate_point(mesh, p):
     """Find a triangle containing a point, with its barycentric coordinates.
 
     Parameters
@@ -444,19 +420,17 @@ def locate_point(mesh, p, tol=GEOM_TOL):
     mesh : TriMesh
     p : array_like, shape (2,)
         Point inside or on the closure of the meshed domain.
-    tol : float
-        Absolute tolerance on the barycentric coordinates.
 
     Returns
     -------
     (int, ndarray)
         Triangle index and the three barycentric coordinates of p in it,
-        each in [-tol, 1 + tol] and summing to 1.
+        each in [-GEOM_TOL, 1 + GEOM_TOL] and summing to 1.
 
     Raises
     ------
     MeshError
-        If p lies outside every triangle beyond the tolerance.
+        If p lies outside every triangle beyond GEOM_TOL.
     """
     p = np.asarray(p, dtype=float)
     v = mesh.vertices
@@ -469,7 +443,7 @@ def locate_point(mesh, p, tol=GEOM_TOL):
     bary = np.column_stack([la, lb, lc])
     worst = bary.min(axis=1)
     k = int(np.argmax(worst))
-    if worst[k] < -tol:
+    if worst[k] < -GEOM_TOL:
         raise MeshError(f"point ({p[0]:g}, {p[1]:g}) lies outside the mesh "
                         f"(barycentric deficit {worst[k]:.2e})")
     return k, bary[k]
@@ -531,7 +505,10 @@ def read_mesh(path):
             if len(parts) != 3:
                 raise MeshError(f"{path}: vertex line {i} must be 'x y b'")
             vertices[i] = (float(parts[0]), float(parts[1]))
-            flags[i] = bool(int(parts[2]))
+            if parts[2] not in ("0", "1"):
+                raise MeshError(f"{path}: vertex line {i}: boundary flag must be "
+                                f"0 or 1, got {parts[2]!r}")
+            flags[i] = parts[2] == "1"
         triangles = np.empty((nt, 3), dtype=np.int64)
         for k in range(nt):
             triangles[k] = [int(s) for s in lines[1 + nv + k].split()]

@@ -18,7 +18,7 @@ Steps are globalized by a regula falsi search on the directional derivative
 of the convex energy whose gradient is the residual (`_line_search`). Each
 correction is solved only as far as the mesh's Newton target needs: its
 relative CG tolerance is FORCING times the target's share of the current
-residual, floored at cfg.cg_tol (inexact Newton forcing). A solve without
+residual, floored at CG_TOL (inexact Newton forcing). A solve without
 an initial iterate starts by nested iteration: it solves on the mesh's
 ancestors first, from the root, coarse to fine, each only to a fixed
 fraction of its starting residual, and starts each finer mesh from the
@@ -65,6 +65,10 @@ ANCESTOR_REDUCTION = 1e-4
 # to 54 and left every mesh's Newton step count as it was.
 FORCING = 0.1
 
+# The floor of every Newton correction's relative CG tolerance, and the
+# tolerance of the frozen-reaction start and of `analysis.ritz_project`.
+CG_TOL = 1e-12
+
 
 class SolverError(RuntimeError):
     """Numerical failure; carries the residual history when available."""
@@ -98,21 +102,19 @@ class SolverConfig:
     residual_tol is absolute on the Euclidean residual norm scaled by
     1/sqrt(n), n the vertex count; slope_floor is the denominator floor of
     the difference quotient and also the half-width of the symmetric
-    difference. cg_tol is the floor of each Newton correction's relative CG
-    tolerance, which is otherwise FORCING times the share of the current
-    residual that the mesh's Newton target allows (see `_newton`); the
-    frozen-reaction start is solved to cg_tol itself. The tolerances and the
-    floor must be finite and positive.
+    difference. Both must be finite and positive. Each Newton correction's
+    relative CG tolerance is FORCING times the share of the current
+    residual that the mesh's Newton target allows, floored at CG_TOL (see
+    `_newton`).
     """
 
     residual_tol: float = 1e-10
     max_newton: int = 50
     slope_floor: float = 1e-6
-    cg_tol: float = 1e-12
     quad_degree: int = 5
 
     def __post_init__(self):
-        for name in ("residual_tol", "slope_floor", "cg_tol"):
+        for name in ("residual_tol", "slope_floor"):
             value = getattr(self, name)
             if not 0.0 < value < np.inf:
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
@@ -148,7 +150,7 @@ class SolveStats:
     per CG call in call order, the true relative residual
     ||A x - b|| / ||b|| of the returned correction (0 for b = 0); a Newton
     correction's entry lies at its forcing tolerance, which can reach
-    FORCING, not at cg_tol.
+    FORCING, not at CG_TOL.
     """
 
     final_residual_norm: float = np.inf
@@ -356,8 +358,8 @@ def _newton(mesh, d, f, cfg, start, stats, requested):
     steps miss the target. The line search is given cfg.residual_tol on
     every mesh. A step at scaled residual r_k > 0 solves its correction to
     the relative CG tolerance
-    max(cfg.cg_tol, FORCING * min(target, r_k) / r_k), and one at r_k = 0
-    to cfg.cg_tol; the frozen-reaction start is solved to cfg.cg_tol.
+    max(CG_TOL, FORCING * min(target, r_k) / r_k), and one at r_k = 0
+    to CG_TOL; the frozen-reaction start is solved to CG_TOL.
     """
     nv = mesh.num_vertices
     interior = mesh.interior_vertices
@@ -396,7 +398,7 @@ def _newton(mesh, d, f, cfg, start, stats, requested):
         u[interior] = start[interior]
     else:
         frozen = assemble_nonlinear_residual(mesh, d, FemFunction.zeros(mesh), quad)
-        u[interior] = correction(None, (load - frozen)[interior], cfg.cg_tol)
+        u[interior] = correction(None, (load - frozen)[interior], CG_TOL)
 
     def scaled_norm(res):
         norm = _norm(res) * scale
@@ -417,8 +419,8 @@ def _newton(mesh, d, f, cfg, start, stats, requested):
         if res_norm <= target and (iteration > 1 or not requested):
             break
         stats.levels[-1].newton_iterations += 1
-        forcing_tol = cfg.cg_tol if res_norm == 0.0 else max(
-            cfg.cg_tol, FORCING * min(target, res_norm) / res_norm)
+        forcing_tol = CG_TOL if res_norm == 0.0 else max(
+            CG_TOL, FORCING * min(target, res_norm) / res_norm)
         slope = assemble_slope_matrix(mesh, d, FemFunction(mesh, u + tau),
                                       FemFunction(mesh, u - tau), cfg.slope_floor, quad,
                                       rows=True)
@@ -493,8 +495,8 @@ def _line_search(residual, u, delta, res, tol, scale):
     return (a, *lower) if a > 0.0 else (b, trial, trial_res)
 
 
-def verify_uniform_bound(u, reference, slack=1e-10):
-    """Check the sup-norm bound ||u|| <= 2 ||reference|| + slack.
+def verify_uniform_bound(u, reference):
+    """Check the sup-norm bound ||u|| <= 2 ||reference|| + 1e-10.
 
     Returns (passed, ratio) with ratio = ||u|| / ||reference|| (1.0 when
     both vanish, inf when only the reference does).
@@ -505,4 +507,4 @@ def verify_uniform_bound(u, reference, slack=1e-10):
         ratio = nu / nr
     else:
         ratio = 1.0 if nu == 0.0 else np.inf
-    return nu <= 2.0 * nr + slack, ratio
+    return nu <= 2.0 * nr + 1e-10, ratio

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from semifem import analysis
 from semifem.analysis import (ExactSolution, StudyError, eoc, eoc_log_corrected,
                               error_h1semi, error_l2, error_linf, ritz_project,
                               run_convergence_study)
@@ -12,7 +13,7 @@ from semifem.femfunction import FemFunction, interpolate, prolongate
 from semifem.mesh import preset_polygon, refine_uniform, triangulate_convex_polygon
 from semifem.nonlinearity import PowerLaw
 from semifem.quadrature import rule_of_degree
-from semifem.solver import SolverConfig
+from semifem.solver import NewtonError, SolverConfig
 
 PI = np.pi
 
@@ -113,11 +114,6 @@ class TestErrorLinf:
         u = interpolate(mesh, lambda x, y: x)
         assert error_linf(u, lambda x, y: x + 0.3) == pytest.approx(0.3, abs=1e-14)
 
-    def test_lattice_degree_validated(self):
-        mesh = square_mesh(1)
-        with pytest.raises(ValueError):
-            error_linf(FemFunction.zeros(mesh), sine, lattice_degree=0)
-
 
 class TestRitz:
     def test_identity_on_discrete_function(self):
@@ -150,7 +146,7 @@ class TestRitz:
     def test_galerkin_orthogonality(self):
         mesh = square_mesh(3)
         tol = 1e-12
-        r = ritz_project(mesh, sine_grad, cg_tol=tol)
+        r = ritz_project(mesh, sine_grad)
         rule = rule_of_degree(4)
         corners, areas, (hx, hy) = whole_mesh_geometry(mesh)
         local = np.zeros((3, mesh.num_triangles))
@@ -282,6 +278,11 @@ class TestStudy:
             record.wall_time = 0.0
         assert custom.csv_text() == preset.csv_text()
 
+    def test_levels_must_be_nonempty(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            run_convergence_study("unit-square", PowerLaw(),
+                                  lambda x, y: np.ones_like(x), [])
+
     def test_levels_must_be_consecutive(self):
         with pytest.raises(ValueError, match="consecutive"):
             run_convergence_study("unit-square", PowerLaw(),
@@ -308,3 +309,18 @@ class TestStudy:
             run_convergence_study("pentagon", d, lambda x, y: np.ones_like(x),
                                   range(2, 4), cfg=cfg)
         assert err.value.report.records == []
+
+    def test_reference_failure_carries_the_levels(self, monkeypatch):
+        solve = analysis.solve_semilinear
+
+        def failing_on_reference(mesh, *args, **kwargs):
+            if mesh.level == 4:
+                raise NewtonError("forced failure")
+            return solve(mesh, *args, **kwargs)
+
+        monkeypatch.setattr(analysis, "solve_semilinear", failing_on_reference)
+        with pytest.raises(StudyError, match="reference level 4 failed: forced failure") \
+                as err:
+            run_convergence_study("unit-square", PowerLaw(), lambda x, y: np.ones_like(x),
+                                  range(1, 3))
+        assert [r.level for r in err.value.report.records] == [1, 2]

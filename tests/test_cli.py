@@ -1,7 +1,10 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from semifem.cli import main
+from semifem.cli import CONFIG_KEYS, main
 from semifem.femfunction import read_function
 from semifem.mesh import preset_polygon, read_mesh, triangulate_convex_polygon
 from semifem.solver import solve_semilinear
@@ -68,6 +71,14 @@ class TestMeshCommand:
         assert main(["mesh", "--domain", poly, "--level", "1",
                      "--output", str(tmp_path / "m.txt")]) == 0
         assert "nv=10 nt=12" in capsys.readouterr().out
+
+    def test_polygon_file_with_comment_read_as_polygon(self, tmp_path, capsys):
+        # The comment brings the line count to the 1 + 4 + 0 of a mesh
+        # header `4 0`, and it has three fields, like a vertex line.
+        poly = write(tmp_path, "sq.txt", "4 0\n# ccw square\n4 4\n0 4\n0 0\n")
+        assert main(["mesh", "--domain", poly, "--level", "1",
+                     "--output", str(tmp_path / "m.txt")]) == 0
+        assert "nv=13 nt=16" in capsys.readouterr().out
 
     def test_round_trip_bit_for_bit(self, tmp_path, capsys):
         out = str(tmp_path / "mesh.txt")
@@ -141,7 +152,7 @@ class TestSolveCommand:
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         # A key the solver no longer has is rejected like any unknown one.
-        for key in ("viscosity", "continuation_sigma0", "cg_maxit"):
+        for key in ("viscosity", "continuation_sigma0", "cg_maxit", "cg_tol"):
             cfg = write(tmp_path, "bad.cfg", f"{key} = 7\n")
             assert main(["solve", "--config", cfg]) == 2
             assert key in capsys.readouterr().err
@@ -152,7 +163,7 @@ class TestSolveCommand:
         assert "exponent" in capsys.readouterr().err
 
     @pytest.mark.parametrize("setting", ["residual_tol = nan", "slope_floor = nan",
-                                         "cg_tol = inf", "scale = inf", "shift = nan",
+                                         "scale = inf", "shift = nan",
                                          "weight = nan", "rhs = constant nan"])
     def test_non_finite_value_rejected(self, tmp_path, capsys, setting):
         # A NaN passes a `<= 0` test: as a tolerance it never stops Newton,
@@ -263,6 +274,33 @@ class TestStudyCommand:
         out = str(tmp_path / "study.csv")
         assert main(["study", "--domain", domain, "--levels", "1..2", "--output", out]) == 0
         return open(out, encoding="utf-8").read()
+
+
+@pytest.mark.parametrize("command, setting", [
+    ("study", "levels = x..3"), ("study", "levels = 5..2"), ("study", "levels = 2-5"),
+    ("study", "reference = fine+x"), ("study", "reference = coarse"),
+    ("solve", "rhs = constant x"), ("solve", "rhs = manufactured 3"),
+    ("solve", "rhs = manufactured"), ("solve", "rhs = spline"),
+    ("solve", "nonlinearity = cubic"), ("solve", "scale = abc"), ("solve", "level = x"),
+])
+def test_malformed_value_names_its_key(tmp_path, capsys, command, setting):
+    # KINK_CONFIG's domain is the pentagon, where `manufactured` does not apply.
+    cfg = write(tmp_path, "bad.cfg", KINK_CONFIG + setting + "\n")
+    assert main([command, "--config", cfg, "--output", str(tmp_path / "out.txt")]) == 2
+    assert f"config key '{setting.split()[0]}'" in capsys.readouterr().err
+
+
+def test_readme_config_table_matches_keys():
+    # Each row of README's "Config reference" table names keys as `key`
+    # followed by its default in parentheses, `(`default`)`, or a word.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Config reference", 1)[1].split("\n\n")[2]
+    listed = dict(re.findall(r"`(\w+)` \(([^)]*)\)",
+                             "\n".join(row.split(" | ")[0] for row in table.splitlines())))
+    assert sorted(listed) == sorted(CONFIG_KEYS)
+    for key, (default, _) in CONFIG_KEYS.items():
+        if default is not None:
+            assert listed[key] == f"`{default}`", key
 
 
 class TestValidateCommand:

@@ -114,3 +114,12 @@ def test_function_io_wrong_mesh(tmp_path, square):
     write_function(u, path)
     with pytest.raises(ValueError, match="vertices"):
         read_function(refine_uniform(square), path)
+
+
+@pytest.mark.parametrize("text", ["abc\n1.0\n", "2\n1.0\nx\n"])
+def test_function_io_malformed_names_path(tmp_path, square, text):
+    path = tmp_path / "u.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="malformed function file") as info:
+        read_function(square, path)
+    assert str(path) in str(info.value)

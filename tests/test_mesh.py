@@ -126,33 +126,6 @@ class TestRefine:
         assert r is fine.interior_restriction() and r.format == "csr"
         np.testing.assert_array_equal(r.toarray(), fine.interior_prolongation().toarray().T)
 
-    def test_prolongation_rejects_foreign_parent(self):
-        mesh = two_triangle_square()
-        child = TriMesh(mesh.vertices, mesh.triangles, level=1, parent=mesh)
-        with pytest.raises(MeshError, match="not a uniform refinement"):
-            child.prolongation()
-
-    @pytest.mark.parametrize("order", [[1, 0, 2, 3], [3, 1, 2, 0], [0, 1, 2, 3]])
-    def test_prolongation_rejects_foreign_child_layout(self, order):
-        # The same children as refine_uniform's, with the four children of
-        # each triangle permuted, or with one child's corners rotated: a
-        # conforming nested mesh, but not the layout the element-wise coarse
-        # operators read.
-        mesh = refine_uniform(triangulate_convex_polygon(Polygon(PENTAGON)))
-        fine = refine_uniform(mesh)
-        children = fine.triangles.reshape(-1, 4, 3)[:, order].copy()
-        children[-1, 3] = np.roll(children[-1, 3], 1)
-        child = TriMesh(fine.vertices, children.reshape(-1, 3), level=2, parent=mesh)
-        with pytest.raises(MeshError, match="not a uniform refinement"):
-            child.prolongation()
-
-    def test_prolongation_accepts_refine_uniform_layout(self):
-        mesh = refine_uniform(triangulate_convex_polygon(Polygon(PENTAGON)))
-        fine = refine_uniform(mesh)
-        copy = TriMesh(fine.vertices, fine.triangles, level=2, parent=mesh)
-        np.testing.assert_array_equal(copy.prolongation().toarray(),
-                                      fine.prolongation().toarray())
-
     def test_mesh_size_halves(self):
         mesh = triangulate_convex_polygon(Polygon(PENTAGON))
         fine = refine_uniform(mesh)
@@ -317,6 +290,20 @@ class TestMeshIO:
             read_mesh(path)
         assert str(info.value).count(str(path)) == 1
         assert "malformed" not in str(info.value)
+
+    @pytest.mark.parametrize("flag", ["2", "-1"])
+    def test_rejects_flag_outside_0_1(self, tmp_path, flag):
+        # A flag read as bool(int(b)) would accept these as "boundary".
+        mesh = triangulate_convex_polygon(preset_polygon("unit-square"))
+        path = tmp_path / "mesh.txt"
+        write_mesh(mesh, path)
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1][:-1] + flag
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MeshError, match="vertex line 0: boundary flag must be 0 or 1") \
+                as info:
+            read_mesh(path)
+        assert str(path) in str(info.value)
 
 
 class TestTriMeshValidation:

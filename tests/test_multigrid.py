@@ -11,7 +11,7 @@ from semifem.assembly import (assemble_load, assemble_mass, assemble_slope_matri
                               assemble_stiffness, coarsen_upper, interior_block, mass_upper,
                               pattern_matrix, stiffness_upper)
 from semifem.femfunction import FemFunction
-from semifem.mesh import (MeshError, Polygon, TriMesh, preset_polygon, read_mesh,
+from semifem.mesh import (Polygon, TriMesh, preset_polygon, read_mesh,
                           refine_uniform, triangulate_convex_polygon, write_mesh)
 from semifem.multigrid import DENSE_COARSE_SIZE, VCycle
 from semifem.nonlinearity import PowerLaw
@@ -289,13 +289,3 @@ def test_interior_block_rejects_foreign_pattern():
     with pytest.raises(ValueError, match="sparsity pattern"):
         interior_block(mesh, assemble_stiffness(mesh)[i][:, i])
 
-
-def test_cycle_on_foreign_child_layout_raises():
-    # The element-wise coarse operators need refine_uniform's child layout:
-    # a mesh whose children are permuted is refused, not coarsened wrongly.
-    parent = pentagon_mesh(3)
-    fine = refine_uniform(parent)
-    children = fine.triangles.reshape(-1, 4, 3)[:, [1, 0, 2, 3]].reshape(-1, 3)
-    mesh = TriMesh(fine.vertices, children, level=fine.level, parent=parent)
-    with pytest.raises(MeshError, match="not a uniform refinement"):
-        VCycle(mesh)

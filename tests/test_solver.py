@@ -8,7 +8,7 @@ from scipy import sparse
 
 import semifem
 
-from semifem import assembly
+from semifem import assembly, solver
 from semifem.assembly import (apply_dirichlet, assemble_load, assemble_mass,
                               assemble_nonlinear_residual, assemble_stiffness)
 from semifem.femfunction import FemFunction, interpolate, prolongate
@@ -16,7 +16,7 @@ from semifem.mesh import (TriMesh, preset_polygon, refine_uniform,
                           triangulate_convex_polygon)
 from semifem.nonlinearity import PowerLaw, cut
 from semifem.quadrature import edge_midpoint_rule, rule_of_degree
-from semifem.solver import (ANCESTOR_REDUCTION, FORCING, LINE_SEARCH_REDUCTION,
+from semifem.solver import (ANCESTOR_REDUCTION, CG_TOL, FORCING, LINE_SEARCH_REDUCTION,
                             LINE_SEARCH_RESIDUALS, CgError, IndefiniteSystemError, LevelStats,
                             NewtonError, SolverConfig, _line_search, cg_solve, solve_semilinear,
                             verify_uniform_bound)
@@ -243,7 +243,7 @@ class TestSolve:
         _, stats = solve_semilinear(mesh, kink_term(), ONE, cfg)
         assert len(stats.cg_residuals) == stats.newton_iterations + 1
         # Forcing allows looser steps, but on level 3 the cycle is the exact dense inverse.
-        assert max(stats.cg_residuals) <= 10 * cfg.cg_tol
+        assert max(stats.cg_residuals) <= 10 * CG_TOL
 
     def test_random_convex_domains(self):
         # Robustness sweep over non-preset geometry: the certificate and
@@ -450,7 +450,7 @@ def forcing_rules(stats, cfg):
 
     r_k is the step's starting scaled residual and target its mesh's own
     Newton target; a step at r_k = 0 gets 0. The step's CG tolerance is
-    the larger of this rule and cg_tol.
+    the larger of this rule and CG_TOL.
     """
     *ancestors, requested = level_histories(stats)
     targets = [max(cfg.residual_tol, ANCESTOR_REDUCTION * h[0]) for h in ancestors]
@@ -476,31 +476,32 @@ class TestForcing:
         _, stats = self.warm_level6(cfg)
         rules = forcing_rules(stats, cfg)
         assert len(stats.cg_residuals) == len(rules) == stats.newton_iterations
-        assert all(within_tolerance(res, max(cfg.cg_tol, rule))
+        assert all(within_tolerance(res, max(CG_TOL, rule))
                    for res, rule in zip(stats.cg_residuals, rules))
         # The first step starts far above residual_tol: its correction is
-        # solved only to about 3e-10, not to cg_tol.
-        assert stats.cg_residuals[0] > cfg.cg_tol
+        # solved only to about 3e-10, not to CG_TOL.
+        assert stats.cg_residuals[0] > CG_TOL
         assert stats.final_residual_norm <= cfg.residual_tol
 
     def test_cold_level6_keeps_newton_steps_with_fewer_cg_iterations(self):
-        # With every correction solved to cg_tol the same steps took 134 CG
+        # With every correction solved to CG_TOL the same steps took 134 CG
         # iterations; with forcing they take 55.
         _, stats = solve_semilinear(pentagon_mesh(6), kink_term(), ONE)
         assert [s.newton_iterations for s in stats.levels] == [4, 6, 5, 7, 5, 3, 3]
         assert stats.total_cg_iterations < 134
 
-    def test_floor_wins_over_a_tighter_rule(self):
-        cfg = SolverConfig(cg_tol=1e-3)
+    def test_floor_wins_over_a_tighter_rule(self, monkeypatch):
+        monkeypatch.setattr(solver, "CG_TOL", 1e-3)
+        cfg = SolverConfig()
         _, stats = solve_semilinear(pentagon_mesh(5), kink_term(), ONE, cfg)
         assert stats.final_residual_norm <= cfg.residual_tol
-        # The frozen-reaction start is solved to cg_tol, each step to the
-        # larger of cg_tol and its rule; some stop above their rule.
+        # The frozen-reaction start is solved to CG_TOL, each step to the
+        # larger of CG_TOL and its rule; some stop above their rule.
         frozen, *steps = stats.cg_residuals
         rules = forcing_rules(stats, cfg)
         assert len(steps) == len(rules)
-        assert within_tolerance(frozen, cfg.cg_tol)
-        assert all(within_tolerance(res, max(cfg.cg_tol, rule))
+        assert within_tolerance(frozen, solver.CG_TOL)
+        assert all(within_tolerance(res, max(solver.CG_TOL, rule))
                    for res, rule in zip(steps, rules))
         assert any(res > rule for res, rule in zip(steps, rules))
 
@@ -538,7 +539,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(residual_tol=0.0)
     # NaN passes a `<= 0` test; a NaN tolerance never stops Newton.
-    for name in ("residual_tol", "slope_floor", "cg_tol"):
+    for name in ("residual_tol", "slope_floor"):
         for bad in (np.nan, np.inf, -1e-3):
             with pytest.raises(ValueError, match=name):
                 SolverConfig(**{name: bad})
