@@ -177,12 +177,16 @@ def _canonical(data, indptr, indices):
     return mat
 
 
+class NonFiniteError(ValueError):
+    """A callable or slope weight is not finite at a quadrature point."""
+
+
 def _check_finite(values, x, y, what):
     finite = np.isfinite(values)
     if not np.all(finite):
         k = int(np.argmin(finite))
-        raise ValueError(f"{what} returned non-finite value at point "
-                         f"({x[k]:g}, {y[k]:g})")
+        raise NonFiniteError(f"{what} returned non-finite value at point "
+                             f"({x[k]:g}, {y[k]:g})")
 
 
 def assemble_stiffness(mesh):

@@ -1,4 +1,4 @@
-"""Command-line interface: mesh generation, solves, studies, self-validation.
+"""Command-line interface: mesh generation, solves and convergence studies.
 
 Configuration is a flat `key = value` text file with `#` comments; every
 key has a documented default and unknown keys are rejected. Exit codes:
@@ -10,7 +10,6 @@ import sys
 
 import numpy as np
 
-from . import validate as _validate_module
 from .analysis import ExactSolution, StudyError, run_convergence_study
 from .femfunction import write_function
 from .mesh import (MeshError, mesh_size, preset_polygon, read_mesh,
@@ -239,14 +238,15 @@ def _parse_reference(text):
 
 
 def _load_config(args):
-    cfg = parse_config(getattr(args, "config", None))
-    if getattr(args, "domain", None):
+    cfg = parse_config(args.config)
+    if args.domain:
         cfg["domain"] = args.domain
+    # `--level` belongs to `mesh` and `solve`, `--levels` to `study`.
     if getattr(args, "level", None) is not None:
         cfg["level"] = str(args.level)
     if getattr(args, "levels", None):
         cfg["levels"] = args.levels
-    if getattr(args, "output", None):
+    if args.output:
         cfg["output"] = args.output
     return cfg
 
@@ -318,10 +318,6 @@ def cmd_study(args):
     return EXIT_OK
 
 
-def cmd_validate(_args):
-    return _validate_module.run_all()
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="semifem",
@@ -329,28 +325,19 @@ def main(argv=None):
                     "with monotone reaction terms")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_levels=False):
+    for name, func, text in (("mesh", cmd_mesh, "generate and write a mesh"),
+                             ("solve", cmd_solve, "solve one discrete problem"),
+                             ("study", cmd_study, "run a convergence study")):
+        # No prefix matching: `study --level 3` would read as `--levels 3`.
+        p = sub.add_parser(name, help=text, allow_abbrev=False)
         p.add_argument("--config", help="path to a key = value config file")
         p.add_argument("--output", help="output path")
         p.add_argument("--domain", help="preset name or polygon/mesh file")
-        p.add_argument("--level", type=int, help="refinement level")
-        if with_levels:
+        if name == "study":
             p.add_argument("--levels", help="study range a..b")
-
-    p_mesh = sub.add_parser("mesh", help="generate and write a mesh")
-    common(p_mesh)
-    p_mesh.set_defaults(func=cmd_mesh)
-
-    p_solve = sub.add_parser("solve", help="solve one discrete problem")
-    common(p_solve)
-    p_solve.set_defaults(func=cmd_solve)
-
-    p_study = sub.add_parser("study", help="run a convergence study")
-    common(p_study, with_levels=True)
-    p_study.set_defaults(func=cmd_study)
-
-    p_val = sub.add_parser("validate", help="run the built-in oracle checks")
-    p_val.set_defaults(func=cmd_validate)
+        else:
+            p.add_argument("--level", type=int, help="refinement level")
+        p.set_defaults(func=func)
 
     try:
         args = parser.parse_args(argv)

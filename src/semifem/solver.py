@@ -33,7 +33,7 @@ import numpy as np
 # because benchmarks/tracing.py wraps solver.apply_dirichlet and
 # solver.assemble_mass by name. It wraps the other assemblers here too, so
 # the Newton step takes its slope rows from assemble_slope_matrix.
-from .assembly import (apply_dirichlet, assemble_load, assemble_mass,
+from .assembly import (NonFiniteError, apply_dirichlet, assemble_load, assemble_mass,
                        assemble_nonlinear_residual, assemble_slope_matrix,
                        assemble_stiffness)
 from .femfunction import FemFunction
@@ -90,8 +90,9 @@ class CgError(SolverError):
 class NewtonError(SolverError):
     """Newton iteration failed; `best` holds the best iterate found.
 
-    `best` is None when the residual norm is not finite: the data overflow
-    double precision, and a nested solve stops there.
+    `best` is None when the residual norm, a reaction value or a slope
+    weight is not finite: the data overflow double precision, and a nested
+    solve stops there.
     """
 
 
@@ -320,6 +321,11 @@ def solve_semilinear(mesh, d, f, cfg=None, initial=None):
     NewtonError
         If max_newton iterations on the requested mesh do not reach the
         tolerance; carries the best iterate on it and the residual history.
+        Also, without an iterate, on any mesh whose residual norm, reaction
+        value or slope weight is not finite; the message names the point.
+    ValueError
+        If f is not finite at a quadrature point, or the slope weight is
+        negative there (d is not monotone).
     """
     cfg = cfg if cfg is not None else SolverConfig()
     if initial is not None and initial.mesh is not mesh:
@@ -334,8 +340,12 @@ def solve_semilinear(mesh, d, f, cfg=None, initial=None):
         if k:
             coeffs = level.prolongation() @ coeffs
         stats.levels.append(LevelStats(level.level, 0, 0))
+        load = assemble_load(level, f, edge_midpoint_rule())
         try:
-            coeffs = _newton(level, d, f, cfg, coeffs, stats, requested=level is mesh)
+            coeffs = _newton(level, d, load, cfg, coeffs, stats, requested=level is mesh)
+        except NonFiniteError as exc:
+            raise NewtonError(f"{exc}: the data overflow double precision",
+                              stats.residual_history) from None
         except NewtonError as exc:
             if level is mesh or exc.best is None:
                 raise
@@ -343,11 +353,12 @@ def solve_semilinear(mesh, d, f, cfg=None, initial=None):
     return FemFunction(mesh, coeffs), stats
 
 
-def _newton(mesh, d, f, cfg, start, stats, requested):
+def _newton(mesh, d, load, cfg, start, stats, requested):
     """Damped Newton iteration on one mesh; returns the solution's coefficients.
 
-    start holds coefficients on the mesh, of which the interior entries are
-    used, or is None for the frozen-reaction start. The loop stops at
+    load is the mesh's load vector. start holds coefficients on the mesh,
+    of which the interior entries are used, or is None for the
+    frozen-reaction start. The loop stops at
     cfg.residual_tol on the requested mesh, and on any other mesh at
     max(cfg.residual_tol, ANCESTOR_REDUCTION * r0), r0 the scaled residual
     of its start. Counts are added to stats, the Newton steps and CG
@@ -359,7 +370,9 @@ def _newton(mesh, d, f, cfg, start, stats, requested):
     every mesh. A step at scaled residual r_k > 0 solves its correction to
     the relative CG tolerance
     max(CG_TOL, FORCING * min(target, r_k) / r_k), and one at r_k = 0
-    to CG_TOL; the frozen-reaction start is solved to CG_TOL.
+    to CG_TOL; the frozen-reaction start is solved to CG_TOL. A reaction
+    value or slope weight that is not finite raises the assembler's
+    NonFiniteError, without a numpy warning for the overflow.
     """
     nv = mesh.num_vertices
     interior = mesh.interior_vertices
@@ -367,7 +380,11 @@ def _newton(mesh, d, f, cfg, start, stats, requested):
     quad = rule_of_degree(cfg.quad_degree)
 
     stiffness = assemble_stiffness(mesh)
-    load = assemble_load(mesh, f, edge_midpoint_rule())
+
+    def reaction_terms(assemble, *args, **kwargs):
+        """assemble(mesh, d, ...), with an overflow of d left to its finiteness check."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return assemble(mesh, d, *args, **kwargs)
 
     def correction(reaction, rhs, tol):
         """Interior unknowns x of J x = rhs by V-cycle CG to tol.
@@ -386,7 +403,7 @@ def _newton(mesh, d, f, cfg, start, stats, requested):
 
     def residual(coeffs):
         """A u + N(u) - F with its boundary entries set to zero."""
-        reaction = assemble_nonlinear_residual(mesh, d, FemFunction(mesh, coeffs), quad)
+        reaction = reaction_terms(assemble_nonlinear_residual, FemFunction(mesh, coeffs), quad)
         res = stiffness @ coeffs + reaction - load
         res[mesh.boundary_vertex] = 0.0
         return res
@@ -397,7 +414,7 @@ def _newton(mesh, d, f, cfg, start, stats, requested):
     if start is not None:
         u[interior] = start[interior]
     else:
-        frozen = assemble_nonlinear_residual(mesh, d, FemFunction.zeros(mesh), quad)
+        frozen = reaction_terms(assemble_nonlinear_residual, FemFunction.zeros(mesh), quad)
         u[interior] = correction(None, (load - frozen)[interior], CG_TOL)
 
     def scaled_norm(res):
@@ -421,9 +438,8 @@ def _newton(mesh, d, f, cfg, start, stats, requested):
         stats.levels[-1].newton_iterations += 1
         forcing_tol = CG_TOL if res_norm == 0.0 else max(
             CG_TOL, FORCING * min(target, res_norm) / res_norm)
-        slope = assemble_slope_matrix(mesh, d, FemFunction(mesh, u + tau),
-                                      FemFunction(mesh, u - tau), cfg.slope_floor, quad,
-                                      rows=True)
+        slope = reaction_terms(assemble_slope_matrix, FemFunction(mesh, u + tau),
+                               FemFunction(mesh, u - tau), cfg.slope_floor, quad, rows=True)
         delta[interior] = correction(slope, -res[interior], forcing_tol)
         del slope  # not held through the line search
         try:

@@ -20,6 +20,13 @@ shift = -1.0
 rhs = constant 1
 """
 
+# Finite data inside the documented ranges whose reaction overflows.
+OVERFLOW_CONFIG = """
+domain = unit-square
+scale = 1e308
+rhs = constant 1e5
+"""
+
 MANUFACTURED_CONFIG = """
 domain = unit-square
 levels = 2..5
@@ -183,6 +190,15 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert "norm is not finite" in err and "overflow" in err
 
+    def test_overflowing_reaction_fails_as_newton_error(self, tmp_path, capsys):
+        # The frozen-reaction start reaches |u| of about 7e3, where the
+        # reaction 1e308 * u overflows on the root mesh.
+        cfg = write(tmp_path, "huge.cfg", OVERFLOW_CONFIG + "level = 2\n")
+        assert main(["solve", "--config", cfg, "--output", str(tmp_path / "u.txt")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("solve failed: nonlinearity returned non-finite value at point")
+        assert "overflow" in err
+
     @pytest.mark.filterwarnings("error")
     def test_huge_residual_tol_does_not_overflow(self, tmp_path, capsys):
         # The tolerance is compared with scaled norms, never divided by the
@@ -257,6 +273,16 @@ class TestStudyCommand:
         lines = open(out, encoding="utf-8").read().strip().splitlines()
         assert len(lines) == 1  # header only: the first level already fails
 
+    def test_overflowing_reaction_writes_partial_csv(self, tmp_path, capsys):
+        cfg = write(tmp_path, "huge.cfg", OVERFLOW_CONFIG + "levels = 1..2\n")
+        out = str(tmp_path / "study.csv")
+        assert main(["study", "--config", cfg, "--output", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("study failed: level 1 failed: nonlinearity returned non-finite")
+        assert f"wrote partial {out}" in err
+        lines = open(out, encoding="utf-8").read().strip().splitlines()
+        assert len(lines) == 1  # header only: the first level already fails
+
     def test_polygon_file_matches_preset(self, tmp_path, capsys):
         poly = write(tmp_path, "sq.txt", "0 0\n1 0\n1 1\n0 1\n")
         assert strip_wall_time(self.study(tmp_path, poly)) == \
@@ -303,16 +329,29 @@ def test_readme_config_table_matches_keys():
             assert listed[key] == f"`{default}`", key
 
 
-class TestValidateCommand:
-    def test_all_checks_pass(self, capsys):
-        assert main(["validate"]) == 0
-        printed = capsys.readouterr().out
-        assert "FAIL" not in printed
-        assert "checks passed" in printed
+def test_readme_command_list_matches_cli(capsys):
+    # README's "Command line" block runs each subcommand once, in the order
+    # of the `{mesh,...}` choices that `semifem --help` prints.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    listed = [line.split()[1] for line in block.splitlines()]
+    assert main(["--help"]) == 0
+    choices = re.search(r"\{([\w,]+)\}", capsys.readouterr().out).group(1).split(",")
+    assert listed == choices
 
 
 def test_usage_error_exit_code(capsys):
     assert main([]) == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["validate"], "invalid choice: 'validate'"),
+    (["study", "--level", "3"], "unrecognized arguments: --level 3"),
+])
+def test_unknown_command_or_flag_rejected(capsys, argv, message):
+    # `study` takes `--levels` only; `--level` is not read as its prefix.
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["mesh", "solve", "study"])

@@ -96,9 +96,12 @@ class TestCut:
         assert d(Z, Z, np.array([-5.0]))[0] == -8.0
 
     def test_constant_outside(self):
-        d = cut(kink_term(), 2.0)
-        far = d(Z, Z, np.array([100.0, 1e9]))
-        np.testing.assert_array_equal(far, np.full(2, far[0]))
+        # Beyond the bound the clamped term takes the base term's value at +-M.
+        base = kink_term()
+        d = cut(base, 2.0)
+        far = d(Z, Z, np.array([100.0, 1e9, -7.0, -1e9]))
+        edges = base(Z, Z, np.array([2.0, 2.0, -2.0, -2.0]))
+        np.testing.assert_array_equal(far, edges)
 
     def test_rejects_bad_bound(self):
         with pytest.raises(ValueError):

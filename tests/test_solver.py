@@ -208,6 +208,19 @@ class TestSolve:
         assert err.value.best is None
         assert err.value.residual_history == [np.inf]
 
+    def test_overflowing_reaction_raises_newton_error(self):
+        # 1e308 * u overflows at the frozen-reaction start of the root mesh:
+        # the assembler's finiteness check reports it, with no numpy warning,
+        # and the solve stops there. A non-finite f stays the assembler's
+        # ValueError.
+        mesh = square_mesh(2)
+        huge = lambda x, y: np.full_like(x, 1e5)
+        with pytest.raises(NewtonError, match=r"non-finite value at point \(.*overflow") as err:
+            solve_semilinear(mesh, PowerLaw(scale=1e308), huge)
+        assert err.value.best is None
+        with pytest.raises(ValueError, match="right-hand side"):
+            solve_semilinear(mesh, PowerLaw(), lambda x, y: np.full_like(x, np.nan))
+
     def test_nonfinite_rhs_norm_raises_cg_error(self):
         with pytest.raises(CgError, match="not finite"):
             cg_solve(sparse.identity(2, format="csr"), np.array([1e200, 1e200]))
@@ -554,11 +567,11 @@ def test_config_validation():
 def check_cold_kink_solve_bounded_work(level):
     # Bounded work, not wall time: the step and CG iteration counts are
     # machine independent. The nested start spreads the work over all the
-    # meshes (68 Newton steps and 524 CG iterations in all at level 8 when
-    # this check was written), so the bounds apply to the requested mesh's
-    # own counts (1 and 11 at levels 8 and 9) and to the work in its units,
-    # each mesh's counts weighted by its vertex count over the requested
-    # mesh's (1.9 and 20.6 at level 8).
+    # meshes (33 Newton steps and 55 CG iterations in all at level 8, 34 and
+    # 59 at level 9), so the bounds apply to the requested mesh's own counts
+    # (1 step and 6 CG iterations at levels 8 and 9) and to the work in its
+    # units, each mesh's counts weighted by its vertex count over the
+    # requested mesh's (1.4 steps and 7.4 CG iterations at level 8).
     mesh = pentagon_mesh(level)
     d = kink_term()
     cfg = SolverConfig()
@@ -587,11 +600,11 @@ def test_cold_level8_kink_solve_bounded_work():
 
 @pytest.mark.slow
 def test_cold_level9_kink_solve_bounded_work():
-    # 2.6 M triangles, about 7 s on a 2-CPU VM, in a fresh process so that
+    # 1.3 M triangles, about 5 s on a 2-CPU VM, in a fresh process so that
     # its peak RSS is the check's own. Refinement alone peaks at 492 MiB;
-    # the whole check peaked at 600-620 MiB with blocked element kernels
-    # (64 Newton steps and 340 CG iterations over the ten meshes) and at
-    # 690-700 MiB when they made one pass over all triangles.
+    # the whole check peaks at 590-595 MiB (34 Newton steps and 59 CG
+    # iterations over the ten meshes), and peaked at 690-700 MiB when the
+    # element kernels made one pass over all triangles.
     script = ("import resource, test_solver\n"
               "test_solver.check_cold_kink_solve_bounded_work(9)\n"
               "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
