@@ -101,12 +101,12 @@ def write_function(u, path):
 def read_function(mesh, path):
     """Read nodal values written by `write_function` for the given mesh."""
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = [(n, ln.strip()) for n, ln in enumerate(fh, start=1) if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty function file")
     try:
-        nv = int(lines[0])
-        values = np.array([float(s) for s in lines[1:]])
+        nv = int(lines[0][1])
+        values = np.array([float(s) for _, s in lines[1:]])
     except ValueError as exc:
         raise ValueError(f"{path}: malformed function file: {exc}") from None
     if nv != mesh.num_vertices:
@@ -114,4 +114,8 @@ def read_function(mesh, path):
                          f"{mesh.num_vertices} vertices")
     if len(lines) != 1 + nv:
         raise ValueError(f"{path}: expected {1 + nv} lines, found {len(lines)}")
+    if not np.all(np.isfinite(values)):
+        i = int(np.argmin(np.isfinite(values)))
+        lineno, text = lines[1 + i]
+        raise ValueError(f"{path}:{lineno}: value of vertex {i} is not finite ({text})")
     return FemFunction(mesh, values)

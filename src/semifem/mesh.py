@@ -40,6 +40,15 @@ def _cross(u, v):
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
+def _check_finite(vertices):
+    """Reject an (n, 2) vertex array with a NaN or infinite coordinate."""
+    finite = np.isfinite(vertices).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise MeshError(f"vertex {i} has a non-finite coordinate "
+                        f"({vertices[i, 0]:g}, {vertices[i, 1]:g})")
+
+
 class Polygon:
     """Convex polygon given by counter-clockwise ordered vertices.
 
@@ -64,8 +73,7 @@ class Polygon:
         n = vertices.shape[0]
         if n < 3:
             raise MeshError(f"polygon needs at least 3 vertices, got {n}")
-        if not np.all(np.isfinite(vertices)):
-            raise MeshError("polygon vertices must be finite")
+        _check_finite(vertices)
         for i in range(n):
             for j in range(i + 1, n):
                 if np.all(np.abs(vertices[i] - vertices[j]) <= GEOM_TOL):
@@ -145,6 +153,53 @@ def _unique_edges(triangles, nv):
     return edges, ids.reshape(-1, 3).astype(np.int32), counts
 
 
+def _edge_slots(edges, nv):
+    """Where both ends of every edge sit when each vertex lists its edges.
+
+    Vertex v lists the edges at it in increasing id: the edges (lo, v) in
+    the order of lo, then the contiguous run of edges (v, hi) of the
+    lexicographic `edges`. Returns the (2, ne) int32 slots of the ends lo
+    and hi of every edge in these lists laid end to end, and the (nv,)
+    int32 slot where the run (v, hi) of each vertex starts. The ends lo
+    are placed by counts alone; the ends hi by one stable argsort of hi.
+    """
+    ne = edges.shape[0]
+    lo, hi = edges[:, 0], edges[:, 1]
+    ids = np.arange(ne, dtype=np.int32)
+    lower = np.bincount(hi, minlength=nv)
+    # lower_through[v] counts the edges (u, w) with w <= v; first_run[v]
+    # is the id of the first edge (v, hi), the count of edges with lo < v.
+    lower_through = np.cumsum(lower, dtype=np.int32)
+    first_run = np.zeros(nv, dtype=np.int32)
+    np.cumsum(np.bincount(lo, minlength=nv)[:-1], out=first_run[1:])
+    slots = np.empty((2, ne), dtype=np.int32)
+    # The end lo = v of edge e has e ends lo and lower_through[v] ends hi
+    # before it.
+    np.add(ids, lower_through[lo], out=slots[0])
+    # The i-th end hi in the order of hi, at vertex v, has i ends hi and
+    # first_run[v] ends lo before it.
+    slots[1, np.argsort(hi.astype(np.int32), kind="stable")] = ids + np.repeat(first_run, lower)
+    return slots, first_run + lower_through
+
+
+def _signed_areas(vertices, triangles):
+    """Signed area of every triangle, gathering the x and y columns apart."""
+    x, y = vertices[:, 0], vertices[:, 1]
+    t0, t1, t2 = triangles[:, 0], triangles[:, 1], triangles[:, 2]
+    x0, y0 = x[t0], y[t0]
+    areas = (x[t1] - x0) * (y[t2] - y0)
+    areas -= (y[t1] - y0) * (x[t2] - x0)
+    areas *= 0.5
+    return areas
+
+
+def _check_areas(areas):
+    """Reject a triangle of non-positive or NaN signed area."""
+    if not np.all(areas > 0.0):
+        k = int(np.argmin(areas))  # the first NaN, if there is one
+        raise MeshError(f"triangle {k} has non-positive signed area {areas[k]:.3e}")
+
+
 class TriMesh:
     """Conforming triangulation of a convex polygon.
 
@@ -167,11 +222,14 @@ class TriMesh:
         constructor. Only `refine_uniform` sets it, with `level`, so every
         child has its parent's red refinement layout.
 
-    The constructor builds root meshes only. It validates positive
-    triangle areas and conformity (every edge belongs to one or two
-    triangles) and derives the boundary flags. Its one pass over the edges, `_unique_edges`, also numbers them: that
+    The constructor builds root meshes only. It validates finite vertex
+    coordinates, positive triangle areas and conformity (every edge
+    belongs to one or two triangles) and derives the boundary flags. Its
+    one pass over the edges, `_unique_edges`, also numbers them: that
     numbering is `edges()`, and each triangle's three edge ids,
     `triangle_edges()`, serve `refine_uniform` and the assemblers.
+    `refine_uniform` derives the same arrays of a child from its parent's,
+    with no pass over the child's edges.
     """
 
     def __init__(self, vertices, triangles):
@@ -185,13 +243,9 @@ class TriMesh:
         if triangles.size and (triangles.min() < 0 or triangles.max() >= nv):
             raise MeshError("triangle vertex index out of range")
 
-        p0 = vertices[triangles[:, 0]]
-        p1 = vertices[triangles[:, 1]]
-        p2 = vertices[triangles[:, 2]]
-        areas = 0.5 * _cross(p1 - p0, p2 - p0)
-        if np.any(areas <= 0.0):
-            k = int(np.argmin(areas))
-            raise MeshError(f"triangle {k} has non-positive signed area {areas[k]:.3e}")
+        _check_finite(vertices)
+        areas = _signed_areas(vertices, triangles)
+        _check_areas(areas)
 
         edges, triangle_edges, counts = _unique_edges(triangles, nv)
         if counts.size and counts.max() > 2:
@@ -199,16 +253,14 @@ class TriMesh:
             raise MeshError(f"edge {tuple(edges[k])} is shared by {counts[k]} triangles")
         boundary_vertex = np.zeros(nv, dtype=bool)
         boundary_vertex[edges[counts == 1].ravel()] = True
+        self._adopt(vertices, triangles, areas, edges, triangle_edges, boundary_vertex)
+
+    def _adopt(self, vertices, triangles, areas, edges, triangle_edges, boundary_vertex):
+        """Lock the arrays and set every attribute of a root mesh."""
         interior_vertices = np.flatnonzero(~boundary_vertex)
-
-        vertices.setflags(write=False)
-        triangles.setflags(write=False)
-        areas.setflags(write=False)
-        boundary_vertex.setflags(write=False)
-        interior_vertices.setflags(write=False)
-        edges.setflags(write=False)
-        triangle_edges.setflags(write=False)
-
+        for array in (vertices, triangles, areas, boundary_vertex, interior_vertices,
+                      edges, triangle_edges):
+            array.setflags(write=False)
         self.vertices = vertices
         self.triangles = triangles
         self.boundary_vertex = boundary_vertex
@@ -293,20 +345,31 @@ class TriMesh:
         the CSR data array of each vertex's diagonal entry, shape (nv,);
         and the positions of the entries (lo, hi) and (hi, lo) of every
         edge (lo, hi) of `edges()`, shape (2, ne). All four are read-only
-        int32 arrays, built once per mesh from the edge numbering by one
-        sort of the nv + 2 ne keys row * nv + col.
+        int32 arrays, built once per mesh from the lexicographic edges: row
+        r holds the ends of the edges (lo, r) in the order of lo, then r,
+        then the contiguous run of edges (r, hi). The row lengths and the
+        diagonal come from edge counts, the entries (lo, hi) from the runs,
+        and the entries (hi, lo) from one stable argsort of the ne ends hi.
         """
         if self._matrix_pattern is None:
             nv = self.num_vertices
-            lo, hi = self._edges.T
-            keys = np.concatenate([np.arange(nv) * (nv + 1), lo * nv + hi, hi * nv + lo])
-            order = np.argsort(keys)
-            position = np.empty(keys.size, dtype=np.int32)
-            position[order] = np.arange(keys.size, dtype=np.int32)
-            indices = (keys[order] % nv).astype(np.int32)
+            lo, hi = self._edges[:, 0], self._edges[:, 1]
+            # Row r holds the ends hi = r, then r, then the ends lo = r: the
+            # edge slots of `_edge_slots` moved by the r or r + 1 diagonals
+            # before them.
+            off_diagonal, runs = _edge_slots(self._edges, nv)
+            off_diagonal[0] += lo
+            off_diagonal[0] += 1
+            off_diagonal[1] += hi
+            vertices = np.arange(nv, dtype=np.int32)
+            diagonal = runs + vertices
             indptr = np.zeros(nv + 1, dtype=np.int32)
             np.cumsum(np.bincount(self._edges.ravel(), minlength=nv) + 1, out=indptr[1:])
-            pattern = (indptr, indices, position[:nv], position[nv:].reshape(2, -1))
+            indices = np.empty(indptr[-1], dtype=np.int32)
+            indices[diagonal] = vertices
+            indices[off_diagonal[0]] = hi
+            indices[off_diagonal[1]] = lo
+            pattern = (indptr, indices, diagonal, off_diagonal)
             for array in pattern:
                 array.setflags(write=False)
             self._matrix_pattern = pattern
@@ -377,18 +440,87 @@ def refine_uniform(mesh):
     vertex j with the midpoints of the edges at j; child 4k + 3 is the
     middle triangle (`CHILD_CORNERS`). This is the only function that
     sets a mesh's `parent` and `level`.
+
+    The child's edges, triangle edge ids and boundary flags follow from
+    the parent's numbering (`_refined_topology`), equal to what the
+    constructor's `_unique_edges` would find, so no pass over the 3 nt
+    child edge keys runs. The child's signed areas are computed and
+    checked positive as in the constructor.
     """
     edges = mesh.edges()
     midpoints = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
     vertices = np.vstack([mesh.vertices, midpoints])
     # Columns: vertices 0, 1, 2, then the midpoints of edges 01, 12, 20.
     corners = np.hstack([mesh.triangles, mesh.num_vertices + mesh.triangle_edges()])
-    children = corners[:, np.ravel(CHILD_CORNERS)].reshape(-1, 3)
-    del corners  # the child's edge pass sets the peak memory of a refinement
-    child = TriMesh(vertices, children)
+    children = np.take(corners, np.ravel(CHILD_CORNERS), axis=1).reshape(-1, 3)
+    del corners  # (nt, 6) int64, before the area and topology passes
+    areas = _signed_areas(vertices, children)
+    _check_areas(areas)
+    child = TriMesh.__new__(TriMesh)
+    child._adopt(vertices, children, areas, *_refined_topology(mesh))
     child.level = mesh.level + 1
     child.parent = mesh
     return child
+
+
+def _refined_topology(mesh):
+    """Edges, triangle edge ids and boundary flags of `refine_uniform(mesh)`.
+
+    They equal what `_unique_edges` finds on the child, read off the
+    parent's numbering instead. The child's lexicographic edges are, first,
+    for every parent vertex v in turn, the halves (v, nc + e) of the parent
+    edges e at v in increasing e (`_edge_slots`), and then the three edges
+    between the midpoints of every parent triangle, ordered by one sort of
+    their keys. A midpoint lies on the boundary iff its parent edge belongs
+    to one triangle; parent vertices keep their flags.
+    """
+    nc = mesh.num_vertices
+    parent_edges = mesh.edges()
+    triangle_edges = mesh.triangle_edges()
+    ne, nt = parent_edges.shape[0], triangle_edges.shape[0]
+    slots, _ = _edge_slots(parent_edges, nc)
+    midpoint_vertices = np.arange(nc, nc + ne)
+    edges = np.empty((2 * ne + 3 * nt, 2), dtype=np.int64)
+    halves = edges[:2 * ne]
+    for end in range(2):
+        halves[slots[end], 0] = parent_edges[:, end]
+        halves[slots[end], 1] = midpoint_vertices
+    # Pair j joins the midpoints of a triangle's edges j and j + 1.
+    following = np.roll(triangle_edges, -1, axis=1)
+    first = np.minimum(triangle_edges, following).ravel()
+    second = np.maximum(triangle_edges, following).ravel()
+    del following
+    order = np.argsort(first.astype(np.int64) * ne + second)
+    edges[2 * ne:, 0] = first[order]
+    edges[2 * ne:, 0] += nc
+    edges[2 * ne:, 1] = second[order]
+    edges[2 * ne:, 1] += nc
+    del first, second
+    pairs = np.empty(3 * nt, dtype=np.int32)
+    pairs[order] = np.arange(2 * ne, 2 * ne + 3 * nt, dtype=np.int32)
+    del order
+    pairs = pairs.reshape(nt, 3)
+
+    # Child edge ids between two columns of a triangle's corner row
+    # (vertices 0, 1, 2, then the midpoints 3 + j of edges j).
+    triangles = mesh.triangles
+    forward = triangles < np.roll(triangles, -1, axis=1)  # vertex j is the lo of edge j
+    lo_half = slots[0][triangle_edges]
+    hi_half = slots[1][triangle_edges]
+    between = {}
+    for j in range(3):
+        between[frozenset((j, 3 + j))] = np.where(forward[:, j], lo_half[:, j], hi_half[:, j])
+        between[frozenset(((j + 1) % 3, 3 + j))] = np.where(forward[:, j], hi_half[:, j],
+                                                            lo_half[:, j])
+        between[frozenset((3 + j, 3 + (j + 1) % 3))] = pairs[:, j]
+    child_edges = np.empty((nt, len(CHILD_CORNERS), 3), dtype=np.int32)
+    for c, row in enumerate(CHILD_CORNERS):
+        for i in range(3):
+            child_edges[:, c, i] = between[frozenset((row[i], row[(i + 1) % 3]))]
+
+    on_boundary = np.bincount(triangle_edges.ravel(), minlength=ne) == 1
+    boundary_vertex = np.concatenate([mesh.boundary_vertex, on_boundary])
+    return edges, child_edges.reshape(-1, 3), boundary_vertex
 
 
 def mesh_size(mesh):

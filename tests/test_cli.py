@@ -87,6 +87,21 @@ class TestMeshCommand:
                      "--output", str(tmp_path / "m.txt")]) == 0
         assert "nv=13 nt=16" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["mesh", "solve"])
+    def test_non_finite_mesh_file_rejected(self, tmp_path, capsys, command):
+        # A NaN coordinate was accepted: `mesh` printed h=nan, and `solve`
+        # blamed the data for overflowing double precision.
+        mesh_file = str(tmp_path / "bad.msh")
+        assert main(["mesh", "--domain", "unit-square", "--level", "0",
+                     "--output", mesh_file]) == 0
+        lines = Path(mesh_file).read_text().splitlines()
+        lines[2] = "nan 0 1"  # vertex 1
+        Path(mesh_file).write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main([command, "--domain", mesh_file, "--level", "1",
+                     "--output", str(tmp_path / "out.txt")]) == 2
+        assert "vertex 1 has a non-finite coordinate" in capsys.readouterr().err
+
     def test_round_trip_bit_for_bit(self, tmp_path, capsys):
         out = str(tmp_path / "mesh.txt")
         assert main(["mesh", "--domain", "pentagon", "--level", "2",

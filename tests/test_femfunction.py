@@ -123,3 +123,17 @@ def test_function_io_malformed_names_path(tmp_path, square, text):
     with pytest.raises(ValueError, match="malformed function file") as info:
         read_function(square, path)
     assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_function_io_rejects_non_finite_value(tmp_path, square, value):
+    u = interpolate(square, lambda x, y: x)
+    path = tmp_path / "u.txt"
+    write_function(u, path)
+    lines = path.read_text().splitlines()
+    lines[3] = value  # vertex 2
+    # A blank line before it: the error names the line of the file.
+    path.write_text("\n".join(lines[:2] + [""] + lines[2:]) + "\n")
+    with pytest.raises(ValueError, match="value of vertex 2 is not finite") as info:
+        read_function(square, path)
+    assert f"{path}:5:" in str(info.value)

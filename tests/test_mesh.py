@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from semifem.mesh import (MeshError, Polygon, TriMesh, locate_point, mesh_size,
-                          min_angle, preset_polygon, read_mesh, refine_uniform,
+from semifem import mesh as mesh_module
+from semifem.mesh import (PRESET_POLYGONS, MeshError, Polygon, TriMesh, locate_point,
+                          mesh_size, min_angle, preset_polygon, read_mesh, refine_uniform,
                           triangulate_convex_polygon, write_mesh)
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
@@ -22,6 +23,17 @@ def random_convex_polygon(rng, n):
     return Polygon(np.column_stack([rx * np.cos(angles), ry * np.sin(angles)]))
 
 
+def relabelled(mesh, rng):
+    """The same triangulation as a root mesh with relabelled vertices,
+    reordered triangles and each triangle's corners rotated."""
+    perm = rng.permutation(mesh.num_vertices)
+    label = np.argsort(perm)
+    corners = label[mesh.triangles[rng.permutation(mesh.num_triangles)]]
+    turns = rng.integers(3, size=(mesh.num_triangles, 1))
+    return TriMesh(mesh.vertices[perm],
+                   np.take_along_axis(corners, (np.arange(3) + turns) % 3, axis=1))
+
+
 class TestPolygon:
     def test_rejects_too_few_vertices(self):
         with pytest.raises(MeshError):
@@ -34,6 +46,10 @@ class TestPolygon:
     def test_rejects_collinear(self):
         with pytest.raises(MeshError):
             Polygon([(0, 0), (1, 0), (2, 0), (1, 1)])
+
+    def test_rejects_non_finite_vertex(self):
+        with pytest.raises(MeshError, match="vertex 1 has a non-finite coordinate"):
+            Polygon([(0, 0), (np.inf, 0), (1, 1)])
 
     def test_rejects_repeated_vertex(self):
         with pytest.raises(MeshError, match="coincide"):
@@ -159,15 +175,7 @@ class TestRefine:
         meshes.append(triangulate_convex_polygon(Polygon(PENTAGON)))
         for _ in range(5):
             meshes.append(refine_uniform(meshes[-1]))
-        # Relabel the vertices of pentagon level 2, reorder its triangles
-        # and rotate each triangle's corners.
-        mesh = meshes[5]
-        perm = rng.permutation(mesh.num_vertices)
-        label = np.argsort(perm)
-        corners = label[mesh.triangles[rng.permutation(mesh.num_triangles)]]
-        turns = rng.integers(3, size=(mesh.num_triangles, 1))
-        meshes.append(TriMesh(mesh.vertices[perm],
-                              np.take_along_axis(corners, (np.arange(3) + turns) % 3, axis=1)))
+        meshes.append(relabelled(meshes[5], rng))  # pentagon level 2
         path = tmp_path / "mesh.txt"
         write_mesh(meshes[-1], path)
         meshes.append(read_mesh(path))
@@ -201,6 +209,71 @@ def check_topology(mesh):
     expected[2::4] = np.column_stack([t[:, 2], m20, m12])
     expected[3::4] = np.column_stack([m01, m12, m20])
     np.testing.assert_array_equal(refine_uniform(mesh).triangles, expected)
+
+
+def mesh_arrays(mesh):
+    """Every array a mesh derives from its vertices and triangles, by name."""
+    arrays = {"edges": mesh.edges(), "triangle_edges": mesh.triangle_edges(),
+              "boundary_vertex": mesh.boundary_vertex,
+              "interior_vertices": mesh.interior_vertices,
+              "signed_areas": mesh.signed_areas()}
+    for prefix, pattern in (("matrix_pattern", mesh.matrix_pattern()),
+                            ("interior_pattern", mesh.interior_pattern())):
+        for i, array in enumerate(pattern):
+            arrays[f"{prefix}[{i}]"] = array
+    return arrays
+
+
+def check_refinements_match_constructor(mesh, levels):
+    """Refine `levels` times; each child must equal the constructor's mesh
+    of its vertices and triangles bit for bit and in dtype."""
+    for _ in range(levels):
+        mesh = refine_uniform(mesh)
+        rebuilt = mesh_arrays(TriMesh(mesh.vertices, mesh.triangles))
+        for name, array in mesh_arrays(mesh).items():
+            assert array.dtype == rebuilt[name].dtype, name
+            np.testing.assert_array_equal(array, rebuilt[name], err_msg=name)
+            assert not array.flags.writeable, name
+
+
+class TestRefinedTopology:
+    @pytest.mark.parametrize("name", sorted(PRESET_POLYGONS))
+    def test_presets_match_constructor(self, name):
+        check_refinements_match_constructor(
+            triangulate_convex_polygon(preset_polygon(name)), 5)
+
+    def test_random_polygons_match_constructor(self):
+        rng = np.random.default_rng(7)
+        for n in (3, 5, 8):
+            check_refinements_match_constructor(
+                triangulate_convex_polygon(random_convex_polygon(rng, n)), 3)
+
+    def test_relabelled_and_reread_meshes_match_constructor(self, tmp_path):
+        mesh = refine_uniform(refine_uniform(triangulate_convex_polygon(Polygon(PENTAGON))))
+        shuffled = relabelled(mesh, np.random.default_rng(11))
+        path = tmp_path / "mesh.txt"
+        write_mesh(shuffled, path)
+        for root in (shuffled, read_mesh(path)):
+            check_refinements_match_constructor(root, 2)
+
+    def test_unused_vertices_match_constructor(self):
+        # Vertices 0 and 3 lie in no triangle: they own no edge.
+        check_refinements_match_constructor(
+            TriMesh([[5, 5], [0, 0], [1, 0], [7, 7], [0, 1]], [[1, 2, 4]]), 2)
+
+    def test_refinement_never_calls_unique_edges(self, monkeypatch):
+        root = triangulate_convex_polygon(Polygon(PENTAGON))
+
+        def unique_edges(triangles, nv):
+            raise AssertionError("refinement numbered the child's edges from scratch")
+
+        monkeypatch.setattr(mesh_module, "_unique_edges", unique_edges)
+        with pytest.raises(AssertionError, match="from scratch"):
+            TriMesh(root.vertices, root.triangles)
+        mesh = root
+        for _ in range(3):
+            mesh = refine_uniform(mesh)
+        assert mesh.num_triangles == 64 * root.num_triangles
 
 
 class TestMeshSize:
@@ -305,11 +378,28 @@ class TestMeshIO:
             read_mesh(path)
         assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_rejects_non_finite_coordinate(self, tmp_path, bad):
+        mesh = triangulate_convex_polygon(preset_polygon("unit-square"))
+        path = tmp_path / "mesh.txt"
+        write_mesh(mesh, path)
+        lines = path.read_text().splitlines()
+        lines[3] = f"{bad} 1 1"  # vertex 2, on the boundary
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MeshError, match="vertex 2 has a non-finite coordinate"):
+            read_mesh(path)
+
 
 class TestTriMeshValidation:
     def test_rejects_inverted_triangle(self):
         with pytest.raises(MeshError, match="area"):
             TriMesh([[0, 0], [1, 0], [0, 1]], [[0, 2, 1]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_vertex(self, bad):
+        # A NaN coordinate gives a NaN area, which a `<= 0` test lets pass.
+        with pytest.raises(MeshError, match=r"vertex 2 has a non-finite coordinate"):
+            TriMesh([[0, 0], [1, 0], [bad, 1]], [[0, 1, 2]])
 
     def test_rejects_nonconforming(self):
         # Edge (0, 1) shared by three triangles.

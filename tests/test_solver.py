@@ -564,7 +564,7 @@ def test_config_validation():
     SolverConfig(quad_degree=0)
 
 
-def check_cold_kink_solve_bounded_work(level):
+def check_cold_kink_solve_bounded_work(mesh):
     # Bounded work, not wall time: the step and CG iteration counts are
     # machine independent. The nested start spreads the work over all the
     # meshes (33 Newton steps and 55 CG iterations in all at level 8, 34 and
@@ -572,7 +572,6 @@ def check_cold_kink_solve_bounded_work(level):
     # (1 step and 6 CG iterations at levels 8 and 9) and to the work in its
     # units, each mesh's counts weighted by its vertex count over the
     # requested mesh's (1.4 steps and 7.4 CG iterations at level 8).
-    mesh = pentagon_mesh(level)
     d = kink_term()
     cfg = SolverConfig()
     u, stats = solve_semilinear(mesh, d, ONE, cfg)
@@ -581,7 +580,7 @@ def check_cold_kink_solve_bounded_work(level):
              - assemble_load(mesh, ONE, edge_midpoint_rule()))[mesh.interior_vertices]
     assert np.linalg.norm(fresh) / np.sqrt(mesh.num_vertices) <= cfg.residual_tol
     own = stats.levels[-1]
-    assert own.level == level
+    assert own.level == mesh.level
     assert own.newton_iterations <= 20
     assert own.cg_iterations <= 300
     sizes = {}
@@ -595,25 +594,31 @@ def check_cold_kink_solve_bounded_work(level):
 
 @pytest.mark.slow
 def test_cold_level8_kink_solve_bounded_work():
-    check_cold_kink_solve_bounded_work(8)
+    check_cold_kink_solve_bounded_work(pentagon_mesh(8))
 
 
 @pytest.mark.slow
 def test_cold_level9_kink_solve_bounded_work():
-    # 1.3 M triangles, about 5 s on a 2-CPU VM, in a fresh process so that
-    # its peak RSS is the check's own. Refinement alone peaks at 492 MiB;
-    # the whole check peaks at 590-595 MiB (34 Newton steps and 59 CG
-    # iterations over the ten meshes), and peaked at 690-700 MiB when the
-    # element kernels made one pass over all triangles.
+    # 1.3 M triangles, about 4 s on a 2-CPU VM, in a fresh process so that
+    # its peak RSS is the check's own. Refinement to level 9 leaves the RSS
+    # at 229 MiB (492 MiB when each child numbered its edges by one
+    # np.unique over 3 nt keys); the whole check peaks at about 590 MiB in
+    # the Newton Jacobian path (34 Newton steps and 59 CG iterations over
+    # the ten meshes), and peaked at 690-700 MiB when the element kernels
+    # made one pass over all triangles.
     script = ("import resource, test_solver\n"
-              "test_solver.check_cold_kink_solve_bounded_work(9)\n"
+              "mesh = test_solver.pentagon_mesh(9)\n"
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+              "test_solver.check_cold_kink_solve_bounded_work(mesh)\n"
               "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
     path = [os.path.dirname(__file__), os.path.dirname(os.path.dirname(semifem.__file__))]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     child = subprocess.run([sys.executable, "-c", script], env=env,
                            capture_output=True, text=True)
     assert child.returncode == 0, child.stderr
-    peak_mib = int(child.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB
+    # ru_maxrss is in KiB.
+    refined_mib, peak_mib = (int(kib) / 1024 for kib in child.stdout.split()[-2:])
+    assert refined_mib <= 350
     assert peak_mib <= 650
 
 
