@@ -12,8 +12,8 @@ from .mesh import (GEOM_TOL, MeshError, Polygon, PRESET_POLYGONS, TriMesh,
                    read_mesh, read_polygon, refine_uniform,
                    triangulate_convex_polygon, write_mesh)
 from .quadrature import (QuadRule, centroid_rule, edge_midpoint_rule,
-                         reference_monomial_mean, rule_of_degree,
-                         seven_point_rule, shipped_rules)
+                         interior_three_point_rule, reference_monomial_mean,
+                         rule_of_degree, seven_point_rule, shipped_rules)
 from .femfunction import (FemFunction, interpolate, prolongate,
                           read_function, write_function)
 from .assembly import (apply_dirichlet, assemble_load, assemble_mass,
@@ -34,8 +34,8 @@ __all__ = [
     "GEOM_TOL", "MeshError", "Polygon", "PRESET_POLYGONS", "TriMesh",
     "locate_point", "mesh_size", "min_angle", "preset_polygon", "read_mesh",
     "read_polygon", "refine_uniform", "triangulate_convex_polygon", "write_mesh",
-    "QuadRule", "centroid_rule", "edge_midpoint_rule", "reference_monomial_mean",
-    "rule_of_degree", "seven_point_rule", "shipped_rules",
+    "QuadRule", "centroid_rule", "edge_midpoint_rule", "interior_three_point_rule",
+    "reference_monomial_mean", "rule_of_degree", "seven_point_rule", "shipped_rules",
     "FemFunction", "interpolate", "prolongate", "read_function", "write_function",
     "apply_dirichlet", "assemble_load", "assemble_mass",
     "assemble_nonlinear_residual", "assemble_slope_matrix", "assemble_stiffness",

@@ -37,8 +37,8 @@ CONFIG_KEYS = {
     "reference": ("fine+2", "`exact` or `fine+<k>` with k >= 2"),
     "residual_tol": ("1e-10", "Newton residual tolerance (scaled norm)"),
     "max_newton": ("50", "Newton iteration cap"),
-    "slope_floor": ("1e-6", "difference-quotient floor of the linearization"),
-    "quad_degree": ("5", "quadrature degree for the nonlinear terms, 0 to 5"),
+    "slope_floor": ("1e-6", "cap on the half-width of the difference quotient"),
+    "quad_degree": ("2", "quadrature degree for the nonlinear terms, 0 to 5"),
     "output": (None, "output path; also settable with --output"),
 }
 

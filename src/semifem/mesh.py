@@ -183,21 +183,28 @@ def _edge_slots(edges, nv):
 
 
 def _signed_areas(vertices, triangles):
-    """Signed area of every triangle, gathering the x and y columns apart."""
+    """Signed area of every triangle, gathering the x and y columns apart.
+
+    An area that overflows is inf or NaN, without a numpy warning, for
+    `_check_areas` to reject.
+    """
     x, y = vertices[:, 0], vertices[:, 1]
     t0, t1, t2 = triangles[:, 0], triangles[:, 1], triangles[:, 2]
     x0, y0 = x[t0], y[t0]
-    areas = (x[t1] - x0) * (y[t2] - y0)
-    areas -= (y[t1] - y0) * (x[t2] - x0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        areas = (x[t1] - x0) * (y[t2] - y0)
+        areas -= (y[t1] - y0) * (x[t2] - x0)
     areas *= 0.5
     return areas
 
 
 def _check_areas(areas):
-    """Reject a triangle of non-positive or NaN signed area."""
-    if not np.all(areas > 0.0):
-        k = int(np.argmin(areas))  # the first NaN, if there is one
-        raise MeshError(f"triangle {k} has non-positive signed area {areas[k]:.3e}")
+    """Reject a triangle of non-positive, infinite or NaN signed area."""
+    valid = (areas > 0.0) & (areas < np.inf)
+    if not np.all(valid):
+        k = int(np.argmin(valid))
+        kind = "non-positive" if areas[k] <= 0.0 else "non-finite"
+        raise MeshError(f"triangle {k} has {kind} signed area {areas[k]:.3e}")
 
 
 class TriMesh:
@@ -223,12 +230,13 @@ class TriMesh:
         child has its parent's red refinement layout.
 
     The constructor builds root meshes only. It validates finite vertex
-    coordinates, positive triangle areas and conformity (every edge
-    belongs to one or two triangles) and derives the boundary flags. Its
-    one pass over the edges, `_unique_edges`, also numbers them: that
-    numbering is `edges()`, and each triangle's three edge ids,
-    `triangle_edges()`, serve `refine_uniform` and the assemblers.
-    `refine_uniform` derives the same arrays of a child from its parent's,
+    coordinates, positive finite triangle areas and conformity (every
+    edge belongs to one or two triangles, and two traverse it in opposite
+    directions, so that they lie on its two sides) and derives the
+    boundary flags. Its one pass over the edges, `_unique_edges`, also
+    numbers them: that numbering is `edges()`, and each triangle's three
+    edge ids, `triangle_edges()`, serve `refine_uniform` and the
+    assemblers. `refine_uniform` derives the same arrays of a child from its parent's,
     with no pass over the child's edges.
     """
 
@@ -250,7 +258,17 @@ class TriMesh:
         edges, triangle_edges, counts = _unique_edges(triangles, nv)
         if counts.size and counts.max() > 2:
             k = int(np.argmax(counts))
-            raise MeshError(f"edge {tuple(edges[k])} is shared by {counts[k]} triangles")
+            raise MeshError(f"edge {tuple(edges[k].tolist())} is shared by "
+                            f"{counts[k]} triangles")
+        # Counter-clockwise triangles on the two sides of an edge traverse it
+        # in opposite directions; two that traverse it alike overlap.
+        forward = np.bincount(triangle_edges[triangles < np.roll(triangles, -1, axis=1)],
+                              minlength=counts.size)
+        overlapping = (counts == 2) & (forward != 1)
+        if overlapping.any():
+            k = int(np.argmax(overlapping))
+            raise MeshError(f"edge {tuple(edges[k].tolist())} is traversed in the same "
+                            "direction by both its triangles, which overlap")
         boundary_vertex = np.zeros(nv, dtype=bool)
         boundary_vertex[edges[counts == 1].ravel()] = True
         self._adopt(vertices, triangles, areas, edges, triangle_edges, boundary_vertex)

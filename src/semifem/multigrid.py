@@ -32,7 +32,6 @@ exact solve.
 from functools import partial
 
 import numpy as np
-from scipy import sparse
 
 from .assembly import assemble_stiffness, coarsen_upper, interior_block, pattern_matrix
 
@@ -68,12 +67,15 @@ def _exact_solver(matrix):
 def _jacobi_weights(a):
     """omega / diag(a), omega from the Gershgorin bound (see SMOOTHING_WEIGHT).
 
-    A function of its own, so that its copy of a's data is freed before
-    the next level is built.
+    The row sums of |a| are taken with a's own data in absolute value,
+    whose negative entries are then negated back, so a is left bitwise as
+    it was and no copy of its data is made, only a mask of its signs.
     """
     diag = a.diagonal()
-    magnitudes = sparse.csr_matrix((np.abs(a.data), a.indices, a.indptr), shape=a.shape)
-    gershgorin = np.max(magnitudes @ np.ones(a.shape[0]) / diag)
+    negative = np.signbit(a.data)
+    np.abs(a.data, out=a.data)
+    gershgorin = np.max(a @ np.ones(a.shape[0]) / diag)
+    np.negative(a.data, where=negative, out=a.data)
     return min(SMOOTHING_WEIGHT, 1.9 / gershgorin) / diag
 
 

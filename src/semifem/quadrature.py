@@ -52,6 +52,16 @@ def edge_midpoint_rule():
     return QuadRule("edge-midpoint", 2, points, [1 / 3, 1 / 3, 1 / 3])
 
 
+def interior_three_point_rule():
+    """Three-point rule at the permutations of (2/3, 1/6, 1/6), exact for degree 2.
+
+    The points lie inside the triangle (Strang & Fix 1973, section 4.3).
+    """
+    a, b = 2.0 / 3.0, 1.0 / 6.0
+    points = [[a, b, b], [b, a, b], [b, b, a]]
+    return QuadRule("interior-three-point", 2, points, [1 / 3, 1 / 3, 1 / 3])
+
+
 def seven_point_rule():
     """Seven-point rule (centroid plus two symmetric orbits), exact for degree 5."""
     s = math.sqrt(15.0)
@@ -69,8 +79,12 @@ def seven_point_rule():
 
 
 def shipped_rules():
-    """All rules the package ships, in increasing degree."""
-    return (centroid_rule(), edge_midpoint_rule(), seven_point_rule())
+    """All rules the package ships, in increasing degree.
+
+    Of two rules of one degree the first is the one `rule_of_degree` picks.
+    """
+    return (centroid_rule(), interior_three_point_rule(), edge_midpoint_rule(),
+            seven_point_rule())
 
 
 def rule_of_degree(degree):

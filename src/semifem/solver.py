@@ -8,10 +8,11 @@ matrix[i][:, i] of the assembled matrix, and its solution is embedded
 into the full coefficient vector with zero boundary values. Each Newton
 step linearizes the reaction with a floored symmetric difference
 quotient, which stays finite and nonnegative across kinks of
-non-Lipschitz terms, and solves the symmetric positive definite correction
-system by conjugate gradients preconditioned with one multigrid V-cycle on
-the mesh's refinement hierarchy (`multigrid.VCycle`), so the CG iteration
-count stays bounded as the mesh is refined. The Jacobian is handed to the
+non-Lipschitz terms and whose half-width shrinks with the last step, and
+solves the symmetric positive definite correction system by conjugate
+gradients preconditioned with one multigrid V-cycle on the mesh's
+refinement hierarchy (`multigrid.VCycle`), so the CG iteration count
+stays bounded as the mesh is refined. The Jacobian is handed to the
 cycle as the slope weight's element rows, which it adds to the mesh's
 stiffness matrix to build the interior block and every coarse operator.
 Steps are globalized by a regula falsi search on the directional derivative
@@ -69,6 +70,16 @@ FORCING = 0.1
 # tolerance of the frozen-reaction start and of `analysis.ritz_project`.
 CG_TOL = 1e-12
 
+# After each Newton step the slope's half-width tau (also the floor of the
+# quotient's denominator) becomes the length of that step, s * max|delta|,
+# capped at slope_floor and floored here: a difference increment that
+# shrinks with the iteration (Kelley, Iterative Methods for Linear and
+# Nonlinear Equations, 1995, ch. 5). With a fixed tau of 1e-6 the unit square
+# with PowerLaw(50, 1/3, shift=0.02) stalled at level 6 under the 3-point
+# interior rule. The floor keeps the two states about 900 ulps of a value of
+# size 1 apart.
+MIN_HALF_WIDTH = 1e-13
+
 
 class SolverError(RuntimeError):
     """Numerical failure; carries the residual history when available."""
@@ -101,9 +112,13 @@ class SolverConfig:
     """Tolerances and safeguards of the Newton solver.
 
     residual_tol is absolute on the Euclidean residual norm scaled by
-    1/sqrt(n), n the vertex count; slope_floor is the denominator floor of
-    the difference quotient and also the half-width of the symmetric
-    difference. Both must be finite and positive. Each Newton correction's
+    1/sqrt(n), n the vertex count; slope_floor caps the half-width tau of
+    the symmetric difference quotient, which is also the floor of its
+    denominator: each mesh's first Newton step uses tau = slope_floor, and
+    every later one the length of the step before it, bounded to
+    [MIN_HALF_WIDTH, slope_floor] (see `_newton`). Both must be finite and
+    positive. quad_degree selects the reaction's rule by `rule_of_degree`;
+    the default 2 is the 3-point interior rule. Each Newton correction's
     relative CG tolerance is FORCING times the share of the current
     residual that the mesh's Newton target allows, floored at CG_TOL (see
     `_newton`).
@@ -112,7 +127,7 @@ class SolverConfig:
     residual_tol: float = 1e-10
     max_newton: int = 50
     slope_floor: float = 1e-6
-    quad_degree: int = 5
+    quad_degree: int = 2
 
     def __post_init__(self):
         for name in ("residual_tol", "slope_floor"):
@@ -370,7 +385,11 @@ def _newton(mesh, d, load, cfg, start, stats, requested):
     every mesh. A step at scaled residual r_k > 0 solves its correction to
     the relative CG tolerance
     max(CG_TOL, FORCING * min(target, r_k) / r_k), and one at r_k = 0
-    to CG_TOL; the frozen-reaction start is solved to CG_TOL. A reaction
+    to CG_TOL; the frozen-reaction start is solved to CG_TOL. The slope
+    weight is the difference quotient of half-width and floor tau: the
+    first step takes tau = cfg.slope_floor, and after a step of length s
+    along the correction delta the next one takes
+    min(cfg.slope_floor, max(MIN_HALF_WIDTH, s * max|delta|)). A reaction
     value or slope weight that is not finite raises the assembler's
     NonFiniteError, without a numpy warning for the overflow.
     """
@@ -439,7 +458,7 @@ def _newton(mesh, d, load, cfg, start, stats, requested):
         forcing_tol = CG_TOL if res_norm == 0.0 else max(
             CG_TOL, FORCING * min(target, res_norm) / res_norm)
         slope = reaction_terms(assemble_slope_matrix, FemFunction(mesh, u + tau),
-                               FemFunction(mesh, u - tau), cfg.slope_floor, quad, rows=True)
+                               FemFunction(mesh, u - tau), tau, quad, rows=True)
         delta[interior] = correction(slope, -res[interior], forcing_tol)
         del slope  # not held through the line search
         try:
@@ -449,6 +468,7 @@ def _newton(mesh, d, load, cfg, start, stats, requested):
                               FemFunction(mesh, best_u)) from None
         if step < 1.0:
             stats.damping_activations += 1
+        tau = min(cfg.slope_floor, max(MIN_HALF_WIDTH, step * np.max(np.abs(delta))))
         res_norm = scaled_norm(res)
         if res_norm < best_norm:
             best_norm, best_u = res_norm, u

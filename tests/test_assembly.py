@@ -648,7 +648,8 @@ def test_tabulated_kernels_match_per_point_loop(square2, make, quad):
         assert np.max(np.abs(a - b)) <= rtol * np.max(np.abs(b)), name
 
 
-# Assembles load, residual and slope rows at pentagon level 5 and saves them.
+# Assembles load, residual and slope rows at pentagon level 5 with the
+# reaction's default rule and the 7-point rule, and saves them.
 THREADS_SCRIPT = """
 import sys
 import numpy as np
@@ -656,7 +657,7 @@ from semifem.assembly import assemble_load, assemble_nonlinear_residual, assembl
 from semifem.femfunction import interpolate
 from semifem.mesh import preset_polygon, refine_uniform, triangulate_convex_polygon
 from semifem.nonlinearity import PowerLaw
-from semifem.quadrature import seven_point_rule
+from semifem.quadrature import interior_three_point_rule, seven_point_rule
 
 mesh = triangulate_convex_polygon(preset_polygon("pentagon"))
 for _ in range(5):
@@ -664,11 +665,12 @@ for _ in range(5):
 d = PowerLaw(scale=50.0, exponent=1 / 3, shift=-1.0)
 u = interpolate(mesh, lambda x, y: np.sin(3 * x) - 1.0 + 0.01 * y)
 v = interpolate(mesh, lambda x, y: -1.0 + 0.3 * x * y)
-quad = seven_point_rule()
-np.savez(sys.argv[1],
-         load=assemble_load(mesh, lambda x, y: np.sin(3 * x) * np.cos(y), quad),
-         residual=assemble_nonlinear_residual(mesh, d, u, quad),
-         slope=assemble_slope_matrix(mesh, d, u, v, 1e-6, quad, rows=True))
+saved = {}
+for quad in (interior_three_point_rule(), seven_point_rule()):
+    saved[f"load {quad.name}"] = assemble_load(mesh, lambda x, y: np.sin(3 * x) * np.cos(y), quad)
+    saved[f"residual {quad.name}"] = assemble_nonlinear_residual(mesh, d, u, quad)
+    saved[f"slope {quad.name}"] = assemble_slope_matrix(mesh, d, u, v, 1e-6, quad, rows=True)
+np.savez(sys.argv[1], **saved)
 """
 
 
@@ -685,7 +687,8 @@ def test_kernels_bitwise_equal_at_one_and_two_blas_threads(tmp_path):
         with np.load(path) as saved:
             outputs.append(dict(saved))
     one, two = outputs
-    for name in ("load", "residual", "slope"):
+    assert len(one) == 6 and one.keys() == two.keys()
+    for name in one:
         np.testing.assert_array_equal(two[name], one[name], err_msg=name)
 
 

@@ -407,6 +407,22 @@ class TestTriMeshValidation:
             TriMesh([[0, 0], [1, 0], [0.5, 1], [0.5, -1], [0.5, 2]],
                     [[0, 1, 2], [0, 3, 1], [0, 1, 4]])
 
+    def test_rejects_overlapping_triangles(self):
+        # Both triangles lie above edge (0, 1) and traverse it from 0 to 1;
+        # each has area 0.5 and every vertex would lie on the boundary.
+        with pytest.raises(MeshError, match=r"edge \(0, 1\) is traversed in the same "
+                                            "direction"):
+            TriMesh([[0, 0], [1, 0], [0, 1], [0.5, 1]], [[0, 1, 2], [0, 1, 3]])
+
+    @pytest.mark.parametrize("vertices, area", [
+        ([[0, 0], [1e300, 0], [0, 1e300]], "inf"),
+        ([[-1e308, 0], [1e308, 0], [1e308, 1e308]], "nan")])
+    def test_rejects_overflowing_area(self, vertices, area):
+        # Finite coordinates whose area overflows: a MeshError, and no
+        # overflow RuntimeWarning, which the suite turns into an error.
+        with pytest.raises(MeshError, match=f"triangle 0 has non-finite signed area {area}"):
+            TriMesh(vertices, [[0, 1, 2]])
+
     def test_unknown_preset(self):
         with pytest.raises(MeshError, match="unknown domain preset"):
             preset_polygon("lake")

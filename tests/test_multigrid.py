@@ -6,6 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from semifem.assembly import (assemble_load, assemble_mass, assemble_slope_matrix,
                               assemble_stiffness, coarsen_upper, interior_block, mass_upper,
@@ -13,7 +14,7 @@ from semifem.assembly import (assemble_load, assemble_mass, assemble_slope_matri
 from semifem.femfunction import FemFunction
 from semifem.mesh import (Polygon, TriMesh, preset_polygon, read_mesh,
                           refine_uniform, triangulate_convex_polygon, write_mesh)
-from semifem.multigrid import DENSE_COARSE_SIZE, VCycle
+from semifem.multigrid import DENSE_COARSE_SIZE, SMOOTHING_WEIGHT, VCycle
 from semifem.nonlinearity import PowerLaw
 from semifem.quadrature import edge_midpoint_rule, rule_of_degree
 from semifem.solver import cg_solve, solve_semilinear
@@ -94,6 +95,37 @@ def test_smoothed_operators_have_sorted_indices():
     for a, _, _, _ in levels:
         rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
         assert np.all(np.diff(rows * a.shape[1] + a.indices) > 0)
+
+
+def copied_jacobi_weights(a):
+    """The Jacobi weights by the Gershgorin sums over a copy of |a|."""
+    diag = a.diagonal()
+    magnitudes = sparse.csr_matrix((np.abs(a.data), a.indices, a.indptr), shape=a.shape)
+    gershgorin = np.max(magnitudes @ np.ones(a.shape[0]) / diag)
+    return min(SMOOTHING_WEIGHT, 1.9 / gershgorin) / diag
+
+
+@pytest.mark.parametrize("reaction", ["none", "steep-slope"])
+def test_jacobi_weights_keep_the_operator_bits(reaction):
+    # The cycle takes the Gershgorin sums on its operator's own data in
+    # absolute value and negates the negative entries back: the weights
+    # and every smoothed operator are those of a sum over a copy of |a|,
+    # bit for bit, signed zeros included.
+    mesh = pentagon_mesh(6)
+    rows = None if reaction == "none" else steep_slope_rows(mesh)
+    levels = VCycle(mesh, rows)._levels
+    assert len(levels) == 3
+    if rows is None:
+        expected = []
+        for _ in levels:
+            expected.append(interior_block(mesh, assemble_stiffness(mesh)))
+            mesh = mesh.parent
+    else:
+        expected = element_chain(mesh, rows, len(levels) - 1)
+    for (a, weights, _, _), ref in zip(levels, expected):
+        np.testing.assert_array_equal(a.data.view(np.uint64), ref.data.view(np.uint64))
+        np.testing.assert_array_equal(weights.view(np.uint64),
+                                      copied_jacobi_weights(ref).view(np.uint64))
 
 
 def test_vcycle_positive_definite_on_steep_jacobian():

@@ -41,7 +41,7 @@ def test_seven_point_not_exact_beyond_declared_degree():
 
 def test_rule_of_degree_selection():
     assert rule_of_degree(1).name == "centroid"
-    assert rule_of_degree(2).name == "edge-midpoint"
+    assert rule_of_degree(2).name == "interior-three-point"
     assert rule_of_degree(3).name == "seven-point"
     assert rule_of_degree(4).name == "seven-point"
     assert rule_of_degree(5).name == "seven-point"

@@ -9,6 +9,7 @@ from scipy import sparse
 import semifem
 
 from semifem import assembly, solver
+from semifem.analysis import run_convergence_study
 from semifem.assembly import (apply_dirichlet, assemble_load, assemble_mass,
                               assemble_nonlinear_residual, assemble_stiffness)
 from semifem.femfunction import FemFunction, interpolate, prolongate
@@ -17,9 +18,9 @@ from semifem.mesh import (TriMesh, preset_polygon, refine_uniform,
 from semifem.nonlinearity import PowerLaw, cut
 from semifem.quadrature import edge_midpoint_rule, rule_of_degree
 from semifem.solver import (ANCESTOR_REDUCTION, CG_TOL, FORCING, LINE_SEARCH_REDUCTION,
-                            LINE_SEARCH_RESIDUALS, CgError, IndefiniteSystemError, LevelStats,
-                            NewtonError, SolverConfig, _line_search, cg_solve, solve_semilinear,
-                            verify_uniform_bound)
+                            LINE_SEARCH_RESIDUALS, MIN_HALF_WIDTH, CgError,
+                            IndefiniteSystemError, LevelStats, NewtonError, SolverConfig,
+                            _line_search, cg_solve, solve_semilinear, verify_uniform_bound)
 
 
 def square_mesh(level):
@@ -172,7 +173,8 @@ class TestSolve:
         fresh = np.where(
             ~mesh.boundary_vertex,
             assemble_stiffness(mesh) @ u.coeffs
-            + assemble_nonlinear_residual(mesh, d, u, rule_of_degree(5))
+            + assemble_nonlinear_residual(mesh, d, u,
+                                          rule_of_degree(SolverConfig().quad_degree))
             - assemble_load(mesh, ONE, edge_midpoint_rule()),
             0.0)
         norm = np.linalg.norm(fresh) / np.sqrt(mesh.num_vertices)
@@ -378,7 +380,7 @@ class TestNestedStart:
         _, stats = solve_semilinear(parentless(pentagon_mesh(3)), kink_term(), ONE)
         assert stats.levels == [LevelStats(0, 15, 16)]
         assert (stats.newton_iterations, stats.total_cg_iterations,
-                stats.damping_activations) == (15, 16, 8)
+                stats.damping_activations) == (15, 16, 11)
         assert len(stats.residual_history) == 16
 
     def test_solved_ancestors_take_no_step(self):
@@ -400,11 +402,10 @@ class TestNestedStart:
         assert stats.final_residual_norm <= SolverConfig().residual_tol
 
     def test_failed_ancestor_hands_on_best_iterate(self):
-        # Without a cap levels 3 and 4 take 7 and 5 steps to their targets.
-        # With 5, level 3 misses its target and hands on its best iterate,
-        # level 4 meets its target on the last step allowed, and the
-        # level-5 solve still converges in 5 steps. With 4 the level-5
-        # solve itself ends at 4.1e-10.
+        # Without a cap levels 2, 3 and 4 take 9, 7 and 5 steps to their
+        # targets. With 5, each of them misses its target and hands on its
+        # best iterate, and the level-5 solve still converges, in 4 steps.
+        # With 4 the level-5 solve itself ends at 2.8e-10.
         cfg = SolverConfig(max_newton=5)
         mesh = pentagon_mesh(5)
         u, stats = solve_semilinear(mesh, kink_term(), ONE, cfg)
@@ -430,8 +431,9 @@ class TestNestedStart:
         assert requested[-1] <= cfg.residual_tol
 
     def test_cold_level7_solve_bounded_work(self):
-        # 33 Newton steps in all and 2 on level 7 (62 and 2 when every
-        # ancestor was solved to residual_tol).
+        # 36 Newton steps in all and 2 on level 7 (33 and 2 with the 7-point
+        # rule, 42 with the edge-midpoint rule, 62 and 2 when every ancestor
+        # was solved to residual_tol).
         _, stats = solve_semilinear(pentagon_mesh(7), kink_term(), ONE)
         assert stats.newton_iterations <= 40
         assert stats.levels[-1].level == 7
@@ -451,8 +453,8 @@ class TestNestedStart:
         mesh = pentagon_mesh(7)
         _, stats = solve_semilinear(mesh, kink_term(), ONE)
         assert sorted(calls) == list(range(8))
-        assert [s.newton_iterations for s in stats.levels] == [4, 6, 5, 7, 5, 3, 1, 2]
-        assert (stats.newton_iterations, stats.total_cg_iterations) == (33, 54)
+        assert [s.newton_iterations for s in stats.levels] == [4, 5, 9, 7, 5, 3, 1, 2]
+        assert (stats.newton_iterations, stats.total_cg_iterations) == (36, 56)
         _, again = solve_semilinear(mesh, kink_term(), ONE)
         assert len(calls) == 8
         assert again.levels == stats.levels
@@ -497,11 +499,11 @@ class TestForcing:
         assert stats.final_residual_norm <= cfg.residual_tol
 
     def test_cold_level6_keeps_newton_steps_with_fewer_cg_iterations(self):
-        # With every correction solved to CG_TOL the same steps took 134 CG
-        # iterations; with forcing they take 55.
+        # With every correction solved to CG_TOL the same steps took 141 CG
+        # iterations; with forcing they take 57.
         _, stats = solve_semilinear(pentagon_mesh(6), kink_term(), ONE)
-        assert [s.newton_iterations for s in stats.levels] == [4, 6, 5, 7, 5, 3, 3]
-        assert stats.total_cg_iterations < 134
+        assert [s.newton_iterations for s in stats.levels] == [4, 5, 9, 7, 5, 3, 3]
+        assert stats.total_cg_iterations < 141
 
     def test_floor_wins_over_a_tighter_rule(self, monkeypatch):
         monkeypatch.setattr(solver, "CG_TOL", 1e-3)
@@ -525,6 +527,60 @@ class TestForcing:
                                     lambda x, y: np.zeros_like(x))
         assert stats.residual_history[-2:] == [0.0, 0.0]
         assert stats.newton_iterations == 1
+
+
+class TestSlopeHalfWidth:
+    """The slope's half-width tau, tied to the length of the last Newton step."""
+
+    def test_half_width_follows_the_last_step(self, monkeypatch):
+        # Each call differences at u_k + tau and u_k - tau with floor tau.
+        # A mesh's first step takes tau = slope_floor, each later one
+        # min(slope_floor, max(MIN_HALF_WIDTH, max|u_k - u_{k-1}|)), the
+        # length of the step before it.
+        calls = []
+        build = solver.assemble_slope_matrix
+
+        def recorded(mesh, d, u, v, floor, *args, **kwargs):
+            calls.append((mesh.level, floor, u.coeffs, v.coeffs))
+            return build(mesh, d, u, v, floor, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "assemble_slope_matrix", recorded)
+        cfg = SolverConfig()
+        solve_semilinear(pentagon_mesh(3), kink_term(), ONE, cfg)
+        previous = None
+        for level, tau, up, down in calls:
+            np.testing.assert_allclose(up - down, 2.0 * tau, rtol=1e-3)
+            u = 0.5 * (up + down)
+            if previous is None or previous[0] != level:
+                assert tau == cfg.slope_floor
+            else:
+                step = np.max(np.abs(u - previous[1]))
+                expected = min(cfg.slope_floor, max(MIN_HALF_WIDTH, step))
+                assert tau == pytest.approx(expected, rel=1e-4)
+            previous = (level, u)
+        # On the requested mesh tau falls far below the cap.
+        assert min(tau for _, tau, _, _ in calls) < 1e-3 * cfg.slope_floor
+
+    def test_kink_study_with_centroid_rule_completes(self):
+        # With a fixed tau of 1e-6 level 4 stalled at residual 3.6e-7 after
+        # 50 Newton steps. Tied, the rows take 25, 13, 30, 6 and 4 steps.
+        cfg = SolverConfig(quad_degree=1)
+        report = run_convergence_study("pentagon", kink_term(), ONE, range(2, 7),
+                                       extra_refinements=2, cfg=cfg)
+        assert [r.level for r in report.records] == [2, 3, 4, 5, 6]
+        assert 1.15 <= report.final().eoc_linf <= 1.6
+
+    def test_square_shifted_kink_level6_cold_solve(self):
+        # The kink set u = 0.02 crosses the interior of the unit square.
+        # With a fixed tau of 1e-6 the 3-point interior rule stalled at
+        # 2.8e-10 on level 6; tied, the requested mesh takes 15 steps.
+        cfg = SolverConfig()
+        mesh = square_mesh(6)
+        _, stats = solve_semilinear(mesh, PowerLaw(scale=50.0, exponent=1 / 3, shift=0.02),
+                                    ONE, cfg)
+        assert stats.levels[-1].level == 6
+        assert stats.levels[-1].newton_iterations <= 15
+        assert stats.final_residual_norm <= cfg.residual_tol
 
 
 class TestUniformBound:
@@ -567,8 +623,8 @@ def test_config_validation():
 def check_cold_kink_solve_bounded_work(mesh):
     # Bounded work, not wall time: the step and CG iteration counts are
     # machine independent. The nested start spreads the work over all the
-    # meshes (33 Newton steps and 55 CG iterations in all at level 8, 34 and
-    # 59 at level 9), so the bounds apply to the requested mesh's own counts
+    # meshes (36 Newton steps and 57 CG iterations in all at level 8, 37 and
+    # 61 at level 9), so the bounds apply to the requested mesh's own counts
     # (1 step and 6 CG iterations at levels 8 and 9) and to the work in its
     # units, each mesh's counts weighted by its vertex count over the
     # requested mesh's (1.4 steps and 7.4 CG iterations at level 8).
@@ -601,9 +657,9 @@ def test_cold_level8_kink_solve_bounded_work():
 def test_cold_level9_kink_solve_bounded_work():
     # 1.3 M triangles, about 4 s on a 2-CPU VM, in a fresh process so that
     # its peak RSS is the check's own. Refinement to level 9 leaves the RSS
-    # at 229 MiB (492 MiB when each child numbered its edges by one
-    # np.unique over 3 nt keys); the whole check peaks at about 590 MiB in
-    # the Newton Jacobian path (34 Newton steps and 59 CG iterations over
+    # at 229-235 MiB (492 MiB when each child numbered its edges by one
+    # np.unique over 3 nt keys); the whole check peaks at 584-597 MiB in
+    # the Newton Jacobian path (37 Newton steps and 61 CG iterations over
     # the ten meshes), and peaked at 690-700 MiB when the element kernels
     # made one pass over all triangles.
     script = ("import resource, test_solver\n"
