@@ -200,9 +200,11 @@ class StudyRecord:
 class StudyReport:
     """Per-level error record of a convergence study plus its provenance.
 
-    `solutions` maps levels to the computed FemFunctions and
-    `reference_solution` holds the fine-grid reference when one was used;
-    neither is part of the CSV serialization.
+    `solutions` maps levels to the computed FemFunctions,
+    `reference_solution` holds the fine-grid reference when one was used,
+    and `reference_stats` the `solver.SolveStats` of its solve (None
+    against a closed-form truth); none of them is part of the CSV
+    serialization.
     """
 
     records: list = field(default_factory=list)
@@ -211,6 +213,7 @@ class StudyReport:
     reference: str = ""
     solutions: dict = field(default_factory=dict)
     reference_solution: object = None
+    reference_stats: object = None
 
     CSV_HEADER = ("level,h,ndof,err_l2,err_h1,err_linf,"
                   "eoc_l2,eoc_h1,eoc_linf,eoc_l2_logcorr,newton_iters,wall_time_s")
@@ -280,7 +283,11 @@ def run_convergence_study(domain, d, f, levels, exact=None, extra_refinements=2,
         Closed-form reference. When absent, a discrete reference is
         computed `extra_refinements` levels beyond the finest study level.
     extra_refinements : int
-        Depth of the discrete reference, at least 2.
+        Depth of the discrete reference, at least 2. The reference solve
+        starts from the finest study solution and solves every mesh in
+        between as an ancestor (see `solver.solve_semilinear`), so it
+        takes the same path as each study level, which starts from the
+        level below.
     cfg : SolverConfig, optional
 
     Returns
@@ -327,9 +334,8 @@ def run_convergence_study(domain, d, f, levels, exact=None, extra_refinements=2,
     for level in levels:
         mesh = meshes[level]
         start = time.perf_counter()
-        initial = prolongate(previous, mesh) if previous is not None else None
         try:
-            u, stats = solve_semilinear(mesh, d, f, cfg, initial=initial)
+            u, stats = solve_semilinear(mesh, d, f, cfg, initial=previous)
         except SolverError as exc:
             _fill_eoc(report.records)
             raise StudyError(f"level {level} failed: {exc}", report) from exc
@@ -349,9 +355,8 @@ def run_convergence_study(domain, d, f, levels, exact=None, extra_refinements=2,
     if exact is None:
         ref_mesh = meshes[top]
         try:
-            reference, _ = solve_semilinear(
-                mesh=ref_mesh, d=d, f=f, cfg=cfg,
-                initial=prolongate(previous, ref_mesh))
+            reference, report.reference_stats = solve_semilinear(
+                mesh=ref_mesh, d=d, f=f, cfg=cfg, initial=previous)
         except SolverError as exc:
             raise StudyError(f"reference level {top} failed: {exc}", report) from exc
         # The norms of error_l2, error_h1semi and error_linf, with the

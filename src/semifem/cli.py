@@ -314,6 +314,13 @@ def cmd_study(args):
     if final.eoc_l2 is not None:
         print(f"final eoc_l2={final.eoc_l2:.3f} eoc_h1={final.eoc_h1:.3f} "
               f"eoc_linf={final.eoc_linf:.3f}")
+    if report.reference_stats is not None:
+        per_mesh = report.reference_stats.levels
+        column = lambda name: ",".join(str(getattr(s, name)) for s in per_mesh)
+        print(f"reference_solve levels={column('level')} "
+              f"newton_iterations={column('newton_iterations')} "
+              f"cg_iterations={column('cg_iterations')} "
+              f"final_residual={report.reference_stats.final_residual_norm:.9e}")
     print(f"wrote {out}")
     return EXIT_OK
 

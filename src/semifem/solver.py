@@ -19,11 +19,13 @@ Steps are globalized by a regula falsi search on the directional derivative
 of the convex energy whose gradient is the residual (`_line_search`). Each
 correction is solved only as far as the mesh's Newton target needs: its
 relative CG tolerance is FORCING times the target's share of the current
-residual, floored at CG_TOL (inexact Newton forcing). A solve without
-an initial iterate starts by nested iteration: it solves on the mesh's
-ancestors first, from the root, coarse to fine, each only to a fixed
-fraction of its starting residual, and starts each finer mesh from the
-prolongated solution of the coarser one.
+residual, floored at CG_TOL (inexact Newton forcing). Every solve works
+by nested iteration: it starts on the mesh of the initial iterate, which
+is the requested mesh or one of its ancestors, or on the root without
+one, and solves each mesh after it up to the requested one, coarse to
+fine, the ones before the requested mesh only to a fixed fraction of
+their starting residual, starting each finer mesh from the prolongated
+solution of the coarser one.
 """
 
 from dataclasses import dataclass, field
@@ -44,9 +46,9 @@ from .quadrature import edge_midpoint_rule, rule_of_degree
 LINE_SEARCH_RESIDUALS = 5
 LINE_SEARCH_REDUCTION = 0.25
 
-# An ancestor of a cold solve only supplies the next mesh's start, so its
-# Newton loop stops once its scaled residual has fallen to this fraction of
-# its own starting one (or to residual_tol, if that is larger). Each mesh of
+# A mesh solved below the requested one only supplies the next mesh's start,
+# so its Newton loop stops once its scaled residual has fallen to this fraction
+# of its own starting one (or to residual_tol, if that is larger). Each mesh of
 # the pentagon kink problem starts about 4 times above the next one's start,
 # so an ancestor left 1e4 below its start adds nothing visible to the next.
 # On a cold level-7 kink solve any value from 1e-5 to 1e-3 gave about the
@@ -101,9 +103,10 @@ class CgError(SolverError):
 class NewtonError(SolverError):
     """Newton iteration failed; `best` holds the best iterate found.
 
-    `best` is None when the residual norm, a reaction value or a slope
-    weight is not finite: the data overflow double precision, and a nested
-    solve stops there.
+    `best` is None when the residual norm, a reaction value, a slope
+    weight or the norm of the frozen-reaction start's right-hand side is
+    not finite: the data overflow double precision, and a nested solve
+    stops there.
     """
 
 
@@ -154,9 +157,10 @@ class LevelStats:
 class SolveStats:
     """Iteration counts and the certified final residual of one solve.
 
-    A cold solve also works on the mesh's ancestors (see
-    `solve_semilinear`). levels holds one `LevelStats` per mesh solved,
-    coarse to fine, ending with the requested mesh; newton_iterations and
+    A solve also works on ancestors of the mesh (see `solve_semilinear`):
+    a cold solve on all of them, one started on an ancestor on the meshes
+    in between. levels holds one `LevelStats` per mesh solved, coarse to
+    fine, ending with the requested mesh; newton_iterations and
     total_cg_iterations are read-only sums of its counts.
     damping_activations, residual_history and cg_residuals count the whole
     call, every mesh included. damping_activations counts the Newton steps
@@ -311,18 +315,20 @@ def solve_semilinear(mesh, d, f, cfg=None, initial=None):
     cfg : SolverConfig, optional
         Its max_newton caps the Newton steps on each mesh solved.
     initial : FemFunction, optional
-        Starting iterate on the same mesh; boundary values are zeroed.
-        Without it the solve starts by nested iteration: it first solves
-        on the ancestors mesh.parent, ... down to the root, coarse to fine,
-        and starts each mesh from the prolongated solution of the one
-        below. The root, and a mesh without parent, starts from the
-        solution of the linear problem with the reaction frozen at
+        Starting iterate on mesh or on one of its ancestors, the start
+        mesh; its boundary values are zeroed. The solve works by nested
+        iteration: it solves every mesh after the start mesh up to mesh,
+        coarse to fine, and starts each from the prolongated solution of
+        the one below; an iterate on mesh itself is its start. Without
+        an iterate the start mesh is the root, which is solved first from
+        the solution of the linear problem with the reaction frozen at
         d(x, 0); a root without interior vertices has the zero solution
-        and takes no step. An ancestor only supplies the next mesh's start:
-        its target is max(residual_tol, ANCESTOR_REDUCTION * r0), r0 its
-        own starting scaled residual, so one whose start already meets
-        residual_tol takes no Newton step. One that raises NewtonError
-        with a best iterate hands it on.
+        and takes no step. A mesh below mesh is solved as an ancestor: it
+        only supplies the next mesh's start, so its target is
+        max(residual_tol, ANCESTOR_REDUCTION * r0), r0 its own starting
+        scaled residual, and one whose start already meets residual_tol
+        takes no Newton step. One that raises NewtonError with a best
+        iterate hands it on.
 
     Returns
     -------
@@ -336,24 +342,31 @@ def solve_semilinear(mesh, d, f, cfg=None, initial=None):
     NewtonError
         If max_newton iterations on the requested mesh do not reach the
         tolerance; carries the best iterate on it and the residual history.
-        Also, without an iterate, on any mesh whose residual norm, reaction
-        value or slope weight is not finite; the message names the point.
+        Also, with no best iterate, on any mesh whose residual norm, reaction
+        value or slope weight, or the norm of the frozen-reaction start's
+        right-hand side, is not finite; the message names the point where
+        there is one.
     ValueError
         If f is not finite at a quadrature point, or the slope weight is
-        negative there (d is not monotone).
+        negative there (d is not monotone); or if initial lives on a mesh
+        that is neither mesh nor one of its ancestors.
     """
     cfg = cfg if cfg is not None else SolverConfig()
-    if initial is not None and initial.mesh is not mesh:
-        raise ValueError("initial guess lives on a different mesh")
+    start = None if initial is None else initial.mesh
     levels = [mesh]
-    while initial is None and levels[0].parent is not None:
+    while levels[0] is not start and levels[0].parent is not None:
         levels.insert(0, levels[0].parent)
+    if start is not None and levels[0] is not start:
+        raise ValueError(f"initial guess lives on mesh {start!r}, which is neither the "
+                         f"requested mesh {mesh!r} nor one of its ancestors")
 
     stats = SolveStats()
-    coeffs = None if initial is None else initial.coeffs
+    coeffs = None if initial is None else np.where(start.boundary_vertex, 0.0, initial.coeffs)
     for k, level in enumerate(levels):
         if k:
             coeffs = level.prolongation() @ coeffs
+        if level is start and level is not mesh:
+            continue  # an ancestor start is only handed on
         stats.levels.append(LevelStats(level.level, 0, 0))
         load = assemble_load(level, f, edge_midpoint_rule())
         try:
@@ -391,7 +404,9 @@ def _newton(mesh, d, load, cfg, start, stats, requested):
     along the correction delta the next one takes
     min(cfg.slope_floor, max(MIN_HALF_WIDTH, s * max|delta|)). A reaction
     value or slope weight that is not finite raises the assembler's
-    NonFiniteError, without a numpy warning for the overflow.
+    NonFiniteError, and a frozen-reaction right-hand side whose norm is
+    not finite raises NewtonError without iterate, both without a numpy
+    warning for the overflow.
     """
     nv = mesh.num_vertices
     interior = mesh.interior_vertices
@@ -434,7 +449,12 @@ def _newton(mesh, d, load, cfg, start, stats, requested):
         u[interior] = start[interior]
     else:
         frozen = reaction_terms(assemble_nonlinear_residual, FemFunction.zeros(mesh), quad)
-        u[interior] = correction(None, (load - frozen)[interior], CG_TOL)
+        with np.errstate(over="ignore"):
+            rhs = (load - frozen)[interior]
+        if not np.isfinite(_norm(rhs)):
+            raise NewtonError("frozen-reaction right-hand side norm is not finite: the data "
+                              "overflow double precision", stats.residual_history)
+        u[interior] = correction(None, rhs, CG_TOL)
 
     def scaled_norm(res):
         norm = _norm(res) * scale

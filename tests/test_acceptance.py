@@ -12,13 +12,13 @@ import pytest
 from semifem.analysis import (ExactSolution, eoc, error_h1semi, error_l2,
                               ritz_project, run_convergence_study)
 from semifem.assembly import (apply_dirichlet, assemble_load, assemble_mass,
-                              assemble_stiffness)
+                              assemble_nonlinear_residual, assemble_stiffness)
 from semifem.femfunction import interpolate
 from semifem.mesh import (TriMesh, mesh_size, preset_polygon, refine_uniform,
                           triangulate_convex_polygon)
 from semifem.nonlinearity import PowerLaw, cut
 from semifem.quadrature import (edge_midpoint_rule, reference_monomial_mean,
-                                shipped_rules)
+                                rule_of_degree, shipped_rules)
 from semifem.solver import SolverConfig, solve_semilinear, verify_uniform_bound
 
 PI = np.pi
@@ -118,6 +118,27 @@ def test_criterion_4_kink_study_rates(kink_study):
     assert elapsed < 300.0
     report_pass(4, f"kink study: eoc_linf={final.eoc_linf:.3f}, "
                    f"eoc_l2={final.eoc_l2:.3f} in {elapsed:.1f} s")
+
+
+def test_criterion_4_reference_solve(kink_study):
+    # The level-8 reference starts from the level-6 solution and is solved
+    # through level 7; one Newton step on level 8 reaches residual_tol.
+    # Its residual, recomputed from public assemblies, must meet the
+    # tolerance: a reference that stops short moves every error digit.
+    report, _ = kink_study
+    stats = report.reference_stats
+    assert [s.level for s in stats.levels] == [7, 8]
+    assert stats.levels[-1].newton_iterations == 1
+    u, cfg = report.reference_solution, SolverConfig()
+    mesh = u.mesh
+    res = (assemble_stiffness(mesh) @ u.coeffs
+           + assemble_nonlinear_residual(mesh, kink_term(), u, rule_of_degree(cfg.quad_degree))
+           - assemble_load(mesh, ONE, edge_midpoint_rule()))
+    res[mesh.boundary_vertex] = 0.0
+    residual = np.linalg.norm(res) / np.sqrt(mesh.num_vertices)
+    assert residual <= cfg.residual_tol, residual
+    report_pass(4, f"level-8 reference: residual {residual:.2e} after "
+                   f"{stats.newton_iterations} Newton steps on levels 7 and 8")
 
 
 def test_criterion_5_uniqueness(pentagon_level4):

@@ -241,6 +241,7 @@ class TestStudy:
         assert len(first) == 12 and len(second) == 12
         assert first[6] == "" and second[6] != ""
         assert "e" in first[3]  # scientific notation
+        assert report.reference_stats is None
 
     def test_h_halves_between_records(self):
         d = PowerLaw(weight=0.0)
@@ -259,6 +260,8 @@ class TestStudy:
                                        range(1, 4))
         reference = report.reference_solution
         assert reference.mesh.level == 5
+        # Solved from the level-3 solution through level 4.
+        assert [s.level for s in report.reference_stats.levels] == [4, 5]
         for record in report.records:
             u = report.solutions[record.level]
             assert record.err_l2 == error_l2(u, reference)

@@ -198,12 +198,14 @@ class TestSolveCommand:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("setting", ["scale = 1e308", "rhs = constant 1e308"])
     def test_overflowing_data_fail_as_named_error(self, tmp_path, capsys, setting):
-        # Finite but huge data overflow the norm of the first CG right-hand
-        # side; that is a numerical failure named as such, with no warning.
+        # Finite but huge data overflow the norm of the frozen-reaction
+        # start's right-hand side; the solve fails with NewtonError, named as
+        # such, with no warning.
         cfg = write(tmp_path, "huge.cfg", KINK_CONFIG + setting + "\n")
         assert main(["solve", "--config", cfg, "--output", str(tmp_path / "u.txt")]) == 1
         err = capsys.readouterr().err
-        assert "norm is not finite" in err and "overflow" in err
+        assert err.startswith("solve failed: frozen-reaction right-hand side norm is not finite")
+        assert "overflow" in err
 
     def test_overflowing_reaction_fails_as_newton_error(self, tmp_path, capsys):
         # The frozen-reaction start reaches |u| of about 7e3, where the
@@ -256,6 +258,19 @@ class TestStudyCommand:
         assert len(lines) == 2
         fields = lines[1].split(",")
         assert fields[6] == fields[7] == fields[8] == fields[9] == ""
+
+    def test_prints_the_reference_solve(self, tmp_path, capsys):
+        # Levels 1..2 against a level-4 reference: solved from the level-2
+        # solution through level 3. An exact reference prints no such line.
+        cfg = write(tmp_path, "study.cfg", KINK_CONFIG + "levels = 1..2\n")
+        assert main(["study", "--config", cfg, "--output", str(tmp_path / "s.csv")]) == 0
+        line = capsys.readouterr().out.splitlines()[2]
+        assert re.fullmatch(r"reference_solve levels=3,4 newton_iterations=\d+,\d+ "
+                            r"cg_iterations=\d+,\d+ final_residual=\S+", line), line
+        assert float(line.rsplit("=", 1)[1]) <= 1e-10
+        cfg = write(tmp_path, "exact.cfg", MANUFACTURED_CONFIG.replace("2..5", "2..3"))
+        assert main(["study", "--config", cfg, "--output", str(tmp_path / "e.csv")]) == 0
+        assert "reference_solve" not in capsys.readouterr().out
 
     def test_exact_reference_requires_manufactured(self, tmp_path, capsys):
         cfg = write(tmp_path, "study.cfg",

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -223,6 +224,17 @@ class TestSolve:
         with pytest.raises(ValueError, match="right-hand side"):
             solve_semilinear(mesh, PowerLaw(), lambda x, y: np.full_like(x, np.nan))
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_load_raises_newton_error(self):
+        # f = 1e300 gives the root's load entries of about 1e299, whose norm
+        # overflows before the frozen-reaction start's CG: the data overflow,
+        # and there is no iterate to hand on.
+        huge = lambda x, y: np.full_like(x, 1e300)
+        with pytest.raises(NewtonError, match="right-hand side norm is not finite.*overflow") \
+                as err:
+            solve_semilinear(pentagon_mesh(3), PowerLaw(1e300, 1), huge)
+        assert err.value.best is None
+
     def test_nonfinite_rhs_norm_raises_cg_error(self):
         with pytest.raises(CgError, match="not finite"):
             cg_solve(sparse.identity(2, format="csr"), np.array([1e200, 1e200]))
@@ -237,11 +249,13 @@ class TestSolve:
         assert np.max(np.abs(again.coeffs - u.coeffs)) <= 1e-10
 
     def test_initial_guess_must_share_mesh(self):
+        # Only the mesh itself and its ancestors can start a solve: not a
+        # child of the mesh, nor any mesh of another refinement chain.
         mesh = pentagon_mesh(1)
         other = pentagon_mesh(2)
-        with pytest.raises(ValueError, match="mesh"):
-            solve_semilinear(mesh, PowerLaw(), ONE,
-                             initial=FemFunction.zeros(other))
+        for wrong in (other, refine_uniform(mesh), other.parent, parentless(mesh.parent)):
+            with pytest.raises(ValueError, match=re.escape(f"lives on mesh {wrong!r}")):
+                solve_semilinear(mesh, PowerLaw(), ONE, initial=FemFunction.zeros(wrong))
 
     def test_stats_counts(self):
         mesh = pentagon_mesh(2)
@@ -429,6 +443,46 @@ class TestNestedStart:
             assert history[-1] <= target
             assert all(norm > target for norm in history[:-1])
         assert requested[-1] <= cfg.residual_tol
+
+    def test_grandparent_start_solves_the_mesh_between(self):
+        # An iterate two levels down starts a nested solve: level 4 is
+        # solved as an ancestor, to its relative target, then level 5 to
+        # residual_tol.
+        cfg = SolverConfig()
+        mesh = pentagon_mesh(5)
+        coarse, _ = solve_semilinear(mesh.parent.parent, kink_term(), ONE, cfg)
+        u, stats = solve_semilinear(mesh, kink_term(), ONE, cfg, initial=coarse)
+        assert [s.level for s in stats.levels] == [4, 5]
+        between, requested = level_histories(stats)
+        target = max(cfg.residual_tol, ANCESTOR_REDUCTION * between[0])
+        assert stats.levels[0].newton_iterations >= 1
+        assert between[-1] <= target
+        assert all(norm > target for norm in between[:-1])
+        assert requested[-1] == stats.final_residual_norm <= cfg.residual_tol
+        assert u.mesh is mesh and u.in_dirichlet_space()
+
+    def test_ancestor_start_drops_its_boundary_entries(self):
+        # The start mesh's boundary entries are zeroed before the first
+        # prolongation, where they would reach interior midpoints.
+        mesh = pentagon_mesh(4)
+        grand = mesh.parent.parent
+        coarse, _ = solve_semilinear(grand, kink_term(), ONE)
+        noise = np.random.default_rng(5).uniform(-1.0, 1.0, grand.num_vertices)
+        noisy = FemFunction(grand, np.where(grand.boundary_vertex, noise, coarse.coeffs))
+        clean, clean_stats = solve_semilinear(mesh, kink_term(), ONE, initial=coarse)
+        dirty, dirty_stats = solve_semilinear(mesh, kink_term(), ONE, initial=noisy)
+        np.testing.assert_array_equal(dirty.coeffs, clean.coeffs)
+        assert dirty_stats.levels == clean_stats.levels
+
+    def test_parent_start_equals_prolongated_start(self):
+        mesh = pentagon_mesh(4)
+        coarse, _ = solve_semilinear(mesh.parent, kink_term(), ONE)
+        u, stats = solve_semilinear(mesh, kink_term(), ONE, initial=coarse)
+        v, prolongated_stats = solve_semilinear(mesh, kink_term(), ONE,
+                                                initial=prolongate(coarse, mesh))
+        np.testing.assert_array_equal(u.coeffs, v.coeffs)
+        assert stats.levels == prolongated_stats.levels == [stats.levels[0]]
+        assert stats.levels[0].level == 4
 
     def test_cold_level7_solve_bounded_work(self):
         # 36 Newton steps in all and 2 on level 7 (33 and 2 with the 7-point
