@@ -2,21 +2,16 @@
 
 With the reaction weight set to zero the solver reduces to a single
 Newton step on the Poisson problem. The errors against the closed-form
-solution sin(pi x) sin(pi y) shrink like h^2 in L2 and like h in H1.
+solution sin(pi x) sin(pi y), the library's `UNIT_SQUARE_SINE`, shrink
+like h^2 in L2 and like h in H1.
 """
 
-import numpy as np
+from semifem import (UNIT_SQUARE_SINE, PowerLaw, eoc, error_h1semi, error_l2,
+                     mesh_size, preset_polygon, refine_uniform,
+                     solve_semilinear, triangulate_convex_polygon)
 
-from semifem import (PowerLaw, eoc, error_h1semi, error_l2, mesh_size,
-                     preset_polygon, refine_uniform, solve_semilinear,
-                     triangulate_convex_polygon)
-
-pi = np.pi
-exact = lambda x, y: np.sin(pi * x) * np.sin(pi * y)
-exact_grad = lambda x, y: (pi * np.cos(pi * x) * np.sin(pi * y),
-                           pi * np.sin(pi * x) * np.cos(pi * y))
-f = lambda x, y: 2.0 * pi ** 2 * exact(x, y)
 no_reaction = PowerLaw(weight=0.0)
+f = UNIT_SQUARE_SINE.rhs(no_reaction)
 
 mesh = triangulate_convex_polygon(preset_polygon("unit-square"))
 print(f"{'level':>5} {'h':>10} {'L2 error':>12} {'H1 error':>12} "
@@ -27,8 +22,8 @@ for level in range(1, 6):
     mesh = refine_uniform(mesh)
     u, stats = solve_semilinear(mesh, no_reaction, f)
     h = mesh_size(mesh)
-    el2 = error_l2(u, exact)
-    eh1 = error_h1semi(u, exact_grad)
+    el2 = error_l2(u, UNIT_SQUARE_SINE.value)
+    eh1 = error_h1semi(u, UNIT_SQUARE_SINE.grad)
     if previous is None:
         print(f"{level:>5} {h:>10.4f} {el2:>12.4e} {eh1:>12.4e}")
     else:

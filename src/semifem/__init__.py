@@ -24,9 +24,9 @@ from .nonlinearity import (CutNonlinearity, MonotoneReport, Nonlinearity,
 from .solver import (CgError, IndefiniteSystemError, NewtonError, SolveStats,
                      SolverConfig, SolverError, cg_solve, solve_semilinear,
                      verify_uniform_bound)
-from .analysis import (ExactSolution, StudyError, StudyRecord, StudyReport,
-                       eoc, eoc_log_corrected, error_h1semi, error_l2,
-                       error_linf, ritz_project, run_convergence_study)
+from .analysis import (UNIT_SQUARE_SINE, ExactSolution, StudyError, StudyRecord,
+                       StudyReport, eoc, eoc_log_corrected, error_h1semi,
+                       error_l2, error_linf, ritz_project, run_convergence_study)
 
 __version__ = "0.1.0"
 
@@ -44,7 +44,7 @@ __all__ = [
     "CgError", "IndefiniteSystemError", "NewtonError", "SolveStats",
     "SolverConfig", "SolverError", "cg_solve", "solve_semilinear",
     "verify_uniform_bound",
-    "ExactSolution", "StudyError", "StudyRecord", "StudyReport", "eoc",
-    "eoc_log_corrected", "error_h1semi", "error_l2", "error_linf",
-    "ritz_project", "run_convergence_study",
+    "UNIT_SQUARE_SINE", "ExactSolution", "StudyError", "StudyRecord",
+    "StudyReport", "eoc", "eoc_log_corrected", "error_h1semi", "error_l2",
+    "error_linf", "ritz_project", "run_convergence_study",
 ]

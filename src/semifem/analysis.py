@@ -1,12 +1,14 @@
 """Error norms, Ritz projection, convergence orders, and the study harness.
 
 Errors can be measured against a closed-form solution (value plus
-gradient) or against a discrete reference on a nested finer mesh; in the
-discrete case the coarse function is transferred exactly, so the computed
-norms are exact for P1 functions. The closed-form norms and the load of
-the Ritz projection walk the elements in the blocks of
-`assembly.element_blocks`, quadrature or lattice points inside each
-block, so their temporaries are of the block's size.
+gradient; with its Laplacian, as `UNIT_SQUARE_SINE` has, it also gives
+the right-hand side it solves) or against a discrete reference on a
+nested finer mesh; in the discrete case the coarse function is
+transferred exactly, so the computed norms are exact for P1 functions.
+The closed-form norms and the load of the Ritz projection walk the
+elements in the blocks of `assembly.element_blocks`, quadrature or
+lattice points inside each block, so their temporaries are of the
+block's size.
 """
 
 import math
@@ -37,10 +39,28 @@ LINF_LATTICE = np.array([(i, j, 4 - i - j) for i in range(4, -1, -1)
 
 @dataclass(frozen=True)
 class ExactSolution:
-    """Closed-form reference: value(x, y) and grad(x, y) -> (gx, gy)."""
+    """Closed-form reference: value(x, y), grad(x, y) -> (gx, gy) and,
+    optionally, laplacian(x, y), which `rhs` needs."""
 
     value: object
     grad: object
+    laplacian: object = None
+
+    def rhs(self, d):
+        """f(x, y) = d(x, y, u) - laplacian(x, y) with u = value(x, y): the
+        right-hand side for which this solution solves -Δu + d(x, u) = f."""
+        if self.laplacian is None:
+            raise ValueError("the right-hand side needs the exact solution's laplacian")
+        return lambda x, y: d(x, y, self.value(x, y)) - self.laplacian(x, y)
+
+
+UNIT_SQUARE_SINE = ExactSolution(
+    lambda x, y: np.sin(math.pi * x) * np.sin(math.pi * y),
+    lambda x, y: (math.pi * np.cos(math.pi * x) * np.sin(math.pi * y),
+                  math.pi * np.sin(math.pi * x) * np.cos(math.pi * y)),
+    lambda x, y: -2.0 * math.pi ** 2 * UNIT_SQUARE_SINE.value(x, y))
+"""u = sin(πx) sin(πy) with Laplacian -2π²u, the manufactured solution on the
+unit square, the only preset domain on whose boundary it vanishes."""
 
 
 def _nested_difference(u_h, truth):
@@ -103,7 +123,8 @@ def error_linf(u_h, truth):
 
     Samples the 15 points of `LINF_LATTICE` in every triangle, its
     vertices included. Against a nested FemFunction the difference is
-    piecewise linear and the vertex maximum is exact.
+    piecewise linear and the vertex maximum is exact. A NaN sample makes
+    the result NaN, as in `error_l2` and `error_h1semi`.
     """
     if isinstance(truth, FemFunction):
         return float(np.max(np.abs(_nested_difference(u_h, truth))))
@@ -114,8 +135,8 @@ def error_linf(u_h, truth):
         for bary in LINF_LATTICE:
             x, y = quadrature_points(corners, bary)
             diff = uloc @ bary - np.asarray(truth(x, y), dtype=float)
-            worst = max(worst, float(np.max(np.abs(diff))))
-    return worst
+            worst = np.maximum(worst, np.max(np.abs(diff)))
+    return float(worst)
 
 
 def ritz_project(mesh, grad_truth):

@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from .analysis import ExactSolution, StudyError, run_convergence_study
+from .analysis import UNIT_SQUARE_SINE, StudyError, run_convergence_study
 from .femfunction import write_function
 from .mesh import (MeshError, mesh_size, preset_polygon, read_mesh,
                    read_polygon, refine_uniform, triangulate_convex_polygon,
@@ -106,24 +106,11 @@ def build_nonlinearity(cfg):
     return d
 
 
-def _manufactured_exact():
-    pi = np.pi
-
-    def value(x, y):
-        return np.sin(pi * x) * np.sin(pi * y)
-
-    def grad(x, y):
-        return (pi * np.cos(pi * x) * np.sin(pi * y),
-                pi * np.sin(pi * x) * np.cos(pi * y))
-
-    return ExactSolution(value, grad)
-
-
 def build_rhs(cfg, d):
     """Return (f, exact-or-None) from the rhs value.
 
-    `manufactured` fixes the exact solution sin(pi x) sin(pi y) on the
-    unit square and builds f = 2 pi^2 u + d(x, u) pointwise.
+    `manufactured` fixes the exact solution `analysis.UNIT_SQUARE_SINE`
+    and builds its right-hand side for d.
     """
     parts = cfg["rhs"].split()
     if not parts:
@@ -146,13 +133,7 @@ def build_rhs(cfg, d):
             raise ConfigError("config key 'rhs': 'manufactured' requires "
                               "'domain = unit-square' (the built-in exact "
                               "solution vanishes on that boundary only)")
-        exact = _manufactured_exact()
-
-        def f(x, y):
-            u = exact.value(x, y)
-            return 2.0 * np.pi ** 2 * u + d(x, y, u)
-
-        return f, exact
+        return UNIT_SQUARE_SINE.rhs(d), UNIT_SQUARE_SINE
     raise ConfigError(f"config key 'rhs': unknown value {cfg['rhs']!r}")
 
 

@@ -136,13 +136,15 @@ def check_monotone(d, sample_points, u_range, n):
     sample_points : iterable
         (x, y) pairs where the u-slices are examined.
     u_range : tuple
-        (u_min, u_max) interval to sample.
+        (u_min, u_max) interval to sample, finite with u_min < u_max.
     n : int
         Number of u samples per point, at least 2.
     """
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
     lo, hi = float(u_range[0]), float(u_range[1])
+    if not -np.inf < lo < hi < np.inf:
+        raise ValueError(f"u_range must be finite with u_min < u_max, got {u_range!r}")
     ugrid = np.linspace(lo, hi, n)
     for px, py in sample_points:
         x = np.full(n, float(px))

@@ -197,7 +197,7 @@ def _norm(x):
         return np.linalg.norm(x)
 
 
-def cg_solve(matrix, rhs, tol=1e-12, maxit=None, preconditioner=None):
+def cg_solve(matrix, rhs, tol=CG_TOL, maxit=None, preconditioner=None):
     """Preconditioned conjugate gradients for SPD systems.
 
     Parameters
@@ -206,7 +206,7 @@ def cg_solve(matrix, rhs, tol=1e-12, maxit=None, preconditioner=None):
         Symmetric positive definite (after constraints).
     rhs : ndarray
     tol : float
-        Relative tolerance: the returned x satisfies
+        Relative tolerance, `CG_TOL` by default: the returned x satisfies
         ||matrix x - rhs|| <= tol * ||rhs||, unless the true residual
         stagnates first (see below).
     maxit : int or None

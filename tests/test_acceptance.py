@@ -9,8 +9,8 @@ import time
 import numpy as np
 import pytest
 
-from semifem.analysis import (ExactSolution, eoc, error_h1semi, error_l2,
-                              ritz_project, run_convergence_study)
+from semifem.analysis import (UNIT_SQUARE_SINE as SINE, eoc, error_h1semi,
+                              error_l2, ritz_project, run_convergence_study)
 from semifem.assembly import (apply_dirichlet, assemble_load, assemble_mass,
                               assemble_nonlinear_residual, assemble_stiffness)
 from semifem.femfunction import interpolate
@@ -21,7 +21,6 @@ from semifem.quadrature import (edge_midpoint_rule, reference_monomial_mean,
                                 rule_of_degree, shipped_rules)
 from semifem.solver import SolverConfig, solve_semilinear, verify_uniform_bound
 
-PI = np.pi
 ONE = lambda x, y: np.ones_like(x)
 
 
@@ -83,20 +82,8 @@ def test_criterion_2_quadrature_exactness():
 def test_criterion_3_manufactured_study():
     start = time.perf_counter()
     d = PowerLaw(scale=1.0, exponent=0.5)
-
-    def value(x, y):
-        return np.sin(PI * x) * np.sin(PI * y)
-
-    def grad(x, y):
-        return (PI * np.cos(PI * x) * np.sin(PI * y),
-                PI * np.sin(PI * x) * np.cos(PI * y))
-
-    def f(x, y):
-        u = value(x, y)
-        return 2.0 * PI ** 2 * u + d(x, y, u)
-
-    report = run_convergence_study("unit-square", d, f, range(2, 6),
-                                   exact=ExactSolution(value, grad))
+    report = run_convergence_study("unit-square", d, SINE.rhs(d), range(2, 6),
+                                   exact=SINE)
     final = report.final()
     assert 1.85 <= final.eoc_l2 <= 2.15, final.eoc_l2
     assert 0.9 <= final.eoc_h1 <= 1.1, final.eoc_h1
@@ -179,14 +166,6 @@ def test_criterion_7_cut_consistency(pentagon_level4):
 
 def test_criterion_8_ritz_rates():
     start = time.perf_counter()
-
-    def value(x, y):
-        return np.sin(PI * x) * np.sin(PI * y)
-
-    def grad(x, y):
-        return (PI * np.cos(PI * x) * np.sin(PI * y),
-                PI * np.sin(PI * x) * np.cos(PI * y))
-
     mesh = triangulate_convex_polygon(preset_polygon("unit-square"))
     meshes = [mesh]
     for _ in range(6):
@@ -194,9 +173,9 @@ def test_criterion_8_ritz_rates():
     errors = []
     for level in range(3, 7):
         m = meshes[level]
-        proj = ritz_project(m, grad)
-        errors.append((mesh_size(m), error_l2(proj, value),
-                       error_h1semi(proj, grad)))
+        proj = ritz_project(m, SINE.grad)
+        errors.append((mesh_size(m), error_l2(proj, SINE.value),
+                       error_h1semi(proj, SINE.grad)))
     (h0, l0, s0), (h1, l1, s1) = errors[-2], errors[-1]
     eoc_l2 = eoc(l0, l1, h0, h1)
     eoc_h1 = eoc(s0, s1, h0, h1)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from semifem import analysis
-from semifem.analysis import (ExactSolution, StudyError, eoc, eoc_log_corrected,
-                              error_h1semi, error_l2, error_linf, ritz_project,
-                              run_convergence_study)
+from semifem.analysis import (UNIT_SQUARE_SINE as SINE, ExactSolution, StudyError,
+                              eoc, eoc_log_corrected, error_h1semi, error_l2,
+                              error_linf, ritz_project, run_convergence_study)
 from semifem.assembly import apply_dirichlet, assemble_stiffness, \
     basis_gradients, quadrature_points, scatter_vector
 from semifem.femfunction import FemFunction, interpolate, prolongate
@@ -14,18 +14,6 @@ from semifem.mesh import preset_polygon, refine_uniform, triangulate_convex_poly
 from semifem.nonlinearity import PowerLaw
 from semifem.quadrature import rule_of_degree
 from semifem.solver import NewtonError, SolverConfig
-
-PI = np.pi
-
-
-def sine(x, y):
-    return np.sin(PI * x) * np.sin(PI * y)
-
-
-def sine_grad(x, y):
-    return (PI * np.cos(PI * x) * np.sin(PI * y),
-            PI * np.sin(PI * x) * np.cos(PI * y))
-
 
 def whole_mesh_geometry(mesh):
     """Corners, areas and basis gradients of all triangles at once, unblocked."""
@@ -45,7 +33,7 @@ class TestErrorL2:
     def test_zero_against_sine(self):
         # Exact value 1/2 from the closed-form integral of sin^2 sin^2.
         mesh = square_mesh(4)
-        err = error_l2(FemFunction.zeros(mesh), sine)
+        err = error_l2(FemFunction.zeros(mesh), SINE.value)
         assert err == pytest.approx(0.5, abs=2e-6)
 
     def test_same_function_is_zero(self):
@@ -107,12 +95,39 @@ class TestErrorLinf:
     def test_zero_against_sine_hits_center(self):
         # (0.5, 0.5) is a mesh vertex, so the sampled maximum is exactly 1.
         mesh = square_mesh(1)
-        assert error_linf(FemFunction.zeros(mesh), sine) == pytest.approx(1.0, abs=1e-15)
+        err = error_linf(FemFunction.zeros(mesh), SINE.value)
+        assert err == pytest.approx(1.0, abs=1e-15)
 
     def test_constant_difference(self):
         mesh = square_mesh(2)
         u = interpolate(mesh, lambda x, y: x)
         assert error_linf(u, lambda x, y: x + 0.3) == pytest.approx(0.3, abs=1e-14)
+
+    def test_nan_sample_propagates(self):
+        # The other norms return nan for this truth; a dropped sample would
+        # read as a zero error.
+        zero = FemFunction.zeros(square_mesh(1))
+        truth = lambda x, y: np.where(x > 0.9, np.nan, 0.0)
+        assert math.isnan(error_l2(zero, truth))
+        assert math.isnan(error_linf(zero, truth))
+
+
+class TestExactSolution:
+    def test_rhs_needs_laplacian(self):
+        exact = ExactSolution(SINE.value, SINE.grad)
+        with pytest.raises(ValueError, match="laplacian"):
+            exact.rhs(PowerLaw())
+
+    def test_sine_laplacian_matches_five_point_difference(self):
+        # The 5-point stencil errs by at most h^2 (max|u_xxxx| + max|u_yyyy|) / 12
+        # = h^2 pi^4 / 6, plus rounding of order 8 eps / h^2.
+        h = 1e-3
+        x, y = np.random.default_rng(0).uniform(0.05, 0.95, size=(2, 200))
+        u = SINE.value
+        stencil = (u(x + h, y) + u(x - h, y) + u(x, y + h) + u(x, y - h)
+                   - 4.0 * u(x, y)) / h ** 2
+        gap = np.max(np.abs(stencil - SINE.laplacian(x, y)))
+        assert gap <= h ** 2 * np.pi ** 4 / 6 + 1e-8, gap
 
 
 class TestRitz:
@@ -146,13 +161,13 @@ class TestRitz:
     def test_galerkin_orthogonality(self):
         mesh = square_mesh(3)
         tol = 1e-12
-        r = ritz_project(mesh, sine_grad)
+        r = ritz_project(mesh, SINE.grad)
         rule = rule_of_degree(4)
         corners, areas, (hx, hy) = whole_mesh_geometry(mesh)
         local = np.zeros((3, mesh.num_triangles))
         for bary, wq in zip(rule.points, rule.weights):
             x, y = quadrature_points(corners, bary)
-            gx, gy = sine_grad(x, y)
+            gx, gy = SINE.grad(x, y)
             local += wq * areas * (hx * gx + hy * gy)
         rhs = scatter_vector(mesh, local.T)
         lhs, crhs = apply_dirichlet(assemble_stiffness(mesh), rhs, mesh)
@@ -217,10 +232,7 @@ class TestNormConsistency:
 class TestStudy:
     def test_single_level_has_empty_eoc(self):
         d = PowerLaw(weight=0.0)
-        report = run_convergence_study(
-            "unit-square", d, lambda x, y: np.ones_like(x), [3],
-            exact=ExactSolution(lambda x, y: np.zeros_like(x),
-                                lambda x, y: (np.zeros_like(x), np.zeros_like(x))))
+        report = run_convergence_study("unit-square", d, SINE.rhs(d), [3], exact=SINE)
         assert len(report.records) == 1
         rec = report.records[0]
         assert rec.eoc_l2 is None and rec.eoc_h1 is None and rec.eoc_linf is None
@@ -229,9 +241,8 @@ class TestStudy:
 
     def test_csv_structure(self):
         d = PowerLaw(weight=0.0)
-        exact = ExactSolution(sine, sine_grad)
-        f = lambda x, y: 2 * PI ** 2 * sine(x, y)
-        report = run_convergence_study("unit-square", d, f, range(2, 4), exact=exact)
+        report = run_convergence_study("unit-square", d, SINE.rhs(d), range(2, 4),
+                                       exact=SINE)
         lines = report.csv_text().splitlines()
         assert lines[0] == ("level,h,ndof,err_l2,err_h1,err_linf,eoc_l2,eoc_h1,"
                             "eoc_linf,eoc_l2_logcorr,newton_iters,wall_time_s")
@@ -245,9 +256,8 @@ class TestStudy:
 
     def test_h_halves_between_records(self):
         d = PowerLaw(weight=0.0)
-        exact = ExactSolution(sine, sine_grad)
-        f = lambda x, y: 2 * PI ** 2 * sine(x, y)
-        report = run_convergence_study("unit-square", d, f, range(1, 4), exact=exact)
+        report = run_convergence_study("unit-square", d, SINE.rhs(d), range(1, 4),
+                                       exact=SINE)
         hs = [r.h for r in report.records]
         for h0, h1 in zip(hs[:-1], hs[1:]):
             assert h1 == pytest.approx(h0 / 2, rel=1e-14)
@@ -293,11 +303,9 @@ class TestStudy:
 
     @pytest.mark.parametrize("levels", [[-1], [-3, -2]])
     def test_negative_levels_rejected(self, levels):
-        zero = ExactSolution(lambda x, y: np.zeros_like(x),
-                             lambda x, y: (np.zeros_like(x), np.zeros_like(x)))
         with pytest.raises(ValueError, match="nonnegative"):
             run_convergence_study("unit-square", PowerLaw(weight=0.0),
-                                  lambda x, y: np.zeros_like(x), levels, exact=zero)
+                                  lambda x, y: np.zeros_like(x), levels, exact=SINE)
 
     def test_discrete_reference_needs_two_extra(self):
         with pytest.raises(ValueError, match="extra_refinements"):

@@ -4,9 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from semifem.analysis import UNIT_SQUARE_SINE, run_convergence_study
 from semifem.cli import CONFIG_KEYS, main
 from semifem.femfunction import read_function
 from semifem.mesh import preset_polygon, read_mesh, triangulate_convex_polygon
+from semifem.nonlinearity import PowerLaw
 from semifem.solver import solve_semilinear
 
 KINK_CONFIG = """
@@ -294,6 +296,17 @@ class TestStudyCommand:
         a = strip_wall_time(open(out1, encoding="utf-8").read())
         b = strip_wall_time(open(out2, encoding="utf-8").read())
         assert a == b
+
+    def test_manufactured_is_the_library_problem(self, tmp_path, capsys):
+        cfg = write(tmp_path, "study.cfg",
+                    MANUFACTURED_CONFIG.replace("2..5", "2..4"))
+        out = str(tmp_path / "study.csv")
+        assert main(["study", "--config", cfg, "--output", out]) == 0
+        d = PowerLaw(scale=1.0, exponent=0.5)
+        report = run_convergence_study("unit-square", d, UNIT_SQUARE_SINE.rhs(d),
+                                       range(2, 5), exact=UNIT_SQUARE_SINE)
+        assert strip_wall_time(open(out, encoding="utf-8").read()) == \
+            strip_wall_time(report.csv_text())
 
     def test_failed_level_truncates_csv(self, tmp_path, capsys):
         cfg = write(tmp_path, "study.cfg",

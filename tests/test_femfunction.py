@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from semifem.analysis import UNIT_SQUARE_SINE
 from semifem.assembly import assemble_mass
 from semifem.femfunction import (FemFunction, interpolate, prolongate,
                                  read_function, write_function)
@@ -40,7 +41,7 @@ def test_interpolate_zero(square):
 
 
 def test_interpolate_sine_center(square):
-    u = interpolate(square, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
+    u = interpolate(square, UNIT_SQUARE_SINE.value)
     assert u(0.5, 0.5) == pytest.approx(1.0, abs=1e-15)
 
 

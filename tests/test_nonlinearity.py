@@ -133,3 +133,9 @@ class TestCheckMonotone:
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             check_monotone(PowerLaw(), self.POINTS, (0, 1), 1)
+
+    @pytest.mark.parametrize("u_range", [(1.0, -1.0), (-np.inf, np.inf), (0.0, np.nan),
+                                         (1.0, 1.0)])
+    def test_rejects_empty_or_nonfinite_range(self, u_range):
+        with pytest.raises(ValueError, match="u_range"):
+            check_monotone(PowerLaw(), self.POINTS, u_range, 11)
