@@ -154,17 +154,17 @@ def ritz_project(mesh, grad_truth):
     grad_truth : callable
         Evaluated as grad_truth(x, y) -> (gx, gy) on coordinate arrays.
     """
-    local = np.zeros((3, mesh.num_triangles))
+    local = np.zeros((mesh.num_triangles, 3))
     for block, corners, areas in element_blocks(mesh):
         hx, hy = basis_gradients(corners, areas)
         for bary, wq in zip(NORM_RULE.points, NORM_RULE.weights):
             x, y = quadrature_points(corners, bary)
             gx, gy = grad_truth(x, y)
             s = wq * areas
-            for row, hxj, hyj in zip(local[:, block], hx, hy):
-                row += s * (hxj * gx + hyj * gy)
+            for column, hxj, hyj in zip(local[block].T, hx, hy):
+                column += s * (hxj * gx + hyj * gy)
     interior = mesh.interior_vertices
-    rhs = scatter_vector(mesh, local.T)[interior]
+    rhs = scatter_vector(mesh, local)[interior]
     cycle = VCycle(mesh)
     coeffs = np.zeros(mesh.num_vertices)
     coeffs[interior], _ = cg_solve(cycle.matrix, rhs, CG_TOL, preconditioner=cycle)
@@ -201,7 +201,12 @@ def eoc_log_corrected(e_coarse, e_fine, h_coarse, h_fine, log_power):
 
 @dataclass
 class StudyRecord:
-    """One refinement level of a convergence study."""
+    """One refinement level of a convergence study.
+
+    Against a discrete reference, linf_vertex is the (x, y) of the
+    reference mesh's vertex where the error reaches err_linf; it is not
+    part of the CSV.
+    """
 
     level: int
     h: float
@@ -215,6 +220,7 @@ class StudyRecord:
     eoc_l2_logcorr: float = None
     newton_iterations: int = 0
     wall_time: float = 0.0
+    linf_vertex: tuple = None
 
 
 @dataclass
@@ -389,7 +395,10 @@ def run_convergence_study(domain, d, f, levels, exact=None, extra_refinements=2,
             e = _nested_difference(solutions[record.level], reference)
             record.err_l2 = _matrix_norm(e, mass)
             record.err_h1 = _matrix_norm(e, stiffness)
-            record.err_linf = float(np.max(np.abs(e)))
+            magnitude = np.abs(e)
+            k = int(np.argmax(magnitude))
+            record.err_linf = float(magnitude[k])
+            record.linf_vertex = tuple(ref_mesh.vertices[k].tolist())
         report.reference_solution = reference
 
     _fill_eoc(report.records)

@@ -2,23 +2,29 @@
 
 All matrices are returned as `scipy.sparse.csr_matrix` in canonical
 format (sorted column indices, no duplicates) on the mesh's fixed
-sparsity pattern, `TriMesh.matrix_pattern()`: the diagonal element entries
-are summed per vertex and the off-diagonal ones per edge, straight into
-the CSR data array, so every matrix of one mesh shares the pattern's
-`indptr` and `indices`. Assembly is vectorized over elements and
-deterministic, so repeated runs produce bitwise identical operators.
-Every matrix's values are the caller's own except the stiffness's: a
-mesh's stiffness values are built by the first `assemble_stiffness` on
-it and kept, read-only, as long as the mesh lives, so the solver, the
-V-cycle's levels and the studies share one copy.
+sparsity pattern, `TriMesh.matrix_pattern()`, so every matrix of one
+mesh shares the pattern's `indptr` and `indices`. A symmetric P1 matrix
+has one value per vertex (its diagonal entry) and one per edge (both
+entries of the edge): the diagonal element entries are summed per vertex
+and the off-diagonal ones per edge into these nv + ne values, which are
+then written into the CSR data array. Assembly is vectorized over
+elements and deterministic, so repeated runs produce bitwise identical
+operators. Every matrix's values are the caller's own; the stiffness's
+are read-only, scattered from the mesh's vertex and edge sums, which the
+first `stiffness_sums` on a mesh builds and keeps, read-only, as long as
+the mesh lives, so the solver, the V-cycle's levels and the studies
+share one copy.
 
 The element matrices themselves are data too: `stiffness_upper`,
 `mass_upper` and `assemble_slope_matrix(..., rows=True)` return their six
-distinct entries per triangle as (6, nt) rows, and `pattern_matrix`
-scatters such rows. `coarsen_upper` maps the rows of a refined mesh to
-those of the Galerkin product P^T A P on its parent, and `interior_block`
-copies a matrix's block on the interior vertices out of its data by one
-mask; `semifem.multigrid` builds its hierarchy from these.
+distinct entries per triangle as (6, nt) rows, `vertex_edge_sums` sums
+such rows per vertex and per edge, and `pattern_matrix` writes the sums
+into a CSR matrix. `coarsen_upper` maps the rows of a refined mesh to
+those of the Galerkin product P^T A P on its parent, and
+`values_interior_block` gathers the block on the interior vertices of
+the matrix of given vertex and edge values, by one int32 map, with no
+full-pattern data array; `semifem.multigrid` builds its hierarchy from
+these. `interior_block` cuts the same block out of a symmetric matrix.
 
 `element_blocks` is the one walk over the elements: it yields runs of
 `BLOCK` consecutive triangles with their corner coordinates and areas.
@@ -31,10 +37,12 @@ same product, and the reaction term or right-hand side is called once on
 the flat arrays of all q·n points (the slope matrix calls d twice, at u
 and at v). One matrix product with a per-rule table of weight times hat
 values, (3, q) for the hat integrals and (6, q) for the slope matrix,
-then writes the block's columns of the preallocated element rows, which
-are scaled by the areas. Their temporaries are therefore of the block's
-size, not the element count's; only the output rows and the final
-scatter are of the element count's size. Every element's arithmetic is
+then writes the block's part of the preallocated element rows, which are
+scaled by the areas: (nt, 3) rows for the hat integrals, which
+`scatter_vector` reads in place, and (6, nt) rows for the slope matrix.
+Their temporaries are therefore of the block's size, not the element
+count's; only the output rows and the final scatter are of the element
+count's size. Every element's arithmetic is
 the same as in a single pass over all triangles, so the assembled result
 does not depend on `BLOCK`. The load and the reaction residual are one
 kernel, `_hat_integrals`.
@@ -144,28 +152,44 @@ def element_blocks(mesh):
         yield block, np.take(vertices, mesh.triangles[block], axis=1), areas[block]
 
 
-def pattern_matrix(mesh, upper):
-    """Sum symmetric element matrices into a CSR matrix on the mesh's pattern.
+def vertex_edge_sums(mesh, upper):
+    """Sum symmetric element matrices per vertex and per edge.
 
     upper has shape (6, nt): row i holds entry i of every element matrix,
     in the order (0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2) of its
-    triangle's local vertices. The diagonal entries are summed per vertex
-    in the order local vertex 0, 1, 2 of triangles 0, 1, ..., and the
-    off-diagonal ones per edge, whose at most two terms give the same sum
-    in either order; each edge sum fills both of its CSR entries.
+    triangle's local vertices. Returns the (nv + ne,) values of the
+    assembled matrix: the diagonal entry of every vertex, then the entry
+    of every edge of `mesh.edges()`. The diagonal entries are summed per
+    vertex in the order local vertex 0, 1, 2 of triangles 0, 1, ..., and
+    the off-diagonal ones per edge, whose at most two terms give the same
+    sum in either order.
     """
-    indptr, indices, diagonal, off_diagonal = mesh.matrix_pattern()
-    vertex_sums = np.zeros(mesh.num_vertices)
-    edge_sums = np.zeros(off_diagonal.shape[1])
+    nv = mesh.num_vertices
+    sums = np.zeros(nv + mesh.edges().shape[0])
     # np.add.at adds in index order, as one bincount over the stacked columns
     # would, but reads the index columns in place: a bincount needs them
     # flattened and cast to intp, up to 36 bytes per triangle of temporaries.
     for j in range(3):
-        np.add.at(vertex_sums, mesh.triangles[:, j], upper[j])
-        np.add.at(edge_sums, mesh.triangle_edges()[:, j], upper[3 + j])
+        np.add.at(sums[:nv], mesh.triangles[:, j], upper[j])
+        np.add.at(sums[nv:], mesh.triangle_edges()[:, j], upper[3 + j])
+    return sums
+
+
+def pattern_matrix(mesh, upper):
+    """Sum symmetric element matrices into a CSR matrix on the mesh's pattern.
+
+    upper is laid out as for `vertex_edge_sums`, whose every edge sum
+    fills both CSR entries of its edge.
+    """
+    return _values_matrix(mesh, vertex_edge_sums(mesh, upper))
+
+
+def _values_matrix(mesh, values):
+    """The CSR matrix on the mesh's pattern of vertex and edge values."""
+    indptr, indices, diagonal, off_diagonal = mesh.matrix_pattern()
     data = np.empty(indices.size)
-    data[diagonal] = vertex_sums
-    data[off_diagonal] = edge_sums
+    data[diagonal] = values[:mesh.num_vertices]
+    data[off_diagonal] = values[mesh.num_vertices:]
     return _canonical(data, indptr, indices)
 
 
@@ -194,21 +218,30 @@ def assemble_stiffness(mesh):
 
     Exact for P1 elements since the basis gradients are constant per
     triangle; every row of the result sums to zero and the matrix is
-    symmetric. Its values are built on the first call on a mesh and kept,
-    read-only, as long as the mesh lives; every call returns a CSR matrix
-    over them and the pattern's index arrays.
+    symmetric. Every call scatters the mesh's kept `stiffness_sums` into a
+    new read-only data array over the pattern's index arrays.
+    """
+    matrix = _values_matrix(mesh, stiffness_sums(mesh))
+    matrix.data.setflags(write=False)
+    return matrix
+
+
+def stiffness_sums(mesh):
+    """The mesh's stiffness values, as `vertex_edge_sums` gives them, read-only.
+
+    They are built on the first call on a mesh and kept as long as the
+    mesh lives, so the solver, the V-cycle's levels and the studies share
+    one copy.
     """
     if mesh not in _STIFFNESS:
-        # The pattern is built before the element arrays exist, and those die
-        # before the scatter, so neither adds to the peak of the other.
-        mesh.matrix_pattern()
-        _STIFFNESS[mesh] = pattern_matrix(mesh, stiffness_upper(mesh)).data
-        _STIFFNESS[mesh].setflags(write=False)
-    return _canonical(_STIFFNESS[mesh], *mesh.matrix_pattern()[:2])
+        values = vertex_edge_sums(mesh, stiffness_upper(mesh))
+        values.setflags(write=False)
+        _STIFFNESS[mesh] = values
+    return _STIFFNESS[mesh]
 
 
 def stiffness_upper(mesh):
-    """Element stiffness entries in the layout of `pattern_matrix`."""
+    """Element stiffness entries in the layout of `vertex_edge_sums`."""
     upper = np.empty((len(_UPPER), mesh.num_triangles))
     for block, corners, areas in element_blocks(mesh):
         gx, gy = basis_gradients(corners, areas)
@@ -223,7 +256,7 @@ def assemble_mass(mesh):
 
 
 def mass_upper(mesh):
-    """Element mass entries in the layout of `pattern_matrix`."""
+    """Element mass entries in the layout of `vertex_edge_sums`."""
     return np.multiply.outer(_MASS_UPPER, mesh.signed_areas())
 
 
@@ -276,7 +309,7 @@ def _hat_integrals(mesh, g, coeffs, quad, what):
     """
     # Entry (j, i) is weight i times hat j at point i of the rule.
     table = quad.weights * quad.points.T
-    local = np.empty((3, mesh.num_triangles))
+    local = np.empty((mesh.num_triangles, 3))
     for block, corners, areas in element_blocks(mesh):
         x, y = (xy.ravel() for xy in quadrature_points(corners, quad.points))
         if coeffs is None:
@@ -285,10 +318,10 @@ def _hat_integrals(mesh, g, coeffs, quad, what):
             gq = g(x, y, (quad.points @ coeffs[mesh.triangles[block]].T).ravel())
         gq = np.broadcast_to(np.asarray(gq, dtype=float), x.shape)
         _check_finite(gq, x, y, what)
-        rows = local[:, block]
-        np.matmul(table, gq.reshape(len(quad), -1), out=rows)
-        rows *= areas
-    return scatter_vector(mesh, local.T)
+        rows = local[block]
+        np.matmul(gq.reshape(len(quad), -1).T, table.T, out=rows)
+        rows *= areas[:, None]
+    return scatter_vector(mesh, local)
 
 
 def assemble_slope_matrix(mesh, d, u, v, floor, quad, rows=False):
@@ -305,7 +338,7 @@ def assemble_slope_matrix(mesh, d, u, v, floor, quad, rows=False):
     many calls one assembly makes is not part of the API. The result is
     symmetric positive semidefinite. With rows True, the element matrices
     are returned unassembled, as (6, nt) rows in the layout of
-    `pattern_matrix`, for `multigrid.VCycle` to scatter and coarsen.
+    `vertex_edge_sums`, for `multigrid.VCycle` to sum and coarsen.
 
     Raises
     ------
@@ -321,7 +354,7 @@ def assemble_slope_matrix(mesh, d, u, v, floor, quad, rows=False):
 
 
 def _slope_upper(mesh, d, u, v, floor, quad):
-    """Element slope-matrix entries in the layout of `pattern_matrix`."""
+    """Element slope-matrix entries in the layout of `vertex_edge_sums`."""
     # Row s is weight i times the hat product of entry _UPPER[s] at point i.
     table = np.array([quad.weights * quad.points[:, a] * quad.points[:, c]
                       for a, c in _UPPER])
@@ -371,16 +404,30 @@ def coarsen_upper(upper):
 
 
 def interior_block(mesh, matrix):
-    """The block matrix[i][:, i] on the interior vertices i, by one masked copy.
+    """The block matrix[i][:, i] on the interior vertices i of a symmetric matrix.
 
-    matrix lies on the mesh's pattern, as every matrix assembled here
-    does. The result is the same canonical CSR matrix as scipy's indexing
-    gives, and shares the index arrays of `mesh.interior_pattern()`.
+    matrix lies on the mesh's pattern and is symmetric, as every matrix
+    assembled here is. The result is the same canonical CSR matrix as
+    scipy's indexing gives.
     """
-    indptr, indices, kept = mesh.interior_pattern()
-    if matrix.nnz != kept.size:
+    _, indices, diagonal, off_diagonal = mesh.matrix_pattern()
+    if matrix.nnz != indices.size:
         raise ValueError("matrix does not lie on the mesh's sparsity pattern")
-    return _canonical(matrix.data[kept], indptr, indices)
+    upper, lower = matrix.data[off_diagonal]
+    if not np.array_equal(upper, lower, equal_nan=True):
+        raise ValueError("matrix is not symmetric")
+    return values_interior_block(mesh, np.concatenate([matrix.data[diagonal], upper]))
+
+
+def values_interior_block(mesh, values):
+    """The interior block of the matrix with vertex and edge values, by one gather.
+
+    values is laid out as `vertex_edge_sums` returns it. The result is a
+    canonical CSR matrix that shares the index arrays of
+    `mesh.interior_pattern()`.
+    """
+    indptr, indices, source = mesh.interior_pattern()
+    return _canonical(values[source], indptr, indices)
 
 
 def apply_dirichlet(matrix, rhs, mesh):

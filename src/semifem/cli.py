@@ -302,6 +302,11 @@ def cmd_study(args):
               f"newton_iterations={column('newton_iterations')} "
               f"cg_iterations={column('cg_iterations')} "
               f"final_residual={report.reference_stats.final_residual_norm:.9e}")
+    for record in report.records:
+        if record.linf_vertex is not None:
+            x, y = record.linf_vertex
+            print(f"level={record.level} err_linf={record.err_linf:.9e} "
+                  f"at x={x:.6f} y={y:.6f}")
     print(f"wrote {out}")
     return EXIT_OK
 

@@ -14,13 +14,15 @@ The coarse operators are built as data on each mesh's fixed patterns,
 with no sparse product: nested P1 stiffness is Galerkin-exact, P^T K P =
 K_H, so a coarse level is its own mesh's stiffness plus the reaction rows
 mapped element by element to the parent (`assembly.coarsen_upper`). One
-rule builds every level, fine or coarse: the reaction rows are scattered
-once on the level's pattern, the mesh's read-only stiffness values
-(`assembly.assemble_stiffness`, built once per mesh) are added to that
-data, and the interior block is one masked copy of the sum
-(`assembly.interior_block`). A fine boundary vertex never prolongates
-from an interior coarse one, so the interior block of the full product
-is the product of the interior blocks.
+rule builds every level, fine or coarse: the reaction rows are summed per
+vertex and per edge (`assembly.vertex_edge_sums`), the mesh's read-only
+stiffness sums (`assembly.stiffness_sums`, built once per mesh) are added
+to those nv + ne values, and the interior block is one gather of them
+(`assembly.values_interior_block`), so no data array of the whole
+pattern is made; the Jacobi diagonal is read off the vertex sums. A fine
+boundary vertex never prolongates from an interior coarse one, so the
+interior block of the full product is the product of the interior
+blocks.
 
 One rule ends the chain: it descends while the system has more than
 DENSE_COARSE_SIZE unknowns and a coarser space exists, that is, the mesh
@@ -32,8 +34,9 @@ exact solve.
 from functools import partial
 
 import numpy as np
+from scipy import sparse
 
-from .assembly import assemble_stiffness, coarsen_upper, interior_block, pattern_matrix
+from .assembly import coarsen_upper, stiffness_sums, values_interior_block, vertex_edge_sums
 
 # Damped Jacobi with weight omega: each sweep contracts in the energy norm,
 # and the symmetric cycle is positive definite, when omega * lambda_max(D^-1 A)
@@ -64,33 +67,30 @@ def _exact_solver(matrix):
     return splu(matrix.tocsc()).solve
 
 
-def _jacobi_weights(a):
-    """omega / diag(a), omega from the Gershgorin bound (see SMOOTHING_WEIGHT).
+def _jacobi_weights(a, diag):
+    """omega / diag, omega from the Gershgorin bound (see SMOOTHING_WEIGHT).
 
-    The row sums of |a| are taken with a's own data in absolute value,
-    whose negative entries are then negated back, so a is left bitwise as
-    it was and no copy of its data is made, only a mask of its signs.
+    diag is a's diagonal. The row sums of |a| are those of a CSR matrix
+    over a copy of a's data in absolute value, summed in each row's index
+    order.
     """
-    diag = a.diagonal()
-    negative = np.signbit(a.data)
-    np.abs(a.data, out=a.data)
-    gershgorin = np.max(a @ np.ones(a.shape[0]) / diag)
-    np.negative(a.data, where=negative, out=a.data)
+    magnitudes = sparse.csr_matrix((np.abs(a.data), a.indices, a.indptr), shape=a.shape)
+    gershgorin = np.max(magnitudes @ np.ones(a.shape[0]) / diag)
     return min(SMOOTHING_WEIGHT, 1.9 / gershgorin) / diag
 
 
 def _interior_operator(mesh, reaction):
     """Interior block of the mesh's stiffness plus the matrix of the element rows reaction.
 
-    The sum is taken on the data arrays: scipy's sparse + drops entries
-    that sum to exactly zero and would leave the mesh's pattern.
+    Returns the block and its diagonal. The sum is taken on the vertex and
+    edge values, so no entry that sums to exactly zero leaves the mesh's
+    pattern, as scipy's sparse + would drop it.
     """
-    stiffness = assemble_stiffness(mesh)
-    if reaction is None:
-        return interior_block(mesh, stiffness)
-    full = pattern_matrix(mesh, reaction)
-    full.data += stiffness.data
-    return interior_block(mesh, full)
+    values = stiffness_sums(mesh)
+    if reaction is not None:
+        values = vertex_edge_sums(mesh, reaction)
+        values += stiffness_sums(mesh)
+    return values_interior_block(mesh, values), values[mesh.interior_vertices]
 
 
 class VCycle:
@@ -104,7 +104,7 @@ class VCycle:
         root, or to the last mesh above an ancestor without interior
         vertices.
     reaction : ndarray of shape (6, nt), optional
-        Element rows, in the layout of `assembly.pattern_matrix`, of a
+        Element rows, in the layout of `assembly.vertex_edge_sums`, of a
         symmetric positive semidefinite matrix added to the stiffness, such
         as `assembly.assemble_slope_matrix(..., rows=True)` or
         `assembly.mass_upper`; None for the Poisson operator.
@@ -121,19 +121,20 @@ class VCycle:
     """
 
     def __init__(self, mesh, reaction=None):
-        a = self.matrix = _interior_operator(mesh, reaction)
+        a, diag = _interior_operator(mesh, reaction)
+        self.matrix = a
         self._levels = []
         while mesh.parent is not None and a.shape[0] > DENSE_COARSE_SIZE:
             p, restriction = mesh.interior_prolongation(), mesh.interior_restriction()
             if p.shape[1] == 0:
                 break
-            self._levels.append((a, _jacobi_weights(a), p, restriction))
+            self._levels.append((a, _jacobi_weights(a, diag), p, restriction))
             mesh = mesh.parent
             # P^T K P = K_H: the parent's own stiffness, plus the reaction's
             # rows carried one level down. Rows come out sorted by construction.
             if reaction is not None:
                 reaction = coarsen_upper(reaction)
-            a = _interior_operator(mesh, reaction)
+            a, diag = _interior_operator(mesh, reaction)
         self._coarse_solve = _exact_solver(a)
 
     def __call__(self, r):
@@ -142,13 +143,27 @@ class VCycle:
         for a, w, _, restriction in self._levels:
             x = w * r
             for _ in range(SMOOTHING_SWEEPS - 1):
-                x += w * (r - a @ x)
+                _sweep(a, w, r, x)
             smoothed.append((r, x))
-            r = restriction @ (r - a @ x)
+            r = restriction @ _residual(a, r, x)
         x = self._coarse_solve(r)
         for (a, w, p, _), (r, fine) in zip(reversed(self._levels), reversed(smoothed)):
             fine += p @ x
             for _ in range(SMOOTHING_SWEEPS):
-                fine += w * (r - a @ fine)
+                _sweep(a, w, r, fine)
             x = fine
         return x
+
+
+def _residual(a, r, x):
+    """r - a @ x, in the array a @ x allocates."""
+    residual = a @ x
+    np.subtract(r, residual, out=residual)
+    return residual
+
+
+def _sweep(a, w, r, x):
+    """One damped Jacobi sweep x += w * (r - a @ x), in place with one temporary."""
+    update = _residual(a, r, x)
+    update *= w
+    x += update

@@ -424,9 +424,11 @@ def _newton(mesh, d, load, cfg, start, stats, requested):
         """Interior unknowns x of J x = rhs by V-cycle CG to tol.
 
         J is the interior block of the stiffness plus the matrix of the
-        element rows reaction (None: the stiffness alone).
+        element rows reaction (None: the stiffness alone). Passed as a
+        temporary, the rows are freed once the cycle is built, before CG.
         """
         cycle = VCycle(mesh, reaction)
+        del reaction
         block = cycle.matrix
         x, used = cg_solve(block, rhs, tol, preconditioner=cycle)
         stats.levels[-1].cg_iterations += used
@@ -477,10 +479,10 @@ def _newton(mesh, d, load, cfg, start, stats, requested):
         stats.levels[-1].newton_iterations += 1
         forcing_tol = CG_TOL if res_norm == 0.0 else max(
             CG_TOL, FORCING * min(target, res_norm) / res_norm)
-        slope = reaction_terms(assemble_slope_matrix, FemFunction(mesh, u + tau),
-                               FemFunction(mesh, u - tau), tau, quad, rows=True)
-        delta[interior] = correction(slope, -res[interior], forcing_tol)
-        del slope  # not held through the line search
+        delta[interior] = correction(
+            reaction_terms(assemble_slope_matrix, FemFunction(mesh, u + tau),
+                           FemFunction(mesh, u - tau), tau, quad, rows=True),
+            -res[interior], forcing_tol)
         try:
             step, u, res = _line_search(residual, u, delta, res, cfg.residual_tol, scale)
         except NewtonError as exc:

@@ -277,6 +277,11 @@ class TestStudy:
             assert record.err_l2 == error_l2(u, reference)
             assert record.err_h1 == error_h1semi(u, reference)
             assert record.err_linf == error_linf(u, reference)
+            # The max-error vertex: |e| there is err_linf.
+            k = np.flatnonzero((reference.mesh.vertices == record.linf_vertex).all(axis=1))
+            assert k.size == 1
+            e = reference.coeffs - prolongate(u, reference.mesh).coeffs
+            assert abs(e[k[0]]) == record.err_linf
 
     @pytest.mark.parametrize("root", [
         preset_polygon("pentagon"),

@@ -18,8 +18,10 @@ from semifem.assembly import (apply_dirichlet, assemble_load, assemble_mass,
 from semifem.femfunction import FemFunction, interpolate
 from semifem.mesh import (TriMesh, locate_point, preset_polygon, read_mesh,
                           refine_uniform, triangulate_convex_polygon, write_mesh)
+from semifem.multigrid import VCycle
 from semifem.nonlinearity import PowerLaw, cut
 from semifem.quadrature import edge_midpoint_rule, seven_point_rule, shipped_rules
+from test_multigrid import steep_slope_rows
 
 HAND_STIFFNESS = np.array([[1.0, -0.5, -0.5],
                            [-0.5, 0.5, 0.0],
@@ -407,7 +409,7 @@ class TestPatternCache:
         mesh = refine_uniform(triangulate_convex_polygon(preset_polygon("pentagon")))
         matrix, stiffness = assemble_mass(mesh), assemble_stiffness(mesh)
         values = assembly._STIFFNESS[mesh]
-        assert np.shares_memory(stiffness.data, values)
+        assert assembly.stiffness_sums(mesh) is values
         refs = [weakref.ref(a) for a in (mesh, values, *mesh.matrix_pattern())]
         gc.disable()
         try:
@@ -426,11 +428,15 @@ class TestStiffnessCache:
         first, second = assemble_stiffness(square2), assemble_stiffness(square2)
         assert calls == [square2]
         assert first is not second
-        assert np.shares_memory(first.data, second.data)
+        # The kept values are the vertex and edge sums; each call scatters
+        # them into a data array of its own.
+        assert assembly.stiffness_sums(square2) is assembly.stiffness_sums(square2)
+        np.testing.assert_array_equal(first.data, second.data)
         np.testing.assert_array_equal(
             first.data, assembly.pattern_matrix(square2, build(square2)).data)
 
     def test_values_read_only(self, square2):
+        assert not assembly.stiffness_sums(square2).flags.writeable
         matrix = assemble_stiffness(square2)
         assert not matrix.data.flags.writeable
         with pytest.raises(ValueError):
@@ -714,16 +720,24 @@ def test_peak_allocation_per_triangle():
     # One pass over all triangles at once peaked at 144/156/188/248 B
     # (stiffness/load/residual/slope) and 120/208/120/276 B (L2/H1/max
     # errors against a callable truth, Ritz projection); the blocked walk
-    # measures 93/87/87/93 B and 16/19/17/125 B, the rest being the
+    # measures 65/63/63/93 B and 16/19/17/121 B, the rest being the
     # output rows, the scatter and, for the projection, its solve (130 B
     # when it rebuilt its chain's stiffness values, which the warm-up now
-    # leaves on the meshes). The
+    # leaves on the meshes). The stiffness's first build keeps vertex and
+    # edge sums (93 B when it kept the CSR data of their scatter). The load
+    # and residual write their element rows as (nt, 3), which the scatter
+    # reads in place (87 B when it copied (3, nt) rows). The
     # load, residual and slope kernels hold q times a block's length per
     # temporary, evaluating all quadrature points at once; with blocks of
     # 8192 triangles they measured 98/98/128 B. The load gathers no nodal
     # values (91 B when it interpolated zeros, one point at a time), and
     # the scatter reads its index columns in place (124 B for stiffness
-    # and slope when it flattened them for one bincount).
+    # and slope when it flattened them for one bincount). The V-cycle of a
+    # steep Jacobian, from its element rows, peaks at 67 B in its fine
+    # level's Gershgorin sums, over a copy of the operator's data in
+    # absolute value (58 B when the level was cut out of a scatter on the
+    # whole pattern and the sums were taken in place, with a masked sign
+    # restore).
     mesh = pentagon(7)
     mesh.matrix_pattern()
     ritz_project(mesh, smooth_grad)
@@ -734,6 +748,7 @@ def test_peak_allocation_per_triangle():
     u = interpolate(mesh, lambda x, y: np.sin(3 * x) - 1.0 + 0.01 * y)
     v = interpolate(mesh, lambda x, y: -1.0 + 0.3 * x * y)
     quad = seven_point_rule()
+    steep = steep_slope_rows(mesh)
     assemblers = {
         "stiffness": lambda: assemble_stiffness(copy),
         "load": lambda: assemble_load(mesh, lambda x, y: np.ones_like(x), quad),
@@ -743,9 +758,10 @@ def test_peak_allocation_per_triangle():
         "h1": lambda: error_h1semi(u, smooth_grad),
         "linf": lambda: error_linf(u, smooth_value),
         "ritz": lambda: ritz_project(mesh, smooth_grad),
+        "vcycle": lambda: VCycle(mesh, steep),
     }
-    bounds = {"stiffness": 134, "load": 110, "residual": 110, "slope": 150,
-              "l2": 48, "h1": 56, "linf": 48, "ritz": 200}
+    bounds = {"stiffness": 85, "load": 80, "residual": 80, "slope": 150,
+              "l2": 48, "h1": 56, "linf": 48, "ritz": 200, "vcycle": 85}
     peaks = {}
     for name, assemble in assemblers.items():
         tracemalloc.start()

@@ -266,13 +266,18 @@ class TestStudyCommand:
         # solution through level 3. An exact reference prints no such line.
         cfg = write(tmp_path, "study.cfg", KINK_CONFIG + "levels = 1..2\n")
         assert main(["study", "--config", cfg, "--output", str(tmp_path / "s.csv")]) == 0
-        line = capsys.readouterr().out.splitlines()[2]
+        lines = capsys.readouterr().out.splitlines()
+        line = lines[2]
         assert re.fullmatch(r"reference_solve levels=3,4 newton_iterations=\d+,\d+ "
                             r"cg_iterations=\d+,\d+ final_residual=\S+", line), line
         assert float(line.rsplit("=", 1)[1]) <= 1e-10
+        # Then where each level's max error sits on the reference mesh.
+        for level, line in zip((1, 2), lines[3:5]):
+            assert re.fullmatch(rf"level={level} err_linf=\S+ at x=\S+ y=\S+", line), line
         cfg = write(tmp_path, "exact.cfg", MANUFACTURED_CONFIG.replace("2..5", "2..3"))
         assert main(["study", "--config", cfg, "--output", str(tmp_path / "e.csv")]) == 0
-        assert "reference_solve" not in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "reference_solve" not in out and " at x=" not in out
 
     def test_exact_reference_requires_manufactured(self, tmp_path, capsys):
         cfg = write(tmp_path, "study.cfg",

@@ -86,9 +86,9 @@ def test_vcycle_symmetric_positive():
 
 def test_smoothed_operators_have_sorted_indices():
     # The matvecs sum each row in index order, so every level's rows must be
-    # sorted. The coarse operators are scattered on each mesh's canonical
-    # pattern and cut to the interior block by a mask, which keeps the order;
-    # the Gershgorin bound reads only a's data and leaves the order alone.
+    # sorted. Every level's operator is gathered onto the canonical pattern
+    # of its mesh's interior block; the Gershgorin bound reads a copy of a's
+    # data and leaves a alone.
     mesh = pentagon_mesh(6)
     levels = poisson(mesh)[0]._levels
     assert len(levels) == 3
@@ -107,10 +107,8 @@ def copied_jacobi_weights(a):
 
 @pytest.mark.parametrize("reaction", ["none", "steep-slope"])
 def test_jacobi_weights_keep_the_operator_bits(reaction):
-    # The cycle takes the Gershgorin sums on its operator's own data in
-    # absolute value and negates the negative entries back: the weights
-    # and every smoothed operator are those of a sum over a copy of |a|,
-    # bit for bit, signed zeros included.
+    # The weights and every smoothed operator are those of a sum over a
+    # copy of |a| with scipy's diagonal, bit for bit, signed zeros included.
     mesh = pentagon_mesh(6)
     rows = None if reaction == "none" else steep_slope_rows(mesh)
     levels = VCycle(mesh, rows)._levels
@@ -251,18 +249,22 @@ def product_chain(mesh, matrix, depth):
 
 
 def element_chain(mesh, reaction, depth):
-    """The same blocks from element rows, summed as the cycle sums them.
+    """The same blocks from element rows, by a route of full matrices.
 
     Each level is the scattered reaction rows, coarsened once per level
-    down, plus the mesh's stiffness values, both on the mesh's pattern.
+    down, plus a fresh scatter of the mesh's stiffness rows, added on the
+    data arrays of the mesh's pattern and cut to the interior block; with
+    reaction None, the stiffness alone.
     """
     chain = []
     for k in range(depth + 1):
         if k:
             mesh = mesh.parent
-            reaction = coarsen_upper(reaction)
-        full = pattern_matrix(mesh, reaction)
-        full.data += pattern_matrix(mesh, stiffness_upper(mesh)).data
+            if reaction is not None:
+                reaction = coarsen_upper(reaction)
+        full = pattern_matrix(mesh, stiffness_upper(mesh))
+        if reaction is not None:
+            full.data += pattern_matrix(mesh, reaction).data
         chain.append(interior_block(mesh, full))
     return chain
 
@@ -273,14 +275,27 @@ GALERKIN_MESHES = [("pentagon", preset_polygon("pentagon"), level) for level in 
 ]
 
 
+def check_levels_equal_chain(levels, chain):
+    """Every smoothed level equals its block of the chain, and its weights
+    the copied Gershgorin sums' with scipy's diagonal, bit for bit."""
+    for (a, weights, _, _), expected in zip(levels, chain):
+        np.testing.assert_array_equal(a.indptr, expected.indptr)
+        np.testing.assert_array_equal(a.indices, expected.indices)
+        np.testing.assert_array_equal(a.data.view(np.uint64), expected.data.view(np.uint64))
+        np.testing.assert_array_equal(weights.view(np.uint64),
+                                      copied_jacobi_weights(expected).view(np.uint64))
+
+
 @pytest.mark.parametrize("reaction", ["mass", "steep-slope"])
 @pytest.mark.parametrize("name, domain, level", GALERKIN_MESHES,
                          ids=[f"{name}-{level}" for name, _, level in GALERKIN_MESHES])
 def test_coarse_operators_match_sparse_products(name, domain, level, reaction):
     # Every operator of the cycle's chain, down to its dense coarsest level
     # (level 3 on these domains), has the pattern of the interior block of
-    # P^T A P formed by sparse products, and its values to rounding; the
-    # cycle's smoothed levels are the element-row chain's, bit for bit.
+    # P^T A P formed by sparse products, and its values to rounding. The
+    # cycle sums each level per vertex and per edge and gathers its block
+    # from those sums; its smoothed levels are the blocks cut out of full
+    # matrices, bit for bit.
     mesh = refined(domain, level)
     rows = mass_upper(mesh) if reaction == "mass" else steep_slope_rows(mesh)
     levels = VCycle(mesh, rows)._levels
@@ -292,15 +307,25 @@ def test_coarse_operators_match_sparse_products(name, domain, level, reaction):
         np.testing.assert_array_equal(a.indptr, ref.indptr)
         np.testing.assert_array_equal(a.indices, ref.indices)
         assert np.max(np.abs(a.data - ref.data)) <= 1e-13 * np.max(np.abs(ref.data))
-    for (a, _, _, _), expected in zip(levels, chain):
-        np.testing.assert_array_equal(a.indptr, expected.indptr)
-        np.testing.assert_array_equal(a.indices, expected.indices)
-        np.testing.assert_array_equal(a.data, expected.data)
+    check_levels_equal_chain(levels, chain)
+
+
+@pytest.mark.parametrize("name, domain, level", GALERKIN_MESHES,
+                         ids=[f"{name}-{level}" for name, _, level in GALERKIN_MESHES])
+def test_poisson_levels_match_full_matrices(name, domain, level):
+    # Without a reaction each level is its mesh's kept stiffness sums, gathered;
+    # sparse products would drop the unit square's exact zeros, so the
+    # reference is the full-matrix chain alone.
+    mesh = refined(domain, level)
+    levels = VCycle(mesh)._levels
+    assert len(levels) == level - 3
+    check_levels_equal_chain(levels, element_chain(mesh, None, len(levels) - 1))
 
 
 @pytest.mark.parametrize("level", [2, 5])
 def test_interior_block_equals_fancy_indexing(level):
-    # One masked copy of the data gives scipy's matrix[i][:, i], bit for bit.
+    # One gather of the vertex and edge values gives scipy's matrix[i][:, i],
+    # bit for bit.
     mesh = pentagon_mesh(level)
     i = mesh.interior_vertices
     for matrix in (assemble_stiffness(mesh), assemble_mass(mesh),
@@ -309,10 +334,10 @@ def test_interior_block_equals_fancy_indexing(level):
         assert block.shape == ref.shape
         for attr in ("indptr", "indices", "data"):
             np.testing.assert_array_equal(getattr(block, attr), getattr(ref, attr))
-    indptr, indices, kept = mesh.interior_pattern()
-    assert mesh.interior_pattern()[2] is kept
-    assert indptr.dtype == indices.dtype == np.int32 and kept.dtype == bool
-    assert not any(array.flags.writeable for array in (indptr, indices, kept))
+    indptr, indices, source = mesh.interior_pattern()
+    assert mesh.interior_pattern()[2] is source
+    assert indptr.dtype == indices.dtype == source.dtype == np.int32
+    assert not any(array.flags.writeable for array in (indptr, indices, source))
 
 
 def test_interior_block_rejects_foreign_pattern():
@@ -321,3 +346,13 @@ def test_interior_block_rejects_foreign_pattern():
     with pytest.raises(ValueError, match="sparsity pattern"):
         interior_block(mesh, assemble_stiffness(mesh)[i][:, i])
 
+
+def test_interior_block_rejects_asymmetric_matrix():
+    # The block is gathered from the entries (lo, hi) of the edges; a matrix
+    # whose entry (hi, lo) differs would be cut wrong.
+    mesh = pentagon_mesh(2)
+    _, _, _, off_diagonal = mesh.matrix_pattern()
+    matrix = assemble_stiffness(mesh).copy()
+    matrix.data[off_diagonal[1, 0]] += 1.0
+    with pytest.raises(ValueError, match="not symmetric"):
+        interior_block(mesh, matrix)
