@@ -6,9 +6,9 @@ the right-hand side it solves) or against a discrete reference on a
 nested finer mesh; in the discrete case the coarse function is
 transferred exactly, so the computed norms are exact for P1 functions.
 The closed-form norms and the load of the Ritz projection walk the
-elements in the blocks of `assembly.element_blocks`, quadrature or
-lattice points inside each block, so their temporaries are of the
-block's size.
+elements by `assembly.element_samples`, as the assembly kernels do: each
+calls its truth once per block on all quadrature or lattice points of
+the block's elements, so their temporaries are of the block's size.
 """
 
 import math
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import (assemble_mass, assemble_stiffness, basis_gradients,
-                       element_blocks, quadrature_points, scatter_vector)
+                       element_samples, scatter_vector)
 from .femfunction import FemFunction, prolongate
 from .mesh import TriMesh, mesh_size, preset_polygon, refine_uniform, \
     triangulate_convex_polygon
@@ -73,6 +73,11 @@ def _matrix_norm(e, matrix):
     return float(np.sqrt(e @ (matrix @ e)))
 
 
+def _element_means(samples):
+    """Each element's `NORM_RULE` mean of flat point-major samples."""
+    return np.einsum("i,ik->k", NORM_RULE.weights, samples.reshape(len(NORM_RULE), -1))
+
+
 def error_l2(u_h, truth):
     """L2 norm of u_h - truth over the meshed domain.
 
@@ -83,14 +88,11 @@ def error_l2(u_h, truth):
     """
     if isinstance(truth, FemFunction):
         return _matrix_norm(_nested_difference(u_h, truth), assemble_mass(truth.mesh))
-    mesh = u_h.mesh
     total = 0.0
-    for block, corners, areas in element_blocks(mesh):
-        uloc = u_h.coeffs[mesh.triangles[block]]
-        for bary, wq in zip(NORM_RULE.points, NORM_RULE.weights):
-            x, y = quadrature_points(corners, bary)
-            diff = uloc @ bary - np.asarray(truth(x, y), dtype=float)
-            total += wq * np.sum(areas * diff * diff)
+    for _, _, areas, x, y, (uq,) in element_samples(u_h.mesh, NORM_RULE.points,
+                                                    (u_h.coeffs,)):
+        diff = uq - truth(x, y)
+        total += np.sum(areas * _element_means(diff * diff))
     return float(np.sqrt(total))
 
 
@@ -106,15 +108,14 @@ def error_h1semi(u_h, truth):
         return _matrix_norm(_nested_difference(u_h, truth), assemble_stiffness(truth.mesh))
     mesh = u_h.mesh
     total = 0.0
-    for block, corners, areas in element_blocks(mesh):
+    for block, corners, areas, x, y, _ in element_samples(mesh, NORM_RULE.points):
         uloc = u_h.coeffs[mesh.triangles[block]]
         gux, guy = np.einsum("kj,djk->dk", uloc, basis_gradients(corners, areas))
-        for bary, wq in zip(NORM_RULE.points, NORM_RULE.weights):
-            x, y = quadrature_points(corners, bary)
-            gx, gy = truth(x, y)
-            dx = gux - np.asarray(gx, dtype=float)
-            dy = guy - np.asarray(gy, dtype=float)
-            total += wq * np.sum(areas * (dx * dx + dy * dy))
+        gx, gy = truth(x, y)
+        # The gradient of u_h is constant per element: one copy per point.
+        dx = np.tile(gux, len(NORM_RULE)) - gx
+        dy = np.tile(guy, len(NORM_RULE)) - gy
+        total += np.sum(areas * _element_means(dx * dx + dy * dy))
     return float(np.sqrt(total))
 
 
@@ -128,14 +129,9 @@ def error_linf(u_h, truth):
     """
     if isinstance(truth, FemFunction):
         return float(np.max(np.abs(_nested_difference(u_h, truth))))
-    mesh = u_h.mesh
     worst = 0.0
-    for block, corners, _ in element_blocks(mesh):
-        uloc = u_h.coeffs[mesh.triangles[block]]
-        for bary in LINF_LATTICE:
-            x, y = quadrature_points(corners, bary)
-            diff = uloc @ bary - np.asarray(truth(x, y), dtype=float)
-            worst = np.maximum(worst, np.max(np.abs(diff)))
+    for _, _, _, x, y, (uq,) in element_samples(u_h.mesh, LINF_LATTICE, (u_h.coeffs,)):
+        worst = np.maximum(worst, np.max(np.abs(uq - truth(x, y))))
     return float(worst)
 
 
@@ -143,10 +139,12 @@ def ritz_project(mesh, grad_truth):
     """Elliptic projection onto the Dirichlet P1 space.
 
     Solves A r = g on the interior unknowns, with g_i the integrals of
-    grad_truth against the hat gradients (by the degree-4 rule),
-    so the gradient of the result is L2-orthogonal to all discrete
-    gradients against the given field; boundary values are zero. CG solves
-    to the relative tolerance `solver.CG_TOL`.
+    grad_truth against the hat gradients. These are constant on an
+    element, so each element adds its area times the hat gradient dotted
+    with the degree-4 rule's mean of grad_truth there. The gradient of the
+    result is L2-orthogonal to all discrete gradients against the given
+    field; boundary values are zero. CG solves to the relative tolerance
+    `solver.CG_TOL`.
 
     Parameters
     ----------
@@ -154,15 +152,11 @@ def ritz_project(mesh, grad_truth):
     grad_truth : callable
         Evaluated as grad_truth(x, y) -> (gx, gy) on coordinate arrays.
     """
-    local = np.zeros((mesh.num_triangles, 3))
-    for block, corners, areas in element_blocks(mesh):
+    local = np.empty((mesh.num_triangles, 3))
+    for block, corners, areas, x, y, _ in element_samples(mesh, NORM_RULE.points):
         hx, hy = basis_gradients(corners, areas)
-        for bary, wq in zip(NORM_RULE.points, NORM_RULE.weights):
-            x, y = quadrature_points(corners, bary)
-            gx, gy = grad_truth(x, y)
-            s = wq * areas
-            for column, hxj, hyj in zip(local[block].T, hx, hy):
-                column += s * (hxj * gx + hyj * gy)
+        gx, gy = (_element_means(np.broadcast_to(g, x.shape)) for g in grad_truth(x, y))
+        local[block] = (areas * (hx * gx + hy * gy)).T
     interior = mesh.interior_vertices
     rhs = scatter_vector(mesh, local)[interior]
     cycle = VCycle(mesh)

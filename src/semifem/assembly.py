@@ -24,28 +24,29 @@ those of the Galerkin product P^T A P on its parent, and
 `values_interior_block` gathers the block on the interior vertices of
 the matrix of given vertex and edge values, by one int32 map, with no
 full-pattern data array; `semifem.multigrid` builds its hierarchy from
-these. `interior_block` cuts the same block out of a symmetric matrix.
+these.
 
 `element_blocks` is the one walk over the elements: it yields runs of
 `BLOCK` consecutive triangles with their corner coordinates and areas.
-The element kernels (stiffness, load, reaction residual and slope matrix)
-and the closed-form norms and Ritz load of `semifem.analysis` loop over
-it. The quadrature kernels handle a block in one pass over all q points
-of the rule: `quadrature_points` gives the coordinates of every point of
-every element, point-major, the nodal values are interpolated by the
-same product, and the reaction term or right-hand side is called once on
-the flat arrays of all q·n points (the slope matrix calls d twice, at u
-and at v). One matrix product with a per-rule table of weight times hat
-values, (3, q) for the hat integrals and (6, q) for the slope matrix,
-then writes the block's part of the preallocated element rows, which are
-scaled by the areas: (nt, 3) rows for the hat integrals, which
-`scatter_vector` reads in place, and (6, nt) rows for the slope matrix.
-Their temporaries are therefore of the block's size, not the element
-count's; only the output rows and the final scatter are of the element
-count's size. Every element's arithmetic is
-the same as in a single pass over all triangles, so the assembled result
-does not depend on `BLOCK`. The load and the reaction residual are one
-kernel, `_hat_integrals`.
+The stiffness loops over it; every kernel that samples callables at
+points of the elements loops over `element_samples`, which adds the flat
+coordinates of all q points of every element of the run, point-major
+(from `quadrature_points`), and the interpolants of the given nodal
+arrays there. These are the load, reaction residual and slope matrix
+here and the closed-form norms and Ritz load of `semifem.analysis`, and
+each calls its callables once per block on the flat arrays of all q·n
+points (the slope matrix calls d twice, at u and at v). The assembly
+kernels then contract with a per-rule table of weight times hat values
+(Kirby & Logg, ACM TOMS 32, 2006), (3, q) for the hat integrals and
+(6, q) for the slope matrix, in one matrix product that writes the
+block's part of the preallocated element rows, which are scaled by the
+areas: (nt, 3) rows for the hat integrals, which `scatter_vector` reads
+in place, and (6, nt) rows for the slope matrix. Their temporaries are
+therefore of the block's size, not the element count's; only the output
+rows and the final scatter are of the element count's size. Every
+element's arithmetic is the same as in a single pass over all triangles,
+so the assembled result does not depend on `BLOCK`. The load and the
+reaction residual are one kernel, `_hat_integrals`.
 """
 
 import weakref
@@ -123,11 +124,8 @@ def basis_gradients(corners, areas):
 
 
 def quadrature_points(corners, points):
-    """Physical coordinates (x, y) of barycentric points in every element.
-
-    points is one point of shape (3,), giving x and y of shape (n,), or a
-    rule's (q, 3) points, giving them of shape (q, n), point-major.
-    """
+    """Physical coordinates (x, y) of a rule's (q, 3) barycentric points in
+    every element, each of shape (q, n), point-major."""
     return points @ corners.transpose(0, 2, 1)
 
 
@@ -145,11 +143,26 @@ def element_blocks(mesh):
     and y coordinates of local vertex j of the run's triangle k, and areas
     their signed areas.
     """
-    vertices = np.ascontiguousarray(mesh.vertices.T)
     areas = mesh.signed_areas()
     for start in range(0, mesh.num_triangles, BLOCK):
         block = slice(start, start + BLOCK)
-        yield block, np.take(vertices, mesh.triangles[block], axis=1), areas[block]
+        # Gathered per block: no copy of the whole vertex array is made.
+        corners = np.take(mesh.vertices, mesh.triangles[block], axis=0)
+        yield block, np.ascontiguousarray(corners.transpose(2, 0, 1)), areas[block]
+
+
+def element_samples(mesh, points, coeffs=()):
+    """Yield (block, corners, areas, x, y, values) for each run of `element_blocks`.
+
+    points are (q, 3) barycentric points. x and y are the flat (q n,)
+    coordinates of every point of every element of the run, point-major,
+    and values holds, for each nodal array of coeffs, its interpolant at
+    those points in the same layout.
+    """
+    for block, corners, areas in element_blocks(mesh):
+        x, y = (xy.ravel() for xy in quadrature_points(corners, points))
+        tri = mesh.triangles[block]
+        yield block, corners, areas, x, y, [(points @ c[tri].T).ravel() for c in coeffs]
 
 
 def vertex_edge_sums(mesh, upper):
@@ -279,7 +292,7 @@ def assemble_load(mesh, f, quad):
         If f is non-finite at any quadrature point; the message carries
         the physical location.
     """
-    return _hat_integrals(mesh, f, None, quad, "right-hand side")
+    return _hat_integrals(mesh, f, (), quad, "right-hand side")
 
 
 def assemble_nonlinear_residual(mesh, d, u, quad):
@@ -295,28 +308,29 @@ def assemble_nonlinear_residual(mesh, d, u, quad):
     ------
     ValueError
         If d is non-finite at any quadrature point; the message carries
-        the physical location.
+        the physical location. If u lives on another mesh.
     """
-    return _hat_integrals(mesh, d, u.coeffs, quad, "nonlinearity")
+    _check_mesh(mesh, u)
+    return _hat_integrals(mesh, d, (u.coeffs,), quad, "nonlinearity")
+
+
+def _check_mesh(mesh, *functions):
+    for function in functions:
+        if function.mesh is not mesh:
+            raise ValueError(f"function lives on mesh {function.mesh!r}, "
+                             f"not on the assembly's mesh {mesh!r}")
 
 
 def _hat_integrals(mesh, g, coeffs, quad, what):
-    """Integrals of g(x, y, u_h) against every hat, u_h with nodal values coeffs.
+    """Integrals of g(x, y, *u_h) against every hat, u_h the interpolants of coeffs.
 
-    With coeffs None, g is called as g(x, y), and no nodal values are
-    gathered or interpolated. A non-finite value of g raises ValueError
-    naming `what` and the point.
+    A non-finite value of g raises ValueError naming `what` and the point.
     """
     # Entry (j, i) is weight i times hat j at point i of the rule.
     table = quad.weights * quad.points.T
     local = np.empty((mesh.num_triangles, 3))
-    for block, corners, areas in element_blocks(mesh):
-        x, y = (xy.ravel() for xy in quadrature_points(corners, quad.points))
-        if coeffs is None:
-            gq = g(x, y)
-        else:
-            gq = g(x, y, (quad.points @ coeffs[mesh.triangles[block]].T).ravel())
-        gq = np.broadcast_to(np.asarray(gq, dtype=float), x.shape)
+    for block, _, areas, x, y, values in element_samples(mesh, quad.points, coeffs):
+        gq = np.broadcast_to(np.asarray(g(x, y, *values), dtype=float), x.shape)
         _check_finite(gq, x, y, what)
         rows = local[block]
         np.matmul(gq.reshape(len(quad), -1).T, table.T, out=rows)
@@ -344,9 +358,10 @@ def assemble_slope_matrix(mesh, d, u, v, floor, quad, rows=False):
     ------
     ValueError
         If a weight is non-finite or falls below the negative tolerance,
-        signalling a non-monotone nonlinearity, or if floor is not
-        positive.
+        signalling a non-monotone nonlinearity, if floor is not
+        positive, or if u or v lives on another mesh.
     """
+    _check_mesh(mesh, u, v)
     if floor <= 0.0:
         raise ValueError(f"slope floor must be positive, got {floor!r}")
     upper = _slope_upper(mesh, d, u, v, floor, quad)
@@ -359,11 +374,8 @@ def _slope_upper(mesh, d, u, v, floor, quad):
     table = np.array([quad.weights * quad.points[:, a] * quad.points[:, c]
                       for a, c in _UPPER])
     upper = np.empty((len(_UPPER), mesh.num_triangles))
-    for block, corners, areas in element_blocks(mesh):
-        tri = mesh.triangles[block]
-        x, y = (xy.ravel() for xy in quadrature_points(corners, quad.points))
-        uq = (quad.points @ u.coeffs[tri].T).ravel()
-        vq = (quad.points @ v.coeffs[tri].T).ravel()
+    samples = element_samples(mesh, quad.points, (u.coeffs, v.coeffs))
+    for block, _, areas, x, y, (uq, vq) in samples:
         e = uq - vq
         num = (np.asarray(d(x, y, uq), dtype=float)
                - np.asarray(d(x, y, vq), dtype=float))
@@ -401,22 +413,6 @@ def coarsen_upper(upper):
         np.matmul(_GALERKIN, children.transpose(0, 2, 1).reshape(_GALERKIN.shape[1], -1),
                   out=coarse[:, start:stop])
     return coarse
-
-
-def interior_block(mesh, matrix):
-    """The block matrix[i][:, i] on the interior vertices i of a symmetric matrix.
-
-    matrix lies on the mesh's pattern and is symmetric, as every matrix
-    assembled here is. The result is the same canonical CSR matrix as
-    scipy's indexing gives.
-    """
-    _, indices, diagonal, off_diagonal = mesh.matrix_pattern()
-    if matrix.nnz != indices.size:
-        raise ValueError("matrix does not lie on the mesh's sparsity pattern")
-    upper, lower = matrix.data[off_diagonal]
-    if not np.array_equal(upper, lower, equal_nan=True):
-        raise ValueError("matrix is not symmetric")
-    return values_interior_block(mesh, np.concatenate([matrix.data[diagonal], upper]))
 
 
 def values_interior_block(mesh, values):

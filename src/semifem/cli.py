@@ -37,7 +37,6 @@ CONFIG_KEYS = {
     "reference": ("fine+2", "`exact` or `fine+<k>` with k >= 2"),
     "residual_tol": ("1e-10", "Newton residual tolerance (scaled norm)"),
     "max_newton": ("50", "Newton iteration cap"),
-    "slope_floor": ("1e-6", "cap on the half-width of the difference quotient"),
     "quad_degree": ("2", "quadrature degree for the nonlinear terms, 0 to 5"),
     "output": (None, "output path; also settable with --output"),
 }
@@ -142,7 +141,6 @@ def build_solver_config(cfg):
         return SolverConfig(
             residual_tol=_float_key(cfg, "residual_tol"),
             max_newton=_int_key(cfg, "max_newton"),
-            slope_floor=_float_key(cfg, "slope_floor"),
             quad_degree=_int_key(cfg, "quad_degree"),
         )
     except ValueError as exc:

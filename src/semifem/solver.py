@@ -72,15 +72,17 @@ FORCING = 0.1
 # tolerance of the frozen-reaction start and of `analysis.ritz_project`.
 CG_TOL = 1e-12
 
-# After each Newton step the slope's half-width tau (also the floor of the
-# quotient's denominator) becomes the length of that step, s * max|delta|,
-# capped at slope_floor and floored here: a difference increment that
-# shrinks with the iteration (Kelley, Iterative Methods for Linear and
-# Nonlinear Equations, 1995, ch. 5). With a fixed tau of 1e-6 the unit square
-# with PowerLaw(50, 1/3, shift=0.02) stalled at level 6 under the 3-point
-# interior rule. The floor keeps the two states about 900 ulps of a value of
-# size 1 apart.
+# The slope's half-width tau (also the floor of the quotient's
+# denominator) is MAX_HALF_WIDTH on each mesh's first Newton step. After
+# each step it becomes the length of that step, s * max|delta|, bounded to
+# [MIN_HALF_WIDTH, MAX_HALF_WIDTH]: a difference increment that shrinks
+# with the iteration (Kelley, Iterative Methods for Linear and Nonlinear
+# Equations, 1995, ch. 5). With a fixed tau of 1e-6 the unit square with
+# PowerLaw(50, 1/3, shift=0.02) stalled at level 6 under the 3-point
+# interior rule. The floor keeps the two states about 900 ulps of a value
+# of size 1 apart.
 MIN_HALF_WIDTH = 1e-13
+MAX_HALF_WIDTH = 1e-6
 
 
 class SolverError(RuntimeError):
@@ -115,12 +117,8 @@ class SolverConfig:
     """Tolerances and safeguards of the Newton solver.
 
     residual_tol is absolute on the Euclidean residual norm scaled by
-    1/sqrt(n), n the vertex count; slope_floor caps the half-width tau of
-    the symmetric difference quotient, which is also the floor of its
-    denominator: each mesh's first Newton step uses tau = slope_floor, and
-    every later one the length of the step before it, bounded to
-    [MIN_HALF_WIDTH, slope_floor] (see `_newton`). Both must be finite and
-    positive. quad_degree selects the reaction's rule by `rule_of_degree`;
+    1/sqrt(n), n the vertex count, and must be finite and positive.
+    quad_degree selects the reaction's rule by `rule_of_degree`;
     the default 2 is the 3-point interior rule. Each Newton correction's
     relative CG tolerance is FORCING times the share of the current
     residual that the mesh's Newton target allows, floored at CG_TOL (see
@@ -129,14 +127,12 @@ class SolverConfig:
 
     residual_tol: float = 1e-10
     max_newton: int = 50
-    slope_floor: float = 1e-6
     quad_degree: int = 2
 
     def __post_init__(self):
-        for name in ("residual_tol", "slope_floor"):
-            value = getattr(self, name)
-            if not 0.0 < value < np.inf:
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if not 0.0 < self.residual_tol < np.inf:
+            raise ValueError(f"residual_tol must be finite and positive, "
+                             f"got {self.residual_tol!r}")
         if self.max_newton < 1:
             raise ValueError("max_newton must be at least 1")
         if self.quad_degree < 0:
@@ -316,10 +312,11 @@ def solve_semilinear(mesh, d, f, cfg=None, initial=None):
         Its max_newton caps the Newton steps on each mesh solved.
     initial : FemFunction, optional
         Starting iterate on mesh or on one of its ancestors, the start
-        mesh; its boundary values are zeroed. The solve works by nested
-        iteration: it solves every mesh after the start mesh up to mesh,
-        coarse to fine, and starts each from the prolongated solution of
-        the one below; an iterate on mesh itself is its start. Without
+        mesh; its boundary values are zeroed, and its interior ones must
+        be finite. The solve works by nested iteration: it solves every
+        mesh after the start mesh up to mesh, coarse to fine, and starts
+        each from the prolongated solution of the one below; an iterate
+        on mesh itself is its start. Without
         an iterate the start mesh is the root, which is solved first from
         the solution of the linear problem with the reaction frozen at
         d(x, 0); a root without interior vertices has the zero solution
@@ -348,8 +345,9 @@ def solve_semilinear(mesh, d, f, cfg=None, initial=None):
         there is one.
     ValueError
         If f is not finite at a quadrature point, or the slope weight is
-        negative there (d is not monotone); or if initial lives on a mesh
-        that is neither mesh nor one of its ancestors.
+        negative there (d is not monotone); if initial lives on a mesh
+        that is neither mesh nor one of its ancestors; or if an interior
+        coefficient of initial is not finite.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     start = None if initial is None else initial.mesh
@@ -362,6 +360,11 @@ def solve_semilinear(mesh, d, f, cfg=None, initial=None):
 
     stats = SolveStats()
     coeffs = None if initial is None else np.where(start.boundary_vertex, 0.0, initial.coeffs)
+    if coeffs is not None and not np.all(np.isfinite(coeffs)):
+        k = int(np.argmin(np.isfinite(coeffs)))
+        x, y = start.vertices[k]
+        raise ValueError(f"initial guess is {coeffs[k]} at interior vertex {k} "
+                         f"({x:g}, {y:g})")
     for k, level in enumerate(levels):
         if k:
             coeffs = level.prolongation() @ coeffs
@@ -400,9 +403,9 @@ def _newton(mesh, d, load, cfg, start, stats, requested):
     max(CG_TOL, FORCING * min(target, r_k) / r_k), and one at r_k = 0
     to CG_TOL; the frozen-reaction start is solved to CG_TOL. The slope
     weight is the difference quotient of half-width and floor tau: the
-    first step takes tau = cfg.slope_floor, and after a step of length s
+    first step takes tau = MAX_HALF_WIDTH, and after a step of length s
     along the correction delta the next one takes
-    min(cfg.slope_floor, max(MIN_HALF_WIDTH, s * max|delta|)). A reaction
+    min(MAX_HALF_WIDTH, max(MIN_HALF_WIDTH, s * max|delta|)). A reaction
     value or slope weight that is not finite raises the assembler's
     NonFiniteError, and a frozen-reaction right-hand side whose norm is
     not finite raises NewtonError without iterate, both without a numpy
@@ -469,7 +472,7 @@ def _newton(mesh, d, load, cfg, start, stats, requested):
     res = residual(u)
     res_norm = scaled_norm(res)
     best_norm, best_u = res_norm, u
-    tau = cfg.slope_floor
+    tau = MAX_HALF_WIDTH
     target = cfg.residual_tol if requested else max(cfg.residual_tol,
                                                     ANCESTOR_REDUCTION * res_norm)
 
@@ -490,7 +493,7 @@ def _newton(mesh, d, load, cfg, start, stats, requested):
                               FemFunction(mesh, best_u)) from None
         if step < 1.0:
             stats.damping_activations += 1
-        tau = min(cfg.slope_floor, max(MIN_HALF_WIDTH, step * np.max(np.abs(delta))))
+        tau = min(MAX_HALF_WIDTH, max(MIN_HALF_WIDTH, step * np.max(np.abs(delta))))
         res_norm = scaled_norm(res)
         if res_norm < best_norm:
             best_norm, best_u = res_norm, u

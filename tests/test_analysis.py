@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from semifem import analysis
-from semifem.analysis import (UNIT_SQUARE_SINE as SINE, ExactSolution, StudyError,
-                              eoc, eoc_log_corrected, error_h1semi, error_l2,
-                              error_linf, ritz_project, run_convergence_study)
+from semifem import analysis, assembly
+from semifem.analysis import (LINF_LATTICE, NORM_RULE, UNIT_SQUARE_SINE as SINE,
+                              ExactSolution, StudyError, eoc, eoc_log_corrected,
+                              error_h1semi, error_l2, error_linf, ritz_project,
+                              run_convergence_study)
 from semifem.assembly import apply_dirichlet, assemble_stiffness, \
     basis_gradients, quadrature_points, scatter_vector
 from semifem.femfunction import FemFunction, interpolate, prolongate
@@ -165,8 +166,7 @@ class TestRitz:
         rule = rule_of_degree(4)
         corners, areas, (hx, hy) = whole_mesh_geometry(mesh)
         local = np.zeros((3, mesh.num_triangles))
-        for bary, wq in zip(rule.points, rule.weights):
-            x, y = quadrature_points(corners, bary)
+        for wq, x, y in zip(rule.weights, *quadrature_points(corners, rule.points)):
             gx, gy = SINE.grad(x, y)
             local += wq * areas * (hx * gx + hy * gy)
         rhs = scatter_vector(mesh, local.T)
@@ -174,6 +174,77 @@ class TestRitz:
         defect = crhs - lhs @ r.coeffs
         assert np.linalg.norm(defect[~mesh.boundary_vertex]) <= \
             tol * np.linalg.norm(crhs)
+
+
+def pentagon_mesh(level):
+    mesh = triangulate_convex_polygon(preset_polygon("pentagon"))
+    for _ in range(level):
+        mesh = refine_uniform(mesh)
+    return mesh
+
+
+def smooth_value(x, y):
+    return np.sin(3 * x) * np.cos(y) + x * y
+
+
+def smooth_grad(x, y):
+    return 3 * np.cos(3 * x) * np.cos(y) + y, -np.sin(3 * x) * np.sin(y) + x
+
+
+def per_point_norms(u, value, grad):
+    """L2, H1-semi and max errors by one loop over the points of each rule,
+    all triangles at once."""
+    corners, areas, grads = whole_mesh_geometry(u.mesh)
+    uloc = u.coeffs[u.mesh.triangles]
+    gux, guy = np.einsum("kj,djk->dk", uloc, grads)
+    l2 = h1 = 0.0
+    for bary, wq, x, y in zip(NORM_RULE.points, NORM_RULE.weights,
+                              *quadrature_points(corners, NORM_RULE.points)):
+        diff = uloc @ bary - value(x, y)
+        gx, gy = grad(x, y)
+        l2 += wq * np.sum(areas * diff * diff)
+        h1 += wq * np.sum(areas * ((gux - gx) ** 2 + (guy - gy) ** 2))
+    linf = max(np.max(np.abs(uloc @ bary - value(x, y)))
+               for bary, x, y in zip(LINF_LATTICE, *quadrature_points(corners, LINF_LATTICE)))
+    return math.sqrt(l2), math.sqrt(h1), linf
+
+
+@pytest.mark.parametrize("mesh", [pentagon_mesh(4), square_mesh(3)],
+                         ids=["pentagon4", "square3"])
+def test_closed_form_norms_match_per_point_loop(mesh):
+    u = interpolate(mesh, lambda x, y: np.sin(2 * x) - 0.5 * y)
+    got = (error_l2(u, smooth_value), error_h1semi(u, smooth_grad),
+           error_linf(u, smooth_value))
+    for name, a, b in zip(("l2", "h1", "linf"), got, per_point_norms(u, smooth_value,
+                                                                     smooth_grad)):
+        assert a == pytest.approx(b, rel=1e-14, abs=0.0), name
+
+
+def test_truth_called_once_per_block(monkeypatch):
+    # Each closed-form norm and the Ritz load call their truth once per
+    # block of `assembly.BLOCK` triangles, on flat arrays of all its points.
+    monkeypatch.setattr(assembly, "BLOCK", 99)
+    mesh = pentagon_mesh(4)
+    nt = mesh.num_triangles
+    blocks = [min(99, nt - start) for start in range(0, nt, 99)]
+    assert len(blocks) == 13
+    sizes = []
+
+    def recorded(base):
+        def evaluate(x, y):
+            assert x.ndim == 1 and x.shape == y.shape
+            sizes.append(x.size)
+            return base(x, y)
+        return evaluate
+
+    u = interpolate(mesh, lambda x, y: x - y)
+    for run, points in ((lambda: error_l2(u, recorded(smooth_value)), NORM_RULE.points),
+                        (lambda: error_h1semi(u, recorded(smooth_grad)), NORM_RULE.points),
+                        (lambda: error_linf(u, recorded(smooth_value)), LINF_LATTICE),
+                        (lambda: ritz_project(mesh, recorded(smooth_grad)), NORM_RULE.points)):
+        sizes.clear()
+        run()
+        assert sizes == [len(points) * n for n in blocks]
 
 
 class TestEoc:

@@ -497,6 +497,22 @@ def test_nonfinite_slope_weight_rejected(square2, value):
     locate_point(square2, point)
 
 
+def test_function_on_another_mesh_rejected():
+    # A state on the mesh's child would be read at the wrong vertices, one
+    # on its parent out of bounds: both are rejected by name.
+    mesh = pentagon(3)
+    child = refine_uniform(mesh)
+    d, quad = PowerLaw(), seven_point_rule()
+    for assembled, wrong in ((mesh, child), (child, mesh)):
+        own, foreign = FemFunction.zeros(assembled), FemFunction.zeros(wrong)
+        message = re.escape(f"lives on mesh {wrong!r}")
+        with pytest.raises(ValueError, match=message):
+            assemble_nonlinear_residual(assembled, d, foreign, quad)
+        for u, v in ((foreign, own), (own, foreign)):
+            with pytest.raises(ValueError, match=message):
+                assemble_slope_matrix(assembled, d, u, v, 1e-6, quad)
+
+
 # A block size that splits pentagon level 4 (1280 triangles) into 12 full
 # blocks and a tail of 92.
 SMALL_BLOCK = 99
@@ -720,18 +736,21 @@ def test_peak_allocation_per_triangle():
     # One pass over all triangles at once peaked at 144/156/188/248 B
     # (stiffness/load/residual/slope) and 120/208/120/276 B (L2/H1/max
     # errors against a callable truth, Ritz projection); the blocked walk
-    # measures 65/63/63/93 B and 16/19/17/121 B, the rest being the
+    # measures 65/63/66/93 B and 28/35/42/125 B, the rest being the
     # output rows, the scatter and, for the projection, its solve (130 B
     # when it rebuilt its chain's stiffness values, which the warm-up now
     # leaves on the meshes). The stiffness's first build keeps vertex and
     # edge sums (93 B when it kept the CSR data of their scatter). The load
     # and residual write their element rows as (nt, 3), which the scatter
-    # reads in place (87 B when it copied (3, nt) rows). The
-    # load, residual and slope kernels hold q times a block's length per
-    # temporary, evaluating all quadrature points at once; with blocks of
-    # 8192 triangles they measured 98/98/128 B. The load gathers no nodal
-    # values (91 B when it interpolated zeros, one point at a time), and
-    # the scatter reads its index columns in place (124 B for stiffness
+    # reads in place (87 B when it copied (3, nt) rows). The errors and
+    # the Ritz load evaluate their truth on all points of a block at once
+    # (16/19/17/121 B one point at a time); the walk gathers each block's
+    # corners, not a copy of all vertices (about 6 B more for the errors
+    # with that copy). The load, residual and slope kernels hold q times a
+    # block's length per temporary, evaluating all quadrature points at
+    # once; with blocks of 8192 triangles they measured 98/98/128 B. The
+    # load gathers no nodal values (91 B when it interpolated zeros, one
+    # point at a time), and the scatter reads its index columns in place (124 B for stiffness
     # and slope when it flattened them for one bincount). The V-cycle of a
     # steep Jacobian, from its element rows, peaks at 67 B in its fine
     # level's Gershgorin sums, over a copy of the operator's data in

@@ -176,7 +176,7 @@ class TestSolveCommand:
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         # A key the solver no longer has is rejected like any unknown one.
-        for key in ("viscosity", "continuation_sigma0", "cg_maxit", "cg_tol"):
+        for key in ("viscosity", "continuation_sigma0", "cg_maxit", "cg_tol", "slope_floor"):
             cfg = write(tmp_path, "bad.cfg", f"{key} = 7\n")
             assert main(["solve", "--config", cfg]) == 2
             assert key in capsys.readouterr().err
@@ -186,7 +186,7 @@ class TestSolveCommand:
         assert main(["solve", "--config", cfg]) == 2
         assert "exponent" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("setting", ["residual_tol = nan", "slope_floor = nan",
+    @pytest.mark.parametrize("setting", ["residual_tol = nan",
                                          "scale = inf", "shift = nan",
                                          "weight = nan", "rhs = constant nan"])
     def test_non_finite_value_rejected(self, tmp_path, capsys, setting):

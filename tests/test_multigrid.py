@@ -9,8 +9,9 @@ import pytest
 from scipy import sparse
 
 from semifem.assembly import (assemble_load, assemble_mass, assemble_slope_matrix,
-                              assemble_stiffness, coarsen_upper, interior_block, mass_upper,
-                              pattern_matrix, stiffness_upper)
+                              assemble_stiffness, coarsen_upper, mass_upper, pattern_matrix,
+                              stiffness_sums, stiffness_upper, values_interior_block,
+                              vertex_edge_sums)
 from semifem.femfunction import FemFunction
 from semifem.mesh import (Polygon, TriMesh, preset_polygon, read_mesh,
                           refine_uniform, triangulate_convex_polygon, write_mesh)
@@ -116,7 +117,8 @@ def test_jacobi_weights_keep_the_operator_bits(reaction):
     if rows is None:
         expected = []
         for _ in levels:
-            expected.append(interior_block(mesh, assemble_stiffness(mesh)))
+            i = mesh.interior_vertices
+            expected.append(assemble_stiffness(mesh)[i][:, i])
             mesh = mesh.parent
     else:
         expected = element_chain(mesh, rows, len(levels) - 1)
@@ -253,8 +255,8 @@ def element_chain(mesh, reaction, depth):
 
     Each level is the scattered reaction rows, coarsened once per level
     down, plus a fresh scatter of the mesh's stiffness rows, added on the
-    data arrays of the mesh's pattern and cut to the interior block; with
-    reaction None, the stiffness alone.
+    data arrays of the mesh's pattern and cut to the interior block by
+    scipy's indexing; with reaction None, the stiffness alone.
     """
     chain = []
     for k in range(depth + 1):
@@ -265,7 +267,8 @@ def element_chain(mesh, reaction, depth):
         full = pattern_matrix(mesh, stiffness_upper(mesh))
         if reaction is not None:
             full.data += pattern_matrix(mesh, reaction).data
-        chain.append(interior_block(mesh, full))
+        i = mesh.interior_vertices
+        chain.append(full[i][:, i])
     return chain
 
 
@@ -325,34 +328,21 @@ def test_poisson_levels_match_full_matrices(name, domain, level):
 @pytest.mark.parametrize("level", [2, 5])
 def test_interior_block_equals_fancy_indexing(level):
     # One gather of the vertex and edge values gives scipy's matrix[i][:, i],
-    # bit for bit.
-    mesh = pentagon_mesh(level)
-    i = mesh.interior_vertices
-    for matrix in (assemble_stiffness(mesh), assemble_mass(mesh),
-                   assemble_stiffness(mesh) + pattern_matrix(mesh, steep_slope_rows(mesh))):
-        block, ref = interior_block(mesh, matrix), matrix[i][:, i]
-        assert block.shape == ref.shape
-        for attr in ("indptr", "indices", "data"):
-            np.testing.assert_array_equal(getattr(block, attr), getattr(ref, attr))
-    indptr, indices, source = mesh.interior_pattern()
-    assert mesh.interior_pattern()[2] is source
-    assert indptr.dtype == indices.dtype == source.dtype == np.int32
-    assert not any(array.flags.writeable for array in (indptr, indices, source))
-
-
-def test_interior_block_rejects_foreign_pattern():
-    mesh = pentagon_mesh(2)
-    i = mesh.interior_vertices
-    with pytest.raises(ValueError, match="sparsity pattern"):
-        interior_block(mesh, assemble_stiffness(mesh)[i][:, i])
-
-
-def test_interior_block_rejects_asymmetric_matrix():
-    # The block is gathered from the entries (lo, hi) of the edges; a matrix
-    # whose entry (hi, lo) differs would be cut wrong.
-    mesh = pentagon_mesh(2)
-    _, _, _, off_diagonal = mesh.matrix_pattern()
-    matrix = assemble_stiffness(mesh).copy()
-    matrix.data[off_diagonal[1, 0]] += 1.0
-    with pytest.raises(ValueError, match="not symmetric"):
-        interior_block(mesh, matrix)
+    # bit for bit, also with the unit square's exact zeros in the stiffness.
+    for domain in ("pentagon", "unit-square"):
+        mesh = refined(preset_polygon(domain), level)
+        i = mesh.interior_vertices
+        steep = steep_slope_rows(mesh)
+        for values, matrix in (
+                (stiffness_sums(mesh), assemble_stiffness(mesh)),
+                (vertex_edge_sums(mesh, mass_upper(mesh)), assemble_mass(mesh)),
+                (stiffness_sums(mesh) + vertex_edge_sums(mesh, steep),
+                 assemble_stiffness(mesh) + pattern_matrix(mesh, steep))):
+            block, ref = values_interior_block(mesh, values), matrix[i][:, i]
+            assert block.shape == ref.shape
+            for attr in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(block, attr), getattr(ref, attr))
+        indptr, indices, source = mesh.interior_pattern()
+        assert mesh.interior_pattern()[2] is source
+        assert indptr.dtype == indices.dtype == source.dtype == np.int32
+        assert not any(array.flags.writeable for array in (indptr, indices, source))

@@ -19,7 +19,7 @@ from semifem.mesh import (TriMesh, preset_polygon, refine_uniform,
 from semifem.nonlinearity import PowerLaw, cut
 from semifem.quadrature import edge_midpoint_rule, rule_of_degree
 from semifem.solver import (ANCESTOR_REDUCTION, CG_TOL, FORCING, LINE_SEARCH_REDUCTION,
-                            LINE_SEARCH_RESIDUALS, MIN_HALF_WIDTH, CgError,
+                            LINE_SEARCH_RESIDUALS, MAX_HALF_WIDTH, MIN_HALF_WIDTH, CgError,
                             IndefiniteSystemError, LevelStats, NewtonError, SolverConfig,
                             _line_search, cg_solve, solve_semilinear, verify_uniform_bound)
 
@@ -256,6 +256,22 @@ class TestSolve:
         for wrong in (other, refine_uniform(mesh), other.parent, parentless(mesh.parent)):
             with pytest.raises(ValueError, match=re.escape(f"lives on mesh {wrong!r}")):
                 solve_semilinear(mesh, PowerLaw(), ONE, initial=FemFunction.zeros(wrong))
+
+    @pytest.mark.parametrize("start_level", [2, 3])
+    def test_nonfinite_initial_guess_names_its_vertex(self, start_level):
+        # A NaN interior coefficient is rejected before any assembly, on the
+        # mesh itself and on an ancestor; NaNs on the boundary are zeroed.
+        mesh = pentagon_mesh(3)
+        start = mesh.parent if start_level == 2 else mesh
+        coeffs = np.where(start.boundary_vertex, np.nan, 0.0)
+        k = int(start.interior_vertices[3])
+        coeffs[k] = np.nan
+        x, y = start.vertices[k]
+        with pytest.raises(ValueError, match=re.escape(f"vertex {k} ({x:g}, {y:g})")):
+            solve_semilinear(mesh, kink_term(), ONE, initial=FemFunction(start, coeffs))
+        coeffs[k] = 0.0
+        u, _ = solve_semilinear(mesh, kink_term(), ONE, initial=FemFunction(start, coeffs))
+        assert u.in_dirichlet_space()
 
     def test_stats_counts(self):
         mesh = pentagon_mesh(2)
@@ -588,8 +604,8 @@ class TestSlopeHalfWidth:
 
     def test_half_width_follows_the_last_step(self, monkeypatch):
         # Each call differences at u_k + tau and u_k - tau with floor tau.
-        # A mesh's first step takes tau = slope_floor, each later one
-        # min(slope_floor, max(MIN_HALF_WIDTH, max|u_k - u_{k-1}|)), the
+        # A mesh's first step takes tau = MAX_HALF_WIDTH, each later one
+        # min(MAX_HALF_WIDTH, max(MIN_HALF_WIDTH, max|u_k - u_{k-1}|)), the
         # length of the step before it.
         calls = []
         build = solver.assemble_slope_matrix
@@ -599,21 +615,20 @@ class TestSlopeHalfWidth:
             return build(mesh, d, u, v, floor, *args, **kwargs)
 
         monkeypatch.setattr(solver, "assemble_slope_matrix", recorded)
-        cfg = SolverConfig()
-        solve_semilinear(pentagon_mesh(3), kink_term(), ONE, cfg)
+        solve_semilinear(pentagon_mesh(3), kink_term(), ONE)
         previous = None
         for level, tau, up, down in calls:
             np.testing.assert_allclose(up - down, 2.0 * tau, rtol=1e-3)
             u = 0.5 * (up + down)
             if previous is None or previous[0] != level:
-                assert tau == cfg.slope_floor
+                assert tau == MAX_HALF_WIDTH
             else:
                 step = np.max(np.abs(u - previous[1]))
-                expected = min(cfg.slope_floor, max(MIN_HALF_WIDTH, step))
+                expected = min(MAX_HALF_WIDTH, max(MIN_HALF_WIDTH, step))
                 assert tau == pytest.approx(expected, rel=1e-4)
             previous = (level, u)
         # On the requested mesh tau falls far below the cap.
-        assert min(tau for _, tau, _, _ in calls) < 1e-3 * cfg.slope_floor
+        assert min(tau for _, tau, _, _ in calls) < 1e-3 * MAX_HALF_WIDTH
 
     def test_kink_study_with_centroid_rule_completes(self):
         # With a fixed tau of 1e-6 level 4 stalled at residual 3.6e-7 after
@@ -662,10 +677,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(residual_tol=0.0)
     # NaN passes a `<= 0` test; a NaN tolerance never stops Newton.
-    for name in ("residual_tol", "slope_floor"):
-        for bad in (np.nan, np.inf, -1e-3):
-            with pytest.raises(ValueError, match=name):
-                SolverConfig(**{name: bad})
+    for bad in (np.nan, np.inf, -1e-3):
+        with pytest.raises(ValueError, match="residual_tol"):
+            SolverConfig(residual_tol=bad)
     with pytest.raises(ValueError):
         SolverConfig(max_newton=0)
     for bad in (-1, 6):
