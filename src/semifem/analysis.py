@@ -4,7 +4,9 @@ Errors can be measured against a closed-form solution (value plus
 gradient; with its Laplacian, as `UNIT_SQUARE_SINE` has, it also gives
 the right-hand side it solves) or against a discrete reference on a
 nested finer mesh; in the discrete case the coarse function is
-transferred exactly, so the computed norms are exact for P1 functions.
+transferred exactly, so the computed norms are exact for P1 functions,
+and their quadratic forms are read off the mass and stiffness matrices'
+vertex and edge values (`assembly.vertex_edge_sums`), with no CSR matrix.
 The closed-form norms and the load of the Ritz projection walk the
 elements by `assembly.element_samples`, as the assembly kernels do: each
 calls its truth once per block on all quadrature or lattice points of
@@ -17,8 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import (assemble_mass, assemble_stiffness, basis_gradients,
-                       element_samples, scatter_vector)
+# assemble_mass and assemble_stiffness are unused here: the norms against a
+# discrete reference read the matrices' vertex and edge values instead. They
+# stay importable because benchmarks/tracing.py wraps them by name in this
+# namespace.
+from .assembly import (assemble_mass, assemble_stiffness, basis_gradients, check_finite,
+                       element_samples, mass_upper, scatter_vector, stiffness_sums,
+                       vertex_edge_sums)
 from .femfunction import FemFunction, prolongate
 from .mesh import TriMesh, mesh_size, preset_polygon, refine_uniform, \
     triangulate_convex_polygon
@@ -68,9 +75,22 @@ def _nested_difference(u_h, truth):
     return truth.coeffs - prolongate(u_h, truth.mesh).coeffs
 
 
-def _matrix_norm(e, matrix):
-    """sqrt(e^T matrix e) for a symmetric positive semidefinite matrix."""
-    return float(np.sqrt(e @ (matrix @ e)))
+def _values_norm(mesh, values, e):
+    """sqrt(e^T A e) for a symmetric positive semidefinite P1 matrix A on mesh.
+
+    values are A's vertex and edge values, laid out as
+    `assembly.vertex_edge_sums` returns them: e^T A e is the sum of the
+    diagonal terms A_vv e_v^2 plus twice that of the edge terms A_e e_lo e_hi.
+    """
+    nv = mesh.num_vertices
+    edges = mesh.edges()
+    diagonal = values[:nv] @ (e * e)
+    return float(np.sqrt(diagonal + 2.0 * (values[nv:] @ (e[edges[:, 0]] * e[edges[:, 1]]))))
+
+
+def _mass_sums(mesh):
+    """The mesh's mass matrix as vertex and edge values."""
+    return vertex_edge_sums(mesh, mass_upper(mesh))
 
 
 def _element_means(samples):
@@ -83,11 +103,13 @@ def error_l2(u_h, truth):
 
     For a FemFunction truth on a nested finer mesh, u_h is transferred
     there and the norm of the coefficient difference is computed with the
-    exact mass matrix. For a callable truth (evaluated as truth(x, y)),
-    the degree-4 rule is used on every element.
+    exact mass matrix, from its vertex and edge values. For a callable
+    truth (evaluated as truth(x, y)), the degree-4 rule is used on every
+    element.
     """
     if isinstance(truth, FemFunction):
-        return _matrix_norm(_nested_difference(u_h, truth), assemble_mass(truth.mesh))
+        mesh = truth.mesh
+        return _values_norm(mesh, _mass_sums(mesh), _nested_difference(u_h, truth))
     total = 0.0
     for _, _, areas, x, y, (uq,) in element_samples(u_h.mesh, NORM_RULE.points,
                                                     (u_h.coeffs,)):
@@ -100,12 +122,14 @@ def error_h1semi(u_h, truth):
     """L2 norm of the gradient of u_h - truth.
 
     Discrete gradients are constant per triangle, so against a nested
-    FemFunction the result is exact (a stiffness-weighted norm). A
+    FemFunction the result is exact (a stiffness-weighted norm, from the
+    mesh's kept `assembly.stiffness_sums`). A
     callable truth must return the gradient pair: truth(x, y) -> (gx, gy),
     and is integrated by the degree-4 rule on every element.
     """
     if isinstance(truth, FemFunction):
-        return _matrix_norm(_nested_difference(u_h, truth), assemble_stiffness(truth.mesh))
+        mesh = truth.mesh
+        return _values_norm(mesh, stiffness_sums(mesh), _nested_difference(u_h, truth))
     mesh = u_h.mesh
     total = 0.0
     for block, corners, areas, x, y, _ in element_samples(mesh, NORM_RULE.points):
@@ -151,11 +175,22 @@ def ritz_project(mesh, grad_truth):
     mesh : TriMesh
     grad_truth : callable
         Evaluated as grad_truth(x, y) -> (gx, gy) on coordinate arrays.
+
+    Raises
+    ------
+    assembly.NonFiniteError
+        If a component of grad_truth is not finite at a quadrature point;
+        the message names the gradient field and the point.
     """
     local = np.empty((mesh.num_triangles, 3))
     for block, corners, areas, x, y, _ in element_samples(mesh, NORM_RULE.points):
         hx, hy = basis_gradients(corners, areas)
-        gx, gy = (_element_means(np.broadcast_to(g, x.shape)) for g in grad_truth(x, y))
+        means = []
+        for g in grad_truth(x, y):
+            g = np.broadcast_to(g, x.shape)
+            check_finite(g, x, y, "gradient field")
+            means.append(_element_means(g))
+        gx, gy = means
         local[block] = (areas * (hx * gx + hy * gy)).T
     interior = mesh.interior_vertices
     rhs = scatter_vector(mesh, local)[interior]
@@ -381,14 +416,14 @@ def run_convergence_study(domain, d, f, levels, exact=None, extra_refinements=2,
         except SolverError as exc:
             raise StudyError(f"reference level {top} failed: {exc}", report) from exc
         # The norms of error_l2, error_h1semi and error_linf, with the
-        # reference mass matrix assembled once, its stiffness the mesh's own,
-        # and each level transferred once.
-        mass = assemble_mass(ref_mesh)
-        stiffness = assemble_stiffness(ref_mesh)
+        # reference mass values summed once, its stiffness values the mesh's
+        # own, and each level transferred once.
+        mass = _mass_sums(ref_mesh)
+        stiffness = stiffness_sums(ref_mesh)
         for record in report.records:
             e = _nested_difference(solutions[record.level], reference)
-            record.err_l2 = _matrix_norm(e, mass)
-            record.err_h1 = _matrix_norm(e, stiffness)
+            record.err_l2 = _values_norm(ref_mesh, mass, e)
+            record.err_h1 = _values_norm(ref_mesh, stiffness, e)
             magnitude = np.abs(e)
             k = int(np.argmax(magnitude))
             record.err_linf = float(magnitude[k])

@@ -218,7 +218,8 @@ class NonFiniteError(ValueError):
     """A callable or slope weight is not finite at a quadrature point."""
 
 
-def _check_finite(values, x, y, what):
+def check_finite(values, x, y, what):
+    """Raise NonFiniteError naming `what` and the first point where values is not finite."""
     finite = np.isfinite(values)
     if not np.all(finite):
         k = int(np.argmin(finite))
@@ -331,7 +332,7 @@ def _hat_integrals(mesh, g, coeffs, quad, what):
     local = np.empty((mesh.num_triangles, 3))
     for block, _, areas, x, y, values in element_samples(mesh, quad.points, coeffs):
         gq = np.broadcast_to(np.asarray(g(x, y, *values), dtype=float), x.shape)
-        _check_finite(gq, x, y, what)
+        check_finite(gq, x, y, what)
         rows = local[block]
         np.matmul(gq.reshape(len(quad), -1).T, table.T, out=rows)
         rows *= areas[:, None]
@@ -380,7 +381,7 @@ def _slope_upper(mesh, d, u, v, floor, quad):
         num = (np.asarray(d(x, y, uq), dtype=float)
                - np.asarray(d(x, y, vq), dtype=float))
         b = np.sign(e) * num / np.maximum(np.abs(e), floor)
-        _check_finite(b, x, y, "slope weight")
+        check_finite(b, x, y, "slope weight")
         k = int(np.argmin(b))
         if b[k] < -SLOPE_WEIGHT_TOL:
             raise ValueError(

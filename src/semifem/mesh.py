@@ -182,6 +182,38 @@ def _edge_slots(edges, nv):
     return slots, first_run + lower_through
 
 
+def _edge_pattern(edges, n):
+    """CSR pattern of n x n symmetric matrices with entries on the diagonal and on edges.
+
+    edges are lexicographic (lo, hi) pairs of vertices 0..n-1. Returns
+    (indptr, indices, diagonal, off_diagonal): the canonical CSR pattern
+    with the n diagonal entries and the entries (lo, hi) and (hi, lo) of
+    every edge, and the positions in its data array of each vertex's
+    diagonal entry, shape (n,), and of the entries (lo, hi) and (hi, lo)
+    of every edge, shape (2, ne); all int32. Row r holds the ends of the
+    edges (lo, r) in the order of lo, then r, then the contiguous run of
+    edges (r, hi): the row lengths and the diagonal come from edge counts,
+    the entries (lo, hi) from the runs, and the entries (hi, lo) from the
+    one stable argsort of the ne ends hi in `_edge_slots`.
+    """
+    lo, hi = edges[:, 0], edges[:, 1]
+    # Row r holds the ends hi = r, then r, then the ends lo = r: the edge
+    # slots of `_edge_slots` moved by the r or r + 1 diagonals before them.
+    off_diagonal, runs = _edge_slots(edges, n)
+    off_diagonal[0] += lo
+    off_diagonal[0] += 1
+    off_diagonal[1] += hi
+    vertices = np.arange(n, dtype=np.int32)
+    diagonal = runs + vertices
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(edges.ravel(), minlength=n) + 1, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    indices[diagonal] = vertices
+    indices[off_diagonal[0]] = hi
+    indices[off_diagonal[1]] = lo
+    return indptr, indices, diagonal, off_diagonal
+
+
 def _signed_areas(vertices, triangles):
     """Signed area of every triangle, gathering the x and y columns apart.
 
@@ -341,11 +373,27 @@ class TriMesh:
 
         It is exact on the homogeneous Dirichlet spaces: a parent boundary
         vertex carries a zero coefficient there, and every child boundary
-        vertex lies on a parent boundary edge. None without parent.
+        vertex lies on a parent boundary edge. Built once per mesh from the
+        parent's edges, without `prolongation`: 1 at every interior parent
+        vertex, and 1/2 at each interior end of the parent edge of every
+        interior midpoint. None without parent.
         """
         if self._interior_prolongation is None and self.parent is not None:
-            self._interior_prolongation = \
-                self.prolongation()[self.interior_vertices][:, self.parent.interior_vertices]
+            parent = self.parent
+            nc = parent.num_vertices
+            interior = ~parent.boundary_vertex
+            ni = parent.interior_vertices.size
+            # The parent edges of the interior midpoints, and which of their
+            # ends are interior.
+            split = parent.edges()[~self.boundary_vertex[nc:]]
+            ends = interior[split]
+            indptr = np.concatenate([np.arange(ni + 1),
+                                     ni + np.cumsum(np.count_nonzero(ends, axis=1))])
+            renumber = np.cumsum(interior) - 1
+            indices = np.concatenate([np.arange(ni), renumber[split[ends]]])
+            data = np.concatenate([np.ones(ni), np.full(indices.size - ni, 0.5)])
+            self._interior_prolongation = sparse.csr_matrix(
+                (data, indices, indptr), shape=(self.interior_vertices.size, ni))
         return self._interior_prolongation
 
     def interior_restriction(self):
@@ -363,31 +411,10 @@ class TriMesh:
         the CSR data array of each vertex's diagonal entry, shape (nv,);
         and the positions of the entries (lo, hi) and (hi, lo) of every
         edge (lo, hi) of `edges()`, shape (2, ne). All four are read-only
-        int32 arrays, built once per mesh from the lexicographic edges: row
-        r holds the ends of the edges (lo, r) in the order of lo, then r,
-        then the contiguous run of edges (r, hi). The row lengths and the
-        diagonal come from edge counts, the entries (lo, hi) from the runs,
-        and the entries (hi, lo) from one stable argsort of the ne ends hi.
+        int32 arrays, built once per mesh by `_edge_pattern`.
         """
         if self._matrix_pattern is None:
-            nv = self.num_vertices
-            lo, hi = self._edges[:, 0], self._edges[:, 1]
-            # Row r holds the ends hi = r, then r, then the ends lo = r: the
-            # edge slots of `_edge_slots` moved by the r or r + 1 diagonals
-            # before them.
-            off_diagonal, runs = _edge_slots(self._edges, nv)
-            off_diagonal[0] += lo
-            off_diagonal[0] += 1
-            off_diagonal[1] += hi
-            vertices = np.arange(nv, dtype=np.int32)
-            diagonal = runs + vertices
-            indptr = np.zeros(nv + 1, dtype=np.int32)
-            np.cumsum(np.bincount(self._edges.ravel(), minlength=nv) + 1, out=indptr[1:])
-            indices = np.empty(indptr[-1], dtype=np.int32)
-            indices[diagonal] = vertices
-            indices[off_diagonal[0]] = hi
-            indices[off_diagonal[1]] = lo
-            pattern = (indptr, indices, diagonal, off_diagonal)
+            pattern = _edge_pattern(self._edges, self.num_vertices)
             for array in pattern:
                 array.setflags(write=False)
             self._matrix_pattern = pattern
@@ -403,29 +430,32 @@ class TriMesh:
         for the diagonal entry of vertex v, nv + e for both entries of edge
         e of `edges()`. The block of the matrix with those values is
         therefore `values[source]`. All three are read-only int32 arrays,
-        built once per mesh: the entries between two interior vertices are
-        marked on the pattern, and their sources read off an int32 array
-        that the pattern's vertex and edge slots fill (9.3 MiB kept and a
-        15.6 MiB peak at level 8, 1.15 M pattern entries, against 6.1 and
-        11.3 MiB when a boolean mask of the entries was kept instead).
+        built once per mesh by `_edge_pattern` on the edges between two
+        interior vertices, renumbered by i, which stay lexicographic; no
+        pattern of the whole mesh is made. At level 8 (164 481 vertices,
+        1.15 M block entries; 2-CPU VM) its first build takes 40-44 ms with
+        a traced peak of 21.9 MiB and keeps 9.3 MiB, against 52-70 ms, a
+        25.0 MiB peak and 18.7 MiB kept when it was cut out of
+        `matrix_pattern`, which it built first.
         """
         if self._interior_pattern is None:
-            indptr, indices, diagonal, off_diagonal = self.matrix_pattern()
-            nv, ne = self.num_vertices, off_diagonal.shape[1]
+            nv = self.num_vertices
             interior = ~self.boundary_vertex
-            kept = np.repeat(interior, np.diff(indptr))
-            kept &= interior[indices]
-            owner = np.empty(indices.size, dtype=np.int32)
-            owner[diagonal] = np.arange(nv, dtype=np.int32)
-            owner[off_diagonal] = np.arange(nv, nv + ne, dtype=np.int32)
-            source = owner[kept]
-            del owner
             renumber = np.cumsum(interior, dtype=np.int32) - 1
-            block_indptr = np.zeros(self.interior_vertices.size + 1, dtype=np.int32)
-            # Every row holds its diagonal entry, so no reduceat segment is empty.
-            np.cumsum(np.add.reduceat(kept, indptr[:-1], dtype=np.int32)[interior],
-                      out=block_indptr[1:])
-            pattern = (block_indptr, renumber[indices[kept]], source)
+            inner = np.flatnonzero(
+                interior[self._edges[:, 0]] & interior[self._edges[:, 1]]).astype(np.int32)
+            # Gathered per end, so no int64 copy of both ends is made.
+            inner_edges = np.empty((inner.size, 2), dtype=np.int32)
+            for end in range(2):
+                inner_edges[:, end] = renumber[self._edges[inner, end]]
+            indptr, indices, diagonal, off_diagonal = _edge_pattern(
+                inner_edges, self.interior_vertices.size)
+            del inner_edges
+            source = np.empty(indices.size, dtype=np.int32)
+            source[diagonal] = self.interior_vertices
+            inner += nv
+            source[off_diagonal] = inner
+            pattern = (indptr, indices, source)
             for array in pattern:
                 array.setflags(write=False)
             self._interior_pattern = pattern

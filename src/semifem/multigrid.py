@@ -47,6 +47,14 @@ from .assembly import coarsen_upper, stiffness_sums, values_interior_block, vert
 SMOOTHING_WEIGHT = 0.8
 SMOOTHING_SWEEPS = 2
 
+# Rows per block of the Gershgorin sums of `_jacobi_weights`, which copy |a|
+# and, in scipy's constructor, the column indices one block at a time: about
+# 1.4 MB for 16384 rows of 7 entries. On a steep pentagon Jacobian (2-CPU VM)
+# the sums take 0.7 ms at level 7 and 3.0 ms at level 8 in 11 blocks, against
+# 0.5 and 2.0 ms for one copy of all of the operator's data; blocks of 8192
+# rows peaked about as low in the traced level-7 V-cycle build.
+GERSHGORIN_ROWS = 16384
+
 # The coarsest level is the first system of at most this size (141 unknowns
 # on pentagon level 3, 113 on the unit square). It is kept dense and solved
 # by `np.linalg.solve` at each application: 0.2-0.3 ms at 141 unknowns,
@@ -70,12 +78,21 @@ def _exact_solver(matrix):
 def _jacobi_weights(a, diag):
     """omega / diag, omega from the Gershgorin bound (see SMOOTHING_WEIGHT).
 
-    diag is a's diagonal. The row sums of |a| are those of a CSR matrix
-    over a copy of a's data in absolute value, summed in each row's index
-    order.
+    diag is a's diagonal. The row sums of |a| are taken over blocks of
+    GERSHGORIN_ROWS rows, each by one matvec with ones of a CSR matrix over
+    the block's data in absolute value, so each row is summed in its index
+    order and no copy of all of a's data is made.
     """
-    magnitudes = sparse.csr_matrix((np.abs(a.data), a.indices, a.indptr), shape=a.shape)
-    gershgorin = np.max(magnitudes @ np.ones(a.shape[0]) / diag)
+    n = a.shape[0]
+    ones = np.ones(n)
+    sums = np.empty(n)
+    for start in range(0, n, GERSHGORIN_ROWS):
+        stop = min(start + GERSHGORIN_ROWS, n)
+        first, last = a.indptr[start], a.indptr[stop]
+        sums[start:stop] = sparse.csr_matrix(
+            (np.abs(a.data[first:last]), a.indices[first:last], a.indptr[start:stop + 1] - first),
+            shape=(stop - start, n)) @ ones
+    gershgorin = np.max(sums / diag)
     return min(SMOOTHING_WEIGHT, 1.9 / gershgorin) / diag
 
 

@@ -32,13 +32,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# apply_dirichlet and assemble_mass are unused here; they stay importable
-# because benchmarks/tracing.py wraps solver.apply_dirichlet and
-# solver.assemble_mass by name. It wraps the other assemblers here too, so
-# the Newton step takes its slope rows from assemble_slope_matrix.
+# apply_dirichlet, assemble_mass and assemble_stiffness are unused here: the
+# Newton step takes the interior block of the stiffness from its kept sums.
+# They stay importable because benchmarks/tracing.py wraps them by name in
+# this namespace. It wraps the other assemblers here too, so the Newton step
+# takes its slope rows from assemble_slope_matrix.
 from .assembly import (NonFiniteError, apply_dirichlet, assemble_load, assemble_mass,
                        assemble_nonlinear_residual, assemble_slope_matrix,
-                       assemble_stiffness)
+                       assemble_stiffness, stiffness_sums, values_interior_block)
 from .femfunction import FemFunction
 from .multigrid import VCycle
 from .quadrature import edge_midpoint_rule, rule_of_degree
@@ -367,7 +368,11 @@ def solve_semilinear(mesh, d, f, cfg=None, initial=None):
                          f"({x:g}, {y:g})")
     for k, level in enumerate(levels):
         if k:
-            coeffs = level.prolongation() @ coeffs
+            # Interior to interior: the boundary coefficients are zero.
+            fine = np.zeros(level.num_vertices)
+            fine[level.interior_vertices] = \
+                level.interior_prolongation() @ coeffs[levels[k - 1].interior_vertices]
+            coeffs = fine
         if level is start and level is not mesh:
             continue  # an ancestor start is only handed on
         stats.levels.append(LevelStats(level.level, 0, 0))
@@ -416,7 +421,11 @@ def _newton(mesh, d, load, cfg, start, stats, requested):
     scale = 1.0 / np.sqrt(nv)
     quad = rule_of_degree(cfg.quad_degree)
 
-    stiffness = assemble_stiffness(mesh)
+    # The interior block K_II of the stiffness and the interior load F_I:
+    # the residual's interior entries (K_II u_I + N_I) - F_I equal those of
+    # (K u + N) - F bitwise, as the boundary columns multiply zeros.
+    stiffness = values_interior_block(mesh, stiffness_sums(mesh))
+    load = load[interior]
 
     def reaction_terms(assemble, *args, **kwargs):
         """assemble(mesh, d, ...), with an overflow of d left to its finiteness check."""
@@ -443,8 +452,8 @@ def _newton(mesh, d, load, cfg, start, stats, requested):
     def residual(coeffs):
         """A u + N(u) - F with its boundary entries set to zero."""
         reaction = reaction_terms(assemble_nonlinear_residual, FemFunction(mesh, coeffs), quad)
-        res = stiffness @ coeffs + reaction - load
-        res[mesh.boundary_vertex] = 0.0
+        res = np.zeros(nv)
+        res[interior] = stiffness @ coeffs[interior] + reaction[interior] - load
         return res
 
     # Iterates, corrections and residuals are full vectors with zero boundary
@@ -455,7 +464,7 @@ def _newton(mesh, d, load, cfg, start, stats, requested):
     else:
         frozen = reaction_terms(assemble_nonlinear_residual, FemFunction.zeros(mesh), quad)
         with np.errstate(over="ignore"):
-            rhs = (load - frozen)[interior]
+            rhs = load - frozen[interior]
         if not np.isfinite(_norm(rhs)):
             raise NewtonError("frozen-reaction right-hand side norm is not finite: the data "
                               "overflow double precision", stats.residual_history)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -158,6 +159,16 @@ class TestRitz:
         mesh = square_mesh(2)
         r = ritz_project(mesh, lambda x, y: (np.zeros_like(x), np.zeros_like(x)))
         assert np.max(np.abs(r.coeffs)) <= 1e-14
+
+    def test_non_finite_field_names_point(self):
+        # A NaN sample is reported at its point, as the assembly kernels
+        # report theirs, not as a CG failure on a non-finite load.
+        mesh = square_mesh(1)
+        field = lambda x, y: (np.where(x > 0.5, np.nan, 0.0), 0.0 * x)
+        with pytest.raises(assembly.NonFiniteError, match="gradient field") as info:
+            ritz_project(mesh, field)
+        x, y = map(float, re.search(r"point \(([^,]+), ([^)]+)\)", str(info.value)).groups())
+        assert 0.5 < x < 1.0 and 0.0 < y < 1.0
 
     def test_galerkin_orthogonality(self):
         mesh = square_mesh(3)

@@ -276,6 +276,67 @@ class TestRefinedTopology:
         assert mesh.num_triangles == 64 * root.num_triangles
 
 
+def cut_out_interior_pattern(mesh):
+    """The interior block of `matrix_pattern()` and each entry's source, read
+    off an owner array over the whole pattern."""
+    indptr, indices, diagonal, off_diagonal = mesh.matrix_pattern()
+    nv, ne = mesh.num_vertices, off_diagonal.shape[1]
+    interior = ~mesh.boundary_vertex
+    kept = np.repeat(interior, np.diff(indptr)) & interior[indices]
+    owner = np.empty(indices.size, dtype=np.int32)
+    owner[diagonal] = np.arange(nv, dtype=np.int32)
+    owner[off_diagonal] = np.arange(nv, nv + ne, dtype=np.int32)
+    renumber = np.cumsum(interior, dtype=np.int32) - 1
+    block_indptr = np.zeros(mesh.interior_vertices.size + 1, dtype=np.int32)
+    np.cumsum(np.add.reduceat(kept, indptr[:-1], dtype=np.int32)[interior],
+              out=block_indptr[1:])
+    return block_indptr, renumber[indices[kept]], owner[kept]
+
+
+def check_interior_builders(mesh, levels):
+    """Refine `levels` times; on every mesh, the interior pattern and
+    prolongation must equal the blocks cut out of the whole-mesh pattern
+    and prolongation bit for bit and in dtype."""
+    for level in range(levels + 1):
+        if level:
+            mesh = refine_uniform(mesh)
+        # Built first, so that neither reads the whole-mesh constructions.
+        pattern = mesh.interior_pattern()
+        p = mesh.interior_prolongation()
+        for name, array, expected in zip(("indptr", "indices", "source"), pattern,
+                                         cut_out_interior_pattern(mesh)):
+            assert array.dtype == expected.dtype, (level, name)
+            np.testing.assert_array_equal(array, expected, err_msg=f"{level} {name}")
+        if mesh.parent is None:
+            assert p is None
+            continue
+        expected = mesh.prolongation()[mesh.interior_vertices][:, mesh.parent.interior_vertices]
+        assert p.shape == expected.shape
+        for name in ("indptr", "indices", "data"):
+            array = getattr(p, name)
+            assert array.dtype == getattr(expected, name).dtype, (level, name)
+            np.testing.assert_array_equal(array, getattr(expected, name),
+                                          err_msg=f"{level} {name}")
+
+
+class TestInteriorBuilders:
+    @pytest.mark.parametrize("polygon", [PENTAGON, UNIT_SQUARE,
+                                         [(0.0, 0.0), (2.0, 0.3), (2.5, 1.5), (1.0, 2.2),
+                                          (-0.4, 1.0)]])
+    def test_match_whole_mesh_blocks(self, polygon):
+        root = triangulate_convex_polygon(Polygon(polygon))
+        # The level-0 fan has one interior vertex and no interior edge.
+        assert root.interior_vertices.size == 1
+        assert not (~root.boundary_vertex[root.edges()]).all(axis=1).any()
+        check_interior_builders(root, 5)
+
+    def test_without_interior_vertices(self):
+        # One triangle, and its first refinement, have no interior vertex.
+        root = TriMesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])
+        assert refine_uniform(root).interior_vertices.size == 0
+        check_interior_builders(root, 2)
+
+
 class TestMeshSize:
     def test_single_right_triangle(self):
         mesh = TriMesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])
