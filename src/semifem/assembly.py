@@ -168,14 +168,14 @@ def element_samples(mesh, points, coeffs=()):
 def vertex_edge_sums(mesh, upper):
     """Sum symmetric element matrices per vertex and per edge.
 
-    upper has shape (6, nt): row i holds entry i of every element matrix,
-    in the order (0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2) of its
-    triangle's local vertices. Returns the (nv + ne,) values of the
-    assembled matrix: the diagonal entry of every vertex, then the entry
-    of every edge of `mesh.edges()`. The diagonal entries are summed per
-    vertex in the order local vertex 0, 1, 2 of triangles 0, 1, ..., and
-    the off-diagonal ones per edge, whose at most two terms give the same
-    sum in either order.
+    upper has shape (6, nt), or is a sequence of six (nt,) rows: row i
+    holds entry i of every element matrix, in the order (0, 0), (1, 1),
+    (2, 2), (0, 1), (1, 2), (0, 2) of its triangle's local vertices.
+    Returns the (nv + ne,) values of the assembled matrix: the diagonal
+    entry of every vertex, then the entry of every edge of `mesh.edges()`.
+    The diagonal entries are summed per vertex in the order local vertex
+    0, 1, 2 of triangles 0, 1, ..., and the off-diagonal ones per edge,
+    whose at most two terms give the same sum in either order.
     """
     nv = mesh.num_vertices
     sums = np.zeros(nv + mesh.edges().shape[0])

@@ -138,8 +138,8 @@ def _unique_edges(triangles, nv):
     edges (0, 1), (1, 2), (2, 0) of every triangle. Returns the sorted
     unique vertex pairs as an (ne, 2) array in lexicographic order, the
     (nt, 3) ids of local edge j = (j, j + 1) of each triangle into that
-    array (int32, since every mesh of a hierarchy keeps them), and how
-    many triangles share each edge. The lexicographic order is the
+    array (both int32, since every mesh of a hierarchy keeps them), and
+    how many triangles share each edge. The lexicographic order is the
     canonical edge numbering: `refine_uniform` appends the midpoint of
     edge e as vertex nv + e, and `TriMesh.prolongation` interpolates it
     from the same pair, so the two always agree.
@@ -149,7 +149,7 @@ def _unique_edges(triangles, nv):
         a, b = triangles[:, j], triangles[:, (j + 1) % 3]
         keys[:, j] = np.minimum(a, b) * nv + np.maximum(a, b)
     keys, ids, counts = np.unique(keys.ravel(), return_inverse=True, return_counts=True)
-    edges = np.column_stack(np.divmod(keys, nv))
+    edges = np.column_stack(np.divmod(keys, nv)).astype(np.int32)
     return edges, ids.reshape(-1, 3).astype(np.int32), counts
 
 
@@ -178,7 +178,7 @@ def _edge_slots(edges, nv):
     np.add(ids, lower_through[lo], out=slots[0])
     # The i-th end hi in the order of hi, at vertex v, has i ends hi and
     # first_run[v] ends lo before it.
-    slots[1, np.argsort(hi.astype(np.int32), kind="stable")] = ids + np.repeat(first_run, lower)
+    slots[1, np.argsort(hi, kind="stable")] = ids + np.repeat(first_run, lower)
     return slots, first_run + lower_through
 
 
@@ -247,7 +247,7 @@ class TriMesh:
     vertices : ndarray, shape (nv, 2)
         Vertex coordinates. For a refined mesh the parent vertices occupy
         the leading indices with identical coordinates.
-    triangles : ndarray, shape (nt, 3)
+    triangles : ndarray of int64, shape (nt, 3)
         Vertex indices per triangle, counter-clockwise.
     boundary_vertex : ndarray of bool, shape (nv,)
         True exactly for vertices lying on an edge shared by one triangle.
@@ -269,7 +269,9 @@ class TriMesh:
     numbers them: that numbering is `edges()`, and each triangle's three
     edge ids, `triangle_edges()`, serve `refine_uniform` and the
     assemblers. `refine_uniform` derives the same arrays of a child from its parent's,
-    with no pass over the child's edges.
+    with no pass over the child's edges. Both are int32, as every mesh of
+    a hierarchy keeps them; the triangles stay int64, whose gathers and
+    scatters on the solver's hot path are faster than with int32 indices.
     """
 
     def __init__(self, vertices, triangles):
@@ -322,7 +324,6 @@ class TriMesh:
         self._signed_areas = areas
         self._prolongation = None
         self._interior_prolongation = None
-        self._interior_restriction = None
         self._matrix_pattern = None
         self._interior_pattern = None
 
@@ -335,7 +336,7 @@ class TriMesh:
         return self.triangles.shape[0]
 
     def edges(self):
-        """Unique edges as a lexicographically sorted (ne, 2) index array."""
+        """Unique edges as a lexicographically sorted, read-only (ne, 2) int32 array."""
         return self._edges
 
     def triangle_edges(self):
@@ -376,7 +377,9 @@ class TriMesh:
         vertex lies on a parent boundary edge. Built once per mesh from the
         parent's edges, without `prolongation`: 1 at every interior parent
         vertex, and 1/2 at each interior end of the parent edge of every
-        interior midpoint. None without parent.
+        interior midpoint. None without parent. Its transpose view `.T`,
+        a CSC matrix on the same arrays, is the restriction, so no second
+        matrix is kept.
         """
         if self._interior_prolongation is None and self.parent is not None:
             parent = self.parent
@@ -395,12 +398,6 @@ class TriMesh:
             self._interior_prolongation = sparse.csr_matrix(
                 (data, indices, indptr), shape=(self.interior_vertices.size, ni))
         return self._interior_prolongation
-
-    def interior_restriction(self):
-        """Transpose of `interior_prolongation` in CSR format. None without parent."""
-        if self._interior_restriction is None and self.parent is not None:
-            self._interior_restriction = self.interior_prolongation().T.tocsr()
-        return self._interior_restriction
 
     def matrix_pattern(self):
         """Sparsity pattern of P1 matrices and where vertices and edges sit in it.
@@ -500,11 +497,12 @@ def refine_uniform(mesh):
     middle triangle (`CHILD_CORNERS`). This is the only function that
     sets a mesh's `parent` and `level`.
 
-    The child's edges, triangle edge ids and boundary flags follow from
-    the parent's numbering (`_refined_topology`), equal to what the
+    The child's int32 edges, triangle edge ids and boundary flags follow
+    from the parent's numbering (`_refined_topology`), equal to what the
     constructor's `_unique_edges` would find, so no pass over the 3 nt
-    child edge keys runs. The child's signed areas are computed and
-    checked positive as in the constructor.
+    child edge keys runs; the keys of its one sort stay int64. The
+    child's signed areas are computed and checked positive as in the
+    constructor.
     """
     edges = mesh.edges()
     midpoints = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
@@ -538,8 +536,8 @@ def _refined_topology(mesh):
     triangle_edges = mesh.triangle_edges()
     ne, nt = parent_edges.shape[0], triangle_edges.shape[0]
     slots, _ = _edge_slots(parent_edges, nc)
-    midpoint_vertices = np.arange(nc, nc + ne)
-    edges = np.empty((2 * ne + 3 * nt, 2), dtype=np.int64)
+    midpoint_vertices = np.arange(nc, nc + ne, dtype=np.int32)
+    edges = np.empty((2 * ne + 3 * nt, 2), dtype=np.int32)
     halves = edges[:2 * ne]
     for end in range(2):
         halves[slots[end], 0] = parent_edges[:, end]

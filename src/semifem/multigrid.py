@@ -14,15 +14,19 @@ The coarse operators are built as data on each mesh's fixed patterns,
 with no sparse product: nested P1 stiffness is Galerkin-exact, P^T K P =
 K_H, so a coarse level is its own mesh's stiffness plus the reaction rows
 mapped element by element to the parent (`assembly.coarsen_upper`). One
-rule builds every level, fine or coarse: the reaction rows are summed per
-vertex and per edge (`assembly.vertex_edge_sums`), the mesh's read-only
-stiffness sums (`assembly.stiffness_sums`, built once per mesh) are added
-to those nv + ne values, and the interior block is one gather of them
-(`assembly.values_interior_block`), so no data array of the whole
+rule builds every level, fine or coarse: the reaction rows are first
+coarsened for the parent, then summed per vertex and per edge
+(`assembly.vertex_edge_sums`), the mesh's read-only stiffness sums
+(`assembly.stiffness_sums`, built once per mesh) are added to those
+nv + ne values, and the rows are dropped before the interior block is
+one gather of the values (`assembly.values_interior_block`), so no
+level's rows outlive their coarsening and no data array of the whole
 pattern is made; the Jacobi diagonal is read off the vertex sums. A fine
 boundary vertex never prolongates from an interior coarse one, so the
 interior block of the full product is the product of the interior
-blocks.
+blocks. The restriction is P.T, the CSC view of the prolongation P,
+whose product sums the terms of every coarse entry in increasing fine
+index, as a CSR copy of P^T would, so no second matrix is kept.
 
 One rule ends the chain: it descends while the system has more than
 DENSE_COARSE_SIZE unknowns and a coarser space exists, that is, the mesh
@@ -96,18 +100,18 @@ def _jacobi_weights(a, diag):
     return min(SMOOTHING_WEIGHT, 1.9 / gershgorin) / diag
 
 
-def _interior_operator(mesh, reaction):
-    """Interior block of the mesh's stiffness plus the matrix of the element rows reaction.
+def _operator_values(mesh, rows):
+    """Vertex and edge values of the mesh's stiffness plus the matrix of the element rows.
 
-    Returns the block and its diagonal. The sum is taken on the vertex and
-    edge values, so no entry that sums to exactly zero leaves the mesh's
+    rows None gives the mesh's read-only stiffness sums. The sum is taken
+    on the values, so no entry that sums to exactly zero leaves the mesh's
     pattern, as scipy's sparse + would drop it.
     """
-    values = stiffness_sums(mesh)
-    if reaction is not None:
-        values = vertex_edge_sums(mesh, reaction)
-        values += stiffness_sums(mesh)
-    return values_interior_block(mesh, values), values[mesh.interior_vertices]
+    if rows is None:
+        return stiffness_sums(mesh)
+    values = vertex_edge_sums(mesh, rows)
+    values += stiffness_sums(mesh)
+    return values
 
 
 class VCycle:
@@ -120,38 +124,48 @@ class VCycle:
         to the first system of at most DENSE_COARSE_SIZE unknowns, to the
         root, or to the last mesh above an ancestor without interior
         vertices.
-    reaction : ndarray of shape (6, nt), optional
-        Element rows, in the layout of `assembly.vertex_edge_sums`, of a
-        symmetric positive semidefinite matrix added to the stiffness, such
-        as `assembly.assemble_slope_matrix(..., rows=True)` or
-        `assembly.mass_upper`; None for the Poisson operator.
+    reaction : callable, optional
+        Called once with no argument, it returns the (6, nt) element rows,
+        in the layout of `assembly.vertex_edge_sums`, of a symmetric
+        positive semidefinite matrix added to the stiffness, such as
+        `assembly.assemble_slope_matrix(..., rows=True)` or
+        `assembly.mass_upper`; None for the Poisson operator. The cycle
+        drops each level's rows once they are coarsened for the parent and
+        summed, before it gathers that level's interior block, so rows that
+        reaction keeps no reference to never outlive that step.
 
     The operator A is the block of the mesh's stiffness + reaction on the
     interior unknowns, `mesh.interior_vertices` in that order; it is kept
     as the CSR matrix `matrix`, which the caller's CG can use. The coarse
     operators are built once here, so build one instance per operator.
     Each smoothed level keeps one record (operator, Jacobi weights,
-    prolongation P, restriction P^T as CSR); P and P^T are the ones each
-    mesh builds once and caches. The instance holds matrices only, no
-    reference to the mesh or to the reaction rows, and forms no reference
-    cycle.
+    prolongation P as CSR, restriction P.T); P is the one each mesh builds
+    once and caches, and P.T its CSC view on the same arrays, made once
+    per level rather than at each application. The instance holds
+    matrices only, no reference to the mesh or to the reaction, and forms
+    no reference cycle.
     """
 
     def __init__(self, mesh, reaction=None):
-        a, diag = _interior_operator(mesh, reaction)
-        self.matrix = a
+        rows = None if reaction is None else reaction()
         self._levels = []
-        while mesh.parent is not None and a.shape[0] > DENSE_COARSE_SIZE:
-            p, restriction = mesh.interior_prolongation(), mesh.interior_restriction()
-            if p.shape[1] == 0:
+        while True:
+            coarser = (mesh.parent is not None and mesh.interior_vertices.size > DENSE_COARSE_SIZE
+                       and mesh.parent.interior_vertices.size > 0)
+            # P^T K P = K_H: the parent's own stiffness, plus this level's
+            # rows carried one level down.
+            coarse_rows = coarsen_upper(rows) if coarser and rows is not None else None
+            values = _operator_values(mesh, rows)
+            rows = coarse_rows
+            a = values_interior_block(mesh, values)
+            diag = values[mesh.interior_vertices]
+            del values
+            if not coarser:
                 break
-            self._levels.append((a, _jacobi_weights(a, diag), p, restriction))
+            p = mesh.interior_prolongation()
+            self._levels.append((a, _jacobi_weights(a, diag), p, p.T))
             mesh = mesh.parent
-            # P^T K P = K_H: the parent's own stiffness, plus the reaction's
-            # rows carried one level down. Rows come out sorted by construction.
-            if reaction is not None:
-                reaction = coarsen_upper(reaction)
-            a, diag = _interior_operator(mesh, reaction)
+        self.matrix = self._levels[0][0] if self._levels else a
         self._coarse_solve = _exact_solver(a)
 
     def __call__(self, r):

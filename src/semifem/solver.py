@@ -436,11 +436,11 @@ def _newton(mesh, d, load, cfg, start, stats, requested):
         """Interior unknowns x of J x = rhs by V-cycle CG to tol.
 
         J is the interior block of the stiffness plus the matrix of the
-        element rows reaction (None: the stiffness alone). Passed as a
-        temporary, the rows are freed once the cycle is built, before CG.
+        element rows that reaction() returns (None: the stiffness alone).
+        The cycle calls it, so no frame here holds the rows, which it frees
+        as it builds its levels.
         """
         cycle = VCycle(mesh, reaction)
-        del reaction
         block = cycle.matrix
         x, used = cg_solve(block, rhs, tol, preconditioner=cycle)
         stats.levels[-1].cg_iterations += used
@@ -492,8 +492,8 @@ def _newton(mesh, d, load, cfg, start, stats, requested):
         forcing_tol = CG_TOL if res_norm == 0.0 else max(
             CG_TOL, FORCING * min(target, res_norm) / res_norm)
         delta[interior] = correction(
-            reaction_terms(assemble_slope_matrix, FemFunction(mesh, u + tau),
-                           FemFunction(mesh, u - tau), tau, quad, rows=True),
+            lambda: reaction_terms(assemble_slope_matrix, FemFunction(mesh, u + tau),
+                                   FemFunction(mesh, u - tau), tau, quad, rows=True),
             -res[interior], forcing_tol)
         try:
             step, u, res = _line_search(residual, u, delta, res, cfg.residual_tol, scale)

@@ -56,6 +56,16 @@ class TestErrorL2:
         w = prolongate(u, fine)
         assert error_l2(u, w) <= 1e-14
 
+    def test_mass_values_from_two_rows(self):
+        # The discrete norm's mass values are summed from the two distinct
+        # element rows of `assembly.mass_upper`, bit for bit as from its
+        # (6, nt) stack.
+        pentagon = refine_uniform(triangulate_convex_polygon(preset_polygon("pentagon")))
+        for mesh in (square_mesh(3), pentagon):
+            np.testing.assert_array_equal(
+                analysis._mass_sums(mesh).view(np.uint64),
+                assembly.vertex_edge_sums(mesh, assembly.mass_upper(mesh)).view(np.uint64))
+
     def test_non_nested_truth_rejected(self):
         from semifem.mesh import MeshError
         coarse = square_mesh(2)

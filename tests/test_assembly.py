@@ -21,8 +21,8 @@ from semifem.mesh import (TriMesh, locate_point, preset_polygon, read_mesh,
                           refine_uniform, triangulate_convex_polygon, write_mesh)
 from semifem.multigrid import VCycle
 from semifem.nonlinearity import PowerLaw, cut
-from semifem.quadrature import edge_midpoint_rule, seven_point_rule, shipped_rules
-from semifem.solver import solve_semilinear
+from semifem.quadrature import edge_midpoint_rule, rule_of_degree, seven_point_rule, shipped_rules
+from semifem.solver import SolverConfig, solve_semilinear
 from test_multigrid import steep_slope_rows
 
 HAND_STIFFNESS = np.array([[1.0, -0.5, -0.5],
@@ -767,12 +767,17 @@ def test_peak_allocation_per_triangle():
     # load gathers no nodal values (91 B when it interpolated zeros, one
     # point at a time), and the scatter reads its index columns in place (124 B for stiffness
     # and slope when it flattened them for one bincount). The V-cycle of a
-    # steep Jacobian, from its element rows, peaks at 62 B in the build of
-    # its second level, as the Gershgorin sums copy the operator's data in
-    # absolute value one block of rows at a time (67 B, in the fine
-    # level's sums, when they copied all of it at once; 58 B when the level
-    # was cut out of a scatter on the whole pattern and the sums were taken
-    # in place, with a masked sign restore).
+    # steep Jacobian, from element rows the caller keeps, peaks at 71 B in
+    # the Gershgorin sums of its fine level, while the parent's rows,
+    # coarsened before the fine ones are summed, are alive (62 B, in the
+    # build of its second level, when each level was coarsened after its
+    # fine block was built; 67 B when the Gershgorin sums copied all of the
+    # operator's data in absolute value at once rather than one block of
+    # rows at a time). Built from rows that only the cycle holds, as a
+    # Newton step builds it, with the solver's default rule, the slope rows
+    # and the cycle peak at 77 B in the fine level's vertex and edge sums,
+    # with the fine and the parent's rows alive (110 B when the caller kept
+    # the rows alive through the build).
     mesh = pentagon(7)
     mesh.matrix_pattern()
     ritz_project(mesh, smooth_grad)
@@ -793,10 +798,13 @@ def test_peak_allocation_per_triangle():
         "h1": lambda: error_h1semi(u, smooth_grad),
         "linf": lambda: error_linf(u, smooth_value),
         "ritz": lambda: ritz_project(mesh, smooth_grad),
-        "vcycle": lambda: VCycle(mesh, steep),
+        "vcycle": lambda: VCycle(mesh, lambda: steep),
+        "slope rows + cycle build": lambda: VCycle(mesh, lambda: assemble_slope_matrix(
+            mesh, d, u, v, 1e-6, rule_of_degree(SolverConfig().quad_degree), rows=True)),
     }
     bounds = {"stiffness": 85, "load": 80, "residual": 80, "slope": 150,
-              "l2": 48, "h1": 56, "linf": 48, "ritz": 200, "vcycle": 75}
+              "l2": 48, "h1": 56, "linf": 48, "ritz": 200, "vcycle": 75,
+              "slope rows + cycle build": 85}
     peaks = {}
     for name, assemble in assemblers.items():
         tracemalloc.start()

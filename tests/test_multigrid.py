@@ -77,7 +77,7 @@ def test_iterations_bounded_across_levels(level):
 def test_vcycle_symmetric_positive():
     mesh = pentagon_mesh(4)
     i = mesh.interior_vertices
-    cycle = VCycle(mesh, mass_upper(mesh))
+    cycle = VCycle(mesh, lambda: mass_upper(mesh))
     rng = np.random.default_rng(3)
     r, s = rng.standard_normal((2, i.size))
     left, right = s @ cycle(r), r @ cycle(s)
@@ -98,6 +98,67 @@ def test_smoothed_operators_have_sorted_indices():
         assert np.all(np.diff(rows * a.shape[1] + a.indices) > 0)
 
 
+def test_cycle_frees_each_levels_rows(monkeypatch):
+    # The cycle calls its reaction once and holds the only reference to
+    # the rows: each level's rows are coarsened for the parent and summed,
+    # then freed before that level's interior block is gathered, so no
+    # level's rows survive the build.
+    import semifem.multigrid as multigrid
+    mesh = pentagon_mesh(6)
+    refs, dead = [], []
+
+    def reaction():
+        rows = steep_slope_rows(mesh)
+        refs.append(weakref.ref(rows))
+        return rows
+
+    def coarsening(upper):
+        coarse = coarsen_upper(upper)
+        refs.append(weakref.ref(coarse))
+        return coarse
+
+    def gather(mesh, values):
+        dead.append(refs[len(dead)]() is None)
+        return values_interior_block(mesh, values)
+
+    monkeypatch.setattr(multigrid, "coarsen_upper", coarsening)
+    monkeypatch.setattr(multigrid, "values_interior_block", gather)
+    gc.disable()
+    try:
+        cycle = VCycle(mesh, reaction)
+        assert len(cycle._levels) == 3
+        assert len(refs) == 4 and dead == [True] * 4
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
+
+
+def test_newton_slope_rows_die_before_the_fine_gather(monkeypatch):
+    # No frame of the Newton loop holds a step's slope rows: they are dead
+    # at every gather of an interior block, the fine one included.
+    import semifem.multigrid as multigrid
+    import semifem.solver as solver
+    refs, alive = [], []
+
+    def slope(*args, **kwargs):
+        rows = assemble_slope_matrix(*args, **kwargs)
+        refs.append(weakref.ref(rows))
+        return rows
+
+    def gather(mesh, values):
+        alive.extend(ref() is not None for ref in refs)
+        return values_interior_block(mesh, values)
+
+    monkeypatch.setattr(solver, "assemble_slope_matrix", slope)
+    monkeypatch.setattr(multigrid, "values_interior_block", gather)
+    gc.disable()
+    try:
+        solve_semilinear(pentagon_mesh(5), PowerLaw(scale=50.0, exponent=1 / 3, shift=-1.0), ONE)
+    finally:
+        gc.enable()
+    assert refs and alive and not any(alive)
+
+
 def copied_jacobi_weights(a):
     """The Jacobi weights by the Gershgorin sums over a copy of |a|."""
     diag = a.diagonal()
@@ -112,7 +173,7 @@ def test_jacobi_weights_keep_the_operator_bits(reaction):
     # copy of |a| with scipy's diagonal, bit for bit, signed zeros included.
     mesh = pentagon_mesh(6)
     rows = None if reaction == "none" else steep_slope_rows(mesh)
-    levels = VCycle(mesh, rows)._levels
+    levels = VCycle(mesh, None if rows is None else lambda: rows)._levels
     assert len(levels) == 3
     if rows is None:
         expected = []
@@ -138,7 +199,7 @@ def test_vcycle_positive_definite_on_steep_jacobian():
     i = mesh.interior_vertices
     slope = steep_slope_rows(mesh)
     jacobian = (assemble_stiffness(mesh) + pattern_matrix(mesh, slope))[i][:, i]
-    cycle = VCycle(mesh, slope)
+    cycle = VCycle(mesh, lambda: slope)
     (_, weight, _, _), = cycle._levels
     # omega lambda_max(D^-1 J) = lambda_max(W^1/2 J W^1/2) with W = omega D^-1.
     root = np.sqrt(weight)
@@ -243,7 +304,8 @@ def product_chain(mesh, matrix, depth):
     a = matrix[i][:, i]
     chain = [a]
     for _ in range(depth):
-        a = mesh.interior_restriction() @ (a @ mesh.interior_prolongation())
+        p = mesh.interior_prolongation()
+        a = (p.T @ (a @ p)).tocsr()
         a.sort_indices()
         chain.append(a)
         mesh = mesh.parent
@@ -301,7 +363,7 @@ def test_coarse_operators_match_sparse_products(name, domain, level, reaction):
     # matrices, bit for bit.
     mesh = refined(domain, level)
     rows = mass_upper(mesh) if reaction == "mass" else steep_slope_rows(mesh)
-    levels = VCycle(mesh, rows)._levels
+    levels = VCycle(mesh, lambda: rows)._levels
     assert len(levels) == level - 3
     reference = product_chain(mesh, assemble_stiffness(mesh) + pattern_matrix(mesh, rows),
                               len(levels))

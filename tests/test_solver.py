@@ -725,13 +725,15 @@ def test_cold_level8_kink_solve_bounded_work():
 def test_cold_level9_kink_solve_bounded_work():
     # 1.3 M triangles, about 4 s on a 2-CPU VM, in a fresh process so that
     # its peak RSS is the check's own. Refinement to level 9 leaves the RSS
-    # at 229-235 MiB (492 MiB when each child numbered its edges by one
-    # np.unique over 3 nt keys); the whole check peaks at 535-536 MiB in
-    # the Newton Jacobian path (37 Newton steps and 61 CG iterations over
-    # the ten meshes). It peaked at 611-613 MiB when each Newton step
-    # scattered a stiffness matrix of the whole mesh and the Gershgorin
-    # sums copied all of the operator's data, and at 690-700 MiB when the
-    # element kernels made one pass over all triangles.
+    # at 213-214 MiB (229-235 MiB with int64 edges, 492 MiB when each child
+    # numbered its edges by one np.unique over 3 nt keys); the whole check
+    # peaks at 469 MiB in the Newton Jacobian path (37 Newton steps and 61
+    # CG iterations over the ten meshes). Both bounds keep a margin of
+    # about 12 %. It peaked at 535-540 MiB when the Newton loop held each
+    # step's slope rows through the V-cycle build, at 611-613 MiB when each
+    # Newton step scattered a stiffness matrix of the whole mesh and the
+    # Gershgorin sums copied all of the operator's data, and at 690-700 MiB
+    # when the element kernels made one pass over all triangles.
     script = ("import resource, test_solver\n"
               "mesh = test_solver.pentagon_mesh(9)\n"
               "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
@@ -744,8 +746,8 @@ def test_cold_level9_kink_solve_bounded_work():
     assert child.returncode == 0, child.stderr
     # ru_maxrss is in KiB.
     refined_mib, peak_mib = (int(kib) / 1024 for kib in child.stdout.split()[-2:])
-    assert refined_mib <= 350
-    assert peak_mib <= 600
+    assert refined_mib <= 240
+    assert peak_mib <= 525
 
 
 @pytest.mark.slow
