@@ -6,11 +6,12 @@ the right-hand side it solves) or against a discrete reference on a
 nested finer mesh; in the discrete case the coarse function is
 transferred exactly, so the computed norms are exact for P1 functions,
 and their quadratic forms are read off the mass and stiffness matrices'
-vertex and edge values (`assembly.vertex_edge_sums`), with no CSR matrix.
-The closed-form norms and the load of the Ritz projection walk the
-elements by `assembly.element_samples`, as the assembly kernels do: each
-calls its truth once per block on all quadrature or lattice points of
-the block's elements, so their temporaries are of the block's size.
+vertex and edge values (`assembly.mass_sums`, `assembly.stiffness_sums`),
+with no CSR matrix. The closed-form norms and the load of the Ritz
+projection walk the elements by `assembly.element_samples`, as the
+assembly kernels do: each calls its truth once per block on all
+quadrature or lattice points of the block's elements, so their
+temporaries are of the block's size.
 """
 
 import math
@@ -24,8 +25,7 @@ import numpy as np
 # stay importable because benchmarks/tracing.py wraps them by name in this
 # namespace.
 from .assembly import (assemble_mass, assemble_stiffness, basis_gradients, check_finite,
-                       element_samples, scatter_vector, stiffness_sums,
-                       vertex_edge_sums)
+                       element_samples, mass_sums, scatter_vector, stiffness_sums)
 from .femfunction import FemFunction, prolongate
 from .mesh import TriMesh, mesh_size, preset_polygon, refine_uniform, \
     triangulate_convex_polygon
@@ -100,17 +100,6 @@ def _values_norm(values, terms):
     return float(np.sqrt(values[:nv] @ squares + 2.0 * (values[nv:] @ products)))
 
 
-def _mass_sums(mesh):
-    """The mesh's mass matrix as vertex and edge values.
-
-    Its element rows (`assembly.mass_upper`) are 2/12 of the areas three
-    times, then 1/12 of them three times; the two distinct rows are
-    passed, not their (6, nt) stack.
-    """
-    areas = mesh.signed_areas()
-    return vertex_edge_sums(mesh, (2.0 / 12.0 * areas,) * 3 + (1.0 / 12.0 * areas,) * 3)
-
-
 def _element_means(samples):
     """Each element's `NORM_RULE` mean of flat point-major samples."""
     return np.einsum("i,ik->k", NORM_RULE.weights, samples.reshape(len(NORM_RULE), -1))
@@ -127,7 +116,7 @@ def error_l2(u_h, truth):
     """
     if isinstance(truth, FemFunction):
         mesh = truth.mesh
-        return _values_norm(_mass_sums(mesh), _square_terms(mesh, _nested_difference(u_h, truth)))
+        return _values_norm(mass_sums(mesh), _square_terms(mesh, _nested_difference(u_h, truth)))
     total = 0.0
     for _, _, areas, x, y, (uq,) in element_samples(u_h.mesh, NORM_RULE.points,
                                                     (u_h.coeffs,)):
@@ -438,7 +427,7 @@ def run_convergence_study(domain, d, f, levels, exact=None, extra_refinements=2,
         # reference mass values summed once, its stiffness values the mesh's
         # own, and each level transferred once and its square terms formed
         # once for both quadratic forms.
-        mass = _mass_sums(ref_mesh)
+        mass = mass_sums(ref_mesh)
         stiffness = stiffness_sums(ref_mesh)
         for record in report.records:
             e = _nested_difference(solutions[record.level], reference)

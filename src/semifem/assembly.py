@@ -6,23 +6,23 @@ sparsity pattern, `TriMesh.matrix_pattern()`, so every matrix of one
 mesh shares the pattern's `indptr` and `indices`. A symmetric P1 matrix
 has one value per vertex (its diagonal entry) and one per edge (both
 entries of the edge): the diagonal element entries are summed per vertex
-and the off-diagonal ones per edge into these nv + ne values, which are
-then written into the CSR data array. Assembly is vectorized over
-elements and deterministic, so repeated runs produce bitwise identical
-operators. Every matrix's values are the caller's own; the stiffness's
-are read-only, scattered from the mesh's vertex and edge sums, which the
-first `stiffness_sums` on a mesh builds and keeps, read-only, as long as
-the mesh lives, so the solver, the V-cycle's levels and the studies
-share one copy.
+and the off-diagonal ones per edge into these nv + ne values, and the
+CSR data array is one gather of them through the pattern's `source`
+map. Assembly is vectorized over elements and deterministic, so repeated
+runs produce bitwise identical operators. Every matrix's values are the
+caller's own; the stiffness's are read-only, gathered from the mesh's
+vertex and edge sums, which the first `stiffness_sums` on a mesh builds
+and keeps, read-only, as long as the mesh lives, so the solver, the
+V-cycle's levels and the studies share one copy.
 
 The element matrices themselves are data too: `stiffness_upper`,
-`mass_upper` and `assemble_slope_matrix(..., rows=True)` return their six
-distinct entries per triangle as (6, nt) rows, `vertex_edge_sums` sums
-such rows per vertex and per edge, and `pattern_matrix` writes the sums
-into a CSR matrix. `coarsen_upper` maps the rows of a refined mesh to
-those of the Galerkin product P^T A P on its parent, and
-`values_interior_block` gathers the block on the interior vertices of
-the matrix of given vertex and edge values, by one int32 map, with no
+`mass_upper` and `assemble_slope_matrix` return their six distinct
+entries per triangle as (6, nt) rows, `vertex_edge_sums` sums such rows
+per vertex and per edge, and `pattern_matrix` gathers the sums into a
+CSR matrix. `coarsen_upper` maps the rows of a refined mesh to those of
+the Galerkin product P^T A P on its parent, and `values_interior_block`
+gathers the block on the interior vertices of the matrix of given vertex
+and edge values through `TriMesh.interior_pattern()`'s map, with no
 full-pattern data array; `semifem.multigrid` builds its hierarchy from
 these.
 
@@ -194,22 +194,18 @@ def pattern_matrix(mesh, upper):
     upper is laid out as for `vertex_edge_sums`, whose every edge sum
     fills both CSR entries of its edge.
     """
-    return _values_matrix(mesh, vertex_edge_sums(mesh, upper))
+    return _gathered(mesh.matrix_pattern(), vertex_edge_sums(mesh, upper))
 
 
-def _values_matrix(mesh, values):
-    """The CSR matrix on the mesh's pattern of vertex and edge values."""
-    indptr, indices, diagonal, off_diagonal = mesh.matrix_pattern()
-    data = np.empty(indices.size)
-    data[diagonal] = values[:mesh.num_vertices]
-    data[off_diagonal] = values[mesh.num_vertices:]
-    return _canonical(data, indptr, indices)
+def _gathered(pattern, values):
+    """The CSR matrix of vertex and edge values on a pattern (indptr, indices, source).
 
-
-def _canonical(data, indptr, indices):
-    """Square CSR matrix over arrays of a canonical pattern, sharing all three."""
+    Its data is values[source]; it shares the pattern's index arrays,
+    which are canonical.
+    """
+    indptr, indices, source = pattern
     n = indptr.size - 1
-    mat = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+    mat = sparse.csr_matrix((values[source], indices, indptr), shape=(n, n))
     mat.has_canonical_format = True
     return mat
 
@@ -232,10 +228,10 @@ def assemble_stiffness(mesh):
 
     Exact for P1 elements since the basis gradients are constant per
     triangle; every row of the result sums to zero and the matrix is
-    symmetric. Every call scatters the mesh's kept `stiffness_sums` into a
+    symmetric. Every call gathers the mesh's kept `stiffness_sums` into a
     new read-only data array over the pattern's index arrays.
     """
-    matrix = _values_matrix(mesh, stiffness_sums(mesh))
+    matrix = _gathered(mesh.matrix_pattern(), stiffness_sums(mesh))
     matrix.data.setflags(write=False)
     return matrix
 
@@ -266,7 +262,18 @@ def stiffness_upper(mesh):
 
 def assemble_mass(mesh):
     """Unconstrained P1 mass matrix, assembled in closed form per element."""
-    return pattern_matrix(mesh, mass_upper(mesh))
+    return _gathered(mesh.matrix_pattern(), mass_sums(mesh))
+
+
+def mass_sums(mesh):
+    """The mesh's mass values, as `vertex_edge_sums` gives them.
+
+    The element rows of `mass_upper` are 2/12 of the areas three times,
+    then 1/12 of them three times; the two distinct rows are summed, not
+    their (6, nt) stack.
+    """
+    areas = mesh.signed_areas()
+    return vertex_edge_sums(mesh, (_MASS_UPPER[0] * areas,) * 3 + (_MASS_UPPER[3] * areas,) * 3)
 
 
 def mass_upper(mesh):
@@ -339,8 +346,8 @@ def _hat_integrals(mesh, g, coeffs, quad, what):
     return scatter_vector(mesh, local)
 
 
-def assemble_slope_matrix(mesh, d, u, v, floor, quad, rows=False):
-    """Weighted mass matrix with the floored difference-quotient weight.
+def assemble_slope_matrix(mesh, d, u, v, floor, quad):
+    """Element rows of the weighted mass matrix with the floored difference-quotient weight.
 
     At every quadrature point the weight is
 
@@ -350,10 +357,11 @@ def assemble_slope_matrix(mesh, d, u, v, floor, quad, rows=False):
     kinks of a non-Lipschitz nonlinearity. d is called as d(x, y, u) on
     flat 1-D arrays holding all quadrature points of a block of elements,
     point-major, once at u and once at v, and must act elementwise; how
-    many calls one assembly makes is not part of the API. The result is
-    symmetric positive semidefinite. With rows True, the element matrices
-    are returned unassembled, as (6, nt) rows in the layout of
-    `vertex_edge_sums`, for `multigrid.VCycle` to sum and coarsen.
+    many calls one assembly makes is not part of the API. The element
+    matrices are returned unassembled, as (6, nt) rows in the layout of
+    `vertex_edge_sums`, for `multigrid.VCycle` to sum and coarsen;
+    `pattern_matrix` sums them into the matrix, which is symmetric positive
+    semidefinite.
 
     Raises
     ------
@@ -365,12 +373,6 @@ def assemble_slope_matrix(mesh, d, u, v, floor, quad, rows=False):
     _check_mesh(mesh, u, v)
     if floor <= 0.0:
         raise ValueError(f"slope floor must be positive, got {floor!r}")
-    upper = _slope_upper(mesh, d, u, v, floor, quad)
-    return upper if rows else pattern_matrix(mesh, upper)
-
-
-def _slope_upper(mesh, d, u, v, floor, quad):
-    """Element slope-matrix entries in the layout of `vertex_edge_sums`."""
     # Row s is weight i times the hat product of entry _UPPER[s] at point i.
     table = np.array([quad.weights * quad.points[:, a] * quad.points[:, c]
                       for a, c in _UPPER])
@@ -402,7 +404,7 @@ def coarsen_upper(upper):
     a parent, so every refined mesh has this layout.
     P being the nodal prolongation, each parent element matrix of P^T A P
     is a fixed linear map of its four children's element matrices, so the
-    returned (6, nt / 4) rows, scattered by `pattern_matrix` on the parent,
+    returned (6, nt / 4) rows, summed by `pattern_matrix` on the parent,
     give P^T A P. The children are read in blocks of `BLOCK`, so no copy of
     the whole input is made.
     """
@@ -423,8 +425,7 @@ def values_interior_block(mesh, values):
     canonical CSR matrix that shares the index arrays of
     `mesh.interior_pattern()`.
     """
-    indptr, indices, source = mesh.interior_pattern()
-    return _canonical(values[source], indptr, indices)
+    return _gathered(mesh.interior_pattern(), values)
 
 
 def apply_dirichlet(matrix, rhs, mesh):

@@ -72,9 +72,12 @@ def prolongate(u, fine):
     """Express a coarse-mesh function exactly on a nested finer mesh.
 
     `fine` must be obtained from u's mesh by repeated uniform refinement.
-    Each level applies the mesh's cached `prolongation`: midpoint vertices
-    receive the average of their edge endpoints, which reproduces the same
-    piecewise-linear function, so every norm is preserved exactly.
+    At each level the parent vertices keep their values and every midpoint
+    vertex nv_parent + e receives the mean of the ends of parent edge e,
+    which reproduces the same piecewise-linear function, so every norm is
+    preserved exactly. The sums are those of a product with the CSR matrix
+    of this transfer, bit for bit: adding 0.0 makes a negative zero
+    positive, as such a product's sums, which start from 0.0, do.
     """
     chain = []
     m = fine
@@ -86,7 +89,10 @@ def prolongate(u, fine):
                         "function's mesh")
     coeffs = u.coeffs
     for child in reversed(chain):
-        coeffs = child.prolongation() @ coeffs
+        ends = np.take(coeffs, child.parent.edges())
+        ends *= 0.5
+        coeffs = np.concatenate([coeffs, ends[:, 0] + ends[:, 1]])
+        coeffs += 0.0
     return FemFunction(fine, coeffs)
 
 

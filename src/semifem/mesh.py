@@ -4,9 +4,12 @@ Meshes are immutable after construction: the vertex, triangle and flag
 arrays are locked, so instances can be shared freely between threads.
 Refinement returns a new mesh that keeps a reference to its parent; parent
 vertices keep their indices and coordinates, which makes transfer between
-nested levels exact. The transfer matrix from the parent and the sparsity
-patterns of P1 matrices and of their interior blocks are built on first use
-and kept on the mesh, so they live exactly as long as it does.
+nested levels exact. The interior transfer matrix from the parent and the
+sparsity patterns of P1 matrices and of their interior blocks are built on
+first use and kept on the mesh, so they live exactly as long as it does.
+Both patterns carry, for every entry, the index of its value among a
+symmetric matrix's vertex and edge values: vertex v has value v, edge e
+of `edges()` value nv + e.
 """
 
 import numpy as np
@@ -141,7 +144,7 @@ def _unique_edges(triangles, nv):
     array (both int32, since every mesh of a hierarchy keeps them), and
     how many triangles share each edge. The lexicographic order is the
     canonical edge numbering: `refine_uniform` appends the midpoint of
-    edge e as vertex nv + e, and `TriMesh.prolongation` interpolates it
+    edge e as vertex nv + e, and `femfunction.prolongate` interpolates it
     from the same pair, so the two always agree.
     """
     keys = np.empty(triangles.shape, dtype=np.int64)
@@ -182,20 +185,22 @@ def _edge_slots(edges, nv):
     return slots, first_run + lower_through
 
 
-def _edge_pattern(edges, n):
-    """CSR pattern of n x n symmetric matrices with entries on the diagonal and on edges.
+def _edge_pattern(edges, vertex_ids, edge_ids):
+    """CSR pattern of symmetric matrices with entries on the diagonal and on edges.
 
-    edges are lexicographic (lo, hi) pairs of vertices 0..n-1. Returns
-    (indptr, indices, diagonal, off_diagonal): the canonical CSR pattern
-    with the n diagonal entries and the entries (lo, hi) and (hi, lo) of
-    every edge, and the positions in its data array of each vertex's
-    diagonal entry, shape (n,), and of the entries (lo, hi) and (hi, lo)
-    of every edge, shape (2, ne); all int32. Row r holds the ends of the
-    edges (lo, r) in the order of lo, then r, then the contiguous run of
-    edges (r, hi): the row lengths and the diagonal come from edge counts,
-    the entries (lo, hi) from the runs, and the entries (hi, lo) from the
-    one stable argsort of the ne ends hi in `_edge_slots`.
+    edges are lexicographic (lo, hi) pairs of vertices 0..n-1, n =
+    vertex_ids.size, and vertex_ids and edge_ids the int32 value indices
+    of every vertex and edge. Returns (indptr, indices, source): the
+    canonical n x n CSR pattern with the n diagonal entries and the
+    entries (lo, hi) and (hi, lo) of every edge, and for each of its
+    entries the value index of its vertex or edge; all int32. Row r holds
+    the ends of the edges (lo, r) in the order of lo, then r, then the
+    contiguous run of edges (r, hi): the row lengths and the diagonal come
+    from edge counts, the entries (lo, hi) from the runs, and the entries
+    (hi, lo) from the one stable argsort of the ne ends hi in
+    `_edge_slots`.
     """
+    n = vertex_ids.size
     lo, hi = edges[:, 0], edges[:, 1]
     # Row r holds the ends hi = r, then r, then the ends lo = r: the edge
     # slots of `_edge_slots` moved by the r or r + 1 diagonals before them.
@@ -211,7 +216,10 @@ def _edge_pattern(edges, n):
     indices[diagonal] = vertices
     indices[off_diagonal[0]] = hi
     indices[off_diagonal[1]] = lo
-    return indptr, indices, diagonal, off_diagonal
+    source = np.empty(indices.size, dtype=np.int32)
+    source[diagonal] = vertex_ids
+    source[off_diagonal] = edge_ids
+    return indptr, indices, source
 
 
 def _signed_areas(vertices, triangles):
@@ -237,6 +245,13 @@ def _check_areas(areas):
         k = int(np.argmin(valid))
         kind = "non-positive" if areas[k] <= 0.0 else "non-finite"
         raise MeshError(f"triangle {k} has {kind} signed area {areas[k]:.3e}")
+
+
+def _locked(arrays):
+    """The arrays, made read-only."""
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
 
 
 class TriMesh:
@@ -310,9 +325,8 @@ class TriMesh:
     def _adopt(self, vertices, triangles, areas, edges, triangle_edges, boundary_vertex):
         """Lock the arrays and set every attribute of a root mesh."""
         interior_vertices = np.flatnonzero(~boundary_vertex)
-        for array in (vertices, triangles, areas, boundary_vertex, interior_vertices,
-                      edges, triangle_edges):
-            array.setflags(write=False)
+        _locked((vertices, triangles, areas, boundary_vertex, interior_vertices, edges,
+                 triangle_edges))
         self.vertices = vertices
         self.triangles = triangles
         self.boundary_vertex = boundary_vertex
@@ -322,7 +336,6 @@ class TriMesh:
         self._edges = edges
         self._triangle_edges = triangle_edges
         self._signed_areas = areas
-        self._prolongation = None
         self._interior_prolongation = None
         self._matrix_pattern = None
         self._interior_pattern = None
@@ -350,34 +363,18 @@ class TriMesh:
         """Signed area of every triangle (positive by the class invariant)."""
         return self._signed_areas
 
-    def prolongation(self):
-        """Exact nodal transfer of P1 functions from the parent mesh.
-
-        Returns the (nv, nv_parent) CSR matrix whose rows are identity rows
-        for the parent vertices and rows with 1/2 at both endpoints of the
-        parent edge for the midpoint vertices, in `refine_uniform`'s
-        numbering; None for a mesh without parent. Built once per mesh.
-        """
-        if self._prolongation is None and self.parent is not None:
-            edges = self.parent.edges()
-            nc = self.parent.num_vertices
-            indptr = np.concatenate([np.arange(nc + 1),
-                                     nc + 2 * np.arange(1, edges.shape[0] + 1)])
-            indices = np.concatenate([np.arange(nc), edges.ravel()])
-            data = np.concatenate([np.ones(nc), np.full(edges.size, 0.5)])
-            self._prolongation = sparse.csr_matrix(
-                (data, indices, indptr), shape=(self.num_vertices, nc))
-        return self._prolongation
-
     def interior_prolongation(self):
-        """`prolongation` restricted to interior vertices on both meshes.
+        """Exact nodal transfer from the parent, on interior vertices of both meshes.
 
-        It is exact on the homogeneous Dirichlet spaces: a parent boundary
-        vertex carries a zero coefficient there, and every child boundary
-        vertex lies on a parent boundary edge. Built once per mesh from the
-        parent's edges, without `prolongation`: 1 at every interior parent
-        vertex, and 1/2 at each interior end of the parent edge of every
-        interior midpoint. None without parent. Its transpose view `.T`,
+        The nodal transfer of P1 functions keeps the parent vertices' values
+        and gives every midpoint vertex nv_parent + e the mean of the ends
+        of parent edge e. On the homogeneous Dirichlet spaces it is exact
+        with the interior vertices alone: a parent boundary vertex carries a
+        zero coefficient there, and every child boundary vertex lies on a
+        parent boundary edge. Returns the CSR matrix built once per mesh
+        from the parent's edges: 1 at every interior parent vertex, and 1/2
+        at each interior end of the parent edge of every interior midpoint.
+        None without parent. Its transpose view `.T`,
         a CSC matrix on the same arrays, is the restriction, so no second
         matrix is kept.
         """
@@ -400,43 +397,38 @@ class TriMesh:
         return self._interior_prolongation
 
     def matrix_pattern(self):
-        """Sparsity pattern of P1 matrices and where vertices and edges sit in it.
+        """Sparsity pattern of P1 matrices and where their values sit.
 
-        Returns (indptr, indices, diagonal, off_diagonal): the canonical
-        CSR pattern (sorted column indices, no duplicates) with an entry
-        for every pair of vertices that share a triangle; the position in
-        the CSR data array of each vertex's diagonal entry, shape (nv,);
-        and the positions of the entries (lo, hi) and (hi, lo) of every
-        edge (lo, hi) of `edges()`, shape (2, ne). All four are read-only
+        Returns (indptr, indices, source): the canonical CSR pattern
+        (sorted column indices, no duplicates) with an entry for every pair
+        of vertices that share a triangle, and for every entry the index of
+        its value among a symmetric matrix's vertex and edge values stacked
+        as one array: v for the diagonal entry of vertex v, nv + e for both
+        entries of edge e of `edges()`. The matrix with those values is
+        therefore `values[source]` on this pattern. All three are read-only
         int32 arrays, built once per mesh by `_edge_pattern`.
         """
         if self._matrix_pattern is None:
-            pattern = _edge_pattern(self._edges, self.num_vertices)
-            for array in pattern:
-                array.setflags(write=False)
-            self._matrix_pattern = pattern
+            nv = self.num_vertices
+            self._matrix_pattern = _locked(_edge_pattern(
+                self._edges, np.arange(nv, dtype=np.int32),
+                np.arange(nv, nv + self._edges.shape[0], dtype=np.int32)))
         return self._matrix_pattern
 
     def interior_pattern(self):
         """Sparsity pattern of the interior block of P1 matrices and where its values sit.
 
-        Returns (indptr, indices, source): the canonical CSR pattern of the
+        Returns (indptr, indices, source) as `matrix_pattern` does, for the
         block matrix[i][:, i], i = `interior_vertices`, in the numbering of
-        i, and for every entry of the block the index of its value among a
-        symmetric matrix's vertex and edge values stacked as one array: v
-        for the diagonal entry of vertex v, nv + e for both entries of edge
-        e of `edges()`. The block of the matrix with those values is
-        therefore `values[source]`. All three are read-only int32 arrays,
-        built once per mesh by `_edge_pattern` on the edges between two
-        interior vertices, renumbered by i, which stay lexicographic; no
-        pattern of the whole mesh is made. At level 8 (164 481 vertices,
-        1.15 M block entries; 2-CPU VM) its first build takes 40-44 ms with
-        a traced peak of 21.9 MiB and keeps 9.3 MiB, against 52-70 ms, a
-        25.0 MiB peak and 18.7 MiB kept when it was cut out of
-        `matrix_pattern`, which it built first.
+        i: the block of the matrix with given vertex and edge values is
+        `values[source]`. All three are read-only int32 arrays, built once
+        per mesh by `_edge_pattern` on the edges between two interior
+        vertices, renumbered by i, which stay lexicographic; no pattern of
+        the whole mesh is made. At level 8 (164 481 vertices, 1.15 M block
+        entries; 2-CPU VM) its first build takes 34-46 ms with a traced
+        peak of 21.3 MiB and keeps 9.3 MiB.
         """
         if self._interior_pattern is None:
-            nv = self.num_vertices
             interior = ~self.boundary_vertex
             renumber = np.cumsum(interior, dtype=np.int32) - 1
             inner = np.flatnonzero(
@@ -445,17 +437,10 @@ class TriMesh:
             inner_edges = np.empty((inner.size, 2), dtype=np.int32)
             for end in range(2):
                 inner_edges[:, end] = renumber[self._edges[inner, end]]
-            indptr, indices, diagonal, off_diagonal = _edge_pattern(
-                inner_edges, self.interior_vertices.size)
-            del inner_edges
-            source = np.empty(indices.size, dtype=np.int32)
-            source[diagonal] = self.interior_vertices
-            inner += nv
-            source[off_diagonal] = inner
-            pattern = (indptr, indices, source)
-            for array in pattern:
-                array.setflags(write=False)
-            self._interior_pattern = pattern
+            del renumber
+            inner += self.num_vertices
+            self._interior_pattern = _locked(
+                _edge_pattern(inner_edges, self.interior_vertices, inner))
         return self._interior_pattern
 
     def __repr__(self):

@@ -128,7 +128,7 @@ class VCycle:
         Called once with no argument, it returns the (6, nt) element rows,
         in the layout of `assembly.vertex_edge_sums`, of a symmetric
         positive semidefinite matrix added to the stiffness, such as
-        `assembly.assemble_slope_matrix(..., rows=True)` or
+        `assembly.assemble_slope_matrix` or
         `assembly.mass_upper`; None for the Poisson operator. The cycle
         drops each level's rows once they are coarsened for the parent and
         summed, before it gathers that level's interior block, so rows that

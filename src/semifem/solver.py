@@ -427,10 +427,10 @@ def _newton(mesh, d, load, cfg, start, stats, requested):
     stiffness = values_interior_block(mesh, stiffness_sums(mesh))
     load = load[interior]
 
-    def reaction_terms(assemble, *args, **kwargs):
+    def reaction_terms(assemble, *args):
         """assemble(mesh, d, ...), with an overflow of d left to its finiteness check."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return assemble(mesh, d, *args, **kwargs)
+            return assemble(mesh, d, *args)
 
     def correction(reaction, rhs, tol):
         """Interior unknowns x of J x = rhs by V-cycle CG to tol.
@@ -493,7 +493,7 @@ def _newton(mesh, d, load, cfg, start, stats, requested):
             CG_TOL, FORCING * min(target, res_norm) / res_norm)
         delta[interior] = correction(
             lambda: reaction_terms(assemble_slope_matrix, FemFunction(mesh, u + tau),
-                                   FemFunction(mesh, u - tau), tau, quad, rows=True),
+                                   FemFunction(mesh, u - tau), tau, quad),
             -res[interior], forcing_tol)
         try:
             step, u, res = _line_search(residual, u, delta, res, cfg.residual_tol, scale)

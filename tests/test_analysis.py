@@ -57,13 +57,13 @@ class TestErrorL2:
         assert error_l2(u, w) <= 1e-14
 
     def test_mass_values_from_two_rows(self):
-        # The discrete norm's mass values are summed from the two distinct
-        # element rows of `assembly.mass_upper`, bit for bit as from its
-        # (6, nt) stack.
+        # The mass values of the discrete norm and of `assemble_mass` are
+        # summed from the two distinct element rows of `assembly.mass_upper`,
+        # bit for bit as from its (6, nt) stack.
         pentagon = refine_uniform(triangulate_convex_polygon(preset_polygon("pentagon")))
         for mesh in (square_mesh(3), pentagon):
             np.testing.assert_array_equal(
-                analysis._mass_sums(mesh).view(np.uint64),
+                assembly.mass_sums(mesh).view(np.uint64),
                 assembly.vertex_edge_sums(mesh, assembly.mass_upper(mesh)).view(np.uint64))
 
     def test_non_nested_truth_rejected(self):

@@ -25,6 +25,11 @@ from semifem.quadrature import edge_midpoint_rule, rule_of_degree, seven_point_r
 from semifem.solver import SolverConfig, solve_semilinear
 from test_multigrid import steep_slope_rows
 
+def slope_matrix(mesh, *args):
+    """The CSR matrix of `assemble_slope_matrix`'s element rows."""
+    return assembly.pattern_matrix(mesh, assemble_slope_matrix(mesh, *args))
+
+
 HAND_STIFFNESS = np.array([[1.0, -0.5, -0.5],
                            [-0.5, 0.5, 0.0],
                            [-0.5, 0.0, 0.5]])
@@ -123,15 +128,14 @@ class TestSlopeMatrix:
     def test_unit_slope_equals_mass(self, square2):
         up = interpolate(square2, lambda x, y: np.full_like(x, 2.0))
         down = interpolate(square2, lambda x, y: np.full_like(x, -2.0))
-        slope = assemble_slope_matrix(square2, PowerLaw(), up, down, 1e-6,
-                                      seven_point_rule())
+        slope = slope_matrix(square2, PowerLaw(), up, down, 1e-6, seven_point_rule())
         diff = (slope - assemble_mass(square2)).toarray()
         assert np.max(np.abs(diff)) <= 1e-13
 
     def test_equal_states_give_zero(self, square2):
         u = interpolate(square2, lambda x, y: x * y)
-        slope = assemble_slope_matrix(square2, PowerLaw(exponent=0.5), u, u.copy(),
-                                      1e-6, seven_point_rule())
+        slope = slope_matrix(square2, PowerLaw(exponent=0.5), u, u.copy(), 1e-6,
+                             seven_point_rule())
         assert np.max(np.abs(slope.toarray())) == 0.0
 
     def test_kink_weight_value(self, square2):
@@ -141,7 +145,7 @@ class TestSlopeMatrix:
         d = PowerLaw(scale=50.0, exponent=1 / 3, shift=-1.0)
         up = interpolate(square2, lambda x, y: np.full_like(x, -1.0 + tau))
         down = interpolate(square2, lambda x, y: np.full_like(x, -1.0 - tau))
-        slope = assemble_slope_matrix(square2, d, up, down, tau, seven_point_rule())
+        slope = slope_matrix(square2, d, up, down, tau, seven_point_rule())
         expected = 50.0 * 1e4 * assemble_mass(square2).toarray()
         np.testing.assert_allclose(slope.toarray(), expected, rtol=1e-9)
 
@@ -157,8 +161,8 @@ class TestSlopeMatrix:
         # weighted mass matrix has exact zero Gershgorin lower bounds.
         up = interpolate(square2, lambda x, y: np.full_like(x, 2.0))
         down = interpolate(square2, lambda x, y: np.full_like(x, -2.0))
-        slope = assemble_slope_matrix(square2, PowerLaw(), up, down, 1e-6,
-                                      seven_point_rule()).toarray()
+        slope = slope_matrix(square2, PowerLaw(), up, down, 1e-6,
+                             seven_point_rule()).toarray()
         radii = np.sum(np.abs(slope), axis=1) - np.abs(np.diag(slope))
         assert np.min(np.diag(slope) - radii) >= -1e-12
 
@@ -169,8 +173,7 @@ class TestSlopeMatrix:
         d = PowerLaw(scale=50.0, exponent=1 / 3, shift=-1.0)
         up = interpolate(square2, lambda x, y: np.full_like(x, -1.0 + tau))
         down = interpolate(square2, lambda x, y: np.full_like(x, -1.0 - tau))
-        slope = assemble_slope_matrix(square2, d, up, down, tau,
-                                      seven_point_rule()).toarray()
+        slope = slope_matrix(square2, d, up, down, tau, seven_point_rule()).toarray()
         radii = np.sum(np.abs(slope), axis=1) - np.abs(np.diag(slope))
         scale = np.max(np.abs(slope))
         assert np.min(np.diag(slope) - radii) >= -1e-11 * scale
@@ -182,8 +185,7 @@ class TestSlopeMatrix:
         d = PowerLaw(scale=50.0, exponent=1 / 3, shift=-1.0)
         u = interpolate(square2, lambda x, y: np.sin(3 * x) - 1.0 + 0.01 * y)
         v = interpolate(square2, lambda x, y: -1.0 + 0.0 * x)
-        slope = assemble_slope_matrix(square2, d, u, v, 1e-6,
-                                      seven_point_rule()).toarray()
+        slope = slope_matrix(square2, d, u, v, 1e-6, seven_point_rule()).toarray()
         eigs = np.linalg.eigvalsh(slope)
         assert eigs.min() >= -1e-12 * np.max(np.abs(slope))
 
@@ -285,7 +287,7 @@ def test_pattern_matches_coo_reference(square2, make):
     tau = 1e-6
     quad = seven_point_rule()
     stiffness = assemble_stiffness(mesh)
-    slope = assemble_slope_matrix(mesh, d, u, v, tau, quad)
+    slope = slope_matrix(mesh, d, u, v, tau, quad)
     assembled = (stiffness, assemble_mass(mesh), slope)
     for matrix, local in zip(assembled, reference_locals(mesh, d, u, v, tau, quad)):
         ref = coo_reference(mesh, local)
@@ -303,24 +305,24 @@ def test_pattern_matches_coo_reference(square2, make):
 
 @pytest.mark.parametrize("make", ["square2", "shuffled", "pentagon5"])
 def test_pattern_sums_equal_one_bincount(square2, make):
-    # The scatter adds each vertex's and each edge's element entries in the
-    # order of one bincount over the stacked index columns, bit for bit.
+    # Each entry holds its vertex's or edge's sum of element entries, added
+    # in the order of one bincount over the stacked index columns, bit for
+    # bit.
     mesh = {"square2": square2, "shuffled": shuffled(square2),
             "pentagon5": pentagon(5)}[make]
     u = interpolate(mesh, lambda x, y: np.sin(3 * x) - 1.0 + 0.01 * y)
     v = interpolate(mesh, lambda x, y: -1.0 + 0.3 * x * y)
+    source = mesh.matrix_pattern()[2]
     for upper in (assembly.stiffness_upper(mesh), assembly.mass_upper(mesh),
                   assemble_slope_matrix(mesh, PowerLaw(scale=50.0, exponent=1 / 3, shift=-1.0),
-                                        u, v, 1e-6, seven_point_rule(), rows=True)):
-        _, _, diagonal, off_diagonal = mesh.matrix_pattern()
+                                        u, v, 1e-6, seven_point_rule())):
         data = assembly.pattern_matrix(mesh, upper).data
-        np.testing.assert_array_equal(
-            data[diagonal], np.bincount(mesh.triangles.T.ravel(), weights=upper[:3].ravel(),
-                                        minlength=mesh.num_vertices))
-        edge_sums = np.bincount(mesh.triangle_edges().T.ravel(), weights=upper[3:].ravel(),
-                                minlength=off_diagonal.shape[1])
-        for positions in off_diagonal:
-            np.testing.assert_array_equal(data[positions], edge_sums)
+        sums = np.concatenate([
+            np.bincount(mesh.triangles.T.ravel(), weights=upper[:3].ravel(),
+                        minlength=mesh.num_vertices),
+            np.bincount(mesh.triangle_edges().T.ravel(), weights=upper[3:].ravel(),
+                        minlength=mesh.edges().shape[0])])
+        np.testing.assert_array_equal(data, sums[source])
 
 
 def unique_pattern(mesh):
@@ -356,20 +358,21 @@ def test_pattern_matches_unique_reference(square2, tmp_path, make):
         mesh = {"unit-triangle": unit_right_triangle,
                 "shuffled": lambda: shuffled(square2),
                 "reread": lambda: reread(pentagon(3), tmp_path)}[make]()
-    indptr, indices, diagonal, off_diagonal = mesh.matrix_pattern()
+    indptr, indices, source = mesh.matrix_pattern()
     ref_indptr, ref_indices = unique_pattern(mesh)
     for array, ref in ((indptr, ref_indptr), (indices, ref_indices)):
         assert array.dtype == ref.dtype
         np.testing.assert_array_equal(array, ref)
-    rows = np.repeat(np.arange(mesh.num_vertices), np.diff(indptr))
-    vertices = np.arange(mesh.num_vertices)
-    lo, hi = mesh.edges().T
-    assert diagonal.dtype == off_diagonal.dtype == np.int32
-    assert off_diagonal.shape == (2, lo.size)
-    for position, row, col in ((diagonal, vertices, vertices),
-                               (off_diagonal[0], lo, hi), (off_diagonal[1], hi, lo)):
-        np.testing.assert_array_equal(rows[position], row)
-        np.testing.assert_array_equal(indices[position], col)
+    nv, ne = mesh.num_vertices, mesh.edges().shape[0]
+    rows = np.repeat(np.arange(nv), np.diff(indptr))
+    # Value v is the diagonal entry (v, v), value nv + e the entries (lo, hi)
+    # and (hi, lo) of edge e: once each, and twice each.
+    assert source.dtype == np.int32 and source.shape == indices.shape
+    np.testing.assert_array_equal(np.bincount(source, minlength=nv + ne),
+                                  np.repeat([1, 2], [nv, ne]))
+    ends = np.concatenate([np.repeat(np.arange(nv)[:, None], 2, axis=1), mesh.edges()])
+    np.testing.assert_array_equal(ends[source, 0], np.minimum(rows, indices))
+    np.testing.assert_array_equal(ends[source, 1], np.maximum(rows, indices))
 
 
 class TestPatternCache:
@@ -377,14 +380,12 @@ class TestPatternCache:
         first = assemble_stiffness(square2)
         pattern = square2.matrix_pattern()
         assert square2.matrix_pattern() is pattern
-        indptr, indices, diagonal, off_diagonal = pattern
-        assert diagonal.dtype == np.int32 and diagonal.shape == (square2.num_vertices,)
-        assert off_diagonal.dtype == np.int32
-        assert off_diagonal.shape == (2, square2.edges().shape[0])
+        indptr, indices, source = pattern
+        assert source.dtype == np.int32 and source.shape == indices.shape
         u = interpolate(square2, lambda x, y: x * y)
         for matrix in (first, assemble_mass(square2),
-                       assemble_slope_matrix(square2, PowerLaw(), u, u.copy(), 1e-6,
-                                             seven_point_rule())):
+                       slope_matrix(square2, PowerLaw(), u, u.copy(), 1e-6,
+                                    seven_point_rule())):
             # scipy may wrap the arrays in views; no copy is made.
             assert np.shares_memory(matrix.indptr, indptr)
             assert np.shares_memory(matrix.indices, indices)
@@ -407,14 +408,14 @@ class TestPatternCache:
         assert child._matrix_pattern is not None
         assert square2._matrix_pattern is None
         # Solves and studies work on interior unknowns only: a cold solve
-        # builds no pattern or prolongation of a whole mesh on its chain, and
-        # a study no pattern on its reference mesh.
+        # builds no pattern of a whole mesh on its chain, and a study none on
+        # its reference mesh.
         kink = PowerLaw(scale=50.0, exponent=1 / 3, shift=-1.0)
         one = lambda x, y: np.ones_like(x)
         mesh = pentagon(4)
         solve_semilinear(mesh, kink, one)
         while mesh is not None:
-            assert mesh._matrix_pattern is None and mesh._prolongation is None, mesh
+            assert mesh._matrix_pattern is None, mesh
             mesh = mesh.parent
         report = run_convergence_study("pentagon", kink, one, range(2, 4))
         assert report.reference_solution.mesh._matrix_pattern is None
@@ -549,7 +550,7 @@ def block_outputs(mesh):
     return {"stiffness": assemble_stiffness(mesh).data,
             "load": assemble_load(mesh, smooth_value, quad),
             "residual": assemble_nonlinear_residual(mesh, d, u, quad),
-            "slope": assemble_slope_matrix(mesh, d, u, v, 1e-6, quad).data,
+            "slope": slope_matrix(mesh, d, u, v, 1e-6, quad).data,
             "linf": error_linf(u, smooth_value),
             "ritz": ritz_project(mesh, smooth_grad).coeffs,
             "l2": error_l2(u, smooth_value),
@@ -672,7 +673,7 @@ def test_tabulated_kernels_match_per_point_loop(square2, make, quad):
     v = FemFunction(mesh, w.coeffs - tau)
     rhs = lambda x, y: 2.5
     got = (assemble_load(mesh, rhs, quad), assemble_nonlinear_residual(mesh, d, u, quad),
-           assemble_slope_matrix(mesh, d, u, v, tau, quad, rows=True))
+           assemble_slope_matrix(mesh, d, u, v, tau, quad))
     ref = per_point_reference(mesh, rhs, d, u, v, tau, quad)
     # Measured gaps, relative to the largest entry: at most 4e-16 for the
     # load, 6e-16 for the residual and 1.3e-10 for the slope. The kernels
@@ -705,7 +706,7 @@ saved = {}
 for quad in (interior_three_point_rule(), seven_point_rule()):
     saved[f"load {quad.name}"] = assemble_load(mesh, lambda x, y: np.sin(3 * x) * np.cos(y), quad)
     saved[f"residual {quad.name}"] = assemble_nonlinear_residual(mesh, d, u, quad)
-    saved[f"slope {quad.name}"] = assemble_slope_matrix(mesh, d, u, v, 1e-6, quad, rows=True)
+    saved[f"slope {quad.name}"] = assemble_slope_matrix(mesh, d, u, v, 1e-6, quad)
 np.savez(sys.argv[1], **saved)
 """
 
@@ -793,14 +794,14 @@ def test_peak_allocation_per_triangle():
         "stiffness": lambda: assemble_stiffness(copy),
         "load": lambda: assemble_load(mesh, lambda x, y: np.ones_like(x), quad),
         "residual": lambda: assemble_nonlinear_residual(mesh, d, u, quad),
-        "slope": lambda: assemble_slope_matrix(mesh, d, u, v, 1e-6, quad),
+        "slope": lambda: slope_matrix(mesh, d, u, v, 1e-6, quad),
         "l2": lambda: error_l2(u, smooth_value),
         "h1": lambda: error_h1semi(u, smooth_grad),
         "linf": lambda: error_linf(u, smooth_value),
         "ritz": lambda: ritz_project(mesh, smooth_grad),
         "vcycle": lambda: VCycle(mesh, lambda: steep),
         "slope rows + cycle build": lambda: VCycle(mesh, lambda: assemble_slope_matrix(
-            mesh, d, u, v, 1e-6, rule_of_degree(SolverConfig().quad_degree), rows=True)),
+            mesh, d, u, v, 1e-6, rule_of_degree(SolverConfig().quad_degree))),
     }
     bounds = {"stiffness": 85, "load": 80, "residual": 80, "slope": 150,
               "l2": 48, "h1": 56, "linf": 48, "ritz": 200, "vcycle": 75,

@@ -7,6 +7,7 @@ from semifem.femfunction import (FemFunction, interpolate, prolongate,
                                  read_function, write_function)
 from semifem.mesh import (MeshError, preset_polygon, refine_uniform,
                           triangulate_convex_polygon)
+from test_mesh import nodal_prolongation
 
 
 @pytest.fixture
@@ -80,6 +81,20 @@ def test_prolongate_hat(square):
         if v in (a, b):
             expected[coarse.num_vertices + i] = 0.5
     np.testing.assert_array_equal(w.coeffs, expected)
+
+
+def test_prolongate_equals_csr_products():
+    # Two levels of prolongate equal two products with the nodal transfer
+    # matrix bit for bit, also where coefficients are signed zeros.
+    coarse = refine_uniform(triangulate_convex_polygon(preset_polygon("pentagon")))
+    fine = refine_uniform(refine_uniform(coarse))
+    rng = np.random.default_rng(3)
+    coeffs = rng.standard_normal(coarse.num_vertices)
+    coeffs[rng.random(coeffs.size) < 0.3] = -0.0
+    coeffs[rng.random(coeffs.size) < 0.1] = 0.0
+    expected = nodal_prolongation(fine) @ (nodal_prolongation(fine.parent) @ coeffs)
+    got = prolongate(FemFunction(coarse, coeffs), fine).coeffs
+    np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 def test_prolongate_same_mesh_identity(square):

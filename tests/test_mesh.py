@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from semifem import mesh as mesh_module
+from semifem.femfunction import FemFunction, prolongate
 from semifem.mesh import (PRESET_POLYGONS, MeshError, Polygon, TriMesh, locate_point,
                           mesh_size, min_angle, preset_polygon, read_mesh, refine_uniform,
                           triangulate_convex_polygon, write_mesh)
@@ -12,6 +14,20 @@ PENTAGON = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.5, 1.0), (0.0, 0.5)]
 
 def two_triangle_square():
     return TriMesh([[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2], [0, 2, 3]])
+
+
+def nodal_prolongation(mesh):
+    """The (nv, nv_parent) CSR matrix of the nodal transfer from mesh's parent.
+
+    Identity rows for the parent vertices, then for the midpoint vertex
+    nv_parent + e the row with 1/2 at both ends of parent edge e.
+    """
+    edges = mesh.parent.edges()
+    nc = mesh.parent.num_vertices
+    indptr = np.concatenate([np.arange(nc + 1), nc + 2 * np.arange(1, edges.shape[0] + 1)])
+    indices = np.concatenate([np.arange(nc), edges.ravel()])
+    data = np.concatenate([np.ones(nc), np.full(edges.size, 0.5)])
+    return sparse.csr_matrix((data, indices, indptr), shape=(mesh.num_vertices, nc))
 
 
 def random_convex_polygon(rng, n):
@@ -121,18 +137,22 @@ class TestRefine:
     def test_prolongation_rows(self):
         mesh = two_triangle_square()
         fine = refine_uniform(mesh)
-        assert mesh.prolongation() is None
-        p = fine.prolongation()
-        assert p is fine.prolongation()  # built once, kept on the mesh
-        dense = p.toarray()
+        dense = nodal_prolongation(fine).toarray()
         np.testing.assert_array_equal(dense[:4], np.eye(4))
         for row, (a, b) in zip(dense[4:], mesh.edges()):
             expected = np.zeros(4)
             expected[[a, b]] = 0.5
             np.testing.assert_array_equal(row, expected)
+        # prolongate transfers the hat of parent vertex k to column k.
+        for k, column in enumerate(dense.T):
+            np.testing.assert_array_equal(prolongate(FemFunction(mesh, np.eye(4)[k]), fine).coeffs,
+                                          column)
+        assert mesh.interior_prolongation() is None
+        p = fine.interior_prolongation()
+        assert p is fine.interior_prolongation()  # built once, kept on the mesh
         # Interior restriction: the one interior child vertex is the
         # midpoint of the diagonal, and the parent has no interior vertex.
-        assert fine.interior_prolongation().shape == (1, 0)
+        assert p.shape == (1, 0)
 
     def test_restriction_by_transpose_view_equals_csr_copy(self):
         # The V-cycle restricts with the CSC view P.T: its product sums the
@@ -282,14 +302,10 @@ class TestRefinedTopology:
 
 def cut_out_interior_pattern(mesh):
     """The interior block of `matrix_pattern()` and each entry's source, read
-    off an owner array over the whole pattern."""
-    indptr, indices, diagonal, off_diagonal = mesh.matrix_pattern()
-    nv, ne = mesh.num_vertices, off_diagonal.shape[1]
+    off the owner of every entry of the whole pattern."""
+    indptr, indices, owner = mesh.matrix_pattern()
     interior = ~mesh.boundary_vertex
     kept = np.repeat(interior, np.diff(indptr)) & interior[indices]
-    owner = np.empty(indices.size, dtype=np.int32)
-    owner[diagonal] = np.arange(nv, dtype=np.int32)
-    owner[off_diagonal] = np.arange(nv, nv + ne, dtype=np.int32)
     renumber = np.cumsum(interior, dtype=np.int32) - 1
     block_indptr = np.zeros(mesh.interior_vertices.size + 1, dtype=np.int32)
     np.cumsum(np.add.reduceat(kept, indptr[:-1], dtype=np.int32)[interior],
@@ -300,11 +316,11 @@ def cut_out_interior_pattern(mesh):
 def check_interior_builders(mesh, levels):
     """Refine `levels` times; on every mesh, the interior pattern and
     prolongation must equal the blocks cut out of the whole-mesh pattern
-    and prolongation bit for bit and in dtype."""
+    and of `nodal_prolongation` bit for bit and in dtype."""
     for level in range(levels + 1):
         if level:
             mesh = refine_uniform(mesh)
-        # Built first, so that neither reads the whole-mesh constructions.
+        # Built first, so that neither reads the whole-mesh pattern.
         pattern = mesh.interior_pattern()
         p = mesh.interior_prolongation()
         for name, array, expected in zip(("indptr", "indices", "source"), pattern,
@@ -314,7 +330,7 @@ def check_interior_builders(mesh, levels):
         if mesh.parent is None:
             assert p is None
             continue
-        expected = mesh.prolongation()[mesh.interior_vertices][:, mesh.parent.interior_vertices]
+        expected = nodal_prolongation(mesh)[mesh.interior_vertices][:, mesh.parent.interior_vertices]
         assert p.shape == expected.shape
         for name in ("indptr", "indices", "data"):
             array = getattr(p, name)

@@ -60,7 +60,7 @@ def steep_slope_rows(mesh, seed=24):
     tau = 1e-6
     return assemble_slope_matrix(mesh, PowerLaw(scale=500.0, exponent=0.1, shift=-1.0),
                                  FemFunction(mesh, u + tau), FemFunction(mesh, u - tau),
-                                 tau, rule_of_degree(5), rows=True)
+                                 tau, rule_of_degree(5))
 
 
 @pytest.mark.parametrize("level", [3, 4, 5, 6])
@@ -254,7 +254,7 @@ def test_parentless_mesh_solves(tmp_path, level):
     path = tmp_path / "mesh.txt"
     write_mesh(pentagon_mesh(level), path)
     mesh = read_mesh(path)
-    assert mesh.parent is None and mesh.prolongation() is None
+    assert mesh.parent is None and mesh.interior_prolongation() is None
     cycle, rhs = poisson(mesh)
     lhs = cycle.matrix
     tol = 1e-10
