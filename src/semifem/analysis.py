@@ -31,7 +31,7 @@ from .mesh import TriMesh, mesh_size, preset_polygon, refine_uniform, \
     triangulate_convex_polygon
 from .multigrid import VCycle
 from .quadrature import rule_of_degree
-from .solver import CG_TOL, SolverConfig, SolverError, cg_solve, solve_semilinear
+from .solver import CG_TOL, SolverConfig, SolverError, cg_solve, integer, solve_semilinear
 
 
 # The quadrature of the closed-form norms and of the Ritz load: degree 4,
@@ -364,7 +364,8 @@ def run_convergence_study(domain, d, f, levels, exact=None, extra_refinements=2,
         When a level (or the reference solve) fails; carries the partial
         report truncated at the last completed level.
     """
-    levels = [int(l) for l in levels]
+    levels = [integer(l, "levels") for l in levels]
+    extra_refinements = integer(extra_refinements, "extra_refinements")
     if not levels:
         raise ValueError("levels must be nonempty")
     if any(b - a != 1 for a, b in zip(levels[:-1], levels[1:])):

@@ -1,19 +1,21 @@
 """Galerkin assembly of the discrete operators for P1 elements.
 
 All matrices are returned as `scipy.sparse.csr_matrix` in canonical
-format (sorted column indices, no duplicates) on the mesh's fixed
-sparsity pattern, `TriMesh.matrix_pattern()`, so every matrix of one
-mesh shares the pattern's `indptr` and `indices`. A symmetric P1 matrix
-has one value per vertex (its diagonal entry) and one per edge (both
-entries of the edge): the diagonal element entries are summed per vertex
-and the off-diagonal ones per edge into these nv + ne values, and the
-CSR data array is one gather of them through the pattern's `source`
-map. Assembly is vectorized over elements and deterministic, so repeated
-runs produce bitwise identical operators. Every matrix's values are the
-caller's own; the stiffness's are read-only, gathered from the mesh's
-vertex and edge sums, which the first `stiffness_sums` on a mesh builds
-and keeps, read-only, as long as the mesh lives, so the solver, the
-V-cycle's levels and the studies share one copy.
+format (sorted column indices, no duplicates) on the mesh's sparsity
+pattern, `TriMesh.matrix_pattern()`, which each whole-mesh assembly
+builds anew once its values are computed, so that the pattern's arrays
+and the values' temporaries are never alive together; every such matrix
+holds its own `indptr` and `indices`. A symmetric P1 matrix has one
+value per vertex (its diagonal entry) and one per edge (both entries of
+the edge): the diagonal element entries are summed per vertex and the
+off-diagonal ones per edge into these nv + ne values, and the CSR data
+array is one gather of them through the pattern's `source` map. Assembly
+is vectorized over elements and deterministic, so repeated runs produce
+bitwise identical operators. Every matrix's values are the caller's own,
+the stiffness's too: they are gathered from the mesh's vertex and edge
+sums, which the first `stiffness_sums` on a mesh builds and keeps,
+read-only, as long as the mesh lives, so the solver, the V-cycle's
+levels and the studies share one copy.
 
 The element matrices themselves are data too: `stiffness_upper`,
 `mass_upper` and `assemble_slope_matrix` return their six distinct
@@ -194,14 +196,15 @@ def pattern_matrix(mesh, upper):
     upper is laid out as for `vertex_edge_sums`, whose every edge sum
     fills both CSR entries of its edge.
     """
-    return _gathered(mesh.matrix_pattern(), vertex_edge_sums(mesh, upper))
+    return _gathered(vertex_edge_sums(mesh, upper), mesh.matrix_pattern())
 
 
-def _gathered(pattern, values):
+def _gathered(values, pattern):
     """The CSR matrix of vertex and edge values on a pattern (indptr, indices, source).
 
     Its data is values[source]; it shares the pattern's index arrays,
-    which are canonical.
+    which are canonical. The values come first, so that a caller's
+    arguments compute them before a whole-mesh pattern is built.
     """
     indptr, indices, source = pattern
     n = indptr.size - 1
@@ -224,16 +227,14 @@ def check_finite(values, x, y, what):
 
 
 def assemble_stiffness(mesh):
-    """The mesh's unconstrained stiffness matrix of the Laplacian, read-only.
+    """The mesh's unconstrained stiffness matrix of the Laplacian.
 
     Exact for P1 elements since the basis gradients are constant per
     triangle; every row of the result sums to zero and the matrix is
     symmetric. Every call gathers the mesh's kept `stiffness_sums` into a
-    new read-only data array over the pattern's index arrays.
+    new data array, the caller's own, over a new pattern.
     """
-    matrix = _gathered(mesh.matrix_pattern(), stiffness_sums(mesh))
-    matrix.data.setflags(write=False)
-    return matrix
+    return _gathered(stiffness_sums(mesh), mesh.matrix_pattern())
 
 
 def stiffness_sums(mesh):
@@ -262,7 +263,7 @@ def stiffness_upper(mesh):
 
 def assemble_mass(mesh):
     """Unconstrained P1 mass matrix, assembled in closed form per element."""
-    return _gathered(mesh.matrix_pattern(), mass_sums(mesh))
+    return _gathered(mass_sums(mesh), mesh.matrix_pattern())
 
 
 def mass_sums(mesh):
@@ -425,7 +426,7 @@ def values_interior_block(mesh, values):
     canonical CSR matrix that shares the index arrays of
     `mesh.interior_pattern()`.
     """
-    return _gathered(mesh.interior_pattern(), values)
+    return _gathered(values, mesh.interior_pattern())
 
 
 def apply_dirichlet(matrix, rhs, mesh):

@@ -5,11 +5,12 @@ arrays are locked, so instances can be shared freely between threads.
 Refinement returns a new mesh that keeps a reference to its parent; parent
 vertices keep their indices and coordinates, which makes transfer between
 nested levels exact. The interior transfer matrix from the parent and the
-sparsity patterns of P1 matrices and of their interior blocks are built on
-first use and kept on the mesh, so they live exactly as long as it does.
-Both patterns carry, for every entry, the index of its value among a
-symmetric matrix's vertex and edge values: vertex v has value v, edge e
-of `edges()` value nv + e.
+sparsity pattern of the interior block of P1 matrices, which the solves
+read, are built on first use and kept on the mesh, so they live exactly
+as long as it does; the pattern of whole-mesh P1 matrices is built anew
+on every call and not kept. Both patterns carry, for every entry, the
+index of its value among a symmetric matrix's vertex and edge values:
+vertex v has value v, edge e of `edges()` value nv + e.
 """
 
 import numpy as np
@@ -337,7 +338,6 @@ class TriMesh:
         self._triangle_edges = triangle_edges
         self._signed_areas = areas
         self._interior_prolongation = None
-        self._matrix_pattern = None
         self._interior_pattern = None
 
     @property
@@ -406,14 +406,12 @@ class TriMesh:
         as one array: v for the diagonal entry of vertex v, nv + e for both
         entries of edge e of `edges()`. The matrix with those values is
         therefore `values[source]` on this pattern. All three are read-only
-        int32 arrays, built once per mesh by `_edge_pattern`.
+        int32 arrays, built by `_edge_pattern` on every call: no solve or
+        study reads them, so the mesh keeps none.
         """
-        if self._matrix_pattern is None:
-            nv = self.num_vertices
-            self._matrix_pattern = _locked(_edge_pattern(
-                self._edges, np.arange(nv, dtype=np.int32),
-                np.arange(nv, nv + self._edges.shape[0], dtype=np.int32)))
-        return self._matrix_pattern
+        nv = self.num_vertices
+        return _locked(_edge_pattern(self._edges, np.arange(nv, dtype=np.int32),
+                                     np.arange(nv, nv + self._edges.shape[0], dtype=np.int32)))
 
     def interior_pattern(self):
         """Sparsity pattern of the interior block of P1 matrices and where its values sit.

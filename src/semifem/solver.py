@@ -24,10 +24,11 @@ by nested iteration: it starts on the mesh of the initial iterate, which
 is the requested mesh or one of its ancestors, or on the root without
 one, and solves each mesh after it up to the requested one, coarse to
 fine, the ones before the requested mesh only to a fixed fraction of
-their starting residual, starting each finer mesh from the prolongated
-solution of the coarser one.
+their starting residual, starting each finer mesh from the solution of
+the coarser one carried over by `femfunction.prolongate`.
 """
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +41,7 @@ import numpy as np
 from .assembly import (NonFiniteError, apply_dirichlet, assemble_load, assemble_mass,
                        assemble_nonlinear_residual, assemble_slope_matrix,
                        assemble_stiffness, stiffness_sums, values_interior_block)
-from .femfunction import FemFunction
+from .femfunction import FemFunction, prolongate
 from .multigrid import VCycle
 from .quadrature import edge_midpoint_rule, rule_of_degree
 
@@ -84,6 +85,21 @@ CG_TOL = 1e-12
 # of size 1 apart.
 MIN_HALF_WIDTH = 1e-13
 MAX_HALF_WIDTH = 1e-6
+
+
+def integer(value, name, least=None):
+    """value as an int; ValueError naming it for a non-integer or one below least.
+
+    Python and numpy integers pass, so 2.5 is neither truncated nor left to
+    a bare TypeError deep in a loop.
+    """
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return value
 
 
 class SolverError(RuntimeError):
@@ -134,10 +150,8 @@ class SolverConfig:
         if not 0.0 < self.residual_tol < np.inf:
             raise ValueError(f"residual_tol must be finite and positive, "
                              f"got {self.residual_tol!r}")
-        if self.max_newton < 1:
-            raise ValueError("max_newton must be at least 1")
-        if self.quad_degree < 0:
-            raise ValueError("quad_degree must be nonnegative")
+        self.max_newton = integer(self.max_newton, "max_newton", 1)
+        self.quad_degree = integer(self.quad_degree, "quad_degree", 0)
         rule_of_degree(self.quad_degree)  # raises for a degree no shipped rule serves
 
 
@@ -207,7 +221,8 @@ def cg_solve(matrix, rhs, tol=CG_TOL, maxit=None, preconditioner=None):
         ||matrix x - rhs|| <= tol * ||rhs||, unless the true residual
         stagnates first (see below).
     maxit : int or None
-        Iteration cap; defaults to 10 times the system dimension.
+        Iteration cap, at least 1; None caps at 10 times the system
+        dimension.
     preconditioner : callable or None
         r -> M^-1 r for an SPD approximation M of matrix, such as a
         `multigrid.VCycle`. None uses the diagonal (Jacobi), which is the
@@ -233,10 +248,11 @@ def cg_solve(matrix, rhs, tol=CG_TOL, maxit=None, preconditioner=None):
         When the norm of rhs is not finite, on non-convergence within maxit,
         or when the preconditioner is not positive definite; carries the
         residual history.
+    ValueError
+        When maxit is not an integer of at least 1.
     """
     n = matrix.shape[0]
-    if maxit is None or maxit <= 0:
-        maxit = 10 * n
+    maxit = 10 * n if maxit is None else integer(maxit, "maxit", 1)
     rhs = np.asarray(rhs, dtype=float)
     rhs_norm = _norm(rhs)
     x = np.zeros(n)
@@ -368,11 +384,9 @@ def solve_semilinear(mesh, d, f, cfg=None, initial=None):
                          f"({x:g}, {y:g})")
     for k, level in enumerate(levels):
         if k:
-            # Interior to interior: the boundary coefficients are zero.
-            fine = np.zeros(level.num_vertices)
-            fine[level.interior_vertices] = \
-                level.interior_prolongation() @ coeffs[levels[k - 1].interior_vertices]
-            coeffs = fine
+            # The boundary coefficients are zero, so the prolongated ones are
+            # too, and the interior ones equal the interior transfer's.
+            coeffs = prolongate(FemFunction(levels[k - 1], coeffs), level).coeffs
         if level is start and level is not mesh:
             continue  # an ancestor start is only handed on
         stats.levels.append(LevelStats(level.level, 0, 0))

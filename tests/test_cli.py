@@ -245,7 +245,7 @@ class TestStudyCommand:
         cfg = write(tmp_path, "study.cfg", MANUFACTURED_CONFIG)
         out = str(tmp_path / "study.csv")
         assert main(["study", "--config", cfg, "--output", out]) == 0
-        lines = open(out, encoding="utf-8").read().strip().splitlines()
+        lines = Path(out).read_text(encoding="utf-8").strip().splitlines()
         assert len(lines) == 5  # header + 4 data rows
         assert lines[1].split(",")[6] == ""
         for row in lines[2:]:
@@ -256,7 +256,7 @@ class TestStudyCommand:
                     MANUFACTURED_CONFIG.replace("2..5", "3..3"))
         out = str(tmp_path / "study.csv")
         assert main(["study", "--config", cfg, "--output", out]) == 0
-        lines = open(out, encoding="utf-8").read().strip().splitlines()
+        lines = Path(out).read_text(encoding="utf-8").strip().splitlines()
         assert len(lines) == 2
         fields = lines[1].split(",")
         assert fields[6] == fields[7] == fields[8] == fields[9] == ""
@@ -298,8 +298,8 @@ class TestStudyCommand:
         out2 = str(tmp_path / "b.csv")
         assert main(["study", "--config", cfg, "--output", out1]) == 0
         assert main(["study", "--config", cfg, "--output", out2]) == 0
-        a = strip_wall_time(open(out1, encoding="utf-8").read())
-        b = strip_wall_time(open(out2, encoding="utf-8").read())
+        a = strip_wall_time(Path(out1).read_text(encoding="utf-8"))
+        b = strip_wall_time(Path(out2).read_text(encoding="utf-8"))
         assert a == b
 
     def test_manufactured_is_the_library_problem(self, tmp_path, capsys):
@@ -310,7 +310,7 @@ class TestStudyCommand:
         d = PowerLaw(scale=1.0, exponent=0.5)
         report = run_convergence_study("unit-square", d, UNIT_SQUARE_SINE.rhs(d),
                                        range(2, 5), exact=UNIT_SQUARE_SINE)
-        assert strip_wall_time(open(out, encoding="utf-8").read()) == \
+        assert strip_wall_time(Path(out).read_text(encoding="utf-8")) == \
             strip_wall_time(report.csv_text())
 
     def test_failed_level_truncates_csv(self, tmp_path, capsys):
@@ -318,7 +318,7 @@ class TestStudyCommand:
                     KINK_CONFIG + "levels = 2..3\nmax_newton = 1\n")
         out = str(tmp_path / "study.csv")
         assert main(["study", "--config", cfg, "--output", out]) == 1
-        lines = open(out, encoding="utf-8").read().strip().splitlines()
+        lines = Path(out).read_text(encoding="utf-8").strip().splitlines()
         assert len(lines) == 1  # header only: the first level already fails
 
     def test_overflowing_reaction_writes_partial_csv(self, tmp_path, capsys):
@@ -328,7 +328,7 @@ class TestStudyCommand:
         err = capsys.readouterr().err
         assert err.startswith("study failed: level 1 failed: nonlinearity returned non-finite")
         assert f"wrote partial {out}" in err
-        lines = open(out, encoding="utf-8").read().strip().splitlines()
+        lines = Path(out).read_text(encoding="utf-8").strip().splitlines()
         assert len(lines) == 1  # header only: the first level already fails
 
     def test_polygon_file_matches_preset(self, tmp_path, capsys):
@@ -347,7 +347,7 @@ class TestStudyCommand:
     def study(tmp_path, domain):
         out = str(tmp_path / "study.csv")
         assert main(["study", "--domain", domain, "--levels", "1..2", "--output", out]) == 0
-        return open(out, encoding="utf-8").read()
+        return Path(out).read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("command, setting", [

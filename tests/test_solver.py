@@ -16,6 +16,7 @@ from semifem.assembly import (apply_dirichlet, assemble_load, assemble_mass,
 from semifem.femfunction import FemFunction, interpolate, prolongate
 from semifem.mesh import (TriMesh, preset_polygon, refine_uniform,
                           triangulate_convex_polygon)
+from semifem.multigrid import DENSE_COARSE_SIZE
 from semifem.nonlinearity import PowerLaw, cut
 from semifem.quadrature import edge_midpoint_rule, rule_of_degree
 from semifem.solver import (ANCESTOR_REDUCTION, CG_TOL, FORCING, LINE_SEARCH_REDUCTION,
@@ -114,6 +115,15 @@ class TestCg:
         x, iters = cg_solve(matrix, rhs, tol=1e-15)
         assert iters < 5 * n
         assert np.linalg.norm(matrix @ x - rhs) <= 1e-13 * np.linalg.norm(rhs)
+
+    def test_maxit_below_one_rejected(self):
+        # None is the one default, 10 times the dimension; a cap of 0 or
+        # less is an error, not another spelling of it.
+        matrix = sparse.identity(2, format="csr")
+        for maxit in (0, -1):
+            with pytest.raises(ValueError, match="maxit must be at least 1"):
+                cg_solve(matrix, np.ones(2), maxit=maxit)
+        assert cg_solve(matrix, np.ones(2), maxit=np.int64(1))[1] == 1
 
     def test_indefinite_preconditioner_raises(self):
         matrix = sparse.csr_matrix(np.array([[4.0, 1.0], [1.0, 3.0]]))
@@ -460,6 +470,23 @@ class TestNestedStart:
             assert all(norm > target for norm in history[:-1])
         assert requested[-1] <= cfg.residual_tol
 
+    def test_dense_levels_build_no_prolongation(self):
+        # The nested iteration carries each solution with `prolongate`, so
+        # only the V-cycle builds interior prolongations, on the levels it
+        # smooths: a mesh of at most DENSE_COARSE_SIZE unknowns, whose cycle
+        # is the dense solve, builds none.
+        mesh = pentagon_mesh(5)
+        solve_semilinear(mesh, kink_term(), ONE)
+        dense = []
+        while mesh is not None:
+            if mesh.interior_vertices.size <= DENSE_COARSE_SIZE:
+                assert mesh._interior_prolongation is None, mesh
+                dense.append(mesh.level)
+            else:
+                assert mesh._interior_prolongation is not None, mesh
+            mesh = mesh.parent
+        assert dense == [3, 2, 1, 0]
+
     def test_grandparent_start_solves_the_mesh_between(self):
         # An iterate two levels down starts a nested solve: level 4 is
         # solved as an ancestor, to its relative target, then level 5 to
@@ -686,6 +713,32 @@ def test_config_validation():
         with pytest.raises(ValueError, match="degree"):
             SolverConfig(quad_degree=bad)
     SolverConfig(quad_degree=0)
+
+
+NON_INTEGRAL = {
+    "max_newton": lambda: SolverConfig(max_newton=2.5),
+    "quad_degree": lambda: SolverConfig(quad_degree=2.5),
+    "levels": lambda: run_convergence_study("unit-square", PowerLaw(), ONE, [1.5, 2.5]),
+    "extra_refinements": lambda: run_convergence_study("unit-square", PowerLaw(), ONE, [1, 2],
+                                                       extra_refinements=2.5),
+    "maxit": lambda: cg_solve(sparse.identity(2, format="csr"), np.ones(2), maxit=2.5),
+}
+
+
+@pytest.mark.parametrize("name", NON_INTEGRAL)
+def test_non_integral_parameter_rejected(name):
+    # Not truncated, and not left to a bare TypeError in a loop.
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        NON_INTEGRAL[name]()
+
+
+def test_numpy_integer_parameters_accepted():
+    cfg = SolverConfig(max_newton=np.int64(3), quad_degree=np.int32(2))
+    assert (cfg.max_newton, cfg.quad_degree) == (3, 2)
+    assert type(cfg.max_newton) is int
+    report = run_convergence_study("unit-square", PowerLaw(), ONE, np.arange(1, 3),
+                                   extra_refinements=np.int64(2))
+    assert [r.level for r in report.records] == [1, 2]
 
 
 def check_cold_kink_solve_bounded_work(mesh):
