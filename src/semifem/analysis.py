@@ -25,7 +25,7 @@ import numpy as np
 # stay importable because benchmarks/tracing.py wraps them by name in this
 # namespace.
 from .assembly import (assemble_mass, assemble_stiffness, basis_gradients, check_finite,
-                       element_samples, mass_sums, scatter_vector, stiffness_sums)
+                       element_samples, mass_sums, stiffness_sums)
 from .femfunction import FemFunction, prolongate
 from .mesh import TriMesh, mesh_size, preset_polygon, refine_uniform, \
     triangulate_convex_polygon
@@ -190,7 +190,7 @@ def ritz_project(mesh, grad_truth):
         If a component of grad_truth is not finite at a quadrature point;
         the message names the gradient field and the point.
     """
-    local = np.empty((mesh.num_triangles, 3))
+    load = np.zeros(mesh.num_vertices)
     for block, corners, areas, x, y, _ in element_samples(mesh, NORM_RULE.points):
         hx, hy = basis_gradients(corners, areas)
         means = []
@@ -199,9 +199,10 @@ def ritz_project(mesh, grad_truth):
             check_finite(g, x, y, "gradient field")
             means.append(_element_means(g))
         gx, gy = means
-        local[block] = (areas * (hx * gx + hy * gy)).T
+        # In the order of one bincount over the (nt, 3) rows of all blocks.
+        np.add.at(load, mesh.triangles[block].ravel(), (areas * (hx * gx + hy * gy)).T.ravel())
     interior = mesh.interior_vertices
-    rhs = scatter_vector(mesh, local)[interior]
+    rhs = load[interior]
     cycle = VCycle(mesh)
     coeffs = np.zeros(mesh.num_vertices)
     coeffs[interior], _ = cg_solve(cycle.matrix, rhs, CG_TOL, preconditioner=cycle)

@@ -9,7 +9,8 @@ holds its own `indptr` and `indices`. A symmetric P1 matrix has one
 value per vertex (its diagonal entry) and one per edge (both entries of
 the edge): the diagonal element entries are summed per vertex and the
 off-diagonal ones per edge into these nv + ne values, and the CSR data
-array is one gather of them through the pattern's `source` map. Assembly
+array is one gather of them through the pattern's `source` map, taken in
+chunks of `GATHER` entries. Assembly
 is vectorized over elements and deterministic, so repeated runs produce
 bitwise identical operators. Every matrix's values are the caller's own,
 the stiffness's too: they are gathered from the mesh's vertex and edge
@@ -40,15 +41,18 @@ each calls its callables once per block on the flat arrays of all q·n
 points (the slope matrix calls d twice, at u and at v). The assembly
 kernels then contract with a per-rule table of weight times hat values
 (Kirby & Logg, ACM TOMS 32, 2006), (3, q) for the hat integrals and
-(6, q) for the slope matrix, in one matrix product that writes the
-block's part of the preallocated element rows, which are scaled by the
-areas: (nt, 3) rows for the hat integrals, which `scatter_vector` reads
-in place, and (6, nt) rows for the slope matrix. Their temporaries are
-therefore of the block's size, not the element count's; only the output
-rows and the final scatter are of the element count's size. Every
-element's arithmetic is the same as in a single pass over all triangles,
-so the assembled result does not depend on `BLOCK`. The load and the
-reaction residual are one kernel, `_hat_integrals`.
+(6, q) for the slope matrix, in one matrix product that makes the
+block's element rows, which are scaled by the areas. The slope matrix
+writes its (6, n) rows into its (6, nt) output; the hat integrals add
+their (n, 3) rows into the output vector by `np.add.at` over the block's
+triangles, which adds in the order of one bincount over the (nt, 3) rows
+of all blocks, so the sums are that bincount's bit for bit and no
+(nt, 3) array is made. Their temporaries are therefore of the block's
+size, not the element count's; only the output vector and the slope
+rows are of the mesh's size. Every element's arithmetic is the same as
+in a single pass over all triangles, so the assembled result does not
+depend on `BLOCK`. The load and the reaction residual are one kernel,
+`_hat_integrals`.
 """
 
 import weakref
@@ -67,9 +71,21 @@ SLOPE_WEIGHT_TOL = 1e-12
 # the 7-point rule (median of 30, one BLAS thread, 2-CPU VM) blocks of
 # 1024/2048/4096/8192/16384 triangles took 20/19/17/21/37 ms for the slope
 # rows and 17/12/12/11/16 ms for the residual; at 4096 their traced peaks
-# are 92 and 87 B per triangle, at 8192 128 and 98. The results do not
-# depend on it.
+# were 92 and 87 B per triangle, at 8192 128 and 98, when the residual
+# wrote (nt, 3) rows. Adding each block's rows into the vector, the load
+# and the residual peak at 26 and 33 B per triangle, nearly all of it the
+# block's temporaries. The results do not depend on it.
 BLOCK = 4096
+
+# Entries per chunk of the gather of a matrix's data from its values. numpy
+# casts int32 indices to intp before a gather: `take` casts all of them at
+# once, fancy indexing casts them in small buffers. A `take` per chunk of
+# this many entries keeps the cast small and in cache: at pentagon level 7
+# (283 211 interior entries, 2-CPU VM) the interior stiffness gather took
+# 0.32 ms against 0.80 ms by fancy indexing and 0.39 ms by one `take`,
+# which holds 2.3 MB more for the cast; chunks of 4096/65536 entries took
+# 0.40/0.34 ms. The gather's result is the same in every case.
+GATHER = 16384
 
 # The six distinct entries (a, b) of a symmetric 3 x 3 element matrix: the
 # diagonal ones (j, j), then those of the local edges (j, j + 1) in the
@@ -129,12 +145,6 @@ def quadrature_points(corners, points):
     """Physical coordinates (x, y) of a rule's (q, 3) barycentric points in
     every element, each of shape (q, n), point-major."""
     return points @ corners.transpose(0, 2, 1)
-
-
-def scatter_vector(mesh, local):
-    """Sum (nt, 3) element vectors into a global array."""
-    return np.bincount(mesh.triangles.ravel(), weights=local.ravel(),
-                       minlength=mesh.num_vertices)
 
 
 def element_blocks(mesh):
@@ -208,7 +218,13 @@ def _gathered(values, pattern):
     """
     indptr, indices, source = pattern
     n = indptr.size - 1
-    mat = sparse.csr_matrix((values[source], indices, indptr), shape=(n, n))
+    data = np.empty(source.size)
+    # The sources are in range, so "clip" clips nothing; with "raise", take
+    # writes each chunk through a copy.
+    for start in range(0, source.size, GATHER):
+        chunk = slice(start, start + GATHER)
+        np.take(values, source[chunk], out=data[chunk], mode="clip")
+    mat = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
     mat.has_canonical_format = True
     return mat
 
@@ -337,14 +353,15 @@ def _hat_integrals(mesh, g, coeffs, quad, what):
     """
     # Entry (j, i) is weight i times hat j at point i of the rule.
     table = quad.weights * quad.points.T
-    local = np.empty((mesh.num_triangles, 3))
+    out = np.zeros(mesh.num_vertices)
     for block, _, areas, x, y, values in element_samples(mesh, quad.points, coeffs):
         gq = np.broadcast_to(np.asarray(g(x, y, *values), dtype=float), x.shape)
         check_finite(gq, x, y, what)
-        rows = local[block]
-        np.matmul(gq.reshape(len(quad), -1).T, table.T, out=rows)
+        rows = gq.reshape(len(quad), -1).T @ table.T
         rows *= areas[:, None]
-    return scatter_vector(mesh, local)
+        # In the order of one bincount over the (nt, 3) rows of all blocks.
+        np.add.at(out, mesh.triangles[block].ravel(), rows.ravel())
+    return out
 
 
 def assemble_slope_matrix(mesh, d, u, v, floor, quad):

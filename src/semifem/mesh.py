@@ -165,7 +165,10 @@ def _edge_slots(edges, nv):
     lexicographic `edges`. Returns the (2, ne) int32 slots of the ends lo
     and hi of every edge in these lists laid end to end, and the (nv,)
     int32 slot where the run (v, hi) of each vertex starts. The ends lo
-    are placed by counts alone; the ends hi by one stable argsort of hi.
+    are placed by counts alone; the ends hi in the order of hi, then of
+    the edge id (a stable argsort of hi), by one counting sort: scipy's
+    CSR to CSC conversion of the matrix with entry e at (lo, hi) lists each
+    column's rows lo in increasing order, and edge ids increase with lo.
     """
     ne = edges.shape[0]
     lo, hi = edges[:, 0], edges[:, 1]
@@ -182,7 +185,9 @@ def _edge_slots(edges, nv):
     np.add(ids, lower_through[lo], out=slots[0])
     # The i-th end hi in the order of hi, at vertex v, has i ends hi and
     # first_run[v] ends lo before it.
-    slots[1, np.argsort(hi, kind="stable")] = ids + np.repeat(first_run, lower)
+    by_hi = sparse.csr_matrix((ids, hi, np.append(first_run, np.int32(ne))),
+                              shape=(nv, nv)).tocsc().data
+    slots[1, by_hi] = ids + np.repeat(first_run, lower)
     return slots, first_run + lower_through
 
 

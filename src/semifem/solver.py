@@ -390,7 +390,7 @@ def solve_semilinear(mesh, d, f, cfg=None, initial=None):
         if level is start and level is not mesh:
             continue  # an ancestor start is only handed on
         stats.levels.append(LevelStats(level.level, 0, 0))
-        load = assemble_load(level, f, edge_midpoint_rule())
+        load = assemble_load(level, f, edge_midpoint_rule())[level.interior_vertices]
         try:
             coeffs = _newton(level, d, load, cfg, coeffs, stats, requested=level is mesh)
         except NonFiniteError as exc:
@@ -406,9 +406,10 @@ def solve_semilinear(mesh, d, f, cfg=None, initial=None):
 def _newton(mesh, d, load, cfg, start, stats, requested):
     """Damped Newton iteration on one mesh; returns the solution's coefficients.
 
-    load is the mesh's load vector. start holds coefficients on the mesh,
-    of which the interior entries are used, or is None for the
-    frozen-reaction start. The loop stops at
+    load holds the interior entries F_I of the mesh's load vector, so no
+    copy of the whole vector lives through the loop. start holds
+    coefficients on the mesh, of which the interior entries are used, or is
+    None for the frozen-reaction start. The loop stops at
     cfg.residual_tol on the requested mesh, and on any other mesh at
     max(cfg.residual_tol, ANCESTOR_REDUCTION * r0), r0 the scaled residual
     of its start. Counts are added to stats, the Newton steps and CG
@@ -435,11 +436,13 @@ def _newton(mesh, d, load, cfg, start, stats, requested):
     scale = 1.0 / np.sqrt(nv)
     quad = rule_of_degree(cfg.quad_degree)
 
-    # The interior block K_II of the stiffness and the interior load F_I:
-    # the residual's interior entries (K_II u_I + N_I) - F_I equal those of
-    # (K u + N) - F bitwise, as the boundary columns multiply zeros.
-    stiffness = values_interior_block(mesh, stiffness_sums(mesh))
-    load = load[interior]
+    # The interior block K_II of the stiffness, gathered from the mesh's kept
+    # sums by the first residual after each correction and dropped before
+    # the next V-cycle is built, so no copy of the stiffness values but the
+    # kept one lives through a cycle's build. On a cold level-7 kink solve
+    # (2-CPU VM) a gather per residual instead took 2-3 % more time: 71
+    # gathers against 44.
+    stiffness = None
 
     def reaction_terms(assemble, *args):
         """assemble(mesh, d, ...), with an overflow of d left to its finiteness check."""
@@ -454,6 +457,8 @@ def _newton(mesh, d, load, cfg, start, stats, requested):
         The cycle calls it, so no frame here holds the rows, which it frees
         as it builds its levels.
         """
+        nonlocal stiffness
+        stiffness = None
         cycle = VCycle(mesh, reaction)
         block = cycle.matrix
         x, used = cg_solve(block, rhs, tol, preconditioner=cycle)
@@ -464,8 +469,15 @@ def _newton(mesh, d, load, cfg, start, stats, requested):
         return x
 
     def residual(coeffs):
-        """A u + N(u) - F with its boundary entries set to zero."""
+        """A u + N(u) - F with its boundary entries set to zero.
+
+        Its interior entries (K_II u_I + N_I) - F_I equal those of
+        (K u + N) - F bitwise, as the boundary columns multiply zeros.
+        """
+        nonlocal stiffness
         reaction = reaction_terms(assemble_nonlinear_residual, FemFunction(mesh, coeffs), quad)
+        if stiffness is None:
+            stiffness = values_interior_block(mesh, stiffness_sums(mesh))
         res = np.zeros(nv)
         res[interior] = stiffness @ coeffs[interior] + reaction[interior] - load
         return res

@@ -10,12 +10,13 @@ from semifem.analysis import (LINF_LATTICE, NORM_RULE, UNIT_SQUARE_SINE as SINE,
                               error_h1semi, error_l2, error_linf, ritz_project,
                               run_convergence_study)
 from semifem.assembly import apply_dirichlet, assemble_stiffness, \
-    basis_gradients, quadrature_points, scatter_vector
+    basis_gradients, quadrature_points
 from semifem.femfunction import FemFunction, interpolate, prolongate
 from semifem.mesh import preset_polygon, refine_uniform, triangulate_convex_polygon
 from semifem.nonlinearity import PowerLaw
 from semifem.quadrature import rule_of_degree
-from semifem.solver import NewtonError, SolverConfig
+from semifem.multigrid import VCycle
+from semifem.solver import CG_TOL, NewtonError, SolverConfig, cg_solve
 
 def whole_mesh_geometry(mesh):
     """Corners, areas and basis gradients of all triangles at once, unblocked."""
@@ -190,11 +191,33 @@ class TestRitz:
         for wq, x, y in zip(rule.weights, *quadrature_points(corners, rule.points)):
             gx, gy = SINE.grad(x, y)
             local += wq * areas * (hx * gx + hy * gy)
-        rhs = scatter_vector(mesh, local.T)
+        rhs = np.bincount(mesh.triangles.ravel(), weights=local.T.ravel(),
+                          minlength=mesh.num_vertices)
         lhs, crhs = apply_dirichlet(assemble_stiffness(mesh), rhs, mesh)
         defect = crhs - lhs @ r.coeffs
         assert np.linalg.norm(defect[~mesh.boundary_vertex]) <= \
             tol * np.linalg.norm(crhs)
+
+    @pytest.mark.parametrize("make", ["pentagon4", "square3"])
+    def test_load_equals_one_bincount_of_its_rows(self, monkeypatch, make):
+        # The projection adds each block's load rows into the vector as
+        # they are made; its solution is the one of the load summed by one
+        # bincount over the rows of all blocks, bit for bit.
+        monkeypatch.setattr(assembly, "BLOCK", 99)
+        mesh = pentagon_mesh(4) if make == "pentagon4" else square_mesh(3)
+        rows = np.empty((mesh.num_triangles, 3))
+        for block, corners, areas, x, y, _ in assembly.element_samples(mesh, NORM_RULE.points):
+            hx, hy = basis_gradients(corners, areas)
+            gx, gy = (analysis._element_means(g) for g in smooth_grad(x, y))
+            rows[block] = (areas * (hx * gx + hy * gy)).T
+        interior = mesh.interior_vertices
+        load = np.bincount(mesh.triangles.ravel(), weights=rows.ravel(),
+                           minlength=mesh.num_vertices)
+        cycle = VCycle(mesh)
+        coeffs = np.zeros(mesh.num_vertices)
+        coeffs[interior], _ = cg_solve(cycle.matrix, load[interior], CG_TOL, preconditioner=cycle)
+        np.testing.assert_array_equal(ritz_project(mesh, smooth_grad).coeffs.view(np.uint64),
+                                      coeffs.view(np.uint64))
 
 
 def pentagon_mesh(level):

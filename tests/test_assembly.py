@@ -661,8 +661,45 @@ def per_point_reference(mesh, f, d, u, v, floor, quad):
         b = np.sign(e) * (d(x, y, uq) - d(x, y, vq)) / np.maximum(np.abs(e), floor)
         for row, (a, c) in zip(slope, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)]):
             row += w * areas * np.maximum(b, 0.0) * bary[a] * bary[c]
-    return (assembly.scatter_vector(mesh, load), assembly.scatter_vector(mesh, residual),
-            slope)
+    return scattered(mesh, load), scattered(mesh, residual), slope
+
+
+def scattered(mesh, rows):
+    """(nt, 3) element vectors summed per vertex by one bincount."""
+    return np.bincount(mesh.triangles.ravel(), weights=rows.ravel(),
+                       minlength=mesh.num_vertices)
+
+
+def hat_rows(mesh, g, coeffs, quad):
+    """The (nt, 3) element rows of the integrals of g against the hats, as one array.
+
+    Each block's rows are made by the kernels' arithmetic: one product of
+    g's samples with the rule's table of weight times hat values, scaled
+    by the areas.
+    """
+    table = quad.weights * quad.points.T
+    rows = np.empty((mesh.num_triangles, 3))
+    for block, _, areas, x, y, values in assembly.element_samples(mesh, quad.points, coeffs):
+        gq = np.broadcast_to(np.asarray(g(x, y, *values), dtype=float), x.shape)
+        rows[block] = gq.reshape(len(quad), -1).T @ table.T
+        rows[block] *= areas[:, None]
+    return rows
+
+
+@pytest.mark.parametrize("quad", shipped_rules(), ids=lambda quad: quad.name)
+@pytest.mark.parametrize("make", ["pentagon4", "square2"])
+def test_hat_integrals_equal_one_bincount_of_their_rows(monkeypatch, square2, make, quad):
+    # The load and the residual add each block's rows into the vector as
+    # they are made; that is the sum of one bincount over the rows of all
+    # blocks, bit for bit, signed zeros included.
+    monkeypatch.setattr(assembly, "BLOCK", SMALL_BLOCK)
+    mesh = pentagon(4) if make == "pentagon4" else square2
+    d = PowerLaw(scale=50.0, exponent=1 / 3, shift=-1.0)
+    u = interpolate(mesh, lambda x, y: np.sin(3 * x) - 1.0 + 0.01 * y)
+    pairs = [(assemble_load(mesh, smooth_value, quad), hat_rows(mesh, smooth_value, (), quad)),
+             (assemble_nonlinear_residual(mesh, d, u, quad), hat_rows(mesh, d, (u.coeffs,), quad))]
+    for got, rows in pairs:
+        np.testing.assert_array_equal(got.view(np.uint64), scattered(mesh, rows).view(np.uint64))
 
 
 @pytest.mark.parametrize("quad", shipped_rules(), ids=lambda quad: quad.name)
@@ -755,20 +792,22 @@ def test_peak_allocation_per_triangle():
     # Traced peak bytes per triangle at pentagon level 7 (81 920 triangles,
     # twenty blocks), prolongations and states built beforehand. The
     # stiffness and slope matrices build the whole-mesh pattern, which no
-    # mesh keeps, after their values: 75 and 123 B, against 65 and 93 B when
+    # mesh keeps, after their values: 76 and 124 B, against 65 and 93 B when
     # a kept pattern was built beforehand, and 95 B for the stiffness with
     # its pattern built before its values. One pass over all triangles at
     # once peaked at 144/156/188/248 B (stiffness/load/residual/slope,
     # pattern built beforehand) and 120/208/120/276 B (L2/H1/max errors
     # against a callable truth, Ritz projection); the blocked walk measures
-    # 75/63/66/123 B and 28/35/42/128 B, the rest being the output rows, the
-    # scatter and, for the projection, its solve (130 B
+    # 76/26/33/124 B and 28/35/42/108 B, the rest being the outputs, the
+    # sums and, for the projection, its solve (130 B
     # when it rebuilt its chain's stiffness values, which the warm-up now
     # leaves on the meshes; 125 B before it checked its field's samples
     # finite). The stiffness's first build keeps vertex and
-    # edge sums (93 B when it kept the CSR data of their scatter). The load
-    # and residual write their element rows as (nt, 3), which the scatter
-    # reads in place (87 B when it copied (3, nt) rows). The errors and
+    # edge sums (93 B when it kept the CSR data of their scatter). The load,
+    # the residual and the Ritz load add each block's element rows into
+    # their vector, so only the output vector is of the mesh's size: 63/66/
+    # 128 B when they wrote (nt, 3) rows for one bincount, 87 B for the
+    # residual when that bincount read a (3, nt) copy. The errors and
     # the Ritz load evaluate their truth on all points of a block at once
     # (16/19/17/121 B one point at a time); the walk gathers each block's
     # corners, not a copy of all vertices (about 6 B more for the errors
@@ -811,7 +850,7 @@ def test_peak_allocation_per_triangle():
         "slope rows + cycle build": lambda: VCycle(mesh, lambda: assemble_slope_matrix(
             mesh, d, u, v, 1e-6, rule_of_degree(SolverConfig().quad_degree))),
     }
-    bounds = {"stiffness": 85, "load": 80, "residual": 80, "slope": 150,
+    bounds = {"stiffness": 85, "load": 30, "residual": 38, "slope": 150,
               "l2": 48, "h1": 56, "linf": 48, "ritz": 200, "vcycle": 75,
               "slope rows + cycle build": 85}
     peaks = {}

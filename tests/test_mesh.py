@@ -357,6 +357,54 @@ class TestInteriorBuilders:
         check_interior_builders(root, 2)
 
 
+def argsort_edge_slots(edges, nv):
+    """`mesh._edge_slots` with the ends hi ordered by one stable argsort of hi."""
+    ne = edges.shape[0]
+    lo, hi = edges[:, 0], edges[:, 1]
+    ids = np.arange(ne, dtype=np.int32)
+    lower = np.bincount(hi, minlength=nv)
+    lower_through = np.cumsum(lower, dtype=np.int32)
+    first_run = np.zeros(nv, dtype=np.int32)
+    np.cumsum(np.bincount(lo, minlength=nv)[:-1], out=first_run[1:])
+    slots = np.empty((2, ne), dtype=np.int32)
+    np.add(ids, lower_through[lo], out=slots[0])
+    slots[1, np.argsort(hi, kind="stable")] = ids + np.repeat(first_run, lower)
+    return slots, first_run + lower_through
+
+
+def random_edges(rng, nv, count):
+    """Up to count distinct lexicographic int32 edges (lo, hi), lo < hi < nv."""
+    pairs = np.sort(rng.integers(0, nv, size=(count, 2)), axis=1)
+    pairs = pairs[pairs[:, 0] < pairs[:, 1]]
+    return np.unique(pairs, axis=0).astype(np.int32).reshape(-1, 2)
+
+
+class TestEdgeSlots:
+    def check(self, edges, nv):
+        for got, expected in zip(mesh_module._edge_slots(edges, nv),
+                                 argsort_edge_slots(edges, nv)):
+            assert got.dtype == expected.dtype == np.int32
+            np.testing.assert_array_equal(got, expected)
+
+    def test_random_edge_sets(self):
+        rng = np.random.default_rng(5)
+        for nv in (2, 3, 7, 40, 300):
+            for count in (1, nv, 4 * nv, nv * nv):
+                edges = random_edges(rng, nv, count)
+                # Vertices past the last end have no edges.
+                self.check(edges, nv + 2)
+
+    def test_no_edges(self):
+        self.check(np.empty((0, 2), dtype=np.int32), 4)
+
+    def test_one_edge(self):
+        self.check(np.array([[1, 3]], dtype=np.int32), 5)
+
+    def test_refined_mesh_edges(self):
+        mesh = refine_uniform(refine_uniform(triangulate_convex_polygon(Polygon(PENTAGON))))
+        self.check(mesh.edges(), mesh.num_vertices)
+
+
 class TestMeshSize:
     def test_single_right_triangle(self):
         mesh = TriMesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])

@@ -159,6 +159,34 @@ def test_newton_slope_rows_die_before_the_fine_gather(monkeypatch):
     assert refs and alive and not any(alive)
 
 
+def test_newton_stiffness_block_dies_before_every_cycle_gather(monkeypatch):
+    # The Newton loop drops its interior stiffness block before each
+    # correction builds its V-cycle: no such block is alive at any gather
+    # of a cycle's interior block, the fine one included, so the mesh's
+    # kept stiffness sums are the only copy of its stiffness values there.
+    import semifem.multigrid as multigrid
+    import semifem.solver as solver
+    refs, alive = [], []
+
+    def block(mesh, values):
+        matrix = values_interior_block(mesh, values)
+        refs.append(weakref.ref(matrix))
+        return matrix
+
+    def gather(mesh, values):
+        alive.extend(ref() is not None for ref in refs)
+        return values_interior_block(mesh, values)
+
+    monkeypatch.setattr(solver, "values_interior_block", block)
+    monkeypatch.setattr(multigrid, "values_interior_block", gather)
+    gc.disable()
+    try:
+        solve_semilinear(pentagon_mesh(5), PowerLaw(scale=50.0, exponent=1 / 3, shift=-1.0), ONE)
+    finally:
+        gc.enable()
+    assert refs and alive and not any(alive)
+
+
 def copied_jacobi_weights(a):
     """The Jacobi weights by the Gershgorin sums over a copy of |a|."""
     diag = a.diagonal()

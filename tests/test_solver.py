@@ -774,33 +774,73 @@ def test_cold_level8_kink_solve_bounded_work():
     check_cold_kink_solve_bounded_work(pentagon_mesh(8))
 
 
-@pytest.mark.slow
-def test_cold_level9_kink_solve_bounded_work():
-    # 1.3 M triangles, about 4 s on a 2-CPU VM, in a fresh process so that
-    # its peak RSS is the check's own. Refinement to level 9 leaves the RSS
-    # at 213-214 MiB (229-235 MiB with int64 edges, 492 MiB when each child
-    # numbered its edges by one np.unique over 3 nt keys); the whole check
-    # peaks at 469 MiB in the Newton Jacobian path (37 Newton steps and 61
-    # CG iterations over the ten meshes). Both bounds keep a margin of
-    # about 12 %. It peaked at 535-540 MiB when the Newton loop held each
-    # step's slope rows through the V-cycle build, at 611-613 MiB when each
-    # Newton step scattered a stiffness matrix of the whole mesh and the
-    # Gershgorin sums copied all of the operator's data, and at 690-700 MiB
-    # when the element kernels made one pass over all triangles.
-    script = ("import resource, test_solver\n"
-              "mesh = test_solver.pentagon_mesh(9)\n"
-              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
-              "test_solver.check_cold_kink_solve_bounded_work(mesh)\n"
-              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+def peak_rss_in_fresh_process(script):
+    """Run script in a fresh Python process that can import this module.
+
+    Each `report_rss()` the script calls prints the process's peak RSS so
+    far; returns these readings in MiB, in order. A fresh process makes
+    the peak the script's own.
+    """
+    prelude = ("import resource, test_solver\n"
+               "def report_rss():\n"
+               "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
     path = [os.path.dirname(__file__), os.path.dirname(os.path.dirname(semifem.__file__))]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    child = subprocess.run([sys.executable, "-c", script], env=env,
+    child = subprocess.run([sys.executable, "-c", prelude + script], env=env,
                            capture_output=True, text=True)
     assert child.returncode == 0, child.stderr
     # ru_maxrss is in KiB.
-    refined_mib, peak_mib = (int(kib) / 1024 for kib in child.stdout.split()[-2:])
+    return [int(kib) / 1024 for kib in child.stdout.split()]
+
+
+@pytest.mark.slow
+def test_cold_level9_kink_solve_bounded_work():
+    # 1.3 M triangles, about 4 s on a 2-CPU VM. Refinement to level 9
+    # leaves the RSS at 213-214 MiB (229-235 MiB with int64 edges, 492 MiB
+    # when each child numbered its edges by one np.unique over 3 nt keys);
+    # the whole check peaks at 414 MiB in the Newton Jacobian path (37
+    # Newton steps and 61 CG iterations over the ten meshes). Both bounds
+    # keep a margin of about 12 %. It peaked at 461-472 MiB when the Newton
+    # loop kept an interior stiffness block beside each V-cycle, at 535-540
+    # MiB when it also held each step's slope rows through the V-cycle
+    # build, at 611-613 MiB when each Newton step scattered a stiffness
+    # matrix of the whole mesh and the Gershgorin sums copied all of the
+    # operator's data, and at 690-700 MiB when the element kernels made one
+    # pass over all triangles.
+    refined_mib, peak_mib = peak_rss_in_fresh_process(
+        "mesh = test_solver.pentagon_mesh(9)\n"
+        "report_rss()\n"
+        "test_solver.check_cold_kink_solve_bounded_work(mesh)\n"
+        "report_rss()\n")
     assert refined_mib <= 240
-    assert peak_mib <= 525
+    assert peak_mib <= 465
+
+
+def check_kink_study_windows(report):
+    """Criterion 4's gates on a kink study: its finest EOCs in their windows
+    and every discrete-reference error falling with the level."""
+    final = report.final()
+    assert 1.15 <= final.eoc_linf <= 1.6, final.eoc_linf
+    assert final.eoc_l2 >= 1.75, final.eoc_l2
+    for name in ("err_l2", "err_h1", "err_linf"):
+        values = [getattr(r, name) for r in report.records]
+        assert all(a > b for a, b in zip(values[:-1], values[1:])), (name, values)
+
+
+@pytest.mark.slow
+def test_kink_study_against_level10_reference():
+    # Levels 2..8 against a level-10 reference (5.2 M triangles), about
+    # 10 s on a 2-CPU VM. It peaks at 1443-1463 MiB, in the level-10
+    # reference's first V-cycle build or in the square terms of its error
+    # norms; the bound is 1.5 GiB. It peaked at 1579-1600 MiB when the
+    # Newton loop kept an interior stiffness block beside each V-cycle.
+    (peak_mib,) = peak_rss_in_fresh_process(
+        "report = test_solver.run_convergence_study(\n"
+        "    'pentagon', test_solver.kink_term(), test_solver.ONE, range(2, 9),\n"
+        "    extra_refinements=2)\n"
+        "test_solver.check_kink_study_windows(report)\n"
+        "report_rss()\n")
+    assert peak_mib <= 1536
 
 
 @pytest.mark.slow
