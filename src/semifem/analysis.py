@@ -24,8 +24,8 @@ import numpy as np
 # discrete reference read the matrices' vertex and edge values instead. They
 # stay importable because benchmarks/tracing.py wraps them by name in this
 # namespace.
-from .assembly import (assemble_mass, assemble_stiffness, basis_gradients, check_finite,
-                       element_samples, mass_sums, stiffness_sums)
+from .assembly import (GATHER, assemble_mass, assemble_stiffness, basis_gradients,
+                       check_finite, element_samples, mass_sums, stiffness_sums)
 from .femfunction import FemFunction, prolongate
 from .mesh import TriMesh, mesh_size, preset_polygon, refine_uniform, \
     triangulate_convex_polygon
@@ -75,29 +75,26 @@ def _nested_difference(u_h, truth):
     return truth.coeffs - prolongate(u_h, truth.mesh).coeffs
 
 
-def _square_terms(mesh, e):
-    """The terms of e^T A e for a symmetric P1 matrix A on mesh: e_v^2 for
-    every vertex and e_lo e_hi for every edge (lo, hi) of `mesh.edges()`.
+def _reference_norms(mesh, e, *values):
+    """sqrt(e^T A e) for each symmetric positive semidefinite P1 matrix A on mesh.
 
-    Both ends are gathered at once through the contiguous int32 edge
-    array: through each strided column apart, numpy first casts the column
-    to intp, which took about twice as long at level 8.
+    Each of values holds an A's vertex and edge values, laid out as
+    `assembly.vertex_edge_sums` returns them: e^T A e is the sum of the
+    vertex terms A_vv e_v^2 plus twice that of the edge terms
+    A_e e_lo e_hi over the edges (lo, hi) of `mesh.edges()`. The squares
+    and the edge products are formed once for all of values; the products
+    fill one (ne,) array from contiguous chunks of `GATHER` edges, so the
+    ends of all edges are never gathered at once.
     """
-    ends = e[mesh.edges()]
-    return e * e, ends[:, 0] * ends[:, 1]
-
-
-def _values_norm(values, terms):
-    """sqrt(e^T A e) for a symmetric positive semidefinite P1 matrix A.
-
-    values are A's vertex and edge values, laid out as
-    `assembly.vertex_edge_sums` returns them, and terms e's
-    `_square_terms`: e^T A e is the sum of the diagonal terms A_vv e_v^2
-    plus twice that of the edge terms A_e e_lo e_hi.
-    """
-    squares, products = terms
-    nv = squares.size
-    return float(np.sqrt(values[:nv] @ squares + 2.0 * (values[nv:] @ products)))
+    nv = e.size
+    squares = e * e
+    edges = mesh.edges()
+    products = np.empty(edges.shape[0])
+    for start in range(0, products.size, GATHER):
+        chunk = slice(start, start + GATHER)
+        ends = e[edges[chunk]]
+        np.multiply(ends[:, 0], ends[:, 1], out=products[chunk])
+    return [float(np.sqrt(a[:nv] @ squares + 2.0 * (a[nv:] @ products))) for a in values]
 
 
 def _element_means(samples):
@@ -116,7 +113,7 @@ def error_l2(u_h, truth):
     """
     if isinstance(truth, FemFunction):
         mesh = truth.mesh
-        return _values_norm(mass_sums(mesh), _square_terms(mesh, _nested_difference(u_h, truth)))
+        return _reference_norms(mesh, _nested_difference(u_h, truth), mass_sums(mesh))[0]
     total = 0.0
     for _, _, areas, x, y, (uq,) in element_samples(u_h.mesh, NORM_RULE.points,
                                                     (u_h.coeffs,)):
@@ -136,8 +133,7 @@ def error_h1semi(u_h, truth):
     """
     if isinstance(truth, FemFunction):
         mesh = truth.mesh
-        return _values_norm(stiffness_sums(mesh),
-                            _square_terms(mesh, _nested_difference(u_h, truth)))
+        return _reference_norms(mesh, _nested_difference(u_h, truth), stiffness_sums(mesh))[0]
     mesh = u_h.mesh
     total = 0.0
     for block, corners, areas, x, y, _ in element_samples(mesh, NORM_RULE.points):
@@ -187,20 +183,25 @@ def ritz_project(mesh, grad_truth):
     Raises
     ------
     assembly.NonFiniteError
-        If a component of grad_truth is not finite at a quadrature point;
-        the message names the gradient field and the point.
+        If a component of grad_truth is not finite at a quadrature point,
+        an overflow included, which raises no numpy warning; the message
+        names the gradient field and the point.
     """
     load = np.zeros(mesh.num_vertices)
-    for block, corners, areas, x, y, _ in element_samples(mesh, NORM_RULE.points):
-        hx, hy = basis_gradients(corners, areas)
-        means = []
-        for g in grad_truth(x, y):
-            g = np.broadcast_to(g, x.shape)
-            check_finite(g, x, y, "gradient field")
-            means.append(_element_means(g))
-        gx, gy = means
-        # In the order of one bincount over the (nt, 3) rows of all blocks.
-        np.add.at(load, mesh.triangles[block].ravel(), (areas * (hx * gx + hy * gy)).T.ravel())
+    # An overflow in grad_truth is left to the finiteness check, which names
+    # the point.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block, corners, areas, x, y, _ in element_samples(mesh, NORM_RULE.points):
+            hx, hy = basis_gradients(corners, areas)
+            means = []
+            for g in grad_truth(x, y):
+                g = np.broadcast_to(g, x.shape)
+                check_finite(g, x, y, "gradient field")
+                means.append(_element_means(g))
+            gx, gy = means
+            # In the order of one bincount over the (nt, 3) rows of all blocks.
+            np.add.at(load, mesh.triangles[block].ravel(),
+                      (areas * (hx * gx + hy * gy)).T.ravel())
     interior = mesh.interior_vertices
     rhs = load[interior]
     cycle = VCycle(mesh)
@@ -427,15 +428,13 @@ def run_convergence_study(domain, d, f, levels, exact=None, extra_refinements=2,
             raise StudyError(f"reference level {top} failed: {exc}", report) from exc
         # The norms of error_l2, error_h1semi and error_linf, with the
         # reference mass values summed once, its stiffness values the mesh's
-        # own, and each level transferred once and its square terms formed
-        # once for both quadratic forms.
+        # own, and each level transferred once and its squares and edge
+        # products formed once for both quadratic forms.
         mass = mass_sums(ref_mesh)
         stiffness = stiffness_sums(ref_mesh)
         for record in report.records:
             e = _nested_difference(solutions[record.level], reference)
-            terms = _square_terms(ref_mesh, e)
-            record.err_l2 = _values_norm(mass, terms)
-            record.err_h1 = _values_norm(stiffness, terms)
+            record.err_l2, record.err_h1 = _reference_norms(ref_mesh, e, mass, stiffness)
             magnitude = np.abs(e)
             k = int(np.argmax(magnitude))
             record.err_linf = float(magnitude[k])

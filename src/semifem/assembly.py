@@ -185,9 +185,12 @@ def vertex_edge_sums(mesh, upper):
     (2, 2), (0, 1), (1, 2), (0, 2) of its triangle's local vertices.
     Returns the (nv + ne,) values of the assembled matrix: the diagonal
     entry of every vertex, then the entry of every edge of `mesh.edges()`.
-    The diagonal entries are summed per vertex in the order local vertex
-    0, 1, 2 of triangles 0, 1, ..., and the off-diagonal ones per edge,
-    whose at most two terms give the same sum in either order.
+    Each vertex sum adds local vertex 0 of all triangles in triangle
+    order, then local vertex 1 of all of them, then local vertex 2; a
+    `stiffness_sums` that streamed its rows block by block would have to
+    keep this order to keep the sums' bits. The off-diagonal entries
+    are summed per edge, whose at most two terms give the same sum in
+    either order.
     """
     nv = mesh.num_vertices
     sums = np.zeros(nv + mesh.edges().shape[0])
@@ -313,9 +316,10 @@ def assemble_load(mesh, f, quad):
 
     Raises
     ------
-    ValueError
-        If f is non-finite at any quadrature point; the message carries
-        the physical location.
+    NonFiniteError
+        If f is non-finite at any quadrature point, an overflow included,
+        which raises no numpy warning; the message carries the physical
+        location.
     """
     return _hat_integrals(mesh, f, (), quad, "right-hand side")
 
@@ -331,9 +335,12 @@ def assemble_nonlinear_residual(mesh, d, u, quad):
 
     Raises
     ------
+    NonFiniteError
+        If d is non-finite at any quadrature point, an overflow included,
+        which raises no numpy warning; the message carries the physical
+        location.
     ValueError
-        If d is non-finite at any quadrature point; the message carries
-        the physical location. If u lives on another mesh.
+        If u lives on another mesh.
     """
     _check_mesh(mesh, u)
     return _hat_integrals(mesh, d, (u.coeffs,), quad, "nonlinearity")
@@ -349,18 +356,21 @@ def _check_mesh(mesh, *functions):
 def _hat_integrals(mesh, g, coeffs, quad, what):
     """Integrals of g(x, y, *u_h) against every hat, u_h the interpolants of coeffs.
 
-    A non-finite value of g raises ValueError naming `what` and the point.
+    A non-finite value of g, an overflow included, raises NonFiniteError
+    naming `what` and the point, with no numpy warning.
     """
     # Entry (j, i) is weight i times hat j at point i of the rule.
     table = quad.weights * quad.points.T
     out = np.zeros(mesh.num_vertices)
-    for block, _, areas, x, y, values in element_samples(mesh, quad.points, coeffs):
-        gq = np.broadcast_to(np.asarray(g(x, y, *values), dtype=float), x.shape)
-        check_finite(gq, x, y, what)
-        rows = gq.reshape(len(quad), -1).T @ table.T
-        rows *= areas[:, None]
-        # In the order of one bincount over the (nt, 3) rows of all blocks.
-        np.add.at(out, mesh.triangles[block].ravel(), rows.ravel())
+    # An overflow in g is left to the finiteness check, which names the point.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block, _, areas, x, y, values in element_samples(mesh, quad.points, coeffs):
+            gq = np.broadcast_to(np.asarray(g(x, y, *values), dtype=float), x.shape)
+            check_finite(gq, x, y, what)
+            rows = gq.reshape(len(quad), -1).T @ table.T
+            rows *= areas[:, None]
+            # In the order of one bincount over the (nt, 3) rows of all blocks.
+            np.add.at(out, mesh.triangles[block].ravel(), rows.ravel())
     return out
 
 
@@ -383,10 +393,13 @@ def assemble_slope_matrix(mesh, d, u, v, floor, quad):
 
     Raises
     ------
+    NonFiniteError
+        If a weight is non-finite, an overflow of d included, which raises
+        no numpy warning; the message carries the physical location.
     ValueError
-        If a weight is non-finite or falls below the negative tolerance,
-        signalling a non-monotone nonlinearity, if floor is not
-        positive, or if u or v lives on another mesh.
+        If a weight falls below the negative tolerance, signalling a
+        non-monotone nonlinearity, if floor is not positive, or if u or v
+        lives on another mesh.
     """
     _check_mesh(mesh, u, v)
     if floor <= 0.0:
@@ -396,20 +409,22 @@ def assemble_slope_matrix(mesh, d, u, v, floor, quad):
                       for a, c in _UPPER])
     upper = np.empty((len(_UPPER), mesh.num_triangles))
     samples = element_samples(mesh, quad.points, (u.coeffs, v.coeffs))
-    for block, _, areas, x, y, (uq, vq) in samples:
-        e = uq - vq
-        num = (np.asarray(d(x, y, uq), dtype=float)
-               - np.asarray(d(x, y, vq), dtype=float))
-        b = np.sign(e) * num / np.maximum(np.abs(e), floor)
-        check_finite(b, x, y, "slope weight")
-        k = int(np.argmin(b))
-        if b[k] < -SLOPE_WEIGHT_TOL:
-            raise ValueError(
-                f"negative slope weight {b[k]:.3e} at point ({x[k]:g}, {y[k]:g}): "
-                "nonlinearity is not monotone non-decreasing")
-        rows = upper[:, block]
-        np.matmul(table, np.maximum(b, 0.0).reshape(len(quad), -1), out=rows)
-        rows *= areas
+    # An overflow in d is left to the finiteness check, which names the point.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block, _, areas, x, y, (uq, vq) in samples:
+            e = uq - vq
+            num = (np.asarray(d(x, y, uq), dtype=float)
+                   - np.asarray(d(x, y, vq), dtype=float))
+            b = np.sign(e) * num / np.maximum(np.abs(e), floor)
+            check_finite(b, x, y, "slope weight")
+            k = int(np.argmin(b))
+            if b[k] < -SLOPE_WEIGHT_TOL:
+                raise ValueError(
+                    f"negative slope weight {b[k]:.3e} at point ({x[k]:g}, {y[k]:g}): "
+                    "nonlinearity is not monotone non-decreasing")
+            rows = upper[:, block]
+            np.matmul(table, np.maximum(b, 0.0).reshape(len(quad), -1), out=rows)
+            rows *= areas
     return upper
 
 
@@ -456,14 +471,9 @@ def apply_dirichlet(matrix, rhs, mesh):
     not use it: they restrict systems to `mesh.interior_vertices`.
     """
     interior = ~mesh.boundary_vertex
-    coo = matrix.tocoo()
-    data = coo.data * interior[coo.row] * interior[coo.col]
-    bnd = np.where(mesh.boundary_vertex)[0]
-    rows = np.concatenate([coo.row, bnd])
-    cols = np.concatenate([coo.col, bnd])
-    data = np.concatenate([data, np.ones(bnd.size)])
-    nv = mesh.num_vertices
-    constrained = sparse.coo_matrix((data, (rows, cols)), shape=(nv, nv)).tocsr()
+    keep = sparse.diags(interior.astype(float))
+    constrained = sparse.csr_matrix(keep @ matrix @ keep
+                                    + sparse.diags(mesh.boundary_vertex.astype(float)))
     constrained.eliminate_zeros()
     constrained.sort_indices()
     return constrained, np.where(interior, np.asarray(rhs, dtype=float), 0.0)

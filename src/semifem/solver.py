@@ -37,7 +37,7 @@ import numpy as np
 # Newton step takes the interior block of the stiffness from its kept sums.
 # They stay importable because benchmarks/tracing.py wraps them by name in
 # this namespace. It wraps the other assemblers here too, so the Newton step
-# takes its slope rows from assemble_slope_matrix.
+# calls them by their names in this namespace.
 from .assembly import (NonFiniteError, apply_dirichlet, assemble_load, assemble_mass,
                        assemble_nonlinear_residual, assemble_slope_matrix,
                        assemble_stiffness, stiffness_sums, values_interior_block)
@@ -444,11 +444,6 @@ def _newton(mesh, d, load, cfg, start, stats, requested):
     # gathers against 44.
     stiffness = None
 
-    def reaction_terms(assemble, *args):
-        """assemble(mesh, d, ...), with an overflow of d left to its finiteness check."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return assemble(mesh, d, *args)
-
     def correction(reaction, rhs, tol):
         """Interior unknowns x of J x = rhs by V-cycle CG to tol.
 
@@ -475,7 +470,7 @@ def _newton(mesh, d, load, cfg, start, stats, requested):
         (K u + N) - F bitwise, as the boundary columns multiply zeros.
         """
         nonlocal stiffness
-        reaction = reaction_terms(assemble_nonlinear_residual, FemFunction(mesh, coeffs), quad)
+        reaction = assemble_nonlinear_residual(mesh, d, FemFunction(mesh, coeffs), quad)
         if stiffness is None:
             stiffness = values_interior_block(mesh, stiffness_sums(mesh))
         res = np.zeros(nv)
@@ -488,7 +483,7 @@ def _newton(mesh, d, load, cfg, start, stats, requested):
     if start is not None:
         u[interior] = start[interior]
     else:
-        frozen = reaction_terms(assemble_nonlinear_residual, FemFunction.zeros(mesh), quad)
+        frozen = assemble_nonlinear_residual(mesh, d, FemFunction.zeros(mesh), quad)
         with np.errstate(over="ignore"):
             rhs = load - frozen[interior]
         if not np.isfinite(_norm(rhs)):
@@ -518,8 +513,8 @@ def _newton(mesh, d, load, cfg, start, stats, requested):
         forcing_tol = CG_TOL if res_norm == 0.0 else max(
             CG_TOL, FORCING * min(target, res_norm) / res_norm)
         delta[interior] = correction(
-            lambda: reaction_terms(assemble_slope_matrix, FemFunction(mesh, u + tau),
-                                   FemFunction(mesh, u - tau), tau, quad),
+            lambda: assemble_slope_matrix(mesh, d, FemFunction(mesh, u + tau),
+                                          FemFunction(mesh, u - tau), tau, quad),
             -res[interior], forcing_tol)
         try:
             step, u, res = _line_search(residual, u, delta, res, cfg.residual_tol, scale)

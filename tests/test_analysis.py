@@ -67,6 +67,20 @@ class TestErrorL2:
                 assembly.mass_sums(mesh).view(np.uint64),
                 assembly.vertex_edge_sums(mesh, assembly.mass_upper(mesh)).view(np.uint64))
 
+    def test_nested_norms_equal_matrix_quadratic_forms(self):
+        # Pentagon level 6 has 30 880 edges: the edge products are formed in
+        # two chunks of `assembly.GATHER` edges, the second one partial.
+        fine = triangulate_convex_polygon(preset_polygon("pentagon"))
+        for _ in range(6):
+            fine = refine_uniform(fine)
+        assert assembly.GATHER < fine.edges().shape[0] < 2 * assembly.GATHER
+        u = interpolate(fine.parent, lambda x, y: np.sin(3 * x) * y)
+        truth = interpolate(fine, lambda x, y: np.cos(2 * y) + x)
+        e = truth.coeffs - prolongate(u, fine).coeffs
+        for norm, matrix in ((error_l2, assembly.assemble_mass(fine)),
+                             (error_h1semi, assemble_stiffness(fine))):
+            assert norm(u, truth) == pytest.approx(np.sqrt(e @ (matrix @ e)), rel=1e-13)
+
     def test_non_nested_truth_rejected(self):
         from semifem.mesh import MeshError
         coarse = square_mesh(2)
@@ -325,6 +339,18 @@ class TestEoc:
         e1 = h1 ** (4 / 3) * abs(math.log(h1))
         assert eoc_log_corrected(e0, e1, h0, h1, 1) == pytest.approx(4 / 3, abs=1e-13)
 
+    @pytest.mark.parametrize("h_coarse, h_fine", [
+        (0.1, 0.2), (0.1, 0.1), (0.5, 0.0), (1.0, 0.5), (2.0, 1.0)])
+    def test_log_corrected_range_checked(self, h_coarse, h_fine):
+        with pytest.raises(ValueError,
+                           match="log-corrected EOC needs 0 < h_fine < h_coarse < 1"):
+            eoc_log_corrected(0.1, 0.05, h_coarse, h_fine, 2)
+
+    @pytest.mark.parametrize("e_coarse, e_fine", [(0.0, 0.1), (0.1, 0.0), (-0.1, 0.1),
+                                                  (0.1, -0.1)])
+    def test_log_corrected_nonpositive_error_gives_nan(self, e_coarse, e_fine):
+        assert math.isnan(eoc_log_corrected(e_coarse, e_fine, 0.25, 0.125, 2))
+
 
 class TestNormConsistency:
     def test_all_norms_vanish_on_self(self):
@@ -353,6 +379,19 @@ class TestStudy:
         assert rec.eoc_l2 is None and rec.eoc_h1 is None and rec.eoc_linf is None
         row = report.csv_text().splitlines()[1]
         assert ",,,," in row  # four empty EOC fields
+
+    def test_log_corrected_eoc_nan_from_unit_mesh_size(self):
+        # The level-0 unit square has h = 1, where |ln h| vanishes: the
+        # log-corrected EOC after it is NaN, the plain ones are numbers.
+        d = PowerLaw(weight=0.0)
+        report = run_convergence_study("unit-square", d, SINE.rhs(d), range(0, 3), exact=SINE)
+        first, second, third = report.records
+        assert first.h == 1.0 and first.eoc_l2_logcorr is None
+        assert math.isnan(second.eoc_l2_logcorr)
+        assert all(math.isfinite(v) for v in (second.eoc_l2, second.eoc_h1, second.eoc_linf))
+        assert third.eoc_l2_logcorr == eoc_log_corrected(second.err_l2, third.err_l2,
+                                                          second.h, third.h, 2)
+        assert report.csv_text().splitlines()[2].split(",")[9] == "nan"
 
     def test_csv_structure(self):
         d = PowerLaw(weight=0.0)

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -518,6 +519,37 @@ def test_nonfinite_slope_weight_rejected(square2, value):
     locate_point(square2, point)
 
 
+# A reaction that overflows double precision: 1e300 · 1e300 at u = 1e300.
+OVERFLOWING = PowerLaw(1e300, 1)
+
+
+def overflowing_at_huge(x, y):
+    return OVERFLOWING(x, y, np.full_like(x, 1e300))
+
+
+@pytest.mark.parametrize("what", ["right-hand side", "nonlinearity", "slope weight",
+                                  "gradient field"])
+def test_overflow_rejected_without_warning(square2, what):
+    # The kernels leave an overflow in the callable to their finiteness
+    # check: with every warning an error, the NonFiniteError naming a point
+    # is what gets raised, not numpy's overflow RuntimeWarning.
+    quad = seven_point_rule()
+    huge = FemFunction(square2, np.full(square2.num_vertices, 1e300))
+    run = {
+        "right-hand side": lambda: assemble_load(square2, overflowing_at_huge, quad),
+        "nonlinearity": lambda: assemble_nonlinear_residual(square2, OVERFLOWING, huge, quad),
+        "slope weight": lambda: assemble_slope_matrix(
+            square2, OVERFLOWING, huge, FemFunction.zeros(square2), 1e-6, quad),
+        "gradient field": lambda: ritz_project(
+            square2, lambda x, y: (overflowing_at_huge(x, y), np.zeros_like(x))),
+    }[what]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(assembly.NonFiniteError, match=f"{what} returned non-finite") as info:
+            run()
+    locate_point(square2, reported_point(str(info.value)))
+
+
 def test_function_on_another_mesh_rejected():
     # A state on the mesh's child would be read at the wrong vertices, one
     # on its parent out of bounds: both are rejected by name.
@@ -827,7 +859,11 @@ def test_peak_allocation_per_triangle():
     # Newton step builds it, with the solver's default rule, the slope rows
     # and the cycle peak at 77 B in the fine level's vertex and edge sums,
     # with the fine and the parent's rows alive (110 B when the caller kept
-    # the rows alive through the build).
+    # the rows alive through the build). The H1 error of a parent-mesh
+    # function against a nested FemFunction, with the kept stiffness, peaks
+    # at 27 B while its squares and edge products are alive and the edge
+    # ends are gathered one chunk at a time (44 B when the ends of all edges
+    # were gathered into one (ne, 2) array).
     mesh = pentagon(7)
     ritz_project(mesh, smooth_grad)
     # The warm-up keeps the mesh's stiffness; a copy measures a first build.
@@ -837,6 +873,7 @@ def test_peak_allocation_per_triangle():
     v = interpolate(mesh, lambda x, y: -1.0 + 0.3 * x * y)
     quad = seven_point_rule()
     steep = steep_slope_rows(mesh)
+    coarse = interpolate(mesh.parent, lambda x, y: np.sin(3 * x) - 1.0)
     assemblers = {
         "stiffness": lambda: assemble_stiffness(copy),
         "load": lambda: assemble_load(mesh, lambda x, y: np.ones_like(x), quad),
@@ -845,13 +882,14 @@ def test_peak_allocation_per_triangle():
         "l2": lambda: error_l2(u, smooth_value),
         "h1": lambda: error_h1semi(u, smooth_grad),
         "linf": lambda: error_linf(u, smooth_value),
+        "h1 nested": lambda: error_h1semi(coarse, u),
         "ritz": lambda: ritz_project(mesh, smooth_grad),
         "vcycle": lambda: VCycle(mesh, lambda: steep),
         "slope rows + cycle build": lambda: VCycle(mesh, lambda: assemble_slope_matrix(
             mesh, d, u, v, 1e-6, rule_of_degree(SolverConfig().quad_degree))),
     }
     bounds = {"stiffness": 85, "load": 30, "residual": 38, "slope": 150,
-              "l2": 48, "h1": 56, "linf": 48, "ritz": 200, "vcycle": 75,
+              "l2": 48, "h1": 56, "linf": 48, "h1 nested": 32, "ritz": 200, "vcycle": 75,
               "slope rows + cycle build": 85}
     peaks = {}
     for name, assemble in assemblers.items():

@@ -4,12 +4,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from semifem import cli
 from semifem.analysis import UNIT_SQUARE_SINE, run_convergence_study
 from semifem.cli import CONFIG_KEYS, main
 from semifem.femfunction import read_function
 from semifem.mesh import preset_polygon, read_mesh, triangulate_convex_polygon
 from semifem.nonlinearity import PowerLaw
-from semifem.solver import solve_semilinear
+from semifem.solver import CgError, solve_semilinear
 
 KINK_CONFIG = """
 # kink problem on the worst-angle pentagon
@@ -413,3 +414,42 @@ def test_unreadable_domain_rejected(tmp_path, capsys, command):
 def test_negative_level_rejected(tmp_path, capsys, command):
     assert main([command, "--level", "-2", "--output", str(tmp_path / "out.txt")]) == 2
     assert "level" in capsys.readouterr().err
+
+
+def test_unreadable_config_rejected(tmp_path, capsys):
+    missing = str(tmp_path / "missing.cfg")
+    assert main(["solve", "--config", missing]) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot read config file {missing}: " in err
+    assert "No such file or directory" in err
+
+
+def test_config_line_without_equals_rejected(tmp_path, capsys):
+    cfg = write(tmp_path, "bad.cfg", "# comment\ndomain pentagon  # no equals sign\n")
+    assert main(["solve", "--config", cfg]) == 2
+    assert (f"error: {cfg}:2: expected 'key = value', got 'domain pentagon  # no equals sign'"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("rhs =", "config key 'rhs': empty value"),
+    ("cut_m = 0", "config key 'cut_m': cut bound must be positive, got 0.0"),
+    ("cut_m = nan", "config key 'cut_m': cut bound must be positive, got nan"),
+    ("cut_m = big", "config key 'cut_m': could not convert string to float: 'big'"),
+])
+def test_rejected_value_message(tmp_path, capsys, setting, message):
+    cfg = write(tmp_path, "bad.cfg", KINK_CONFIG + setting + "\n")
+    assert main(["solve", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_solver_error_other_than_newton_exits_numerical(tmp_path, capsys, monkeypatch):
+    # `solve` reports a NewtonError itself; any other SolverError reaches
+    # main, which names it a numerical failure with exit code 1.
+    def failing(*args, **kwargs):
+        raise CgError("CG stalled")
+
+    monkeypatch.setattr(cli, "solve_semilinear", failing)
+    assert main(["solve", "--output", str(tmp_path / "u.txt")]) == 1
+    assert capsys.readouterr().err == "numerical failure: CG stalled\n"
+    assert not (tmp_path / "u.txt").exists()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,24 @@ def test_function_io_malformed_names_path(tmp_path, square, text):
     with pytest.raises(ValueError, match="malformed function file") as info:
         read_function(square, path)
     assert str(path) in str(info.value)
+
+
+def test_function_io_rejects_empty_file(tmp_path, square):
+    path = tmp_path / "u.txt"
+    path.write_text("\n \n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: empty function file")):
+        read_function(square, path)
+
+
+def test_function_io_rejects_wrong_line_count(tmp_path, square):
+    u = interpolate(square, lambda x, y: x)
+    path = tmp_path / "u.txt"
+    write_function(u, path)
+    path.write_text(path.read_text() + "0.5\n")
+    nv = square.num_vertices
+    message = re.escape(f"{path}: expected {1 + nv} lines, found {2 + nv}")
+    with pytest.raises(ValueError, match=message):
+        read_function(square, path)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -5,8 +7,8 @@ from scipy import sparse
 from semifem import mesh as mesh_module
 from semifem.femfunction import FemFunction, prolongate
 from semifem.mesh import (PRESET_POLYGONS, MeshError, Polygon, TriMesh, locate_point,
-                          mesh_size, min_angle, preset_polygon, read_mesh, refine_uniform,
-                          triangulate_convex_polygon, write_mesh)
+                          mesh_size, min_angle, preset_polygon, read_mesh, read_polygon,
+                          refine_uniform, triangulate_convex_polygon, write_mesh)
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 PENTAGON = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.5, 1.0), (0.0, 0.5)]
@@ -74,6 +76,11 @@ class TestPolygon:
     def test_rejects_clockwise(self):
         with pytest.raises(MeshError):
             Polygon(list(reversed(UNIT_SQUARE)))
+
+    @pytest.mark.parametrize("vertices", [[0.0, 1.0, 2.0], [[0, 0, 0], [1, 0, 0], [0, 1, 0]]])
+    def test_rejects_wrong_shape(self, vertices):
+        with pytest.raises(MeshError, match=r"polygon vertices must form an \(n, 2\) array"):
+            Polygon(vertices)
 
     def test_square_area_and_centroid(self):
         poly = Polygon(UNIT_SQUARE)
@@ -519,7 +526,53 @@ class TestMeshIO:
             read_mesh(path)
 
 
+class TestReadPolygon:
+    @pytest.mark.parametrize("line", ["1 0 0", "1"])
+    def test_rejects_wrong_field_count(self, tmp_path, line):
+        path = tmp_path / "poly.txt"
+        path.write_text(f"0 0\n{line}\n1 1\n")
+        message = re.escape(f"{path}:2: expected 'x y', got '{line}'")
+        with pytest.raises(MeshError, match=message):
+            read_polygon(path)
+
+    def test_rejects_non_number(self, tmp_path):
+        path = tmp_path / "poly.txt"
+        path.write_text("# header\n0 0\n1 zero\n1 1\n")
+        message = re.escape(f"{path}:3: could not convert string to float")
+        with pytest.raises(MeshError, match=message):
+            read_polygon(path)
+
+
+class TestReadMeshMalformed:
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty mesh file"),
+        ("3\n0 0 1\n1 0 1\n0 1 1\n0 1 2\n", "first line must be 'nv nt'"),
+        ("3 1\n0 0 1\n1 0 1\n0 1 1\n", "expected 5 lines, found 4"),
+        ("3 1\n0 0 1\n1 x 1\n0 1 1\n0 1 2\n", "malformed mesh file: could not convert"),
+        ("3 1\n0 0 1\n1 0 1\n0 1 1\n0 1 two\n", "malformed mesh file: invalid literal"),
+    ])
+    def test_message(self, tmp_path, text, message):
+        path = tmp_path / "mesh.txt"
+        path.write_text(text)
+        with pytest.raises(MeshError, match=message) as info:
+            read_mesh(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+
 class TestTriMeshValidation:
+    @pytest.mark.parametrize("vertices, triangles, message", [
+        ([0.0, 1.0, 0.0], [[0, 1, 2]], r"vertices must form an \(nv, 2\) array"),
+        ([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]],
+         r"vertices must form an \(nv, 2\) array"),
+        ([[0, 0], [1, 0], [0, 1]], [0, 1, 2], r"triangles must form an \(nt, 3\) array"),
+        ([[0, 0], [1, 0], [0, 1]], [[0, 1]], r"triangles must form an \(nt, 3\) array"),
+        ([[0, 0], [1, 0], [0, 1]], [[0, 1, 3]], "triangle vertex index out of range"),
+        ([[0, 0], [1, 0], [0, 1]], [[-1, 1, 2]], "triangle vertex index out of range"),
+    ])
+    def test_rejects_malformed_arrays(self, vertices, triangles, message):
+        with pytest.raises(MeshError, match=message):
+            TriMesh(vertices, triangles)
+
     def test_rejects_inverted_triangle(self):
         with pytest.raises(MeshError, match="area"):
             TriMesh([[0, 0], [1, 0], [0, 1]], [[0, 2, 1]])

@@ -61,6 +61,12 @@ def test_bad_rules_rejected():
         QuadRule("bad", 1, [[1 / 3, 1 / 3, 1 / 3]], [0.5])
     with pytest.raises(ValueError):
         QuadRule("bad", 1, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [1.5, -0.5])
+    for points, weights, message in [
+            ([1 / 3, 1 / 3, 1 / 3], [1.0], r"quadrature points must be \(n, 3\) barycentric"),
+            ([[0.5, 0.5]], [1.0], r"quadrature points must be \(n, 3\) barycentric"),
+            ([[1 / 3, 1 / 3, 1 / 3]], [0.5, 0.5], "one weight per quadrature point required")]:
+        with pytest.raises(ValueError, match=message):
+            QuadRule("bad", 1, points, weights)
 
 
 def test_midpoint_rule_points():

@@ -692,6 +692,17 @@ class TestUniformBound:
                                          interpolate(mesh, lambda x, y: x))
         assert passed
 
+    def test_zero_reference(self):
+        # Against a zero reference the bound is 1e-10 and the ratio 1 when
+        # both vanish, inf otherwise.
+        mesh = square_mesh(1)
+        zero = FemFunction.zeros(mesh)
+        assert verify_uniform_bound(zero, zero) == (True, 1.0)
+        tiny = FemFunction(mesh, np.full(mesh.num_vertices, 1e-11))
+        assert verify_uniform_bound(tiny, zero) == (True, np.inf)
+        x = interpolate(mesh, lambda x, y: x)
+        assert verify_uniform_bound(x, zero) == (False, np.inf)
+
     def test_inflated_fails(self):
         mesh = square_mesh(1)
         ref = interpolate(mesh, lambda x, y: x)
@@ -830,10 +841,12 @@ def check_kink_study_windows(report):
 @pytest.mark.slow
 def test_kink_study_against_level10_reference():
     # Levels 2..8 against a level-10 reference (5.2 M triangles), about
-    # 10 s on a 2-CPU VM. It peaks at 1443-1463 MiB, in the level-10
-    # reference's first V-cycle build or in the square terms of its error
-    # norms; the bound is 1.5 GiB. It peaked at 1579-1600 MiB when the
-    # Newton loop kept an interior stiffness block beside each V-cycle.
+    # 10 s on a 2-CPU VM. It peaks at 1419-1447 MiB, in the level-10
+    # reference's first V-cycle build; the bound is 1.5 GiB. It peaked at
+    # 1473-1481 MiB when its error norms gathered the ends of all edges
+    # into one (ne, 2) array beside the edge products, and at 1579-1600
+    # MiB when the Newton loop kept an interior stiffness block beside
+    # each V-cycle.
     (peak_mib,) = peak_rss_in_fresh_process(
         "report = test_solver.run_convergence_study(\n"
         "    'pentagon', test_solver.kink_term(), test_solver.ONE, range(2, 9),\n"
