@@ -206,7 +206,7 @@ def ritz_project(mesh, grad_truth):
     rhs = load[interior]
     cycle = VCycle(mesh)
     coeffs = np.zeros(mesh.num_vertices)
-    coeffs[interior], _ = cg_solve(cycle.matrix, rhs, CG_TOL, preconditioner=cycle)
+    coeffs[interior], _, _ = cg_solve(cycle.matrix, rhs, CG_TOL, preconditioner=cycle)
     return FemFunction(mesh, coeffs)
 
 
@@ -231,11 +231,8 @@ def eoc_log_corrected(e_coarse, e_fine, h_coarse, h_fine, log_power):
     """
     if not (0.0 < h_fine < h_coarse < 1.0):
         raise ValueError("log-corrected EOC needs 0 < h_fine < h_coarse < 1")
-    if e_coarse <= 0.0 or e_fine <= 0.0:
-        return math.nan
-    ec = e_coarse / abs(math.log(h_coarse)) ** log_power
-    ef = e_fine / abs(math.log(h_fine)) ** log_power
-    return math.log(ec / ef) / math.log(h_coarse / h_fine)
+    return eoc(e_coarse / abs(math.log(h_coarse)) ** log_power,
+               e_fine / abs(math.log(h_fine)) ** log_power, h_coarse, h_fine)
 
 
 @dataclass

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .solver import integer
+
 MONOTONE_TOL = 1e-12
 
 
@@ -140,8 +142,7 @@ def check_monotone(d, sample_points, u_range, n):
     n : int
         Number of u samples per point, at least 2.
     """
-    if n < 2:
-        raise ValueError(f"need at least 2 samples, got {n}")
+    n = integer(n, "n", 2)
     lo, hi = float(u_range[0]), float(u_range[1])
     if not -np.inf < lo < hi < np.inf:
         raise ValueError(f"u_range must be finite with u_min < u_max, got {u_range!r}")

@@ -178,10 +178,10 @@ class SolveStats:
     whose line search took a step below 1. Each mesh adds its starting
     residual and one entry per Newton step to residual_history.
     final_residual_norm is that of the requested mesh. cg_residuals holds,
-    per CG call in call order, the true relative residual
-    ||A x - b|| / ||b|| of the returned correction (0 for b = 0); a Newton
-    correction's entry lies at its forcing tolerance, which can reach
-    FORCING, not at CG_TOL.
+    per CG call in call order, the relative residual ||A x - b|| / ||b||
+    that `cg_solve` checked for the returned correction and returned with
+    it (0 for b = 0); a Newton correction's entry lies at its forcing
+    tolerance, which can reach FORCING, not at CG_TOL.
     """
 
     final_residual_norm: float = np.inf
@@ -217,9 +217,9 @@ def cg_solve(matrix, rhs, tol=CG_TOL, maxit=None, preconditioner=None):
         Symmetric positive definite (after constraints).
     rhs : ndarray
     tol : float
-        Relative tolerance, `CG_TOL` by default: the returned x satisfies
-        ||matrix x - rhs|| <= tol * ||rhs||, unless the true residual
-        stagnates first (see below).
+        Relative tolerance, `CG_TOL` by default, positive: the returned x
+        satisfies ||matrix x - rhs|| <= tol * ||rhs||, unless the true
+        residual stagnates first (see below).
     maxit : int or None
         Iteration cap, at least 1; None caps at 10 times the system
         dimension.
@@ -230,15 +230,17 @@ def cg_solve(matrix, rhs, tol=CG_TOL, maxit=None, preconditioner=None):
 
     Returns
     -------
-    (ndarray, int)
-        Solution and the number of iterations used.
+    (ndarray, int, float)
+        Solution, the number of iterations used, and the relative residual
+        ||matrix x - rhs|| / ||rhs|| of the returned x that CG checked before
+        returning (0.0 for rhs = 0).
 
     When the recursive residual meets the tolerance, the true residual is
     recomputed; if it misses, CG restarts from it. If a recomputed true
     residual is no smaller than the best one before it, the tolerance lies
     below the accuracy the recursion can attain (Greenbaum 1997), and the
-    iterate with the smallest true residual is returned. Callers that need
-    the bound check ||matrix x - rhs|| themselves.
+    iterate with the smallest true residual is returned with its residual,
+    which is then above tol.
 
     Raises
     ------
@@ -249,15 +251,18 @@ def cg_solve(matrix, rhs, tol=CG_TOL, maxit=None, preconditioner=None):
         or when the preconditioner is not positive definite; carries the
         residual history.
     ValueError
-        When maxit is not an integer of at least 1.
+        When tol is not positive (NaN included), or maxit is not an integer
+        of at least 1.
     """
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     n = matrix.shape[0]
     maxit = 10 * n if maxit is None else integer(maxit, "maxit", 1)
     rhs = np.asarray(rhs, dtype=float)
     rhs_norm = _norm(rhs)
     x = np.zeros(n)
     if rhs_norm == 0.0:
-        return x, 0
+        return x, 0, 0.0
     if not np.isfinite(rhs_norm):
         raise CgError(f"right-hand side norm is not finite ({rhs_norm}): "
                       "the data overflow double precision")
@@ -300,9 +305,9 @@ def cg_solve(matrix, rhs, tol=CG_TOL, maxit=None, preconditioner=None):
             r = rhs - matrix @ x
             res = np.linalg.norm(r)
             if res <= tol * rhs_norm:
-                return x, it
+                return x, it, float(res / rhs_norm)
             if res >= best_res:
-                return best_x, it
+                return best_x, it, float(best_res / rhs_norm)
             best_res, best_x = res, x.copy()
             z, rz = direction(r)
             p = z.copy()
@@ -455,12 +460,9 @@ def _newton(mesh, d, load, cfg, start, stats, requested):
         nonlocal stiffness
         stiffness = None
         cycle = VCycle(mesh, reaction)
-        block = cycle.matrix
-        x, used = cg_solve(block, rhs, tol, preconditioner=cycle)
+        x, used, relative = cg_solve(cycle.matrix, rhs, tol, preconditioner=cycle)
         stats.levels[-1].cg_iterations += used
-        rhs_norm = np.linalg.norm(rhs)
-        stats.cg_residuals.append(
-            float(np.linalg.norm(block @ x - rhs) / rhs_norm) if rhs_norm > 0.0 else 0.0)
+        stats.cg_residuals.append(relative)
         return x
 
     def residual(coeffs):

@@ -229,7 +229,8 @@ class TestRitz:
                            minlength=mesh.num_vertices)
         cycle = VCycle(mesh)
         coeffs = np.zeros(mesh.num_vertices)
-        coeffs[interior], _ = cg_solve(cycle.matrix, load[interior], CG_TOL, preconditioner=cycle)
+        coeffs[interior], _, _ = cg_solve(cycle.matrix, load[interior], CG_TOL,
+                                           preconditioner=cycle)
         np.testing.assert_array_equal(ritz_project(mesh, smooth_grad).coeffs.view(np.uint64),
                                       coeffs.view(np.uint64))
 

@@ -69,7 +69,7 @@ def test_iterations_bounded_across_levels(level):
     cycle, rhs = poisson(mesh)
     lhs = cycle.matrix
     tol = 1e-10
-    x, iters = cg_solve(lhs, rhs, tol, preconditioner=cycle)
+    x, iters, _ = cg_solve(lhs, rhs, tol, preconditioner=cycle)
     assert iters <= 20
     assert np.linalg.norm(lhs @ x - rhs) <= tol * np.linalg.norm(rhs)
 
@@ -249,7 +249,7 @@ def test_small_system_gets_exact_cycle(tmp_path, level):
         cycle, rhs = poisson(mesh)
         lhs = cycle.matrix
         assert lhs.shape[0] <= DENSE_COARSE_SIZE
-        x, iters = cg_solve(lhs, rhs, 1e-10, preconditioner=cycle)
+        x, iters, _ = cg_solve(lhs, rhs, 1e-10, preconditioner=cycle)
         assert iters == 1
         assert np.linalg.norm(lhs @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
@@ -270,7 +270,7 @@ def test_chain_ends_above_ancestor_without_interior():
     cycle, rhs = poisson(mesh)
     lhs = cycle.matrix
     assert lhs.shape[0] == 2 * n - 1 > DENSE_COARSE_SIZE
-    x, iters = cg_solve(lhs, rhs, 1e-10, preconditioner=cycle)
+    x, iters, _ = cg_solve(lhs, rhs, 1e-10, preconditioner=cycle)
     assert iters == 1
     assert np.linalg.norm(lhs @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
@@ -286,7 +286,7 @@ def test_parentless_mesh_solves(tmp_path, level):
     cycle, rhs = poisson(mesh)
     lhs = cycle.matrix
     tol = 1e-10
-    x, iters = cg_solve(lhs, rhs, tol, preconditioner=cycle)
+    x, iters, _ = cg_solve(lhs, rhs, tol, preconditioner=cycle)
     assert iters <= 2
     assert np.linalg.norm(lhs @ x - rhs) <= tol * np.linalg.norm(rhs)
 

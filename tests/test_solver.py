@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.spatial import cKDTree
 
 import semifem
 
@@ -17,7 +18,7 @@ from semifem.femfunction import FemFunction, interpolate, prolongate
 from semifem.mesh import (TriMesh, preset_polygon, refine_uniform,
                           triangulate_convex_polygon)
 from semifem.multigrid import DENSE_COARSE_SIZE
-from semifem.nonlinearity import PowerLaw, cut
+from semifem.nonlinearity import PowerLaw, check_monotone, cut
 from semifem.quadrature import edge_midpoint_rule, rule_of_degree
 from semifem.solver import (ANCESTOR_REDUCTION, CG_TOL, FORCING, LINE_SEARCH_REDUCTION,
                             LINE_SEARCH_RESIDUALS, MAX_HALF_WIDTH, MIN_HALF_WIDTH, CgError,
@@ -61,18 +62,18 @@ class TestCg:
     def test_identity_converges_immediately(self):
         matrix = sparse.identity(6, format="csr")
         rhs = np.arange(1.0, 7.0)
-        x, iters = cg_solve(matrix, rhs, tol=1e-12)
+        x, iters, _ = cg_solve(matrix, rhs, tol=1e-12)
         np.testing.assert_allclose(x, rhs, rtol=1e-14)
         assert iters <= 1
 
     def test_two_by_two_oracle(self):
         matrix = sparse.csr_matrix(np.array([[4.0, 1.0], [1.0, 3.0]]))
-        x, _ = cg_solve(matrix, np.array([1.0, 2.0]), tol=1e-14)
+        x, _, _ = cg_solve(matrix, np.array([1.0, 2.0]), tol=1e-14)
         np.testing.assert_allclose(x, [1.0 / 11.0, 7.0 / 11.0], atol=1e-13)
 
     def test_zero_rhs(self):
         matrix = sparse.csr_matrix(np.array([[4.0, 1.0], [1.0, 3.0]]))
-        x, iters = cg_solve(matrix, np.zeros(2))
+        x, iters, _ = cg_solve(matrix, np.zeros(2))
         assert not np.any(x)
         assert iters == 0
 
@@ -82,7 +83,7 @@ class TestCg:
                                    assemble_load(mesh, ONE, edge_midpoint_rule()),
                                    mesh)
         tol = 1e-11
-        x, _ = cg_solve(lhs, rhs, tol=tol)
+        x, _, _ = cg_solve(lhs, rhs, tol=tol)
         assert np.linalg.norm(lhs @ x - rhs) <= tol * np.linalg.norm(rhs)
 
     def test_indefinite_detected(self):
@@ -112,7 +113,7 @@ class TestCg:
         matrix = sparse.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)],
                               [-1, 0, 1], format="csr")
         rhs = np.random.default_rng(5).standard_normal(n)
-        x, iters = cg_solve(matrix, rhs, tol=1e-15)
+        x, iters, _ = cg_solve(matrix, rhs, tol=1e-15)
         assert iters < 5 * n
         assert np.linalg.norm(matrix @ x - rhs) <= 1e-13 * np.linalg.norm(rhs)
 
@@ -129,6 +130,33 @@ class TestCg:
         matrix = sparse.csr_matrix(np.array([[4.0, 1.0], [1.0, 3.0]]))
         with pytest.raises(CgError, match="preconditioner"):
             cg_solve(matrix, np.array([1.0, 2.0]), preconditioner=lambda r: -r)
+
+    @staticmethod
+    def laplacian_1d(n):
+        return sparse.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)],
+                            [-1, 0, 1], format="csr")
+
+    def test_returns_the_residual_it_checked(self):
+        # The third value is ||A x - b|| / ||b|| of the returned x, computed
+        # as CG checks it: within tol on convergence, above tol for the best
+        # iterate of a stagnating solve, and 0 for b = 0.
+        n = 200
+        matrix = self.laplacian_1d(n)
+        rhs = np.random.default_rng(5).standard_normal(n)
+        for tol, met in ((1e-8, True), (1e-15, False)):
+            x, _, relative = cg_solve(matrix, rhs, tol=tol)
+            assert relative == np.linalg.norm(rhs - matrix @ x) / np.linalg.norm(rhs)
+            assert (relative <= tol) == met
+        assert cg_solve(matrix, np.zeros(n))[2] == 0.0
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan])
+    def test_unattainable_tolerance_rejected(self, tol):
+        # Only an exactly zero residual meets such a tolerance. Unchecked,
+        # -1 and NaN run this system 100 iterations to a zero residual and
+        # then fail with a misleading "preconditioner is not positive
+        # definite" CgError.
+        with pytest.raises(ValueError, match="tol must be positive"):
+            cg_solve(self.laplacian_1d(200), np.ones(200), tol=tol)
 
 
 class TestSolve:
@@ -300,6 +328,20 @@ class TestSolve:
         # Forcing allows looser steps, but on level 3 the cycle is the exact dense inverse.
         assert max(stats.cg_residuals) <= 10 * CG_TOL
 
+    def test_kink_solution_is_reflection_symmetric(self):
+        # The pentagon, its centroid fan and red refinement are symmetric
+        # under R(x, y) = (1 - y, 1 - x), which swaps the 3pi/4 corners
+        # (0.5, 1) and (0, 0.5). f = 1 and d do not depend on x, so the
+        # discrete kink solution is R-symmetric up to rounding (about 3e-15
+        # at level 5): a cheap oracle for the mesh and the solver.
+        mesh = pentagon_mesh(5)
+        u, _ = solve_semilinear(mesh, kink_term(), ONE)
+        x, y = mesh.vertices.T
+        distance, image = cKDTree(mesh.vertices).query(np.column_stack([1.0 - y, 1.0 - x]))
+        assert np.max(distance) <= 1e-15
+        np.testing.assert_array_equal(np.sort(image), np.arange(mesh.num_vertices))
+        assert np.max(np.abs(u.coeffs - u.coeffs[image])) <= 1e-12
+
     def test_random_convex_domains(self):
         # Robustness sweep over non-preset geometry: the certificate and
         # the Dirichlet constraint hold on arbitrary convex polygons.
@@ -322,8 +364,8 @@ class TestSolve:
         # Negated CG corrections point uphill: the solve names the Newton
         # iteration and carries its best iterate, here the start.
         def ascent(*args, **kwargs):
-            x, used = cg_solve(*args, **kwargs)
-            return -x, used
+            x, used, relative = cg_solve(*args, **kwargs)
+            return -x, used, relative
         monkeypatch.setattr("semifem.solver.cg_solve", ascent)
         mesh = pentagon_mesh(2)
         start = FemFunction.zeros(mesh)
@@ -733,6 +775,7 @@ NON_INTEGRAL = {
     "extra_refinements": lambda: run_convergence_study("unit-square", PowerLaw(), ONE, [1, 2],
                                                        extra_refinements=2.5),
     "maxit": lambda: cg_solve(sparse.identity(2, format="csr"), np.ones(2), maxit=2.5),
+    "n": lambda: check_monotone(PowerLaw(), [(0.5, 0.5)], (0.0, 1.0), 2.5),
 }
 
 
