@@ -14,9 +14,9 @@ chunks of `GATHER` entries. Assembly
 is vectorized over elements and deterministic, so repeated runs produce
 bitwise identical operators. Every matrix's values are the caller's own,
 the stiffness's too: they are gathered from the mesh's vertex and edge
-sums, which the first `stiffness_sums` on a mesh builds and keeps,
-read-only, as long as the mesh lives, so the solver, the V-cycle's
-levels and the studies share one copy.
+sums, which the first `stiffness_sums` on a mesh builds, with no (6, nt)
+rows, and keeps, read-only, as long as the mesh lives, so the solver,
+the V-cycle's levels and the studies share one copy.
 
 The element matrices themselves are data too: `stiffness_upper`,
 `mass_upper` and `assemble_slope_matrix` return their six distinct
@@ -60,7 +60,7 @@ import weakref
 import numpy as np
 from scipy import sparse
 
-from .mesh import CHILD_CORNERS
+from .mesh import CHILD_CORNERS, GATHER
 
 # Negative slope weights beyond this signal a non-monotone nonlinearity.
 SLOPE_WEIGHT_TOL = 1e-12
@@ -76,16 +76,6 @@ SLOPE_WEIGHT_TOL = 1e-12
 # and the residual peak at 26 and 33 B per triangle, nearly all of it the
 # block's temporaries. The results do not depend on it.
 BLOCK = 4096
-
-# Entries per chunk of the gather of a matrix's data from its values. numpy
-# casts int32 indices to intp before a gather: `take` casts all of them at
-# once, fancy indexing casts them in small buffers. A `take` per chunk of
-# this many entries keeps the cast small and in cache: at pentagon level 7
-# (283 211 interior entries, 2-CPU VM) the interior stiffness gather took
-# 0.32 ms against 0.80 ms by fancy indexing and 0.39 ms by one `take`,
-# which holds 2.3 MB more for the cast; chunks of 4096/65536 entries took
-# 0.40/0.34 ms. The gather's result is the same in every case.
-GATHER = 16384
 
 # The six distinct entries (a, b) of a symmetric 3 x 3 element matrix: the
 # diagonal ones (j, j), then those of the local edges (j, j + 1) in the
@@ -186,11 +176,11 @@ def vertex_edge_sums(mesh, upper):
     Returns the (nv + ne,) values of the assembled matrix: the diagonal
     entry of every vertex, then the entry of every edge of `mesh.edges()`.
     Each vertex sum adds local vertex 0 of all triangles in triangle
-    order, then local vertex 1 of all of them, then local vertex 2; a
-    `stiffness_sums` that streamed its rows block by block would have to
-    keep this order to keep the sums' bits. The off-diagonal entries
-    are summed per edge, whose at most two terms give the same sum in
-    either order.
+    order, then local vertex 1 of all of them, then local vertex 2;
+    `stiffness_sums`, which streams its edge rows block by block, keeps
+    its diagonal rows to keep this order and the sums' bits. The
+    off-diagonal entries are summed per edge, whose at most two terms give
+    the same sum in either order.
     """
     nv = mesh.num_vertices
     sums = np.zeros(nv + mesh.edges().shape[0])
@@ -259,25 +249,51 @@ def assemble_stiffness(mesh):
 def stiffness_sums(mesh):
     """The mesh's stiffness values, as `vertex_edge_sums` gives them, read-only.
 
-    They are built on the first call on a mesh and kept as long as the
-    mesh lives, so the solver, the V-cycle's levels and the studies share
-    one copy.
+    They are built on the first call on a mesh, by `_streamed_stiffness_sums`,
+    and kept as long as the mesh lives, so the solver, the V-cycle's
+    levels and the studies share one copy.
     """
     if mesh not in _STIFFNESS:
-        values = vertex_edge_sums(mesh, stiffness_upper(mesh))
+        values = _streamed_stiffness_sums(mesh)
         values.setflags(write=False)
         _STIFFNESS[mesh] = values
     return _STIFFNESS[mesh]
+
+
+def _streamed_stiffness_sums(mesh):
+    """`vertex_edge_sums(mesh, stiffness_upper(mesh))` bit for bit, with no (6, nt) rows.
+
+    The three diagonal rows are kept, since each vertex sum adds them in
+    the order that `vertex_edge_sums` documents. Each block's three edge
+    rows are added into the edge sums as they are made: an edge sum has
+    at most two terms, so its bits do not depend on their order.
+    """
+    nv = mesh.num_vertices
+    sums = np.zeros(nv + mesh.edges().shape[0])
+    diagonal = np.empty((3, mesh.num_triangles))
+    for block, corners, areas in element_blocks(mesh):
+        rows = [*diagonal[:, block], *np.empty((3, areas.size))]
+        _element_stiffness(corners, areas, rows)
+        for j in range(3):
+            np.add.at(sums[nv:], mesh.triangle_edges()[block, j], rows[3 + j])
+    for j in range(3):
+        np.add.at(sums[:nv], mesh.triangles[:, j], diagonal[j])
+    return sums
 
 
 def stiffness_upper(mesh):
     """Element stiffness entries in the layout of `vertex_edge_sums`."""
     upper = np.empty((len(_UPPER), mesh.num_triangles))
     for block, corners, areas in element_blocks(mesh):
-        gx, gy = basis_gradients(corners, areas)
-        for row, (a, b) in zip(upper[:, block], _UPPER):
-            row[:] = (gx[a] * gx[b] + gy[a] * gy[b]) * areas
+        _element_stiffness(corners, areas, upper[:, block])
     return upper
+
+
+def _element_stiffness(corners, areas, rows):
+    """Write the six stiffness entries of a block's elements into its six rows."""
+    gx, gy = basis_gradients(corners, areas)
+    for row, (a, b) in zip(rows, _UPPER):
+        row[:] = (gx[a] * gx[b] + gy[a] * gy[b]) * areas
 
 
 def assemble_mass(mesh):

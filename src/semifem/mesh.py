@@ -10,7 +10,13 @@ read, are built on first use and kept on the mesh, so they live exactly
 as long as it does; the pattern of whole-mesh P1 matrices is built anew
 on every call and not kept. Both patterns carry, for every entry, the
 index of its value among a symmetric matrix's vertex and edge values:
-vertex v has value v, edge e of `edges()` value nv + e.
+vertex v has value v, edge e of `edges()` value nv + e. Two builders make
+them. The interior pattern, which every solve and fresh study level
+builds, is one stable counting sort of its listed entries done in C by
+scipy's COO to CSR conversion (`_sorted_pattern`). The whole-mesh
+pattern, which a first whole-mesh assembly builds while its values are
+alive, places its entries through edge slots (`_edge_pattern`), which
+hold less memory at their peak.
 """
 
 import numpy as np
@@ -18,6 +24,18 @@ from scipy import sparse
 
 # Absolute tolerance for geometric predicates (convexity, point location).
 GEOM_TOL = 1e-12
+
+# Entries per chunk of an int32 index array that gathers or scatters.
+# numpy casts int32 indices to intp before a gather: `take` casts all of
+# them at once, fancy indexing casts them in small buffers. A `take` per
+# chunk of this many entries keeps the cast small and in cache: at
+# pentagon level 7 (283 211 interior entries, 2-CPU VM) `assembly`'s
+# interior stiffness gather took 0.32 ms against 0.80 ms by fancy indexing
+# and 0.39 ms by one `take`, which holds 2.3 MB more for the cast; chunks
+# of 4096/65536 entries took 0.40/0.34 ms. The result is the same in every
+# case. `_edge_pattern` casts each chunk of edge slots once for its two
+# scatters.
+GATHER = 16384
 
 PRESET_POLYGONS = {
     "unit-square": ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)),
@@ -191,22 +209,25 @@ def _edge_slots(edges, nv):
     return slots, first_run + lower_through
 
 
-def _edge_pattern(edges, vertex_ids, edge_ids):
+def _edge_pattern(edges, n):
     """CSR pattern of symmetric matrices with entries on the diagonal and on edges.
 
-    edges are lexicographic (lo, hi) pairs of vertices 0..n-1, n =
-    vertex_ids.size, and vertex_ids and edge_ids the int32 value indices
-    of every vertex and edge. Returns (indptr, indices, source): the
-    canonical n x n CSR pattern with the n diagonal entries and the
-    entries (lo, hi) and (hi, lo) of every edge, and for each of its
-    entries the value index of its vertex or edge; all int32. Row r holds
-    the ends of the edges (lo, r) in the order of lo, then r, then the
-    contiguous run of edges (r, hi): the row lengths and the diagonal come
-    from edge counts, the entries (lo, hi) from the runs, and the entries
-    (hi, lo) from the one stable argsort of the ne ends hi in
-    `_edge_slots`.
+    edges are lexicographic (lo, hi) pairs of vertices 0..n-1. Returns
+    (indptr, indices, source): the canonical n x n CSR pattern with the n
+    diagonal entries and the entries (lo, hi) and (hi, lo) of every edge,
+    and for each of its entries the index of its value, v for the
+    diagonal entry of vertex v and n + e for both entries of edge e; all
+    int32. Row r holds the ends of the edges (lo, r) in the order of lo,
+    then r, then the contiguous run of edges (r, hi): the row lengths and
+    the diagonal come from edge counts, the entries (lo, hi) from the
+    runs, and the entries (hi, lo) from the one stable argsort of the ne
+    ends hi in `_edge_slots`. Each chunk of `GATHER` slots is cast to intp
+    once and places both the columns and the value indices of its
+    entries, so neither an intp copy of all slots nor an arange of all
+    value indices is made. It serves `TriMesh.matrix_pattern`, whose
+    first whole-mesh assembly builds it while the values are alive, at a
+    lower peak than `_sorted_pattern`'s.
     """
-    n = vertex_ids.size
     lo, hi = edges[:, 0], edges[:, 1]
     # Row r holds the ends hi = r, then r, then the ends lo = r: the edge
     # slots of `_edge_slots` moved by the r or r + 1 diagonals before them.
@@ -215,17 +236,69 @@ def _edge_pattern(edges, vertex_ids, edge_ids):
     off_diagonal[0] += 1
     off_diagonal[1] += hi
     vertices = np.arange(n, dtype=np.int32)
-    diagonal = runs + vertices
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(edges.ravel(), minlength=n) + 1, out=indptr[1:])
     indices = np.empty(indptr[-1], dtype=np.int32)
-    indices[diagonal] = vertices
-    indices[off_diagonal[0]] = hi
-    indices[off_diagonal[1]] = lo
     source = np.empty(indices.size, dtype=np.int32)
-    source[diagonal] = vertex_ids
-    source[off_diagonal] = edge_ids
+    diagonal = runs + vertices
+    indices[diagonal] = vertices
+    source[diagonal] = vertices
+    del diagonal
+    for start in range(0, edges.shape[0], GATHER):
+        chunk = slice(start, start + GATHER)
+        values = np.arange(n + start, n + start + lo[chunk].size, dtype=np.int32)
+        for end, column in ((0, hi), (1, lo)):
+            where = off_diagonal[end, chunk].astype(np.intp)
+            indices[where] = column[chunk]
+            source[where] = values
     return indptr, indices, source
+
+
+def _sorted_pattern(edges, kept):
+    """`_edge_pattern`'s pattern on the kept vertices, by one counting sort done in C.
+
+    edges are lexicographic (lo, hi) pairs of vertices 0..nv-1 and kept
+    an (nv,) bool array. Returns (indptr, indices, source) of the block
+    matrix[k][:, k], k = flatnonzero(kept), in the numbering of k: the
+    entries of `_edge_pattern(edges, nv)` in kept rows and columns, with
+    their value indices, v for vertex v and nv + e for edge e; all int32.
+    The edges
+    between two kept vertices, renumbered by k, stay lexicographic. Their
+    ends (hi, lo), then the diagonal, then their ends (lo, hi) are listed
+    with their value indices, and scipy's COO to CSR conversion, a stable
+    counting sort by row, places them: row r holds the ends (r, lo) in the
+    order of lo, then r, then the ends (r, hi) in the order of hi. So the
+    output is canonical as built. Only the listing and the output are
+    alive during the sort.
+    """
+    nv = kept.size
+    renumber = np.cumsum(kept, dtype=np.int32)
+    renumber -= 1
+    renumber[~kept] = -1
+    # Gathered through the contiguous (ne, 2) edges: a gather through one
+    # strided column of them is slower. Dropped vertices read -1.
+    renumbered = np.take(renumber, edges)
+    del renumber
+    inner = renumbered[:, 0] >= 0
+    inner &= renumbered[:, 1] >= 0
+    inner_edges = np.compress(inner, renumbered, axis=0)
+    del renumbered
+    m = inner_edges.shape[0]
+    vertices = np.flatnonzero(kept)
+    n = vertices.size
+    # One buffer [lo, v, hi, v, lo]: its first 2m + n entries are the
+    # listed columns, its last 2m + n the listed rows.
+    ends = np.empty(3 * m + 2 * n, dtype=np.int32)
+    ends[:m] = ends[2 * m + 2 * n:] = inner_edges[:, 0]
+    ends[m:m + n] = ends[2 * m + n:2 * m + 2 * n] = np.arange(n, dtype=np.int32)
+    ends[m + n:2 * m + n] = inner_edges[:, 1]
+    del inner_edges
+    inner = nv + np.flatnonzero(inner)
+    source = np.concatenate([inner, vertices, inner], dtype=np.int32)
+    del inner, vertices
+    pattern = sparse.coo_matrix((source, (ends[m + n:], ends[:2 * m + n])),
+                                shape=(n, n)).tocsr()
+    return pattern.indptr, pattern.indices, pattern.data
 
 
 def _signed_areas(vertices, triangles):
@@ -412,11 +485,13 @@ class TriMesh:
         entries of edge e of `edges()`. The matrix with those values is
         therefore `values[source]` on this pattern. All three are read-only
         int32 arrays, built by `_edge_pattern` on every call: no solve or
-        study reads them, so the mesh keeps none.
+        study reads them, so the mesh keeps none. A first whole-mesh
+        assembly builds it while its values are alive, so it takes the
+        builder with the lower peak: at level 7 `_edge_pattern` traces 50 B
+        per triangle and `_sorted_pattern` on all vertices 67 B. The tests
+        of `interior_pattern` cut their reference out of this pattern.
         """
-        nv = self.num_vertices
-        return _locked(_edge_pattern(self._edges, np.arange(nv, dtype=np.int32),
-                                     np.arange(nv, nv + self._edges.shape[0], dtype=np.int32)))
+        return _locked(_edge_pattern(self._edges, self.num_vertices))
 
     def interior_pattern(self):
         """Sparsity pattern of the interior block of P1 matrices and where its values sit.
@@ -425,25 +500,15 @@ class TriMesh:
         block matrix[i][:, i], i = `interior_vertices`, in the numbering of
         i: the block of the matrix with given vertex and edge values is
         `values[source]`. All three are read-only int32 arrays, built once
-        per mesh by `_edge_pattern` on the edges between two interior
-        vertices, renumbered by i, which stay lexicographic; no pattern of
-        the whole mesh is made. At level 8 (164 481 vertices, 1.15 M block
-        entries; 2-CPU VM) its first build takes 34-46 ms with a traced
-        peak of 21.3 MiB and keeps 9.3 MiB.
+        per mesh by `_sorted_pattern`'s counting sort on the edges between
+        two interior vertices, renumbered by i; no pattern of the whole mesh
+        is made. At level 8 (164 481 vertices, 1.15 M block entries; 2-CPU
+        VM) its first build takes 21-24 ms, against 39-48 ms when
+        `_edge_pattern` built it, with the same traced peak of 66 B per
+        triangle, and keeps 9.3 MiB.
         """
         if self._interior_pattern is None:
-            interior = ~self.boundary_vertex
-            renumber = np.cumsum(interior, dtype=np.int32) - 1
-            inner = np.flatnonzero(
-                interior[self._edges[:, 0]] & interior[self._edges[:, 1]]).astype(np.int32)
-            # Gathered per end, so no int64 copy of both ends is made.
-            inner_edges = np.empty((inner.size, 2), dtype=np.int32)
-            for end in range(2):
-                inner_edges[:, end] = renumber[self._edges[inner, end]]
-            del renumber
-            inner += self.num_vertices
-            self._interior_pattern = _locked(
-                _edge_pattern(inner_edges, self.interior_vertices, inner))
+            self._interior_pattern = _locked(_sorted_pattern(self._edges, ~self.boundary_vertex))
         return self._interior_pattern
 
     def __repr__(self):
@@ -487,10 +552,10 @@ def refine_uniform(mesh):
 
     The child's int32 edges, triangle edge ids and boundary flags follow
     from the parent's numbering (`_refined_topology`), equal to what the
-    constructor's `_unique_edges` would find, so no pass over the 3 nt
-    child edge keys runs; the keys of its one sort stay int64. The
-    child's signed areas are computed and checked positive as in the
-    constructor.
+    constructor's `_unique_edges` would find, with no pass over the 3 nt
+    child edge keys: both are integer reorderings, two counting sorts
+    done in C. The child's signed areas are computed and checked positive
+    as in the constructor.
     """
     edges = mesh.edges()
     midpoints = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
@@ -515,9 +580,11 @@ def _refined_topology(mesh):
     parent's numbering instead. The child's lexicographic edges are, first,
     for every parent vertex v in turn, the halves (v, nc + e) of the parent
     edges e at v in increasing e (`_edge_slots`), and then the three edges
-    between the midpoints of every parent triangle, ordered by one sort of
-    their keys. A midpoint lies on the boundary iff its parent edge belongs
-    to one triangle; parent vertices keep their flags.
+    between the midpoints of every parent triangle, ordered by scipy's COO
+    to CSR conversion of their (first, second) parent edge ids, as
+    `_sorted_pattern` orders its entries; each row's few second ids are
+    then sorted in place. A midpoint lies on the boundary iff its parent
+    edge belongs to one triangle; parent vertices keep their flags.
     """
     nc = mesh.num_vertices
     parent_edges = mesh.edges()
@@ -530,19 +597,25 @@ def _refined_topology(mesh):
     for end in range(2):
         halves[slots[end], 0] = parent_edges[:, end]
         halves[slots[end], 1] = midpoint_vertices
-    # Pair j joins the midpoints of a triangle's edges j and j + 1.
+    # Pair j joins the midpoints of a triangle's edges j and j + 1; no two
+    # triangles share a pair. scipy's COO to CSR conversion, a stable
+    # counting sort, lists the pairs by their first edge, and sorts each
+    # row's second edges in place: the lexicographic order of the pairs.
     following = np.roll(triangle_edges, -1, axis=1)
     first = np.minimum(triangle_edges, following).ravel()
     second = np.maximum(triangle_edges, following).ravel()
     del following
-    order = np.argsort(first.astype(np.int64) * ne + second)
-    edges[2 * ne:, 0] = first[order]
+    order = sparse.coo_matrix((np.arange(3 * nt, dtype=np.int32), (first, second)),
+                              shape=(ne, ne)).tocsr()
+    order.sort_indices()
+    del second
+    edges[2 * ne:, 0] = first[order.data]
     edges[2 * ne:, 0] += nc
-    edges[2 * ne:, 1] = second[order]
+    edges[2 * ne:, 1] = order.indices
     edges[2 * ne:, 1] += nc
-    del first, second
+    del first
     pairs = np.empty(3 * nt, dtype=np.int32)
-    pairs[order] = np.arange(2 * ne, 2 * ne + 3 * nt, dtype=np.int32)
+    pairs[order.data] = np.arange(2 * ne, 2 * ne + 3 * nt, dtype=np.int32)
     del order
     pairs = pairs.reshape(nt, 3)
 

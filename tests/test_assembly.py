@@ -441,8 +441,8 @@ class TestPatternCache:
 class TestStiffnessCache:
     def test_values_built_once_and_shared(self, square2, monkeypatch):
         calls = []
-        build = assembly.stiffness_upper
-        monkeypatch.setattr(assembly, "stiffness_upper",
+        build = assembly._streamed_stiffness_sums
+        monkeypatch.setattr(assembly, "_streamed_stiffness_sums",
                             lambda mesh: calls.append(mesh) or build(mesh))
         first, second = assemble_stiffness(square2), assemble_stiffness(square2)
         assert calls == [square2]
@@ -452,7 +452,7 @@ class TestStiffnessCache:
         assert assembly.stiffness_sums(square2) is assembly.stiffness_sums(square2)
         np.testing.assert_array_equal(first.data, second.data)
         np.testing.assert_array_equal(
-            first.data, assembly.pattern_matrix(square2, build(square2)).data)
+            first.data, assembly.pattern_matrix(square2, assembly.stiffness_upper(square2)).data)
 
     def test_values_read_only(self, square2):
         values = assembly.stiffness_sums(square2)
@@ -863,11 +863,18 @@ def test_peak_allocation_per_triangle():
     # function against a nested FemFunction, with the kept stiffness, peaks
     # at 27 B while its squares and edge products are alive and the edge
     # ends are gathered one chunk at a time (44 B when the ends of all edges
-    # were gathered into one (ne, 2) array).
+    # were gathered into one (ne, 2) array). The first interior pattern of
+    # a fresh mesh, the counting sort of `mesh._sorted_pattern`, peaks at
+    # 66 B with its kept arrays (67 B when `_edge_pattern` built it, 84 B
+    # while its caller held the selected edges and their value indices
+    # through the sort). The first stiffness sums peak at 50 B, keeping
+    # the diagonal rows and adding each block's edge rows as they are made
+    # (65 B when all six rows were made first).
     mesh = pentagon(7)
     ritz_project(mesh, smooth_grad)
-    # The warm-up keeps the mesh's stiffness; a copy measures a first build.
-    copy = TriMesh(mesh.vertices, mesh.triangles)
+    # The warm-up keeps the mesh's stiffness and interior pattern; copies
+    # measure first builds.
+    copy, patterned, summed = (TriMesh(mesh.vertices, mesh.triangles) for _ in range(3))
     d = PowerLaw(scale=50.0, exponent=1 / 3, shift=-1.0)
     u = interpolate(mesh, lambda x, y: np.sin(3 * x) - 1.0 + 0.01 * y)
     v = interpolate(mesh, lambda x, y: -1.0 + 0.3 * x * y)
@@ -876,6 +883,8 @@ def test_peak_allocation_per_triangle():
     coarse = interpolate(mesh.parent, lambda x, y: np.sin(3 * x) - 1.0)
     assemblers = {
         "stiffness": lambda: assemble_stiffness(copy),
+        "interior pattern": patterned.interior_pattern,
+        "stiffness sums": lambda: assembly.stiffness_sums(summed),
         "load": lambda: assemble_load(mesh, lambda x, y: np.ones_like(x), quad),
         "residual": lambda: assemble_nonlinear_residual(mesh, d, u, quad),
         "slope": lambda: slope_matrix(mesh, d, u, v, 1e-6, quad),
@@ -888,9 +897,9 @@ def test_peak_allocation_per_triangle():
         "slope rows + cycle build": lambda: VCycle(mesh, lambda: assemble_slope_matrix(
             mesh, d, u, v, 1e-6, rule_of_degree(SolverConfig().quad_degree))),
     }
-    bounds = {"stiffness": 85, "load": 30, "residual": 38, "slope": 150,
-              "l2": 48, "h1": 56, "linf": 48, "h1 nested": 32, "ritz": 200, "vcycle": 75,
-              "slope rows + cycle build": 85}
+    bounds = {"stiffness": 85, "interior pattern": 72, "stiffness sums": 55, "load": 30,
+              "residual": 38, "slope": 150, "l2": 48, "h1": 56, "linf": 48, "h1 nested": 32,
+              "ritz": 200, "vcycle": 75, "slope rows + cycle build": 85}
     peaks = {}
     for name, assemble in assemblers.items():
         tracemalloc.start()

@@ -288,9 +288,7 @@ class TestRefinedTopology:
             check_refinements_match_constructor(root, 2)
 
     def test_unused_vertices_match_constructor(self):
-        # Vertices 0 and 3 lie in no triangle: they own no edge.
-        check_refinements_match_constructor(
-            TriMesh([[5, 5], [0, 0], [1, 0], [7, 7], [0, 1]], [[1, 2, 4]]), 2)
+        check_refinements_match_constructor(unused_vertex_mesh(), 2)
 
     def test_refinement_never_calls_unique_edges(self, monkeypatch):
         root = triangulate_convex_polygon(Polygon(PENTAGON))
@@ -346,16 +344,36 @@ def check_interior_builders(mesh, levels):
                                           err_msg=f"{level} {name}")
 
 
+def unused_vertex_mesh():
+    """A root mesh whose vertices 0 and 3 lie in no triangle: they own no edge."""
+    return TriMesh([[5, 5], [0, 0], [1, 0], [7, 7], [0, 1]], [[1, 2, 4]])
+
+
+def reread_pentagon(path):
+    """The level-2 pentagon, written and read back as a root mesh."""
+    write_mesh(refine_uniform(refine_uniform(triangulate_convex_polygon(Polygon(PENTAGON)))),
+               path)
+    return read_mesh(path)
+
+
 class TestInteriorBuilders:
     @pytest.mark.parametrize("polygon", [PENTAGON, UNIT_SQUARE,
                                          [(0.0, 0.0), (2.0, 0.3), (2.5, 1.5), (1.0, 2.2),
-                                          (-0.4, 1.0)]])
-    def test_match_whole_mesh_blocks(self, polygon):
-        root = triangulate_convex_polygon(Polygon(polygon))
-        # The level-0 fan has one interior vertex and no interior edge.
-        assert root.interior_vertices.size == 1
-        assert not (~root.boundary_vertex[root.edges()]).all(axis=1).any()
-        check_interior_builders(root, 5)
+                                          (-0.4, 1.0)], "unused vertices", "reread pentagon"])
+    def test_match_whole_mesh_blocks(self, polygon, tmp_path):
+        if polygon == "unused vertices":
+            # The two unused vertices are interior, with no edge between them.
+            root = unused_vertex_mesh()
+            np.testing.assert_array_equal(root.interior_vertices, [0, 3])
+        elif polygon == "reread pentagon":
+            root = reread_pentagon(tmp_path / "mesh.txt")
+            assert root.level == 0 and root.num_triangles == 80
+        else:
+            root = triangulate_convex_polygon(Polygon(polygon))
+            # The level-0 fan has one interior vertex and no interior edge.
+            assert root.interior_vertices.size == 1
+            assert not (~root.boundary_vertex[root.edges()]).all(axis=1).any()
+        check_interior_builders(root, 5 if root.num_triangles < 80 else 3)
 
     def test_without_interior_vertices(self):
         # One triangle, and its first refinement, have no interior vertex.
@@ -386,12 +404,33 @@ def random_edges(rng, nv, count):
     return np.unique(pairs, axis=0).astype(np.int32).reshape(-1, 2)
 
 
+def lexsorted_pattern(edges, n):
+    """`mesh._edge_pattern` by one lexsort of its n + 2 ne entries (row, column)."""
+    ne = edges.shape[0]
+    vertices = np.arange(n)
+    rows = np.concatenate([vertices, edges[:, 0], edges[:, 1]])
+    columns = np.concatenate([vertices, edges[:, 1], edges[:, 0]])
+    source = np.concatenate([vertices, n + np.arange(ne), n + np.arange(ne)])
+    order = np.lexsort((columns, rows))
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, columns[order].astype(np.int32), source[order].astype(np.int32)
+
+
 class TestEdgeSlots:
+    """The edge slots, and the two pattern builders on the same edges."""
+
     def check(self, edges, nv):
         for got, expected in zip(mesh_module._edge_slots(edges, nv),
                                  argsort_edge_slots(edges, nv)):
             assert got.dtype == expected.dtype == np.int32
             np.testing.assert_array_equal(got, expected)
+        sorted_pattern = mesh_module._sorted_pattern(edges, np.ones(nv, dtype=bool))
+        for got, by_slots, expected in zip(sorted_pattern, mesh_module._edge_pattern(edges, nv),
+                                           lexsorted_pattern(edges, nv)):
+            assert got.dtype == by_slots.dtype == np.int32
+            np.testing.assert_array_equal(got, by_slots)
+            np.testing.assert_array_equal(by_slots, expected)
 
     def test_random_edge_sets(self):
         rng = np.random.default_rng(5)
@@ -404,11 +443,22 @@ class TestEdgeSlots:
     def test_no_edges(self):
         self.check(np.empty((0, 2), dtype=np.int32), 4)
 
+    def test_no_vertices(self):
+        self.check(np.empty((0, 2), dtype=np.int32), 0)
+
     def test_one_edge(self):
         self.check(np.array([[1, 3]], dtype=np.int32), 5)
 
     def test_refined_mesh_edges(self):
         mesh = refine_uniform(refine_uniform(triangulate_convex_polygon(Polygon(PENTAGON))))
+        self.check(mesh.edges(), mesh.num_vertices)
+
+    def test_chunked_slots(self, monkeypatch):
+        # More edges than one chunk of slots, the last chunk partial.
+        mesh = refine_uniform(refine_uniform(triangulate_convex_polygon(Polygon(PENTAGON))))
+        ne = mesh.edges().shape[0]
+        monkeypatch.setattr(mesh_module, "GATHER", 7)
+        assert ne % 7 and ne > 7
         self.check(mesh.edges(), mesh.num_vertices)
 
 

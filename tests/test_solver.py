@@ -583,11 +583,11 @@ class TestNestedStart:
         # builds: a fresh chain of 8 meshes builds 8, a repeated solve none
         # (30 and 30 when the cycle rebuilt its coarse levels' on every step).
         calls = []
-        build = assembly.stiffness_upper
+        build = assembly._streamed_stiffness_sums
         # Every semifem namespace that holds the builder, whatever imports it.
         for module in [m for name, m in sys.modules.items() if name.startswith("semifem")]:
-            if getattr(module, "stiffness_upper", None) is build:
-                monkeypatch.setattr(module, "stiffness_upper",
+            if getattr(module, "_streamed_stiffness_sums", None) is build:
+                monkeypatch.setattr(module, "_streamed_stiffness_sums",
                                     lambda mesh: calls.append(mesh.level) or build(mesh))
         mesh = pentagon_mesh(7)
         _, stats = solve_semilinear(mesh, kink_term(), ONE)
