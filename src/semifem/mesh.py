@@ -10,13 +10,9 @@ read, are built on first use and kept on the mesh, so they live exactly
 as long as it does; the pattern of whole-mesh P1 matrices is built anew
 on every call and not kept. Both patterns carry, for every entry, the
 index of its value among a symmetric matrix's vertex and edge values:
-vertex v has value v, edge e of `edges()` value nv + e. Two builders make
-them. The interior pattern, which every solve and fresh study level
-builds, is one stable counting sort of its listed entries done in C by
-scipy's COO to CSR conversion (`_sorted_pattern`). The whole-mesh
-pattern, which a first whole-mesh assembly builds while its values are
-alive, places its entries through edge slots (`_edge_pattern`), which
-hold less memory at their peak.
+vertex v has value v, edge e of `edges()` value nv + e. One builder
+makes both, `_sorted_pattern`: a stable counting sort of the pattern's
+listed entries, done in C by scipy's COO to CSR conversion.
 """
 
 import numpy as np
@@ -24,18 +20,6 @@ from scipy import sparse
 
 # Absolute tolerance for geometric predicates (convexity, point location).
 GEOM_TOL = 1e-12
-
-# Entries per chunk of an int32 index array that gathers or scatters.
-# numpy casts int32 indices to intp before a gather: `take` casts all of
-# them at once, fancy indexing casts them in small buffers. A `take` per
-# chunk of this many entries keeps the cast small and in cache: at
-# pentagon level 7 (283 211 interior entries, 2-CPU VM) `assembly`'s
-# interior stiffness gather took 0.32 ms against 0.80 ms by fancy indexing
-# and 0.39 ms by one `take`, which holds 2.3 MB more for the cast; chunks
-# of 4096/65536 entries took 0.40/0.34 ms. The result is the same in every
-# case. `_edge_pattern` casts each chunk of edge slots once for its two
-# scatters.
-GATHER = 16384
 
 PRESET_POLYGONS = {
     "unit-square": ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)),
@@ -209,67 +193,23 @@ def _edge_slots(edges, nv):
     return slots, first_run + lower_through
 
 
-def _edge_pattern(edges, n):
-    """CSR pattern of symmetric matrices with entries on the diagonal and on edges.
-
-    edges are lexicographic (lo, hi) pairs of vertices 0..n-1. Returns
-    (indptr, indices, source): the canonical n x n CSR pattern with the n
-    diagonal entries and the entries (lo, hi) and (hi, lo) of every edge,
-    and for each of its entries the index of its value, v for the
-    diagonal entry of vertex v and n + e for both entries of edge e; all
-    int32. Row r holds the ends of the edges (lo, r) in the order of lo,
-    then r, then the contiguous run of edges (r, hi): the row lengths and
-    the diagonal come from edge counts, the entries (lo, hi) from the
-    runs, and the entries (hi, lo) from the one stable argsort of the ne
-    ends hi in `_edge_slots`. Each chunk of `GATHER` slots is cast to intp
-    once and places both the columns and the value indices of its
-    entries, so neither an intp copy of all slots nor an arange of all
-    value indices is made. It serves `TriMesh.matrix_pattern`, whose
-    first whole-mesh assembly builds it while the values are alive, at a
-    lower peak than `_sorted_pattern`'s.
-    """
-    lo, hi = edges[:, 0], edges[:, 1]
-    # Row r holds the ends hi = r, then r, then the ends lo = r: the edge
-    # slots of `_edge_slots` moved by the r or r + 1 diagonals before them.
-    off_diagonal, runs = _edge_slots(edges, n)
-    off_diagonal[0] += lo
-    off_diagonal[0] += 1
-    off_diagonal[1] += hi
-    vertices = np.arange(n, dtype=np.int32)
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(edges.ravel(), minlength=n) + 1, out=indptr[1:])
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    source = np.empty(indices.size, dtype=np.int32)
-    diagonal = runs + vertices
-    indices[diagonal] = vertices
-    source[diagonal] = vertices
-    del diagonal
-    for start in range(0, edges.shape[0], GATHER):
-        chunk = slice(start, start + GATHER)
-        values = np.arange(n + start, n + start + lo[chunk].size, dtype=np.int32)
-        for end, column in ((0, hi), (1, lo)):
-            where = off_diagonal[end, chunk].astype(np.intp)
-            indices[where] = column[chunk]
-            source[where] = values
-    return indptr, indices, source
-
-
 def _sorted_pattern(edges, kept):
-    """`_edge_pattern`'s pattern on the kept vertices, by one counting sort done in C.
+    """CSR pattern of symmetric matrices with entries on the diagonal and on edges.
 
     edges are lexicographic (lo, hi) pairs of vertices 0..nv-1 and kept
     an (nv,) bool array. Returns (indptr, indices, source) of the block
     matrix[k][:, k], k = flatnonzero(kept), in the numbering of k: the
-    entries of `_edge_pattern(edges, nv)` in kept rows and columns, with
-    their value indices, v for vertex v and nv + e for edge e; all int32.
-    The edges
-    between two kept vertices, renumbered by k, stay lexicographic. Their
-    ends (hi, lo), then the diagonal, then their ends (lo, hi) are listed
-    with their value indices, and scipy's COO to CSR conversion, a stable
-    counting sort by row, places them: row r holds the ends (r, lo) in the
-    order of lo, then r, then the ends (r, hi) in the order of hi. So the
-    output is canonical as built. Only the listing and the output are
-    alive during the sort.
+    canonical CSR pattern of the diagonal entries of the kept vertices and
+    the entries (lo, hi) and (hi, lo) of the edges between two of them,
+    and for each entry the index of its value, v for the diagonal entry
+    of vertex v and nv + e for both entries of edge e; all int32. The
+    edges between two kept vertices, renumbered by k, stay lexicographic.
+    Their ends (hi, lo), then the diagonal, then their ends (lo, hi) are
+    listed with their value indices, and scipy's COO to CSR conversion, a
+    stable counting sort by row, places them: row r holds the ends (r, lo)
+    in the order of lo, then r, then the ends (r, hi) in the order of hi.
+    So the output is canonical as built. Only the listing and the output
+    are alive during the sort.
     """
     nv = kept.size
     renumber = np.cumsum(kept, dtype=np.int32)
@@ -484,14 +424,10 @@ class TriMesh:
         as one array: v for the diagonal entry of vertex v, nv + e for both
         entries of edge e of `edges()`. The matrix with those values is
         therefore `values[source]` on this pattern. All three are read-only
-        int32 arrays, built by `_edge_pattern` on every call: no solve or
-        study reads them, so the mesh keeps none. A first whole-mesh
-        assembly builds it while its values are alive, so it takes the
-        builder with the lower peak: at level 7 `_edge_pattern` traces 50 B
-        per triangle and `_sorted_pattern` on all vertices 67 B. The tests
-        of `interior_pattern` cut their reference out of this pattern.
+        int32 arrays, built by `_sorted_pattern` with every vertex kept, on
+        every call: no solve or study reads them, so the mesh keeps none.
         """
-        return _locked(_edge_pattern(self._edges, self.num_vertices))
+        return _locked(_sorted_pattern(self._edges, np.ones(self.num_vertices, dtype=bool)))
 
     def interior_pattern(self):
         """Sparsity pattern of the interior block of P1 matrices and where its values sit.
@@ -503,9 +439,9 @@ class TriMesh:
         per mesh by `_sorted_pattern`'s counting sort on the edges between
         two interior vertices, renumbered by i; no pattern of the whole mesh
         is made. At level 8 (164 481 vertices, 1.15 M block entries; 2-CPU
-        VM) its first build takes 21-24 ms, against 39-48 ms when
-        `_edge_pattern` built it, with the same traced peak of 66 B per
-        triangle, and keeps 9.3 MiB.
+        VM) its first build takes 21-24 ms, against 39-48 ms for the
+        edge-slot placement it replaced, with the same traced peak of 66 B
+        per triangle, and keeps 9.3 MiB.
         """
         if self._interior_pattern is None:
             self._interior_pattern = _locked(_sorted_pattern(self._edges, ~self.boundary_vertex))

@@ -824,13 +824,14 @@ def test_peak_allocation_per_triangle():
     # Traced peak bytes per triangle at pentagon level 7 (81 920 triangles,
     # twenty blocks), prolongations and states built beforehand. The
     # stiffness and slope matrices build the whole-mesh pattern, which no
-    # mesh keeps, after their values: 76 and 124 B, against 65 and 93 B when
-    # a kept pattern was built beforehand, and 95 B for the stiffness with
-    # its pattern built before its values. One pass over all triangles at
+    # mesh keeps, after their values: 83 and 131 B (76 and 124 B when edge
+    # slots placed its entries), against 65 and 93 B when a kept pattern
+    # was built beforehand, and 95 B for the stiffness with its pattern
+    # built before its values. One pass over all triangles at
     # once peaked at 144/156/188/248 B (stiffness/load/residual/slope,
     # pattern built beforehand) and 120/208/120/276 B (L2/H1/max errors
     # against a callable truth, Ritz projection); the blocked walk measures
-    # 76/26/33/124 B and 28/35/42/108 B, the rest being the outputs, the
+    # 83/26/33/131 B and 28/35/42/108 B, the rest being the outputs, the
     # sums and, for the projection, its solve (130 B
     # when it rebuilt its chain's stiffness values, which the warm-up now
     # leaves on the meshes; 125 B before it checked its field's samples
@@ -865,7 +866,7 @@ def test_peak_allocation_per_triangle():
     # ends are gathered one chunk at a time (44 B when the ends of all edges
     # were gathered into one (ne, 2) array). The first interior pattern of
     # a fresh mesh, the counting sort of `mesh._sorted_pattern`, peaks at
-    # 66 B with its kept arrays (67 B when `_edge_pattern` built it, 84 B
+    # 66 B with its kept arrays (67 B when edge slots placed its entries, 84 B
     # while its caller held the selected edges and their value indices
     # through the sort). The first stiffness sums peak at 50 B, keeping
     # the diagonal rows and adding each block's edge rows as they are made

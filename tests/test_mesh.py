@@ -306,9 +306,9 @@ class TestRefinedTopology:
 
 
 def cut_out_interior_pattern(mesh):
-    """The interior block of `matrix_pattern()` and each entry's source, read
-    off the owner of every entry of the whole pattern."""
-    indptr, indices, owner = mesh.matrix_pattern()
+    """The interior block of the whole-mesh pattern and each entry's source,
+    read off the owner of every entry of `lexsorted_pattern`."""
+    indptr, indices, owner = lexsorted_pattern(mesh.edges(), mesh.num_vertices)
     interior = ~mesh.boundary_vertex
     kept = np.repeat(interior, np.diff(indptr)) & interior[indices]
     renumber = np.cumsum(interior, dtype=np.int32) - 1
@@ -346,34 +346,38 @@ def check_interior_builders(mesh, levels):
 
 def unused_vertex_mesh():
     """A root mesh whose vertices 0 and 3 lie in no triangle: they own no edge."""
-    return TriMesh([[5, 5], [0, 0], [1, 0], [7, 7], [0, 1]], [[1, 2, 4]])
+    mesh = TriMesh([[5, 5], [0, 0], [1, 0], [7, 7], [0, 1]], [[1, 2, 4]])
+    # So they are interior, with no edge between them.
+    np.testing.assert_array_equal(mesh.interior_vertices, [0, 3])
+    return mesh
 
 
 def reread_pentagon(path):
-    """The level-2 pentagon, written and read back as a root mesh."""
+    """The level-2 pentagon, written to path and read back as a root mesh."""
     write_mesh(refine_uniform(refine_uniform(triangulate_convex_polygon(Polygon(PENTAGON)))),
                path)
-    return read_mesh(path)
+    mesh = read_mesh(path)
+    assert mesh.level == 0 and mesh.num_triangles == 80
+    return mesh
 
 
 class TestInteriorBuilders:
     @pytest.mark.parametrize("polygon", [PENTAGON, UNIT_SQUARE,
                                          [(0.0, 0.0), (2.0, 0.3), (2.5, 1.5), (1.0, 2.2),
-                                          (-0.4, 1.0)], "unused vertices", "reread pentagon"])
-    def test_match_whole_mesh_blocks(self, polygon, tmp_path):
-        if polygon == "unused vertices":
-            # The two unused vertices are interior, with no edge between them.
-            root = unused_vertex_mesh()
-            np.testing.assert_array_equal(root.interior_vertices, [0, 3])
-        elif polygon == "reread pentagon":
-            root = reread_pentagon(tmp_path / "mesh.txt")
-            assert root.level == 0 and root.num_triangles == 80
-        else:
-            root = triangulate_convex_polygon(Polygon(polygon))
-            # The level-0 fan has one interior vertex and no interior edge.
-            assert root.interior_vertices.size == 1
-            assert not (~root.boundary_vertex[root.edges()]).all(axis=1).any()
-        check_interior_builders(root, 5 if root.num_triangles < 80 else 3)
+                                          (-0.4, 1.0)]])
+    def test_match_whole_mesh_blocks(self, polygon):
+        root = triangulate_convex_polygon(Polygon(polygon))
+        # The level-0 fan has one interior vertex and no interior edge.
+        assert root.interior_vertices.size == 1
+        assert not (~root.boundary_vertex[root.edges()]).all(axis=1).any()
+        check_interior_builders(root, 5)
+
+    @pytest.mark.parametrize("make_root, levels", [
+        (lambda path: unused_vertex_mesh(), 5),
+        (reread_pentagon, 3),
+    ], ids=["unused vertices", "reread pentagon"])
+    def test_other_roots_match_whole_mesh_blocks(self, make_root, levels, tmp_path):
+        check_interior_builders(make_root(tmp_path / "mesh.txt"), levels)
 
     def test_without_interior_vertices(self):
         # One triangle, and its first refinement, have no interior vertex.
@@ -405,7 +409,8 @@ def random_edges(rng, nv, count):
 
 
 def lexsorted_pattern(edges, n):
-    """`mesh._edge_pattern` by one lexsort of its n + 2 ne entries (row, column)."""
+    """The pattern of `mesh._sorted_pattern` with every vertex kept, by one
+    lexsort of its n + 2 ne entries (row, column)."""
     ne = edges.shape[0]
     vertices = np.arange(n)
     rows = np.concatenate([vertices, edges[:, 0], edges[:, 1]])
@@ -418,19 +423,17 @@ def lexsorted_pattern(edges, n):
 
 
 class TestEdgeSlots:
-    """The edge slots, and the two pattern builders on the same edges."""
+    """The edge slots, and the pattern builder on the same edges."""
 
     def check(self, edges, nv):
         for got, expected in zip(mesh_module._edge_slots(edges, nv),
                                  argsort_edge_slots(edges, nv)):
             assert got.dtype == expected.dtype == np.int32
             np.testing.assert_array_equal(got, expected)
-        sorted_pattern = mesh_module._sorted_pattern(edges, np.ones(nv, dtype=bool))
-        for got, by_slots, expected in zip(sorted_pattern, mesh_module._edge_pattern(edges, nv),
-                                           lexsorted_pattern(edges, nv)):
-            assert got.dtype == by_slots.dtype == np.int32
-            np.testing.assert_array_equal(got, by_slots)
-            np.testing.assert_array_equal(by_slots, expected)
+        for got, expected in zip(mesh_module._sorted_pattern(edges, np.ones(nv, dtype=bool)),
+                                 lexsorted_pattern(edges, nv)):
+            assert got.dtype == expected.dtype == np.int32
+            np.testing.assert_array_equal(got, expected)
 
     def test_random_edge_sets(self):
         rng = np.random.default_rng(5)
@@ -451,14 +454,6 @@ class TestEdgeSlots:
 
     def test_refined_mesh_edges(self):
         mesh = refine_uniform(refine_uniform(triangulate_convex_polygon(Polygon(PENTAGON))))
-        self.check(mesh.edges(), mesh.num_vertices)
-
-    def test_chunked_slots(self, monkeypatch):
-        # More edges than one chunk of slots, the last chunk partial.
-        mesh = refine_uniform(refine_uniform(triangulate_convex_polygon(Polygon(PENTAGON))))
-        ne = mesh.edges().shape[0]
-        monkeypatch.setattr(mesh_module, "GATHER", 7)
-        assert ne % 7 and ne > 7
         self.check(mesh.edges(), mesh.num_vertices)
 
 
