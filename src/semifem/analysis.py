@@ -196,7 +196,7 @@ def ritz_project(mesh, grad_truth):
             means = []
             for g in grad_truth(x, y):
                 g = np.broadcast_to(g, x.shape)
-                check_finite(g, x, y, "gradient field")
+                check_finite(g, "gradient field", lambda: (x, y))
                 means.append(_element_means(g))
             gx, gy = means
             # In the order of one bincount over the (nt, 3) rows of all blocks.

@@ -39,10 +39,18 @@ arrays there. These are the load, reaction residual and slope matrix
 here and the closed-form norms and Ritz load of `semifem.analysis`, and
 each calls its callables once per block on the flat arrays of all q·n
 points (the slope matrix calls d twice, at u and at v). The assembly
-kernels then contract with a per-rule table of weight times hat values
-(Kirby & Logg, ACM TOMS 32, 2006), (3, q) for the hat integrals and
-(6, q) for the slope matrix, in one matrix product that makes the
-block's element rows, which are scaled by the areas. The slope matrix
+kernels call a callable whose `reads_position` is False (a
+`nonlinearity.PowerLaw` with constant shift and weight, say) with
+x = y = None; for it the walk gathers no corners and forms no
+coordinates, only the interpolants, as a form compiler maps points to
+physical space only when the integrand reads the coordinate. Where such
+a kernel names a failing point, it forms that block's coordinates then,
+as the walk forms them, so the message does not depend on the path.
+The assembly kernels contract the samples with a per-rule table of
+weight times hat values (Kirby & Logg, ACM TOMS 32, 2006), (3, q) for
+the hat integrals and (6, q) for the slope matrix, in one matrix
+product that makes the block's element rows, which are scaled by the
+areas. The slope matrix
 writes its (6, n) rows into its (6, nt) output; the hat integrals add
 their (n, 3) rows into the output vector by `np.add.at` over the block's
 triangles, which adds in the order of one bincount over the (nt, 3) rows
@@ -56,6 +64,7 @@ depend on `BLOCK`. The load and the reaction residual are one kernel,
 """
 
 import weakref
+from functools import partial
 
 import numpy as np
 from scipy import sparse
@@ -147,34 +156,52 @@ def quadrature_points(corners, points):
     return points @ corners.transpose(0, 2, 1)
 
 
-def element_blocks(mesh):
+def element_blocks(mesh, corners=True):
     """Yield (block, corners, areas) for each run of `BLOCK` triangles.
 
     block is the slice of the run's triangles, corners their coordinates
     of shape (2, n, 3), corners[0][k, j] and corners[1][k, j] being the x
     and y coordinates of local vertex j of the run's triangle k, and areas
-    their signed areas.
+    their signed areas. With corners False no corners are gathered, and
+    None stands in their place.
     """
     areas = mesh.signed_areas()
     for start in range(0, mesh.num_triangles, BLOCK):
         block = slice(start, start + BLOCK)
-        # Gathered per block: no copy of the whole vertex array is made.
-        corners = np.take(mesh.vertices, mesh.triangles[block], axis=0)
-        yield block, np.ascontiguousarray(corners.transpose(2, 0, 1)), areas[block]
+        yield block, _block_corners(mesh, block) if corners else None, areas[block]
 
 
-def element_samples(mesh, points, coeffs=()):
+def _block_corners(mesh, block):
+    # Gathered per block: no copy of the whole vertex array is made.
+    corners = np.take(mesh.vertices, mesh.triangles[block], axis=0)
+    return np.ascontiguousarray(corners.transpose(2, 0, 1))
+
+
+def element_samples(mesh, points, coeffs=(), positions=True):
     """Yield (block, corners, areas, x, y, values) for each run of `element_blocks`.
 
     points are (q, 3) barycentric points. x and y are the flat (q n,)
     coordinates of every point of every element of the run, point-major,
     and values holds, for each nodal array of coeffs, its interpolant at
-    those points in the same layout.
+    those points in the same layout. With positions False, for a callable
+    that does not read position, the walk gathers no corners and forms no
+    coordinates: corners, x and y are None, and only the interpolants and
+    the areas are made.
     """
-    for block, corners, areas in element_blocks(mesh):
-        x, y = (xy.ravel() for xy in quadrature_points(corners, points))
+    for block, corners, areas in element_blocks(mesh, positions):
+        x, y = _flat_points(corners, points) if positions else (None, None)
         tri = mesh.triangles[block]
         yield block, corners, areas, x, y, [(points @ c[tri].T).ravel() for c in coeffs]
+
+
+def _flat_points(corners, points):
+    return [xy.ravel() for xy in quadrature_points(corners, points)]
+
+
+def _located(mesh, block, points, x, y):
+    """The flat x and y of a run's points: x and y as `element_samples`
+    yielded them, or, where it skipped them, formed now as it forms them."""
+    return (x, y) if x is not None else _flat_points(_block_corners(mesh, block), points)
 
 
 def vertex_edge_sums(mesh, upper):
@@ -236,11 +263,17 @@ class NonFiniteError(ValueError):
     """A callable or slope weight is not finite at a quadrature point."""
 
 
-def check_finite(values, x, y, what):
-    """Raise NonFiniteError naming `what` and the first point where values is not finite."""
+def check_finite(values, what, where):
+    """Raise NonFiniteError naming `what` and the first point where values is not finite.
+
+    where() returns the flat x and y of values' points. It is called only
+    to name a failing point, so a walk that skipped the coordinates forms
+    them only then.
+    """
     finite = np.isfinite(values)
     if not np.all(finite):
         k = int(np.argmin(finite))
+        x, y = where()
         raise NonFiniteError(f"{what} returned non-finite value at point "
                              f"({x[k]:g}, {y[k]:g})")
 
@@ -336,7 +369,8 @@ def assemble_load(mesh, f, quad):
     f : callable
         Evaluated as f(x, y) on flat 1-D coordinate arrays holding all
         quadrature points of a block of elements, point-major; it must
-        act elementwise. Scalars broadcast. How many calls one assembly
+        act elementwise. Scalars broadcast. If its `reads_position` is
+        False, it is called as f(None, None). How many calls one assembly
         makes is not part of the API.
     quad : QuadRule
 
@@ -357,7 +391,9 @@ def assemble_nonlinear_residual(mesh, d, u, quad):
     element and the reaction term is evaluated at the physical point. d is
     called as d(x, y, u) on flat 1-D arrays holding all quadrature points
     of a block of elements, point-major, and must act elementwise; how
-    many calls one assembly makes is not part of the API.
+    many calls one assembly makes is not part of the API. A d whose
+    `reads_position` is False is called as d(None, None, u), and no
+    point's coordinates are formed unless one must be named in an error.
 
     Raises
     ------
@@ -382,17 +418,20 @@ def _check_mesh(mesh, *functions):
 def _hat_integrals(mesh, g, coeffs, quad, what):
     """Integrals of g(x, y, *u_h) against every hat, u_h the interpolants of coeffs.
 
-    A non-finite value of g, an overflow included, raises NonFiniteError
+    g is called with x = y = None if its `reads_position` is False. A
+    non-finite value of g, an overflow included, raises NonFiniteError
     naming `what` and the point, with no numpy warning.
     """
     # Entry (j, i) is weight i times hat j at point i of the rule.
     table = quad.weights * quad.points.T
     out = np.zeros(mesh.num_vertices)
+    samples = element_samples(mesh, quad.points, coeffs, getattr(g, "reads_position", True))
     # An overflow in g is left to the finiteness check, which names the point.
     with np.errstate(over="ignore", invalid="ignore"):
-        for block, _, areas, x, y, values in element_samples(mesh, quad.points, coeffs):
-            gq = np.broadcast_to(np.asarray(g(x, y, *values), dtype=float), x.shape)
-            check_finite(gq, x, y, what)
+        for block, _, areas, x, y, values in samples:
+            gq = np.broadcast_to(np.asarray(g(x, y, *values), dtype=float),
+                                 (len(quad) * areas.size,))
+            check_finite(gq, what, partial(_located, mesh, block, quad.points, x, y))
             rows = gq.reshape(len(quad), -1).T @ table.T
             rows *= areas[:, None]
             # In the order of one bincount over the (nt, 3) rows of all blocks.
@@ -411,7 +450,10 @@ def assemble_slope_matrix(mesh, d, u, v, floor, quad):
     kinks of a non-Lipschitz nonlinearity. d is called as d(x, y, u) on
     flat 1-D arrays holding all quadrature points of a block of elements,
     point-major, once at u and once at v, and must act elementwise; how
-    many calls one assembly makes is not part of the API. The element
+    many calls one assembly makes is not part of the API. A d whose
+    `reads_position` is False is called as d(None, None, u), and no
+    point's coordinates are formed unless one must be named in an error.
+    The element
     matrices are returned unassembled, as (6, nt) rows in the layout of
     `vertex_edge_sums`, for `multigrid.VCycle` to sum and coarsen;
     `pattern_matrix` sums them into the matrix, which is symmetric positive
@@ -434,7 +476,8 @@ def assemble_slope_matrix(mesh, d, u, v, floor, quad):
     table = np.array([quad.weights * quad.points[:, a] * quad.points[:, c]
                       for a, c in _UPPER])
     upper = np.empty((len(_UPPER), mesh.num_triangles))
-    samples = element_samples(mesh, quad.points, (u.coeffs, v.coeffs))
+    samples = element_samples(mesh, quad.points, (u.coeffs, v.coeffs),
+                              getattr(d, "reads_position", True))
     # An overflow in d is left to the finiteness check, which names the point.
     with np.errstate(over="ignore", invalid="ignore"):
         for block, _, areas, x, y, (uq, vq) in samples:
@@ -442,9 +485,11 @@ def assemble_slope_matrix(mesh, d, u, v, floor, quad):
             num = (np.asarray(d(x, y, uq), dtype=float)
                    - np.asarray(d(x, y, vq), dtype=float))
             b = np.sign(e) * num / np.maximum(np.abs(e), floor)
-            check_finite(b, x, y, "slope weight")
+            where = partial(_located, mesh, block, quad.points, x, y)
+            check_finite(b, "slope weight", where)
             k = int(np.argmin(b))
             if b[k] < -SLOPE_WEIGHT_TOL:
+                x, y = where()
                 raise ValueError(
                     f"negative slope weight {b[k]:.3e} at point ({x[k]:g}, {y[k]:g}): "
                     "nonlinearity is not monotone non-decreasing")

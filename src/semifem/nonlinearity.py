@@ -9,7 +9,10 @@ flat 1-D arrays that hold all quadrature points of a block of elements,
 point-major (entry i·n + k is point i of the block's element k). It must
 therefore act elementwise: entry j of the result may depend only on
 entry j of each argument. How many calls one assembly makes is not part
-of the API.
+of the API. A term declares by `reads_position` whether it reads the
+coordinates; one that does not is called with x = y = None, and the
+assemblers then skip forming the points' coordinates. A plain callable
+declares nothing and is called with the coordinates.
 """
 
 from dataclasses import dataclass
@@ -29,6 +32,11 @@ class Nonlinearity:
 
     def __call__(self, x, y, u):
         raise NotImplementedError
+
+    @property
+    def reads_position(self):
+        """Whether the term reads x and y; if not, it is called with None for both."""
+        return True
 
     def describe(self):
         return type(self).__name__
@@ -59,7 +67,8 @@ class PowerLaw(Nonlinearity):
     scale : float
     exponent : float
     shift, weight : float or callable
-        Finite constants or pointwise functions of (x, y).
+        Finite constants or pointwise functions of (x, y). The term reads
+        position only if one of them is a function.
     """
 
     def __init__(self, scale=1.0, exponent=1.0, shift=0.0, weight=1.0):
@@ -79,6 +88,10 @@ class PowerLaw(Nonlinearity):
         phi = self._weight(x, y) if self._weight_callable else self._weight
         t = u - psi
         return phi * self.scale * np.sign(t) * np.abs(t) ** self.exponent
+
+    @property
+    def reads_position(self):
+        return self._shift_callable or self._weight_callable
 
     def describe(self):
         shift = "shift(x)" if self._shift_callable else f"{self._shift:g}"
@@ -102,6 +115,10 @@ class CutNonlinearity(Nonlinearity):
 
     def __call__(self, x, y, u):
         return self.base(x, y, np.clip(u, -self.bound, self.bound))
+
+    @property
+    def reads_position(self):
+        return getattr(self.base, "reads_position", True)
 
     def describe(self):
         base = self.base.describe() if hasattr(self.base, "describe") else repr(self.base)

@@ -21,7 +21,7 @@ from semifem.femfunction import FemFunction, interpolate
 from semifem.mesh import (TriMesh, locate_point, preset_polygon, read_mesh,
                           refine_uniform, triangulate_convex_polygon, write_mesh)
 from semifem.multigrid import VCycle
-from semifem.nonlinearity import PowerLaw, cut
+from semifem.nonlinearity import Nonlinearity, PowerLaw, cut
 from semifem.quadrature import edge_midpoint_rule, rule_of_degree, seven_point_rule, shipped_rules
 from semifem.solver import SolverConfig, solve_semilinear
 from test_multigrid import steep_slope_rows
@@ -760,6 +760,129 @@ def test_tabulated_kernels_match_per_point_loop(square2, make, quad):
         assert np.max(np.abs(a - b)) <= rtol * np.max(np.abs(b)), name
 
 
+def unit_square(level):
+    mesh = triangulate_convex_polygon(preset_polygon("unit-square"))
+    for _ in range(level):
+        mesh = refine_uniform(mesh)
+    return mesh
+
+
+class Dropping(Nonlinearity):
+    """A position-free term that falls in u above 1/4, so slope weights go negative."""
+
+    reads_position = False
+
+    def __call__(self, x, y, u):
+        return np.where(u > 0.25, -u, u)
+
+
+def test_position_free_terms_skip_the_coordinates(monkeypatch):
+    # A term that does not read position is sampled with no quadrature
+    # points formed: a cold kink solve runs, bitwise as with coordinates,
+    # while forming them raises.
+    seen = []
+
+    def shift(x, y):
+        seen.append((x, y))
+        return -1.0
+
+    kink = PowerLaw(scale=50.0, exponent=1 / 3, shift=-1.0)
+    shifted = PowerLaw(scale=50.0, exponent=1 / 3, shift=shift)
+    assert not kink.reads_position and shifted.reads_position
+    assert not cut(kink, 2.0).reads_position and cut(shifted, 2.0).reads_position
+    assert Nonlinearity().reads_position and cut(lambda x, y, u: u, 2.0).reads_position
+
+    def one(x, y):
+        return 1.0
+
+    one.reads_position = False
+    reference, reference_stats = solve_semilinear(pentagon(4), kink,
+                                                  lambda x, y: np.ones_like(x))
+    mesh = pentagon(4)
+    u = interpolate(mesh, lambda x, y: x - y)
+    v = interpolate(mesh, lambda x, y: x - y - 0.5)
+    quad = seven_point_rule()
+    assemble_nonlinear_residual(mesh, shifted, u, quad)
+    assemble_slope_matrix(mesh, shifted, u, v, 1e-6, quad)
+    assert seen and all(isinstance(x, np.ndarray) and isinstance(y, np.ndarray)
+                        for x, y in seen)
+
+    def unformed(corners, points):
+        raise AssertionError("quadrature points formed")
+
+    monkeypatch.setattr(assembly, "quadrature_points", unformed)
+    solution, stats = solve_semilinear(pentagon(4), kink, one)
+    np.testing.assert_array_equal(solution.coeffs.view(np.uint64),
+                                  reference.coeffs.view(np.uint64))
+    assert stats.residual_history == reference_stats.residual_history
+
+    class Spy(Nonlinearity):
+        reads_position = False
+
+        def __call__(self, x, y, u):
+            seen.append((x, y))
+            return kink(x, y, u)
+
+    seen.clear()
+    assemble_nonlinear_residual(mesh, Spy(), u, quad)
+    assemble_slope_matrix(mesh, cut(Spy(), 2.0), u, v, 1e-6, quad)
+    assert seen and all(x is None and y is None for x, y in seen)
+    with pytest.raises(AssertionError, match="quadrature points formed"):
+        assemble_nonlinear_residual(mesh, shifted, u, quad)
+
+
+def failure(run):
+    """The message of the ValueError that run raises."""
+    with pytest.raises(ValueError) as info:
+        run()
+    return str(info.value)
+
+
+@pytest.mark.parametrize("quad", shipped_rules(), ids=lambda quad: quad.name)
+@pytest.mark.parametrize("make", ["pentagon4", "square3"])
+def test_position_free_path_equals_coordinate_path(monkeypatch, make, quad):
+    # The same term, once declared position-free and once as a plain
+    # function, which is sampled with coordinates: equal bits, and errors
+    # that name the same point.
+    monkeypatch.setattr(assembly, "BLOCK", SMALL_BLOCK)
+    mesh = pentagon(4) if make == "pentagon4" else unit_square(3)
+    d = PowerLaw(scale=50.0, exponent=1 / 3, shift=-1.0)
+    u = interpolate(mesh, lambda x, y: np.sin(3 * x) - 1.0 + 0.01 * y)
+    v = interpolate(mesh, lambda x, y: -1.0 + 0.3 * x * y)
+    # Infinite reactions at the points next to a vertex of block 2's triangle 5.
+    coeffs = np.zeros(mesh.num_vertices)
+    coeffs[mesh.triangles[2 * SMALL_BLOCK + 5, 0]] = 1e300
+    huge = FemFunction(mesh, coeffs)
+    drop_u = interpolate(mesh, lambda x, y: x - y)
+    drop_v = interpolate(mesh, lambda x, y: x - y - 0.5)
+    dropping = Dropping()
+    for term in (d, OVERFLOWING, dropping):
+        assert not term.reads_position
+    runs = {
+        "residual": lambda g: assemble_nonlinear_residual(mesh, g, u, quad),
+        "slope": lambda g: assemble_slope_matrix(mesh, g, u, v, 1e-6, quad),
+    }
+    for name, run in runs.items():
+        np.testing.assert_array_equal(run(d).view(np.uint64),
+                                      run(lambda x, y, w: d(x, y, w)).view(np.uint64),
+                                      err_msg=name)
+    errors = {
+        "nonlinearity": lambda g: assemble_nonlinear_residual(mesh, g, huge, quad),
+        "slope weight": lambda g: assemble_slope_matrix(
+            mesh, g, huge, FemFunction.zeros(mesh), 1e-6, quad),
+    }
+    for what, run in errors.items():
+        message = failure(lambda: run(OVERFLOWING))
+        assert message.startswith(f"{what} returned non-finite value at point")
+        assert failure(lambda: run(lambda x, y, w: OVERFLOWING(x, y, w))) == message
+        locate_point(mesh, reported_point(message))
+    message = failure(lambda: assemble_slope_matrix(mesh, dropping, drop_u, drop_v, 1e-6, quad))
+    assert "not monotone" in message
+    assert failure(lambda: assemble_slope_matrix(mesh, lambda x, y, w: dropping(x, y, w),
+                                                 drop_u, drop_v, 1e-6, quad)) == message
+    locate_point(mesh, reported_point(message))
+
+
 # Assembles load, residual and slope rows at pentagon level 5 with the
 # reaction's default rule and the 7-point rule, and saves them.
 THREADS_SCRIPT = """
@@ -868,9 +991,16 @@ def test_peak_allocation_per_triangle():
     # a fresh mesh, the counting sort of `mesh._sorted_pattern`, peaks at
     # 66 B with its kept arrays (67 B when edge slots placed its entries, 84 B
     # while its caller held the selected edges and their value indices
-    # through the sort). The first stiffness sums peak at 50 B, keeping
+    # through the sort). The first stiffness sums peak at 48.5 B, keeping
     # the diagonal rows and adding each block's edge rows as they are made
-    # (65 B when all six rows were made first).
+    # (65 B when all six rows were made first). A reaction term that does
+    # not read position, as here, is sampled with no corners, x or y: the
+    # residual peaks at 22 B (33 B with them) and the slope matrix at
+    # 131 B, as before, its peak being in the pattern's build. The walk
+    # drops each block's gathered corners before it yields their
+    # contiguous copy: the load peaks at 24 B, the L2/H1/max errors at
+    # 26/33/40 B (26.5, 28/35/42 B and 49.7 B for the stiffness sums when
+    # the gather lived through the yield).
     mesh = pentagon(7)
     ritz_project(mesh, smooth_grad)
     # The warm-up keeps the mesh's stiffness and interior pattern; copies
@@ -899,7 +1029,7 @@ def test_peak_allocation_per_triangle():
             mesh, d, u, v, 1e-6, rule_of_degree(SolverConfig().quad_degree))),
     }
     bounds = {"stiffness": 85, "interior pattern": 72, "stiffness sums": 55, "load": 30,
-              "residual": 38, "slope": 150, "l2": 48, "h1": 56, "linf": 48, "h1 nested": 32,
+              "residual": 26, "slope": 150, "l2": 48, "h1": 56, "linf": 48, "h1 nested": 32,
               "ritz": 200, "vcycle": 75, "slope rows + cycle build": 85}
     peaks = {}
     for name, assemble in assemblers.items():
