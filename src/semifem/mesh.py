@@ -12,7 +12,9 @@ on every call and not kept. Both patterns carry, for every entry, the
 index of its value among a symmetric matrix's vertex and edge values:
 vertex v has value v, edge e of `edges()` value nv + e. One builder
 makes both, `_sorted_pattern`: a stable counting sort of the pattern's
-listed entries, done in C by scipy's COO to CSR conversion.
+listed entries, done in C by scipy's COO to CSR conversion. The same
+conversion of a refined mesh's listed edges numbers them
+(`_refined_topology`).
 """
 
 import numpy as np
@@ -159,40 +161,6 @@ def _unique_edges(triangles, nv):
     return edges, ids.reshape(-1, 3).astype(np.int32), counts
 
 
-def _edge_slots(edges, nv):
-    """Where both ends of every edge sit when each vertex lists its edges.
-
-    Vertex v lists the edges at it in increasing id: the edges (lo, v) in
-    the order of lo, then the contiguous run of edges (v, hi) of the
-    lexicographic `edges`. Returns the (2, ne) int32 slots of the ends lo
-    and hi of every edge in these lists laid end to end, and the (nv,)
-    int32 slot where the run (v, hi) of each vertex starts. The ends lo
-    are placed by counts alone; the ends hi in the order of hi, then of
-    the edge id (a stable argsort of hi), by one counting sort: scipy's
-    CSR to CSC conversion of the matrix with entry e at (lo, hi) lists each
-    column's rows lo in increasing order, and edge ids increase with lo.
-    """
-    ne = edges.shape[0]
-    lo, hi = edges[:, 0], edges[:, 1]
-    ids = np.arange(ne, dtype=np.int32)
-    lower = np.bincount(hi, minlength=nv)
-    # lower_through[v] counts the edges (u, w) with w <= v; first_run[v]
-    # is the id of the first edge (v, hi), the count of edges with lo < v.
-    lower_through = np.cumsum(lower, dtype=np.int32)
-    first_run = np.zeros(nv, dtype=np.int32)
-    np.cumsum(np.bincount(lo, minlength=nv)[:-1], out=first_run[1:])
-    slots = np.empty((2, ne), dtype=np.int32)
-    # The end lo = v of edge e has e ends lo and lower_through[v] ends hi
-    # before it.
-    np.add(ids, lower_through[lo], out=slots[0])
-    # The i-th end hi in the order of hi, at vertex v, has i ends hi and
-    # first_run[v] ends lo before it.
-    by_hi = sparse.csr_matrix((ids, hi, np.append(first_run, np.int32(ne))),
-                              shape=(nv, nv)).tocsc().data
-    slots[1, by_hi] = ids + np.repeat(first_run, lower)
-    return slots, first_run + lower_through
-
-
 def _sorted_pattern(edges, kept):
     """CSR pattern of symmetric matrices with entries on the diagonal and on edges.
 
@@ -302,10 +270,12 @@ class TriMesh:
     boundary flags. Its one pass over the edges, `_unique_edges`, also
     numbers them: that numbering is `edges()`, and each triangle's three
     edge ids, `triangle_edges()`, serve `refine_uniform` and the
-    assemblers. `refine_uniform` derives the same arrays of a child from its parent's,
-    with no pass over the child's edges. Both are int32, as every mesh of
-    a hierarchy keeps them; the triangles stay int64, whose gathers and
-    scatters on the solver's hot path are faster than with int32 indices.
+    assemblers. `refine_uniform` derives the same arrays of a child from
+    its parent's numbering: it lists each child edge once and orders the
+    list by one counting sort, with no search over the child's edge keys.
+    Both are int32, as every mesh of a hierarchy keeps them; the
+    triangles stay int64, whose gathers and scatters on the solver's hot
+    path are faster than with int32 indices.
     """
 
     def __init__(self, vertices, triangles):
@@ -439,9 +409,8 @@ class TriMesh:
         per mesh by `_sorted_pattern`'s counting sort on the edges between
         two interior vertices, renumbered by i; no pattern of the whole mesh
         is made. At level 8 (164 481 vertices, 1.15 M block entries; 2-CPU
-        VM) its first build takes 21-24 ms, against 39-48 ms for the
-        edge-slot placement it replaced, with the same traced peak of 66 B
-        per triangle, and keeps 9.3 MiB.
+        VM) its first build takes 21-24 ms, with a traced peak of 66 B per
+        triangle, and keeps 9.3 MiB.
         """
         if self._interior_pattern is None:
             self._interior_pattern = _locked(_sorted_pattern(self._edges, ~self.boundary_vertex))
@@ -488,10 +457,11 @@ def refine_uniform(mesh):
 
     The child's int32 edges, triangle edge ids and boundary flags follow
     from the parent's numbering (`_refined_topology`), equal to what the
-    constructor's `_unique_edges` would find, with no pass over the 3 nt
-    child edge keys: both are integer reorderings, two counting sorts
-    done in C. The child's signed areas are computed and checked positive
-    as in the constructor.
+    constructor's `_unique_edges` would find, with no search over the
+    child's edge keys: its 2 ne + 3 nt edges are listed from the parent's
+    edges and triangle edge ids and ordered by one counting sort done in
+    C. The child's signed areas are computed and checked positive as in
+    the constructor.
     """
     edges = mesh.edges()
     midpoints = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
@@ -513,59 +483,52 @@ def _refined_topology(mesh):
     """Edges, triangle edge ids and boundary flags of `refine_uniform(mesh)`.
 
     They equal what `_unique_edges` finds on the child, read off the
-    parent's numbering instead. The child's lexicographic edges are, first,
-    for every parent vertex v in turn, the halves (v, nc + e) of the parent
-    edges e at v in increasing e (`_edge_slots`), and then the three edges
-    between the midpoints of every parent triangle, ordered by scipy's COO
-    to CSR conversion of their (first, second) parent edge ids, as
-    `_sorted_pattern` orders its entries; each row's few second ids are
-    then sorted in place. A midpoint lies on the boundary iff its parent
-    edge belongs to one triangle; parent vertices keep their flags.
+    parent's numbering instead. Every child edge (lo, hi) is listed once:
+    entry e is the half (hi_e, nc + e) of parent edge e, entry ne + e its
+    half (lo_e, nc + e), and entry 2 ne + 3 k + j the edge between the
+    midpoints of the edges j and j + 1 of parent triangle k. scipy's COO
+    to CSR conversion of the list, a stable counting sort by lo, places
+    the entries in lexicographic order, as in `_sorted_pattern`: a row
+    v < nc comes out sorted, since the edges (u, v) precede the edges
+    (v, w) in the parent's lexicographic numbering, and the conversion
+    sorts each midpoint row's few columns hi. The position of entry i in
+    that order is the id of its child edge. A midpoint lies on the
+    boundary iff its parent edge belongs to one triangle; parent vertices
+    keep their flags.
     """
     nc = mesh.num_vertices
     parent_edges = mesh.edges()
     triangle_edges = mesh.triangle_edges()
     ne, nt = parent_edges.shape[0], triangle_edges.shape[0]
-    slots, _ = _edge_slots(parent_edges, nc)
-    midpoint_vertices = np.arange(nc, nc + ne, dtype=np.int32)
-    edges = np.empty((2 * ne + 3 * nt, 2), dtype=np.int32)
-    halves = edges[:2 * ne]
-    for end in range(2):
-        halves[slots[end], 0] = parent_edges[:, end]
-        halves[slots[end], 1] = midpoint_vertices
-    # Pair j joins the midpoints of a triangle's edges j and j + 1; no two
-    # triangles share a pair. scipy's COO to CSR conversion, a stable
-    # counting sort, lists the pairs by their first edge, and sorts each
-    # row's second edges in place: the lexicographic order of the pairs.
+    n = 2 * ne + 3 * nt
+    midpoints = np.arange(nc, nc + ne, dtype=np.int32)
+    # No two triangles share two edges, so no child edge is listed twice.
     following = np.roll(triangle_edges, -1, axis=1)
-    first = np.minimum(triangle_edges, following).ravel()
-    second = np.maximum(triangle_edges, following).ravel()
-    del following
-    order = sparse.coo_matrix((np.arange(3 * nt, dtype=np.int32), (first, second)),
-                              shape=(ne, ne)).tocsr()
-    order.sort_indices()
-    del second
-    edges[2 * ne:, 0] = first[order.data]
-    edges[2 * ne:, 0] += nc
-    edges[2 * ne:, 1] = order.indices
-    edges[2 * ne:, 1] += nc
-    del first
-    pairs = np.empty(3 * nt, dtype=np.int32)
-    pairs[order.data] = np.arange(2 * ne, 2 * ne + 3 * nt, dtype=np.int32)
+    lo = np.concatenate([parent_edges[:, 1], parent_edges[:, 0],
+                         nc + np.minimum(triangle_edges, following).ravel()])
+    hi = np.concatenate([midpoints, midpoints,
+                         nc + np.maximum(triangle_edges, following).ravel()])
+    del following, midpoints
+    order = sparse.coo_matrix((np.arange(n, dtype=np.int32), (lo, hi)),
+                              shape=(nc + ne, nc + ne)).tocsr()
+    del lo, hi
+    edges = np.empty((n, 2), dtype=np.int32)
+    edges[:, 0] = np.repeat(np.arange(nc + ne, dtype=np.int32), np.diff(order.indptr))
+    edges[:, 1] = order.indices
+    ids = np.empty(n, dtype=np.int32)
+    ids[order.data] = np.arange(n, dtype=np.int32)
     del order
-    pairs = pairs.reshape(nt, 3)
 
     # Child edge ids between two columns of a triangle's corner row
     # (vertices 0, 1, 2, then the midpoints 3 + j of edges j).
     triangles = mesh.triangles
     forward = triangles < np.roll(triangles, -1, axis=1)  # vertex j is the lo of edge j
-    lo_half = slots[0][triangle_edges]
-    hi_half = slots[1][triangle_edges]
+    pairs = ids[2 * ne:].reshape(nt, 3)
     between = {}
     for j in range(3):
-        between[frozenset((j, 3 + j))] = np.where(forward[:, j], lo_half[:, j], hi_half[:, j])
-        between[frozenset(((j + 1) % 3, 3 + j))] = np.where(forward[:, j], hi_half[:, j],
-                                                            lo_half[:, j])
+        e = triangle_edges[:, j]
+        between[frozenset((j, 3 + j))] = ids[e + ne * forward[:, j]]
+        between[frozenset(((j + 1) % 3, 3 + j))] = ids[e + ne * ~forward[:, j]]
         between[frozenset((3 + j, 3 + (j + 1) % 3))] = pairs[:, j]
     child_edges = np.empty((nt, len(CHILD_CORNERS), 3), dtype=np.int32)
     for c, row in enumerate(CHILD_CORNERS):

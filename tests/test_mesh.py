@@ -290,6 +290,17 @@ class TestRefinedTopology:
     def test_unused_vertices_match_constructor(self):
         check_refinements_match_constructor(unused_vertex_mesh(), 2)
 
+    @pytest.mark.parametrize("make_root", [
+        # Every parent edge lies on the boundary.
+        lambda: TriMesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]]),
+        lambda: TriMesh(np.zeros((2, 2)), np.empty((0, 3), dtype=np.int64)),
+        # Every edge at the centroid has it as its lower end.
+        lambda: TriMesh(np.vstack([Polygon(PENTAGON).centroid(), PENTAGON]),
+                        [[1 + i, 1 + (i + 1) % 5, 0] for i in range(5)]),
+    ], ids=["single triangle", "no triangles", "centroid first pentagon"])
+    def test_other_roots_match_constructor(self, make_root):
+        check_refinements_match_constructor(make_root(), 3)
+
     def test_refinement_never_calls_unique_edges(self, monkeypatch):
         root = triangulate_convex_polygon(Polygon(PENTAGON))
 
@@ -386,21 +397,6 @@ class TestInteriorBuilders:
         check_interior_builders(root, 2)
 
 
-def argsort_edge_slots(edges, nv):
-    """`mesh._edge_slots` with the ends hi ordered by one stable argsort of hi."""
-    ne = edges.shape[0]
-    lo, hi = edges[:, 0], edges[:, 1]
-    ids = np.arange(ne, dtype=np.int32)
-    lower = np.bincount(hi, minlength=nv)
-    lower_through = np.cumsum(lower, dtype=np.int32)
-    first_run = np.zeros(nv, dtype=np.int32)
-    np.cumsum(np.bincount(lo, minlength=nv)[:-1], out=first_run[1:])
-    slots = np.empty((2, ne), dtype=np.int32)
-    np.add(ids, lower_through[lo], out=slots[0])
-    slots[1, np.argsort(hi, kind="stable")] = ids + np.repeat(first_run, lower)
-    return slots, first_run + lower_through
-
-
 def random_edges(rng, nv, count):
     """Up to count distinct lexicographic int32 edges (lo, hi), lo < hi < nv."""
     pairs = np.sort(rng.integers(0, nv, size=(count, 2)), axis=1)
@@ -422,14 +418,10 @@ def lexsorted_pattern(edges, n):
     return indptr, columns[order].astype(np.int32), source[order].astype(np.int32)
 
 
-class TestEdgeSlots:
-    """The edge slots, and the pattern builder on the same edges."""
+class TestSortedPatternMatchesLexsort:
+    """`mesh._sorted_pattern` with every vertex kept, against `lexsorted_pattern`."""
 
     def check(self, edges, nv):
-        for got, expected in zip(mesh_module._edge_slots(edges, nv),
-                                 argsort_edge_slots(edges, nv)):
-            assert got.dtype == expected.dtype == np.int32
-            np.testing.assert_array_equal(got, expected)
         for got, expected in zip(mesh_module._sorted_pattern(edges, np.ones(nv, dtype=bool)),
                                  lexsorted_pattern(edges, nv)):
             assert got.dtype == expected.dtype == np.int32
